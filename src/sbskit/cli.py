@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 configuration error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import time
@@ -98,8 +99,9 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 
 
 def load_config(path: str | None) -> dict:
+    """Defaults overlaid with the file at path; shares nothing with DEFAULT_CONFIG."""
     if path is None:
-        return dict(DEFAULT_CONFIG)
+        return copy.deepcopy(DEFAULT_CONFIG)
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -111,7 +113,7 @@ def load_config(path: str | None) -> dict:
     version = raw.get("config_version", 1)
     if version != 1:
         raise ConfigError(f"unsupported config_version: {version}")
-    return _merge(DEFAULT_CONFIG, raw)
+    return _merge(copy.deepcopy(DEFAULT_CONFIG), raw)
 
 
 def parse_measure(section: dict) -> MeasureSpec:
@@ -184,7 +186,10 @@ def run_fig2(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
         t_points=int(section["t_points"]),
         measure=parse_measure(config["measure"]),
     )
-    curves = fig2_curves([int(n) for n in section["n_values"]], run)
+    try:
+        curves = fig2_curves([int(n) for n in section["n_values"]], run)
+    except ValueError as exc:
+        raise ConfigError(f"fig2.n_values: {exc}")
     files = []
     for n, curve in sorted(curves.items()):
         name = f"fig2_curve_n{n}.csv"

@@ -21,6 +21,10 @@ import numpy as np
 from .spin_model import SpinParams, lln_exponents, short_time_exponents
 
 TWO_PI = 2.0 * math.pi
+# time points per block of the B / |gamma| kernel
+CURVE_BLOCK = 2048
+# |a| <= 2^-54 makes 1 + a sin^2(g t) round to exactly 1
+EXACT_ONE_COEFF = 2.0**-54
 
 
 @dataclass(frozen=True)
@@ -191,22 +195,63 @@ def _mean_stderr(values: np.ndarray, axis: int = 0):
     return mean, stderr
 
 
-def _b_curve(lam, beta, g, t_grid) -> np.ndarray:
-    """Macrofraction fidelity over a time grid, log-space product."""
-    sin2 = np.sin(np.outer(g, t_grid)) ** 2
-    b2 = 1.0 - ((2.0 * lam - 1.0) ** 2 * np.sin(beta) ** 2)[:, None] * sin2
-    b2 = np.clip(b2, 0.0, None)
-    with np.errstate(divide="ignore"):
-        return np.exp(0.5 * np.sum(np.log(b2), axis=0))
+def _curve_coefficients(lam, beta):
+    """Per-spin coefficients a of the factors 1 + a sin^2(g t).
+
+    B takes a = -(2 lam - 1)^2 sin^2 beta and |gamma| takes
+    a = (2 lam - 1)^2 cos^2 beta - 1.  Negation is exact and x - y is
+    x + (-y) in IEEE arithmetic, so 1 + a s2 for B is bitwise 1 - c s2.
+    """
+    r2 = (2.0 * lam - 1.0) ** 2
+    return -(r2 * np.sin(beta) ** 2), r2 * np.cos(beta) ** 2 - 1.0
 
 
-def _abs_gamma_curve(lam, beta, g, t_grid) -> np.ndarray:
-    """|collective dephasing factor| over a time grid, log-space product."""
-    sin2 = np.sin(np.outer(g, t_grid)) ** 2
-    g2 = 1.0 + sin2 * (((2.0 * lam - 1.0) ** 2 * np.cos(beta) ** 2) - 1.0)[:, None]
-    g2 = np.clip(g2, 0.0, None)
-    with np.errstate(divide="ignore"):
-        return np.exp(0.5 * np.sum(np.log(g2), axis=0))
+def _product_curves(g, t_grid, coeffs, counts) -> np.ndarray:
+    """sqrt(prod_{k < n} max(0, 1 + a_k sin^2(g_k t))) over t_grid, log space.
+
+    One curve per coefficient array a in coeffs and spin count n in counts
+    (1 <= n <= len(g)), the product running over the first n spins; returns
+    shape (len(coeffs), len(counts), len(t_grid)).  The time grid is cut into
+    blocks of at most CURVE_BLOCK points; sin^2(g t) is computed once per
+    block and shared by every coefficient array.  A curve whose coefficients
+    all have magnitude <= 2^-54 is exactly 1 (1 + a rounds to 1) and is not
+    computed.  Every elementwise step and the row-by-row sum over spins
+    match the one-pass full-grid form bit for bit.
+    """
+    ends = np.unique(np.asarray(counts, dtype=np.intp))
+    n_spins, n_t = len(g), len(t_grid)
+    logs = np.zeros((len(coeffs), len(ends), n_t))
+    live = [k for k, a in enumerate(coeffs) if np.max(np.abs(a)) > EXACT_ONE_COEFF]
+    if live:
+        # blocks of near-equal width: numpy sums a one-column block pairwise
+        # instead of row by row, which would change the last bits
+        n_blocks = -(-n_t // CURVE_BLOCK)
+        bounds = [n_t * b // n_blocks for b in range(n_blocks + 1)]
+        # flat buffers reshaped per block keep every block C-contiguous, so
+        # numpy takes the same vector loops as on one full-size array
+        s2_buf = np.empty(n_spins * -(-n_t // n_blocks))
+        f_buf = np.empty_like(s2_buf)
+        with np.errstate(divide="ignore"):
+            for lo, hi in zip(bounds, bounds[1:]):
+                s2 = s2_buf[: n_spins * (hi - lo)].reshape(n_spins, hi - lo)
+                f = f_buf[: s2.size].reshape(s2.shape)
+                np.multiply.outer(g, t_grid[lo:hi], out=s2)
+                np.sin(s2, out=s2)
+                np.square(s2, out=s2)
+                for k in live:
+                    np.multiply(coeffs[k][:, None], s2, out=f)
+                    np.add(1.0, f, out=f)
+                    np.clip(f, 0.0, None, out=f)
+                    np.log(f, out=f)
+                    # a sum over rows adds them one by one, so storing the sum
+                    # of the first n rows in row n - 1 and summing on from
+                    # there equals one sum over the first n' rows
+                    start = 0
+                    for j, n in enumerate(ends):
+                        logs[k, j, lo:hi] = f[start:n].sum(axis=0)
+                        start = n - 1
+                        f[start] = logs[k, j, lo:hi]
+    return np.exp(0.5 * logs)[:, np.searchsorted(ends, counts)]
 
 
 def fig1_node(
@@ -231,16 +276,13 @@ def fig1_node(
     measure = MeasureSpec(coupling=coupling)  # only the coupling law is sampled
     t = np.linspace(0.0, tau, tau_points)
     coarse = slice(None, None, 2) if tau_points % 2 == 1 else None
-    lam_arr = np.full(n_spins, lam_plus)
-    beta_arr = np.full(n_spins, beta)
+    coeffs = _curve_coefficients(np.full(n_spins, lam_plus), np.full(n_spins, beta))
 
     def one(i: int):
         rng = sample_stream(seed, i, label=1)
         g = sample_coupling_array(measure, rng, n_spins)
-        b_curve = _b_curve(lam_arr, beta_arr, g, t)
-        g_curve = _abs_gamma_curve(lam_arr, beta_arr, g, t)
         vals = []
-        for curve in (b_curve, g_curve):
+        for curve in _product_curves(g, t, coeffs, [n_spins])[:, 0]:
             fine = float(np.trapezoid(curve, t) / tau)
             if coarse is not None:
                 cs = float(np.trapezoid(curve[coarse], t[coarse]) / tau)
@@ -311,6 +353,8 @@ def fig2_curves(n_values: Sequence[int], config: RunConfig) -> dict[int, Average
     if not len(n_values):
         raise ValueError("n_values must be nonempty")
     n_values = [int(n) for n in n_values]
+    if min(n_values) < 1:
+        raise ValueError("n_values must be positive")
     n_max = max(n_values)
     t = config.t_grid()
 
@@ -318,17 +362,16 @@ def fig2_curves(n_values: Sequence[int], config: RunConfig) -> dict[int, Average
         rng = sample_stream(config.seed, i, label=2)
         _, beta_o, _, lam_o, g_o = sample_spin_arrays(config.measure, rng, n_max)
         _, beta_u, _, lam_u, g_u = sample_spin_arrays(config.measure, rng, n_max)
-        per_n = {}
-        for n in n_values:
-            b = _b_curve(lam_o[:n], beta_o[:n], g_o[:n], t)
-            ag = _abs_gamma_curve(lam_u[:n], beta_u[:n], g_u[:n], t)
-            per_n[n] = ag + b
-        return per_n
+        b_coeff, _ = _curve_coefficients(lam_o, beta_o)
+        _, gamma_coeff = _curve_coefficients(lam_u, beta_u)
+        b = _product_curves(g_o, t, [b_coeff], n_values)[0]
+        ag = _product_curves(g_u, t, [gamma_coeff], n_values)[0]
+        return ag + b
 
     draws = map_indexed(one, config.samples, config.threads)
     out = {}
-    for n in n_values:
-        stack = np.stack([d[n] for d in draws])
+    for j, n in enumerate(n_values):
+        stack = np.stack([d[j] for d in draws])
         mean, stderr = _mean_stderr(stack)
         out[n] = AverageCurve(t, mean, stderr, config.samples)
     return out

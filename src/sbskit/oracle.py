@@ -267,6 +267,7 @@ class FamilyResult:
     prop1: float
     epsilon: float
     fifty_fifty: float
+    family: ProjectorFamily
 
     @property
     def prop1_margin(self) -> float:
@@ -282,6 +283,7 @@ class InstanceReport:
     families: dict
     epsilon_witness: float
     info: MutualInfoCheck
+    branches: list  # observed branch states, indexed [k][i]
 
     @property
     def cor1_margin(self) -> float:
@@ -341,11 +343,12 @@ def evaluate_instance(
             sbs_core.prop1_bound(gamma, pe),
             eps,
             sbs_core.fifty_fifty_error(2.0 * eps),
+            family,
         )
 
     eps_witness = min(results["helstrom"].epsilon, results["helstrom_weighted"].epsilon)
     info = exact_mutual_info_check(reduced, inst.central, inst.factor_dims[: 1 + len(inst.observed)], eps_witness)
-    return InstanceReport(inst.t, gamma, eta, results, eps_witness, info)
+    return InstanceReport(inst.t, gamma, eta, results, eps_witness, info, branches)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import copy
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from sbskit import cli
+
+GOLDEN_SURFACE = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "surface" / "fig1_surface.csv"
 
 
 def run_cli(args):
@@ -35,6 +39,27 @@ class TestConfig:
         cfg.write_text(json.dumps({"measure": {"coupling": [2.0, 1.0]}}))
         out = tmp_path / "out"
         assert run_cli(["--scenario", "timescales", "--config", str(cfg), "--out-dir", str(out)]) == cli.EXIT_CONFIG
+
+    def test_main_leaves_defaults_untouched(self, tmp_path):
+        before = copy.deepcopy(cli.DEFAULT_CONFIG)
+        for name in ("a", "b"):
+            out = tmp_path / name
+            args = ["--scenario", "timescales", "--out-dir", str(out), "--samples", "3", "--threads", "2"]
+            assert run_cli(args) == 0
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert config["fig1"]["samples"] == config["discrimination"]["draws"] == 3
+        assert cli.DEFAULT_CONFIG == before
+
+    def test_loaded_configs_share_no_lists(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        for loaded in (cli.load_config(None), cli.load_config(str(cfg))):
+            loaded["measure"]["coupling"].append(2.0)
+            loaded["fig1"]["lambda_grid"].clear()
+            loaded["timescales"]["cases"][0]["n_mac"] = 7
+        assert cli.DEFAULT_CONFIG["measure"]["coupling"] == [0.0, 1.0]
+        assert len(cli.DEFAULT_CONFIG["fig1"]["lambda_grid"]) == 6
+        assert cli.DEFAULT_CONFIG["timescales"]["cases"][0]["n_mac"] == 100
 
     def test_override_merging(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -103,6 +128,13 @@ class TestFig2Scenario:
             name = f"fig2_curve_n{n}.csv"
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_nonpositive_size_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fig2": {"n_values": [0, 10]}}))
+        out = tmp_path / "out"
+        assert run_cli(["--scenario", "fig2", "--config", str(cfg), "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert "fig2.n_values" in capsys.readouterr().out
+
     def test_seed_changes_output(self, tmp_path):
         cfg = self.small_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -153,6 +185,17 @@ class TestFig1Scenario:
         assert by_node[(0.5, 0.0)][2] == 1.0  # <B> on the lam = 1/2 ridge
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["gates"]["quadrature_rel_change"] < 1e-3
+
+
+    def test_default_surface_matches_golden(self, tmp_path):
+        # the fig1 hot path must reproduce the benchmark's recorded surface byte for byte
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"config_version": 1, "seed": 20260808, "threads": 1, "fig1": {"samples": 1}})
+        )
+        out = tmp_path / "out"
+        assert run_cli(["--scenario", "fig1", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert (out / "fig1_surface.csv").read_bytes() == GOLDEN_SURFACE.read_bytes()
 
 
 class TestConvergenceGate:

@@ -5,6 +5,7 @@ import pytest
 
 from sbskit.discrimination import mean_success
 from sbskit.ensemble import (
+    CURVE_BLOCK,
     AverageCurve,
     MeasureSpec,
     RunConfig,
@@ -15,10 +16,102 @@ from sbskit.ensemble import (
     sample_spin_arrays,
     sample_stream,
     time_average,
+    _curve_coefficients,
+    _product_curves,
 )
 
 # asymptotic two-sided Kolmogorov-Smirnov critical value at the 1% level
 KS_CRIT_1PCT = 1.628
+
+
+# Reference curves: the one-pass full-grid forms the blocked kernel replaced,
+# kept verbatim so the kernel is held to bitwise equality with them.
+def _b_curve(lam, beta, g, t_grid) -> np.ndarray:
+    """Macrofraction fidelity over a time grid, log-space product."""
+    sin2 = np.sin(np.outer(g, t_grid)) ** 2
+    b2 = 1.0 - ((2.0 * lam - 1.0) ** 2 * np.sin(beta) ** 2)[:, None] * sin2
+    b2 = np.clip(b2, 0.0, None)
+    with np.errstate(divide="ignore"):
+        return np.exp(0.5 * np.sum(np.log(b2), axis=0))
+
+
+def _abs_gamma_curve(lam, beta, g, t_grid) -> np.ndarray:
+    """|collective dephasing factor| over a time grid, log-space product."""
+    sin2 = np.sin(np.outer(g, t_grid)) ** 2
+    g2 = 1.0 + sin2 * (((2.0 * lam - 1.0) ** 2 * np.cos(beta) ** 2) - 1.0)[:, None]
+    g2 = np.clip(g2, 0.0, None)
+    with np.errstate(divide="ignore"):
+        return np.exp(0.5 * np.sum(np.log(g2), axis=0))
+
+
+def kernel_curves(lam, beta, g, t, counts):
+    """(B, |gamma|) from the kernel, each of shape (len(counts), len(t))."""
+    return _product_curves(g, t, _curve_coefficients(lam, beta), counts)
+
+
+def assert_matches_reference(lam, beta, g, t, counts):
+    b, gam = kernel_curves(lam, beta, g, t, counts)
+    for j, n in enumerate(counts):
+        np.testing.assert_array_equal(b[j], _b_curve(lam[:n], beta[:n], g[:n], t))
+        np.testing.assert_array_equal(gam[j], _abs_gamma_curve(lam[:n], beta[:n], g[:n], t))
+
+
+# grid lengths around the block width, and the fig1 default
+BLOCK_EDGE_POINTS = (2, 3, CURVE_BLOCK - 1, CURVE_BLOCK, CURVE_BLOCK + 1, 2 * CURVE_BLOCK + 1, 40001)
+EDGE_NODES = [(lam, beta) for lam in (0.0, 0.5, 1.0) for beta in (0.0, math.pi / 2, math.pi)]
+
+
+class TestProductCurves:
+    @pytest.mark.parametrize("n_t", BLOCK_EDGE_POINTS)
+    def test_fig1_node_shape_matches_reference(self, n_t):
+        rng = np.random.default_rng(n_t)
+        g = rng.uniform(0.0, 1.0, 100)
+        t = np.linspace(0.0, 200.0, n_t)
+        for lam_plus, beta in ((0.7, 1.1), (0.95, 2.9)):
+            assert_matches_reference(np.full(100, lam_plus), np.full(100, beta), g, t, [100])
+
+    @pytest.mark.parametrize("n_t", BLOCK_EDGE_POINTS)
+    def test_per_spin_states_match_reference(self, n_t):
+        rng = np.random.default_rng(n_t)
+        _, beta, _, lam, g = sample_spin_arrays(MeasureSpec(), rng, 500)
+        t = np.linspace(0.0, 1.2, n_t)
+        assert_matches_reference(lam, beta, g, t, [30, 50, 200, 500])
+
+    def test_fig2_shape_and_count_order(self):
+        rng = np.random.default_rng(4)
+        _, beta, _, lam, g = sample_spin_arrays(MeasureSpec(), rng, 500)
+        t = np.linspace(0.0, 1.2, 121)
+        assert_matches_reference(lam, beta, g, t, [500, 1, 2, 200, 50, 50])
+
+    @pytest.mark.parametrize("lam_plus,beta", EDGE_NODES)
+    def test_edge_nodes_match_reference_and_stay_in_range(self, lam_plus, beta):
+        rng = np.random.default_rng(5)
+        g = rng.uniform(0.0, 1.0, 40)
+        g[:3] = 0.0  # sin(g t) = 0 for every t
+        t = np.linspace(0.0, 50.0, 3001)  # t = 0 in the first column
+        lam, bet = np.full(40, lam_plus), np.full(40, beta)
+        assert_matches_reference(lam, bet, g, t, [1, 3, 40])
+        curves = kernel_curves(lam, bet, g, t, [1, 3, 40])
+        assert np.all(np.isfinite(curves))
+        assert np.all((curves >= 0.0) & (curves <= 1.0))
+        assert np.all(curves[:, :, 0] == 1.0)
+        assert np.all(curves[:, :2] == 1.0)  # only spins with g = 0
+
+    def test_negligible_coefficients_give_exact_ones(self):
+        t = np.linspace(0.0, 200.0, 5001)
+        g = np.random.default_rng(6).uniform(0.0, 1.0, 100)
+        # lam = 1/2 zeroes every B coefficient; (1, 0) and (1, pi) leave
+        # |gamma| coefficients of magnitude <= 2^-54
+        for lam_plus, beta, skipped in ((0.5, 1.3, 0), (1.0, 0.0, 1), (1.0, math.pi, 1)):
+            lam, bet = np.full(100, lam_plus), np.full(100, beta)
+            coeffs = _curve_coefficients(lam, bet)
+            assert np.max(np.abs(coeffs[skipped])) <= 2.0**-54
+            curves = _product_curves(g, t, coeffs, [100])
+            assert np.all(curves[skipped] == 1.0)
+            assert_matches_reference(lam, bet, g, t, [100])
+        # a coefficient just above the cutoff is computed, and 1 + a s2 still rounds to 1
+        tiny = np.full(100, 2.0**-53)
+        np.testing.assert_array_equal(_product_curves(g, t, [tiny], [100])[0, 0], np.ones(5001))
 
 
 class TestMeasureSpec:
@@ -120,6 +213,12 @@ class TestFig1Node:
         assert mean_g == pytest.approx(1.0, abs=1e-9)
         assert se_g == pytest.approx(0.0, abs=1e-12)
 
+    def test_thread_invariant(self):
+        args = (0.8, 1.2, 100, 200.0, 40001)
+        one = fig1_node(*args, samples=3, seed=21, threads=1)
+        two = fig1_node(*args, samples=3, seed=21, threads=2)
+        assert one == two
+
     def test_orthogonal_node_is_small(self):
         mean_b, mean_g, _, _, _, _ = fig1_node(
             1.0, np.pi / 2, 100, 100.0, 8001, samples=4, seed=5
@@ -153,6 +252,10 @@ class TestFig2Curves:
         np.testing.assert_array_equal(a[15].mean, c[15].mean)
         d = fig2_curves([15], self.make_config(seed=100))
         assert np.any(a[15].mean != d[15].mean)
+
+    def test_nonpositive_size_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            fig2_curves([0, 5], self.make_config())
 
     def test_curve_lengths(self):
         curves = fig2_curves([5], self.make_config(t_points=17))

@@ -224,6 +224,19 @@ class TestEvaluateInstance:
         assert rep.cor1_margin >= -1e-9
         assert rep.epsilon_witness <= rep.families["helstrom"].epsilon + 1e-15
 
+    def test_report_carries_the_families_and_branches_it_used(self):
+        from sbskit import verify
+
+        inst = random_instance(8, 1)
+        rep = evaluate_instance(inst, np.random.default_rng(31))
+        rebuilt = qubit_families(inst, np.random.default_rng(31))
+        for name, fam in rep.families.items():
+            for got, want in zip(fam.family.families, rebuilt[name].families):
+                for p, q in zip(got, want):
+                    np.testing.assert_array_equal(p, q)
+            from_report = verify._disturbance_sum(rep.gamma, inst.central.sigma, rep.branches, fam.family)
+            assert from_report == verify._disturbance_bound(inst, fam.family)
+
     def test_qutrit_prop1_disturbance_suite(self):
         from sbskit.verify import qutrit_prop1_suite
 
