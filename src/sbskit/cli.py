@@ -35,10 +35,9 @@ from .discrimination import (
 )
 from .ensemble import MeasureSpec, RunConfig, fig2_curves, fig1_surface, sample_spin_arrays, sample_stream
 from .spin_model import (
-    MacrofractionSpec,
-    SpinParams,
     macrofraction_fidelity,
     short_time_exponents,
+    stack_spins,
     time_scales,
 )
 
@@ -162,7 +161,10 @@ def run_fig1(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
         tau_points=int(section["tau_points"]),
         measure=parse_measure(config["measure"]),
     )
-    surface = fig1_surface(run, section["lambda_grid"], section["beta_grid"], int(section["n_spins"]))
+    try:
+        surface = fig1_surface(run, section["lambda_grid"], section["beta_grid"], int(section["n_spins"]))
+    except ValueError as exc:
+        raise ConfigError(f"fig1: {exc}")
     header = ["lambda_plus", "beta", "mean_B", "mean_abs_gamma", "stderr_B", "stderr_gamma"]
     rows = [
         [r["lambda_plus"], r["beta"], r["mean_B"], r["mean_abs_gamma"], r["stderr_B"], r["stderr_gamma"]]
@@ -228,6 +230,9 @@ def run_timescales(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
 def run_discrimination(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     section = config["discrimination"]
     measure = parse_measure(config["measure"])
+    for name in ("n_mac", "draws", "t_points"):
+        if int(section[name]) < 1:
+            raise ConfigError(f"discrimination.{name}: must be >= 1, got {section[name]}")
     n_mac = int(section["n_mac"])
     draws = int(section["draws"])
     seed = int(config["seed"])
@@ -245,29 +250,15 @@ def run_discrimination(config: dict, out_dir: Path) -> tuple[int, list[str], dic
         "ok_fraction",
     ]
     rows = []
-    spins_per_draw = []
-    for d in range(draws):
-        rng = sample_stream(seed, d, label=20)
-        a, b, c, lam, g = sample_spin_arrays(measure, rng, n_mac)
-        spins_per_draw.append(
-            [SpinParams(float(a[j]), float(b[j]), float(c[j]), float(lam[j]), float(g[j])) for j in range(n_mac)]
-        )
+    # draws x n_mac, one row per draw
+    spins = stack_spins(lambda d: sample_spin_arrays(measure, sample_stream(seed, d, label=20), n_mac), draws)
     for t in t_grid:
         t = float(t)
-        probs_all = []
-        p_het = []
-        b_vals = []
-        ok_count = 0
-        for spins in spins_per_draw:
-            probs = [local_success_probability(sp, t) for sp in spins]
-            probs_all.extend(probs)
-            tail = majority_success_heterogeneous(probs)
-            p_het.append(tail)
-            b_mac = macrofraction_fidelity(MacrofractionSpec(tuple(spins)), t)
-            b_vals.append(b_mac)
-            if abs(2.0 * tail - 1.0) <= 1.0 - 0.5 * b_mac * b_mac + 1e-9:
-                ok_count += 1
-        stats = majority_stats(n_mac, float(np.mean(probs_all)))
+        probs = local_success_probability(spins, t)
+        p_het = majority_success_heterogeneous(probs)
+        b_vals = macrofraction_fidelity(spins, t)
+        ok_count = int(np.count_nonzero(np.abs(2.0 * p_het - 1.0) <= 1.0 - 0.5 * b_vals * b_vals + 1e-9))
+        stats = majority_stats(n_mac, float(np.mean(probs)))
         mean_b = float(np.mean(b_vals))
         rows.append(
             [

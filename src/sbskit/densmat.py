@@ -33,10 +33,6 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
 def hermiticity_defect(a: np.ndarray) -> float:
     """Largest entrywise deviation from Hermiticity, max |A - A†|."""
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0

@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from . import densmat
@@ -95,13 +93,13 @@ def helstrom_spin_analytic(p: SpinParams, t: float) -> ProjectorPair:
     return ProjectorPair(p_plus, np.eye(2, dtype=complex) - p_plus, False)
 
 
-def local_success_probability(p: SpinParams, t: float) -> float:
-    """Helstrom success probability for one spin, 1/2 + |delta| |sin(gt)|.
+def local_success_probability(p: SpinParams, t):
+    """Helstrom success probability per spin, 1/2 + |delta| |sin(gt)|.
 
     Identical for either branch; equals Tr[P_s rho_s(t)] with the analytic
-    projectors.
+    projectors.  Elementwise over the record.
     """
-    return 0.5 + abs(delta(p)) * abs(math.sin(p.g * t))
+    return 0.5 + np.abs(delta(p)) * np.abs(np.sin(p.g * t))
 
 
 def majority_success(n_mac: int, p_bar: float) -> float:
@@ -159,43 +157,27 @@ def majority_success(n_mac: int, p_bar: float) -> float:
     return min(total, 1.0)
 
 
-def majority_success_heterogeneous(probs: Sequence[float]) -> float:
+def majority_success_heterogeneous(probs):
     """Exact strict-majority probability for independent unequal trials.
 
-    Dynamic-programming convolution over the success count, O(n^2); reduces
-    to ``majority_success`` when all probabilities are equal.
+    Dynamic-programming convolution over the success count, O(n^2), along
+    the last axis; leading axes are independent batches, each reduced
+    exactly as a row of its own.  Reduces to ``majority_success`` when all
+    probabilities are equal.
     """
     probs = np.asarray(probs, dtype=float)
-    if probs.size < 1:
+    if probs.ndim < 1 or probs.shape[-1] < 1:
         raise ValueError("need at least one probability")
     if np.any((probs < 0.0) | (probs > 1.0)):
         raise ValueError("probabilities must lie in [0, 1]")
-    n = probs.size
-    dist = np.zeros(n + 1)
-    dist[0] = 1.0
-    for j, p in enumerate(probs):
-        dist[1 : j + 2] = dist[1 : j + 2] * (1.0 - p) + dist[: j + 1] * p
-        dist[0] *= 1.0 - p
-    return float(np.sum(dist[n // 2 + 1 :]))
-
-
-def mean_success(measure, t: float, samples: int, seed: int) -> tuple[float, float, float]:
-    """Monte Carlo mean of the local Helstrom success probability.
-
-    Draws i.i.d. spins from the measure using per-sample RNG streams, so
-    the estimate is bit-identical for a given seed.  Returns
-    (p_bar, s_bar, stderr) with s_bar = p_bar - 1/2 >= 0.
-    """
-    from .ensemble import sample_spin, sample_stream
-
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    vals = np.empty(samples)
-    for i in range(samples):
-        vals[i] = local_success_probability(sample_spin(measure, sample_stream(seed, i, label=4)), t)
-    p_bar = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return p_bar, p_bar - 0.5, stderr
+    n = probs.shape[-1]
+    dist = np.zeros(probs.shape[:-1] + (n + 1,))
+    dist[..., 0] = 1.0
+    for j in range(n):
+        p = probs[..., j, None]
+        dist[..., 1 : j + 2] = dist[..., 1 : j + 2] * (1.0 - p) + dist[..., : j + 1] * p
+        dist[..., :1] *= 1.0 - p
+    return np.sum(dist[..., n // 2 + 1 :], axis=-1)
 
 
 def chernoff_bound(n_mac: int, s_bar: float) -> float:

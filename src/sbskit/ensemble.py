@@ -1,5 +1,7 @@
-"""Random spin-parameter sampling, Monte Carlo and time averaging, and the
-surface/curve pipelines driven by the CLI.
+"""Random spin-parameter sampling and the Monte Carlo surface/curve
+pipelines driven by the CLI: the time-averaged fig1 surface and the fig2
+distance-bound curves, both through one blocked kernel for the B(t) and
+|gamma(t)| products.
 
 Reproducibility contract: every Monte Carlo sample draws from its own RNG
 stream derived from (master seed, stream label, sample index) through
@@ -18,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spin_model import SpinParams, lln_exponents, short_time_exponents
+from .spin_model import SpinParams, sin2_coefficients
 
 TWO_PI = 2.0 * math.pi
 # time points per block of the B / |gamma| kernel
@@ -47,12 +49,10 @@ class MeasureSpec:
     coupling: object = (0.0, 1.0)
 
     def __post_init__(self):
-        if self.angles != "haar":
-            a, b, c = self.angles
-            if not (0.0 <= b <= math.pi):
-                raise ValueError(f"fixed beta {b} outside [0, pi]")
-        if self.lam != "hilbert_schmidt" and not (0.0 <= float(self.lam) <= 1.0):
-            raise ValueError(f"fixed lam {self.lam} outside [0, 1]")
+        # the fixed values must form a valid spin; the record names a bad field
+        alpha, beta, gamma = (0.0, 0.0, 0.0) if self.angles == "haar" else self.angles
+        lam = 0.5 if self.lam == "hilbert_schmidt" else float(self.lam)
+        SpinParams(float(alpha), float(beta), float(gamma), lam, 0.0)
         if not isinstance(self.coupling, (int, float)):
             a, b = self.coupling
             if not a < b:
@@ -71,8 +71,6 @@ class RunConfig:
     """Fully seeded description of one reproducible experiment."""
 
     seed: int
-    observed_sizes: tuple = (100,)
-    n_unobserved: int = 100
     t_min: float = 0.0
     t_max: float = 1.2
     t_points: int = 121
@@ -87,16 +85,6 @@ class RunConfig:
             raise ValueError("time grids need at least 2 points")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if any(s < 1 for s in self.observed_sizes) or self.n_unobserved < 0:
-            raise ValueError("environment layout sizes must be positive")
-
-    @property
-    def n_total(self) -> int:
-        return sum(self.observed_sizes) + self.n_unobserved
-
-    @property
-    def fraction_observed(self) -> float:
-        return sum(self.observed_sizes) / self.n_total
 
     def t_grid(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.t_points)
@@ -149,8 +137,8 @@ def sample_coupling_array(measure: MeasureSpec, rng: np.random.Generator, n: int
     return rng.uniform(float(a), float(b), n)
 
 
-def sample_spin_arrays(measure: MeasureSpec, rng: np.random.Generator, n: int):
-    """Draw n spins at once; returns (alpha, beta, gamma, lam, g) arrays.
+def sample_spin_arrays(measure: MeasureSpec, rng: np.random.Generator, n: int) -> SpinParams:
+    """Draw n spins at once, as one record of length-n arrays.
 
     Draw order is fixed (angles, eigenvalues, couplings) so a stream yields
     the same spins no matter how the caller consumes them.
@@ -158,13 +146,7 @@ def sample_spin_arrays(measure: MeasureSpec, rng: np.random.Generator, n: int):
     alpha, beta, gamma = sample_angle_arrays(measure, rng, n)
     lam = sample_lambda_array(measure, rng, n)
     g = sample_coupling_array(measure, rng, n)
-    return alpha, beta, gamma, lam, g
-
-
-def sample_spin(measure: MeasureSpec, rng: np.random.Generator) -> SpinParams:
-    """Draw one spin parameter record from the measure."""
-    alpha, beta, gamma, lam, g = sample_spin_arrays(measure, rng, 1)
-    return SpinParams(float(alpha[0]), float(beta[0]), float(gamma[0]), float(lam[0]), float(g[0]))
+    return SpinParams(alpha, beta, gamma, lam, g)
 
 
 def map_indexed(fn: Callable[[int], object], n: int, threads: int = 1) -> list:
@@ -175,16 +157,6 @@ def map_indexed(fn: Callable[[int], object], n: int, threads: int = 1) -> list:
         return list(pool.map(fn, range(n)))
 
 
-def time_average(curve_fn: Callable[[np.ndarray], np.ndarray], tau: float, grid_points: int) -> float:
-    """Trapezoidal time average (1/tau) int_0^tau f(t) dt on a uniform grid."""
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    t = np.linspace(0.0, tau, grid_points)
-    return float(np.trapezoid(curve_fn(t), t) / tau)
-
-
 def _mean_stderr(values: np.ndarray, axis: int = 0):
     n = values.shape[axis]
     mean = np.mean(values, axis=axis)
@@ -193,17 +165,6 @@ def _mean_stderr(values: np.ndarray, axis: int = 0):
     else:
         stderr = np.zeros_like(mean)
     return mean, stderr
-
-
-def _curve_coefficients(lam, beta):
-    """Per-spin coefficients a of the factors 1 + a sin^2(g t).
-
-    B takes a = -(2 lam - 1)^2 sin^2 beta and |gamma| takes
-    a = (2 lam - 1)^2 cos^2 beta - 1.  Negation is exact and x - y is
-    x + (-y) in IEEE arithmetic, so 1 + a s2 for B is bitwise 1 - c s2.
-    """
-    r2 = (2.0 * lam - 1.0) ** 2
-    return -(r2 * np.sin(beta) ** 2), r2 * np.cos(beta) ** 2 - 1.0
 
 
 def _product_curves(g, t_grid, coeffs, counts) -> np.ndarray:
@@ -276,7 +237,7 @@ def fig1_node(
     measure = MeasureSpec(coupling=coupling)  # only the coupling law is sampled
     t = np.linspace(0.0, tau, tau_points)
     coarse = slice(None, None, 2) if tau_points % 2 == 1 else None
-    coeffs = _curve_coefficients(np.full(n_spins, lam_plus), np.full(n_spins, beta))
+    coeffs = sin2_coefficients(SpinParams(0.0, np.full(n_spins, beta), 0.0, np.full(n_spins, lam_plus), 0.0))
 
     def one(i: int):
         rng = sample_stream(seed, i, label=1)
@@ -360,12 +321,12 @@ def fig2_curves(n_values: Sequence[int], config: RunConfig) -> dict[int, Average
 
     def one(i: int):
         rng = sample_stream(config.seed, i, label=2)
-        _, beta_o, _, lam_o, g_o = sample_spin_arrays(config.measure, rng, n_max)
-        _, beta_u, _, lam_u, g_u = sample_spin_arrays(config.measure, rng, n_max)
-        b_coeff, _ = _curve_coefficients(lam_o, beta_o)
-        _, gamma_coeff = _curve_coefficients(lam_u, beta_u)
-        b = _product_curves(g_o, t, [b_coeff], n_values)[0]
-        ag = _product_curves(g_u, t, [gamma_coeff], n_values)[0]
+        observed = sample_spin_arrays(config.measure, rng, n_max)
+        unobserved = sample_spin_arrays(config.measure, rng, n_max)
+        b_coeff, _ = sin2_coefficients(observed)
+        _, gamma_coeff = sin2_coefficients(unobserved)
+        b = _product_curves(observed.g, t, [b_coeff], n_values)[0]
+        ag = _product_curves(unobserved.g, t, [gamma_coeff], n_values)[0]
         return ag + b
 
     draws = map_indexed(one, config.samples, config.threads)
@@ -376,41 +337,3 @@ def fig2_curves(n_values: Sequence[int], config: RunConfig) -> dict[int, Average
         out[n] = AverageCurve(t, mean, stderr, config.samples)
     return out
 
-
-def exponent_check(
-    measure: MeasureSpec, t_grid: Sequence[float], samples: int, seed: int, threads: int = 1
-) -> list[dict]:
-    """Monte Carlo means of the per-spin exponents vs their small-t forms.
-
-    Returns one row per t with columns (t, kappa_mc, chi_mc, kappa_short,
-    chi_short).  Infinite per-spin exponents (measure-zero degeneracies)
-    would poison the mean and are rejected if they ever appear.
-    """
-    t_grid = [float(t) for t in t_grid]
-    g2bar = measure.g2bar()
-
-    def one(i: int):
-        rng = sample_stream(seed, i, label=3)
-        alpha, beta, gamma, lam, g = sample_spin_arrays(measure, rng, 1)
-        spin = SpinParams(float(alpha[0]), float(beta[0]), float(gamma[0]), float(lam[0]), float(g[0]))
-        pairs = [lln_exponents(spin, t) for t in t_grid]
-        if any(math.isinf(k) or math.isinf(c) for k, c in pairs):
-            raise ArithmeticError("degenerate draw produced an infinite exponent")
-        return pairs
-
-    draws = map_indexed(one, samples, threads)
-    rows = []
-    for j, t in enumerate(t_grid):
-        kappa_mc = float(np.mean([d[j][0] for d in draws]))
-        chi_mc = float(np.mean([d[j][1] for d in draws]))
-        kappa_short, chi_short = short_time_exponents(g2bar, t)
-        rows.append(
-            {
-                "t": t,
-                "kappa_mc": kappa_mc,
-                "chi_mc": chi_mc,
-                "kappa_short": kappa_short,
-                "chi_short": chi_short,
-            }
-        )
-    return rows

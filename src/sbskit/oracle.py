@@ -26,8 +26,8 @@ import numpy as np
 from . import densmat, sbs_core
 from .discrimination import helstrom_pair
 from .ensemble import MeasureSpec, sample_spin_arrays, sample_stream
-from .sbs_core import BoundReport, BranchEnsemble, CentralState, ProjectorFamily, SBSState
-from .spin_model import EnvironmentSpec, MacrofractionSpec, SpinParams, initial_spin_state
+from .sbs_core import BranchEnsemble, CentralState, ProjectorFamily, SBSState
+from .spin_model import SpinParams, initial_spin_state
 
 DIMENSION_CAP = 4096
 
@@ -53,11 +53,6 @@ class InteractionSpec:
         phase = -0.5j * a * g * t
         return np.diag([np.exp(phase), np.exp(-phase)])
 
-    def env_unitary_diag(self, i: int, g: float, t: float) -> np.ndarray:
-        a = self.pointer_eigenvalues[i]
-        phase = -0.5j * a * g * t
-        return np.array([np.exp(phase), np.exp(-phase)])
-
 
 @dataclass(frozen=True)
 class OracleInstance:
@@ -81,13 +76,6 @@ class OracleInstance:
     def factor_dims(self) -> list[int]:
         return [self.central.d_s] + [2] * self.n_spins
 
-    @property
-    def environment(self) -> EnvironmentSpec:
-        """Layout view: each observed spin is its own single-spin macrofraction."""
-        return EnvironmentSpec(
-            tuple(MacrofractionSpec((s,)) for s in self.observed), self.unobserved
-        )
-
 
 def full_joint_state(inst: OracleInstance) -> np.ndarray:
     """U(t) rho(0) U(t)^dagger for the full system-plus-bath product state.
@@ -107,7 +95,7 @@ def full_joint_state(inst: OracleInstance) -> np.ndarray:
     for i in range(d_s):
         u = np.array([1.0 + 0.0j])
         for spin in inst.spins:
-            u = np.kron(u, inst.interaction.env_unitary_diag(i, spin.g, inst.t))
+            u = np.kron(u, np.diag(inst.interaction.env_unitary(i, spin.g, inst.t)))
         phases[i * block : (i + 1) * block] = u
     return (phases[:, None] * rho0) * phases.conj()[None, :]
 
@@ -283,27 +271,12 @@ class InstanceReport:
     families: dict
     epsilon_witness: float
     info: MutualInfoCheck
-    branches: list  # observed branch states, indexed [k][i]
+    branches: tuple  # observed branch states, indexed [k][i]
 
     @property
     def cor1_margin(self) -> float:
         """eta - witness epsilon; the measurement-free bound holds iff >= 0."""
         return self.eta_cor1 - self.epsilon_witness
-
-    def bound_report(self, family: str = "helstrom_weighted") -> BoundReport:
-        """All momentary diagnostics for one measurement family."""
-        fam = self.families[family]
-        return BoundReport(
-            t=self.t,
-            gamma=self.gamma,
-            pe_list=fam.pe_list,
-            prop1_bound=fam.prop1,
-            eta_cor1=self.eta_cor1,
-            f_bound=self.info.f_bound,
-            f_valid=self.info.valid,
-            epsilon_exact=fam.epsilon,
-            fifty_fifty=fam.fifty_fifty,
-        )
 
 
 def evaluate_instance(
@@ -319,7 +292,7 @@ def evaluate_instance(
     ensemble = branch_ensemble(inst)
     gamma = sbs_core.collective_gamma(inst.central, ensemble.gamma_mags)
 
-    branches = observed_branches(inst)
+    branches = ensemble.branches
     d_s = inst.central.d_s
     per_env_fids = []
     for row in branches:
@@ -390,11 +363,8 @@ def random_instance(
     measure = measure or MeasureSpec()
     central = random_central(rng, d_s)
     n = n_observed + n_unobserved
-    alpha, beta, gamma, lam, g = sample_spin_arrays(measure, rng, n)
-    spins = [
-        SpinParams(float(alpha[i]), float(beta[i]), float(gamma[i]), float(lam[i]), float(g[i]))
-        for i in range(n)
-    ]
+    batch = sample_spin_arrays(measure, rng, n)
+    spins = [batch.spin(i) for i in range(n)]
     t = float(rng.uniform(0.0, t_max))
     eigs = (-1.0, 1.0) if d_s == 2 else tuple(float(a) for a in np.linspace(-1.0, 1.0, d_s))
     return OracleInstance(

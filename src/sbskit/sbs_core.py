@@ -170,21 +170,6 @@ class SBSState:
         return blocks
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Momentary diagnostics at one time t."""
-
-    t: float
-    gamma: float
-    pe_list: tuple
-    prop1_bound: float
-    eta_cor1: float
-    f_bound: float | None = None
-    f_valid: bool | None = None
-    epsilon_exact: float | None = None
-    fifty_fifty: float | None = None
-
-
 def collective_gamma(central: CentralState, gamma_mags: Mapping) -> float:
     """Coherence weight Gamma = sum_{i != j} |sigma_ij| prod_k |gamma_ij^(k)|.
 

@@ -23,80 +23,76 @@ eigenvalue lambda: rho(0) = R D R^dagger with D = diag(lambda, 1-lambda).
 The third Euler angle rotates within the eigenbasis of D and therefore
 drops out of rho(0); it is kept in :class:`SpinParams` only so sampled
 parameter records are complete.
+
+Every closed form takes one :class:`SpinParams` record, of one spin or of
+a batch: per-spin forms act elementwise, and products over spins are log
+sums along the last axis of the record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
-# above this many spins, products switch to log-space accumulation
-DIRECT_PRODUCT_LIMIT = 64
-
 TWO_PI = 2.0 * math.pi
+
+# field, upper bound, printed range; every lower bound is 0
+_RANGES = (
+    ("alpha", TWO_PI + 1e-12, "[0, 2pi)"),
+    ("beta", math.pi + 1e-12, "[0, pi]"),
+    ("gamma_euler", TWO_PI + 1e-12, "[0, 2pi)"),
+    ("lam", 1.0, "[0, 1]"),
+)
 
 
 @dataclass(frozen=True)
 class SpinParams:
-    """One bath spin: Euler angles, eigenvalue and coupling constant.
+    """Bath spins: Euler angles, eigenvalue and coupling constant.
 
-    alpha, gamma_euler in [0, 2*pi); beta in [0, pi]; lam in [0, 1];
+    Each field is a float or an array, and all arrays in one record share a
+    shape whose last axis runs over spins; a float field holds for every
+    spin.  alpha, gamma_euler in [0, 2*pi); beta in [0, pi]; lam in [0, 1];
     g is the sigma_z coupling in inverse-time units.
     """
 
-    alpha: float
-    beta: float
-    gamma_euler: float
-    lam: float
-    g: float
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    gamma_euler: float | np.ndarray
+    lam: float | np.ndarray
+    g: float | np.ndarray
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha < TWO_PI + 1e-12):
-            raise ValueError(f"alpha {self.alpha} outside [0, 2pi)")
-        if not (0.0 <= self.beta <= math.pi + 1e-12):
-            raise ValueError(f"beta {self.beta} outside [0, pi]")
-        if not (0.0 <= self.gamma_euler < TWO_PI + 1e-12):
-            raise ValueError(f"gamma_euler {self.gamma_euler} outside [0, 2pi)")
-        if not (0.0 <= self.lam <= 1.0):
-            raise ValueError(f"lam {self.lam} outside [0, 1]")
+        shapes = {getattr(v, "shape", ()) for v in vars(self).values()} - {()}
+        if len(shapes) > 1:
+            raise ValueError(f"field shapes differ: {sorted(shapes)}")
+        for name, upper, shown in _RANGES:
+            v = getattr(self, name)
+            # plain comparisons for a float: records of one spin are built in loops
+            low, high = (v.min(initial=np.inf), v.max(initial=-np.inf)) if isinstance(v, np.ndarray) else (v, v)
+            if not (0.0 <= low and high <= upper):  # also false for NaN
+                v = np.asarray(v, dtype=float)
+                raise ValueError(f"{name} {v[~((v >= 0.0) & (v <= upper))].flat[0]} outside {shown}")
+
+    def spin(self, j) -> SpinParams:
+        """Spin j of a batch (an index into its arrays) as a record of floats."""
+        return SpinParams(*(float(v[j]) if getattr(v, "ndim", 0) else float(v) for v in vars(self).values()))
 
 
-@dataclass(frozen=True)
-class MacrofractionSpec:
-    """A nonempty group of bath spins read out jointly by one observer."""
+def stack_spins(record: Callable[[int], SpinParams], rows: int) -> SpinParams:
+    """record(0), ..., record(rows - 1) (rows >= 1), of one shape, stacked along a new leading axis.
 
-    spins: tuple
-
-    def __post_init__(self):
-        if len(self.spins) < 1:
-            raise ValueError("macrofraction must contain at least one spin")
-
-    @property
-    def size(self) -> int:
-        return len(self.spins)
-
-
-@dataclass(frozen=True)
-class EnvironmentSpec:
-    """Observed macrofractions plus the discarded (unobserved) spins."""
-
-    observed: tuple  # tuple of MacrofractionSpec
-    unobserved: tuple  # tuple of SpinParams
-
-    @property
-    def n_total(self) -> int:
-        return sum(m.size for m in self.observed) + len(self.unobserved)
-
-    @property
-    def n_observed(self) -> int:
-        return sum(m.size for m in self.observed)
-
-    @property
-    def fraction_observed(self) -> float:
-        return self.n_observed / self.n_total
+    Each record is copied into one preallocated array as soon as it is
+    made, so the records are never all held at once.
+    """
+    first = np.broadcast_arrays(*vars(record(0)).values())
+    out = np.empty((len(first), rows) + first[0].shape)
+    out[:, 0] = first
+    for i in range(1, rows):
+        out[:, i] = np.broadcast_arrays(*vars(record(i)).values())
+    return SpinParams(*out)
 
 
 def euler_rotation(alpha: float, beta: float, gamma: float) -> np.ndarray:
@@ -111,129 +107,70 @@ def euler_rotation(alpha: float, beta: float, gamma: float) -> np.ndarray:
 
 
 def initial_spin_state(p: SpinParams) -> np.ndarray:
-    """rho(0) = R diag(lam, 1-lam) R^dagger; eigenvalues {lam, 1-lam}."""
+    """rho(0) = R diag(lam, 1-lam) R^dagger of one spin; eigenvalues {lam, 1-lam}."""
     r = euler_rotation(p.alpha, p.beta, p.gamma_euler)
     return (r * np.array([p.lam, 1.0 - p.lam])) @ r.conj().T
 
 
-def pi_diag(p: SpinParams) -> float:
+def pi_diag(p: SpinParams):
     """Population of the upper level, (1 + (2 lam - 1) cos beta) / 2.
 
     The sigma_z branch unitaries leave it constant in time.
     """
-    return 0.5 * (1.0 + (2.0 * p.lam - 1.0) * math.cos(p.beta))
+    return 0.5 * (1.0 + (2.0 * p.lam - 1.0) * np.cos(p.beta))
 
 
-def delta(p: SpinParams) -> complex:
+def delta(p: SpinParams):
     """Initial off-diagonal element, (1/2) sin(beta) e^{-i alpha} (2 lam - 1)."""
-    return 0.5 * math.sin(p.beta) * np.exp(-1j * p.alpha) * (2.0 * p.lam - 1.0)
+    return 0.5 * np.sin(p.beta) * np.exp(-1j * p.alpha) * (2.0 * p.lam - 1.0)
 
 
-def branch_unitary(p: SpinParams, t: float, sign: int) -> np.ndarray:
-    """U_s(t) = exp(+i s (g t / 2) sigma_z) for s = +/- 1."""
-    phase = 0.5j * sign * p.g * t
-    return np.diag([np.exp(phase), np.exp(-phase)])
+def sin2_coefficients(p: SpinParams):
+    """Per-spin coefficients a of the factors 1 + a sin^2(g t).
 
-
-def evolved_branch_states(p: SpinParams, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Branch states (rho_plus, rho_minus) at time t >= 0.
-
-    Both share the fixed diagonal (pi, 1-pi) and carry off-diagonals
-    e^{+i s g t} delta; the spectrum {lam, 1-lam} is conserved.
+    The squared branch fidelity b_j^2 takes a = -(2 lam - 1)^2 sin^2 beta and
+    |gamma_j|^2 takes a = (2 lam - 1)^2 cos^2 beta - 1; both lie in [-1, 0].
+    Negation is exact and x - y is x + (-y) in IEEE arithmetic, so 1 + a s2
+    for b_j^2 is bitwise 1 - c s2.
     """
-    if t < 0:
+    r2 = (2.0 * p.lam - 1.0) ** 2
+    return -(r2 * np.sin(p.beta) ** 2), r2 * np.cos(p.beta) ** 2 - 1.0
+
+
+def _check_time(t) -> None:
+    if np.any(np.less(t, 0.0)):
         raise ValueError("t must be >= 0")
-    pi = pi_diag(p)
-    d = delta(p)
-    out = []
-    for sign in (+1, -1):
-        off = np.exp(1j * sign * p.g * t) * d
-        out.append(np.array([[pi, off], [np.conj(off), 1.0 - pi]]))
-    return out[0], out[1]
 
 
-def _param_arrays(spins: Sequence[SpinParams]):
-    lam = np.array([s.lam for s in spins])
-    beta = np.array([s.beta for s in spins])
-    g = np.array([s.g for s in spins])
-    return lam, beta, g
-
-
-def gamma_factors(lam: np.ndarray, beta: np.ndarray, g: np.ndarray, t: float) -> np.ndarray:
-    """Per-spin dephasing factors cos(gt) + i (2 lam - 1) cos(beta) sin(gt)."""
-    gt = g * t
-    return np.cos(gt) + 1j * (2.0 * lam - 1.0) * np.cos(beta) * np.sin(gt)
-
-
-def b2_factors(lam: np.ndarray, beta: np.ndarray, g: np.ndarray, t: float) -> np.ndarray:
-    """Per-spin squared fidelities 1 - (2 lam - 1)^2 sin^2(beta) sin^2(gt)."""
-    val = 1.0 - (2.0 * lam - 1.0) ** 2 * np.sin(beta) ** 2 * np.sin(g * t) ** 2
-    # rounding can push an exact zero slightly negative
-    return np.clip(val, 0.0, None)
-
-
-def _product(factors: np.ndarray) -> complex:
-    """Complex product, in log-magnitude + phase form for long inputs."""
-    if factors.size <= DIRECT_PRODUCT_LIMIT:
-        return complex(np.prod(factors)) if factors.size else 1.0 + 0.0j
-    mags = np.abs(factors)
-    if np.any(mags == 0.0):
-        return 0.0 + 0.0j
-    log_mag = float(np.sum(np.log(mags)))
-    phase = float(np.sum(np.angle(factors)))
-    return complex(np.exp(log_mag) * np.exp(1j * phase))
-
-
-def decoherence_factor(unobserved: Sequence[SpinParams], t: float) -> complex:
+def decoherence_factor(unobserved: SpinParams, t):
     """Collective dephasing factor over the unobserved spins at time t.
 
-    Product of the per-spin factors; |result| <= 1 and result(0) = 1.
-    Switches to log-space accumulation above DIRECT_PRODUCT_LIMIT spins so
-    the product of thousands of sub-unit moduli does not underflow.
+    Product of the per-spin factors gamma_j(t) along the record's last axis,
+    as exp of a sum of complex logs (log moduli plus phases) so the product
+    of thousands of sub-unit moduli does not underflow; |result| <= 1 up to
+    rounding, result(0) = 1 exactly and a zero factor gives 0.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if not unobserved:
-        return 1.0 + 0.0j
-    lam, beta, g = _param_arrays(unobserved)
-    return _product(gamma_factors(lam, beta, g, t))
+    _check_time(t)
+    gt = unobserved.g * t
+    factors = np.cos(gt) + 1j * (2.0 * unobserved.lam - 1.0) * np.cos(unobserved.beta) * np.sin(gt)
+    with np.errstate(divide="ignore"):
+        return np.exp(np.sum(np.log(factors), axis=-1))
 
 
-def macrofraction_fidelity(mac: MacrofractionSpec, t: float) -> float:
+def macrofraction_fidelity(spins: SpinParams, t):
     """Fidelity between the two branch states of a whole macrofraction.
 
-    Multiplicative over spins; evaluated as exp of a log sum for large
-    macrofractions.  Returns exactly 0 when any spin reaches a fidelity
-    zero (one-shot distinguishability).
+    Product of the per-spin fidelities along the record's last axis, as exp
+    of half a log sum.  Exactly 1 at t = 0 and exactly 0 when any spin
+    reaches a fidelity zero (one-shot distinguishability).
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    lam, beta, g = _param_arrays(mac.spins)
-    b2 = b2_factors(lam, beta, g, t)
-    if b2.size <= DIRECT_PRODUCT_LIMIT:
-        return float(np.sqrt(np.prod(b2)))
-    if np.any(b2 == 0.0):
-        return 0.0
-    return float(np.exp(0.5 * np.sum(np.log(b2))))
+    _check_time(t)
+    a, _ = sin2_coefficients(spins)
+    with np.errstate(divide="ignore"):
+        return np.exp(0.5 * np.sum(np.log(1.0 + a * np.sin(spins.g * t) ** 2), axis=-1))
 
 
-def spin_fidelity_trace_det(p: SpinParams, t: float) -> float:
-    """Single-spin branch fidelity via the 2x2 trace/determinant route.
-
-    For a 2x2 PSD matrix M, tr sqrt(M) = sqrt(tr M + 2 sqrt(det M)); here
-    tr M = lam^2 + (1-lam)^2 - (2 lam - 1)^2 sin^2(beta) sin^2(gt) and
-    det M = lam^2 (1-lam)^2.
-    """
-    tr_m = (
-        p.lam**2
-        + (1.0 - p.lam) ** 2
-        - (2.0 * p.lam - 1.0) ** 2 * math.sin(p.beta) ** 2 * math.sin(p.g * t) ** 2
-    )
-    det_m = p.lam**2 * (1.0 - p.lam) ** 2
-    return math.sqrt(max(tr_m + 2.0 * math.sqrt(det_m), 0.0))
-
-
-def lln_exponents(p: SpinParams, t: float) -> tuple[float, float]:
+def lln_exponents(p: SpinParams, t):
     """Per-spin exponents (kappa, chi) of the large-bath exponential forms.
 
     kappa = -log(1 - (2 lam - 1)^2 sin^2 beta sin^2(gt)) so that the
@@ -241,13 +178,11 @@ def lln_exponents(p: SpinParams, t: float) -> tuple[float, float]:
     so that |gamma|^2 = exp(-sum chi_j).  An exact zero of the fidelity or
     of |gamma| is reported as +inf.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    x = (2.0 * p.lam - 1.0) ** 2 * math.sin(p.beta) ** 2 * math.sin(p.g * t) ** 2
-    kappa = math.inf if x >= 1.0 else -math.log1p(-x)
-    y = math.sin(p.g * t) ** 2 * (-1.0 + (2.0 * p.lam - 1.0) ** 2 * math.cos(p.beta) ** 2)
-    chi = math.inf if 1.0 + y <= 0.0 else -math.log1p(y)
-    return kappa, chi
+    _check_time(t)
+    s2 = np.sin(p.g * t) ** 2
+    a_b, a_gamma = sin2_coefficients(p)
+    with np.errstate(divide="ignore"):
+        return -np.log1p(a_b * s2), -np.log1p(a_gamma * s2)
 
 
 def short_time_exponents(g2bar: float, t: float) -> tuple[float, float]:

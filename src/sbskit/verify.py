@@ -28,6 +28,7 @@ from . import densmat, oracle, sbs_core
 from .discrimination import (
     chernoff_bound,
     helstrom_pair,
+    helstrom_spin_analytic,
     kolmogorov_fuchs,
     local_success_probability,
     majority_success,
@@ -42,16 +43,18 @@ from .ensemble import (
     sample_stream,
 )
 from .spin_model import (
-    MacrofractionSpec,
     SpinParams,
     decoherence_factor,
     lln_exponents,
     macrofraction_fidelity,
     short_time_exponents,
+    stack_spins,
     time_scales,
 )
 
 DEFAULT_SEED = 20260808
+# spins per lln_exponents call in the short-time suite
+EXPONENT_BLOCK = 10_000
 
 
 @dataclass
@@ -96,16 +99,16 @@ def convention_certification(draws: int = 1000, seed: int = DEFAULT_SEED) -> Sui
     measure = MeasureSpec()
     for i in range(draws):
         rng = sample_stream(seed, i, label=10)
-        a, b, c, lam, g = sample_spin_arrays(measure, rng, 1)
-        spin = SpinParams(float(a[0]), float(b[0]), float(c[0]), float(lam[0]), float(g[0]))
+        batch = sample_spin_arrays(measure, rng, 1)
+        spin = batch.spin(0)
         t = float(rng.uniform(0.0, 2.0 * math.pi))
         gamma_oracle = complex(np.trace(oracle.branch_state(spin, inter, 0, 1, t)))
-        gamma_closed = decoherence_factor([spin], t)
+        gamma_closed = complex(decoherence_factor(batch, t))
         res.record(1e-10 - abs(gamma_oracle - gamma_closed))
         rho_p = oracle.branch_state(spin, inter, 0, 0, t)
         rho_m = oracle.branch_state(spin, inter, 1, 1, t)
         b_oracle = densmat.fidelity(rho_p, rho_m)
-        b_closed = macrofraction_fidelity(MacrofractionSpec((spin,)), t)
+        b_closed = float(macrofraction_fidelity(batch, t))
         res.record(1e-10 - abs(b_oracle - b_closed))
     return res
 
@@ -118,13 +121,6 @@ def _disturbance_sum(gamma, sigma, branches, family) -> float:
             cut = p @ branches[k][i] @ p
             total += sigma[i] * densmat.trace_norm(branches[k][i] - cut)
     return total
-
-
-def _disturbance_bound(inst, family) -> float:
-    """The sound bound for one family, with Gamma and the branches built from inst."""
-    ens = oracle.branch_ensemble(inst)
-    gamma = sbs_core.collective_gamma(inst.central, ens.gamma_mags)
-    return _disturbance_sum(gamma, inst.central.sigma, ens.branches, family)
 
 
 def oracle_inequalities(
@@ -219,13 +215,10 @@ def local_probability_suite(draws: int = 1000, seed: int = DEFAULT_SEED) -> Suit
     measure = MeasureSpec()
     for i in range(draws):
         rng = sample_stream(seed, i, label=14)
-        a, b, c, lam, g = sample_spin_arrays(measure, rng, 1)
-        spin = SpinParams(float(a[0]), float(b[0]), float(c[0]), float(lam[0]), float(g[0]))
+        spin = sample_spin_arrays(measure, rng, 1).spin(0)
         t = float(rng.uniform(0.0, 2.0 * math.pi))
         rho_p = oracle.branch_state(spin, inter, 0, 0, t)
         rho_m = oracle.branch_state(spin, inter, 1, 1, t)
-        from .discrimination import helstrom_spin_analytic
-
         pair = helstrom_spin_analytic(spin, t)
         if pair.degenerate:
             continue
@@ -258,18 +251,20 @@ def kolmogorov_fuchs_suite(
     """
     res = SuiteResult("kolmogorov_fuchs")
     measure = MeasureSpec()
-    for i in range(instances):
+    t = np.empty((instances, 1))
+
+    def instance(i: int):
         rng = sample_stream(seed, i, label=15)
-        a, b, c, lam, g = sample_spin_arrays(measure, rng, n_mac)
-        spins = [
-            SpinParams(float(a[j]), float(b[j]), float(c[j]), float(lam[j]), float(g[j]))
-            for j in range(n_mac)
-        ]
-        t = float(rng.uniform(0.0, 2.0 * math.pi))
-        probs = [local_success_probability(sp, t) for sp in spins]
-        p_tilde = majority_success_heterogeneous(probs)
-        b_mac = macrofraction_fidelity(MacrofractionSpec(tuple(spins)), t)
-        k, limit, ok = kolmogorov_fuchs(p_tilde, b_mac)
+        spins = sample_spin_arrays(measure, rng, n_mac)
+        t[i] = rng.uniform(0.0, 2.0 * math.pi)
+        return spins
+
+    # instances x n_mac spins, row i at its own time t[i]
+    spins = stack_spins(instance, instances)
+    p_tilde = majority_success_heterogeneous(local_success_probability(spins, t))
+    b_mac = macrofraction_fidelity(spins, t)
+    for p, b in zip(p_tilde, b_mac):
+        k, limit, ok = kolmogorov_fuchs(float(p), float(b))
         res.record(limit - k, tol=1e-9)
     return res
 
@@ -279,10 +274,10 @@ def moments_suite(samples: int = 100_000, seed: int = DEFAULT_SEED) -> SuiteResu
     E[(2 lam - 1)^2] = 3/5, each within 0.01."""
     res = SuiteResult("measure_moments")
     rng = sample_stream(seed, 0, label=16)
-    a, b, c, lam, g = sample_spin_arrays(MeasureSpec(), rng, samples)
-    res.record(0.01 - abs(float(np.mean(np.sin(b) ** 2)) - 2.0 / 3.0))
-    res.record(0.01 - abs(float(np.mean(np.cos(b) ** 2)) - 1.0 / 3.0))
-    res.record(0.01 - abs(float(np.mean((2.0 * lam - 1.0) ** 2)) - 3.0 / 5.0))
+    spins = sample_spin_arrays(MeasureSpec(), rng, samples)
+    res.record(0.01 - abs(float(np.mean(np.sin(spins.beta) ** 2)) - 2.0 / 3.0))
+    res.record(0.01 - abs(float(np.mean(np.cos(spins.beta) ** 2)) - 1.0 / 3.0))
+    res.record(0.01 - abs(float(np.mean((2.0 * spins.lam - 1.0) ** 2)) - 3.0 / 5.0))
     return res
 
 
@@ -295,16 +290,15 @@ def short_time_suite(
     """
     res = SuiteResult("short_time_exponents")
     measure = MeasureSpec()
-    rng = sample_stream(seed, 0, label=17)
-    a, b, c, lam, g = sample_spin_arrays(measure, rng, samples)
-    kappas = np.empty(samples)
-    chis = np.empty(samples)
-    for j in range(samples):
-        spin = SpinParams(float(a[j]), float(b[j]), float(c[j]), float(lam[j]), float(g[j]))
-        kappas[j], chis[j] = lln_exponents(spin, t)
+    spins = sample_spin_arrays(measure, sample_stream(seed, 0, label=17), samples)
+    kappa, chi = np.empty(samples), np.empty(samples)
+    # blocks keep the exponents' temporaries small next to the sampled arrays
+    for lo in range(0, samples, EXPONENT_BLOCK):
+        block = slice(lo, lo + EXPONENT_BLOCK)
+        kappa[block], chi[block] = lln_exponents(SpinParams(*(v[block] for v in vars(spins).values())), t)
     kappa_short, chi_short = short_time_exponents(measure.g2bar(), t)
-    r_kappa = float(np.mean(kappas)) / kappa_short
-    r_chi = float(np.mean(chis)) / chi_short
+    r_kappa = float(np.mean(kappa)) / kappa_short
+    r_chi = float(np.mean(chi)) / chi_short
     res.detail = f"kappa ratio {r_kappa:.4f}, chi ratio {r_chi:.4f}"
     res.record(0.05 - abs(r_kappa - 1.0))
     res.record(0.05 - abs(r_chi - 1.0))
@@ -413,7 +407,8 @@ def qutrit_prop1_suite(instances: int = 40, seed: int = DEFAULT_SEED) -> SuiteRe
     res = SuiteResult("qutrit_prop1_disturbance")
     for i in range(instances):
         inst = oracle.random_instance(seed, i, n_observed=2, n_unobserved=2, d_s=3)
-        branches = oracle.observed_branches(inst)
+        ens = oracle.branch_ensemble(inst)
+        branches = ens.branches
         zero = np.zeros((2, 2), dtype=complex)
         eye = np.eye(2, dtype=complex)
         fams = []
@@ -426,14 +421,14 @@ def qutrit_prop1_suite(instances: int = 40, seed: int = DEFAULT_SEED) -> SuiteRe
         }
         joint = oracle.full_joint_state(inst)
         reduced = oracle.reduced_state_exact(joint, inst)
-        ens = oracle.branch_ensemble(inst)
+        gamma = sbs_core.collective_gamma(inst.central, ens.gamma_mags)
         for family in families.values():
             try:
                 sbs = sbs_core.build_sbs(inst.central, ens, family)
             except sbs_core.DegenerateSBSError:
                 continue
             eps = oracle.exact_epsilon(reduced, sbs)
-            res.record(_disturbance_bound(inst, family) - eps, tol=1e-9)
+            res.record(_disturbance_sum(gamma, inst.central.sigma, branches, family) - eps, tol=1e-9)
     return res
 
 

@@ -78,7 +78,8 @@ def tilted_witness(theta):
     pe = sbs_core.discrimination_error(inst.central.sigma, ensemble.branches[0], family.families[0])
     reduced = oracle.reduced_state_exact(oracle.full_joint_state(inst), inst)
     eps = oracle.exact_epsilon(reduced, sbs_core.build_sbs(inst.central, ensemble, family))
-    return eps, sbs_core.prop1_bound(gamma, [pe]), verify._disturbance_bound(inst, family)
+    disturbance = verify._disturbance_sum(gamma, inst.central.sigma, ensemble.branches, family)
+    return eps, sbs_core.prop1_bound(gamma, [pe]), disturbance
 
 
 def test_acceptance_02_additive_bound_as_stated(oracle_suites):

@@ -7,7 +7,9 @@ import pytest
 
 from sbskit import cli
 
-GOLDEN_SURFACE = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "surface" / "fig1_surface.csv"
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+GOLDEN_SURFACE = GOLDEN / "surface" / "fig1_surface.csv"
+GOLDEN_DISCRIMINATION = GOLDEN / "discriminate" / "discrimination.csv"
 
 
 def run_cli(args):
@@ -144,6 +146,41 @@ class TestFig2Scenario:
 
 
 class TestDiscriminationScenario:
+    @pytest.mark.parametrize("field", ["n_mac", "draws", "t_points"])
+    def test_nonpositive_size_is_config_error(self, tmp_path, capsys, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"discrimination": {field: 0}}))
+        out = tmp_path / "out"
+        status = run_cli(["--scenario", "discrimination", "--config", str(cfg), "--out-dir", str(out)])
+        assert status == cli.EXIT_CONFIG
+        assert f"discrimination.{field}" in capsys.readouterr().out
+        assert not (out / "discrimination.csv").exists()
+
+    def test_zero_samples_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["--scenario", "discrimination", "--samples", "0", "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert "discrimination.draws" in capsys.readouterr().out
+
+    def test_default_workload_matches_golden(self, tmp_path):
+        # the batched closed forms must reproduce the benchmark's recorded table
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {"config_version": 1, "seed": 20260808, "threads": 1, "discrimination": {"n_mac": 51, "draws": 600}}
+            )
+        )
+        out = tmp_path / "out"
+        assert run_cli(["--scenario", "discrimination", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        got = (out / "discrimination.csv").read_text().splitlines()
+        want = GOLDEN_DISCRIMINATION.read_text().splitlines()
+        assert got[0] == want[0]
+        assert len(got) == len(want)
+        header = got[0].split(",")
+        for line_got, line_want in zip(got[1:], want[1:]):
+            for name, a, b in zip(header, map(float, line_got.split(",")), map(float, line_want.split(","))):
+                assert abs(a - b) <= 1e-12 + 1e-9 * abs(b), (name, a, b)
+            assert float(line_got.split(",")[header.index("ok_fraction")]) == 1.0
+
     def test_bounds_hold_on_output(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"discrimination": {"n_mac": 21, "t_points": 6, "draws": 40}}))
@@ -186,6 +223,14 @@ class TestFig1Scenario:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["gates"]["quadrature_rel_change"] < 1e-3
 
+
+    def test_out_of_range_node_is_config_error(self, tmp_path, capsys):
+        # a node is one spin state, validated like any spin record
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fig1": {"lambda_grid": [1.5], "beta_grid": [0.0], "tau_points": 101}}))
+        out = tmp_path / "out"
+        assert run_cli(["--scenario", "fig1", "--config", str(cfg), "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert "fig1: lam 1.5 outside" in capsys.readouterr().out
 
     def test_default_surface_matches_golden(self, tmp_path):
         # the fig1 hot path must reproduce the benchmark's recorded surface byte for byte

@@ -14,10 +14,23 @@ from sbskit.discrimination import (
     local_success_probability,
     majority_success,
     majority_success_heterogeneous,
-    mean_success,
 )
-from sbskit.ensemble import MeasureSpec
-from sbskit.spin_model import SpinParams, evolved_branch_states
+from sbskit.ensemble import MeasureSpec, sample_spin_arrays, sample_stream
+from sbskit.oracle import InteractionSpec, branch_state
+from sbskit.spin_model import SpinParams
+
+
+def evolved_branch_states(p, t):
+    """Branch states (rho_plus, rho_minus) by explicit matrix evolution."""
+    inter = InteractionSpec()
+    return branch_state(p, inter, 0, 0, t), branch_state(p, inter, 1, 1, t)
+
+
+def mean_success(measure, t, samples, seed):
+    """(p_bar, s_bar, stderr) of the local success probability over sampled spins."""
+    vals = local_success_probability(sample_spin_arrays(measure, sample_stream(seed, 0, label=4), samples), t)
+    p_bar = float(np.mean(vals))
+    return p_bar, p_bar - 0.5, float(np.std(vals, ddof=1) / math.sqrt(samples))
 
 
 def random_qubit_state(rng):
@@ -305,3 +318,41 @@ class TestKolmogorovFuchs:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             kolmogorov_fuchs(1.2, 0.5)
+
+
+class TestBatchedForms:
+    def test_local_success_on_edge_bath(self):
+        # lam in {0, 1/2, 1} x beta in {0, pi/2, pi}, every 7th spin uncoupled
+        n = 10_000
+        rng = np.random.default_rng(109)
+        nodes = [(lam, beta) for lam in (0.0, 0.5, 1.0) for beta in (0.0, np.pi / 2, np.pi)]
+        lam, beta = np.array([nodes[j % 9] for j in range(n)]).T
+        g = rng.uniform(0.0, 1.0, n)
+        g[::7] = 0.0
+        bath = SpinParams(rng.uniform(0, 2 * np.pi, n), beta, rng.uniform(0, 2 * np.pi, n), lam, g)
+        for t in (0.0, 0.7, np.pi / 2, 3.0):
+            probs = local_success_probability(bath, t)
+            assert not np.any(np.isnan(probs))
+            assert np.all((probs >= 0.5) & (probs <= 1.0))
+            single = [local_success_probability(bath.spin(j), t) for j in range(1000)]
+            np.testing.assert_allclose(probs[:1000], single, rtol=1e-12, atol=0.0)
+            assert np.all(probs[::7] == 0.5)  # sin(g t) = 0
+        assert np.all(local_success_probability(bath, 0.0) == 0.5)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 51, 64, 65, 101, 1000))
+    def test_batched_majority_equals_per_row(self, n):
+        rng = np.random.default_rng(110 + n)
+        probs = rng.uniform(0.0, 1.0, (5, n))
+        probs[0] = 0.5
+        probs[1, ::2] = 1.0
+        batched = majority_success_heterogeneous(probs)
+        assert batched.shape == (5,)
+        np.testing.assert_array_equal(batched, [majority_success_heterogeneous(row) for row in probs])
+        stacked = majority_success_heterogeneous(probs.reshape(5, 1, n))
+        np.testing.assert_array_equal(stacked[:, 0], batched)
+
+    def test_majority_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="at least one"):
+            majority_success_heterogeneous(np.zeros((3, 0)))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            majority_success_heterogeneous([[0.5, 0.5], [0.5, 1.5]])

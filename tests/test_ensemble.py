@@ -3,22 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from sbskit.discrimination import mean_success
+from sbskit.discrimination import local_success_probability
 from sbskit.ensemble import (
     CURVE_BLOCK,
     AverageCurve,
     MeasureSpec,
     RunConfig,
-    exponent_check,
     fig1_node,
     fig2_curves,
-    sample_spin,
     sample_spin_arrays,
     sample_stream,
-    time_average,
-    _curve_coefficients,
     _product_curves,
 )
+from sbskit.spin_model import SpinParams, lln_exponents, short_time_exponents, sin2_coefficients
 
 # asymptotic two-sided Kolmogorov-Smirnov critical value at the 1% level
 KS_CRIT_1PCT = 1.628
@@ -44,9 +41,13 @@ def _abs_gamma_curve(lam, beta, g, t_grid) -> np.ndarray:
         return np.exp(0.5 * np.sum(np.log(g2), axis=0))
 
 
+def coefficients(lam, beta):
+    return sin2_coefficients(SpinParams(0.0, beta, 0.0, lam, 0.0))
+
+
 def kernel_curves(lam, beta, g, t, counts):
     """(B, |gamma|) from the kernel, each of shape (len(counts), len(t))."""
-    return _product_curves(g, t, _curve_coefficients(lam, beta), counts)
+    return _product_curves(g, t, coefficients(lam, beta), counts)
 
 
 def assert_matches_reference(lam, beta, g, t, counts):
@@ -73,15 +74,15 @@ class TestProductCurves:
     @pytest.mark.parametrize("n_t", BLOCK_EDGE_POINTS)
     def test_per_spin_states_match_reference(self, n_t):
         rng = np.random.default_rng(n_t)
-        _, beta, _, lam, g = sample_spin_arrays(MeasureSpec(), rng, 500)
+        s = sample_spin_arrays(MeasureSpec(), rng, 500)
         t = np.linspace(0.0, 1.2, n_t)
-        assert_matches_reference(lam, beta, g, t, [30, 50, 200, 500])
+        assert_matches_reference(s.lam, s.beta, s.g, t, [30, 50, 200, 500])
 
     def test_fig2_shape_and_count_order(self):
         rng = np.random.default_rng(4)
-        _, beta, _, lam, g = sample_spin_arrays(MeasureSpec(), rng, 500)
+        s = sample_spin_arrays(MeasureSpec(), rng, 500)
         t = np.linspace(0.0, 1.2, 121)
-        assert_matches_reference(lam, beta, g, t, [500, 1, 2, 200, 50, 50])
+        assert_matches_reference(s.lam, s.beta, s.g, t, [500, 1, 2, 200, 50, 50])
 
     @pytest.mark.parametrize("lam_plus,beta", EDGE_NODES)
     def test_edge_nodes_match_reference_and_stay_in_range(self, lam_plus, beta):
@@ -104,7 +105,7 @@ class TestProductCurves:
         # |gamma| coefficients of magnitude <= 2^-54
         for lam_plus, beta, skipped in ((0.5, 1.3, 0), (1.0, 0.0, 1), (1.0, math.pi, 1)):
             lam, bet = np.full(100, lam_plus), np.full(100, beta)
-            coeffs = _curve_coefficients(lam, bet)
+            coeffs = coefficients(lam, bet)
             assert np.max(np.abs(coeffs[skipped])) <= 2.0**-54
             curves = _product_curves(g, t, coeffs, [100])
             assert np.all(curves[skipped] == 1.0)
@@ -129,12 +130,15 @@ class TestMeasureSpec:
             MeasureSpec(coupling=(1.0, 1.0))
         with pytest.raises(ValueError, match="lam"):
             MeasureSpec(lam=1.5)
+        # every fixed angle is checked, since sampling builds a validated record
+        with pytest.raises(ValueError, match="alpha"):
+            MeasureSpec(angles=(7.0, 0.3, 0.0))
 
 
 class TestSampling:
     def test_fixed_measure_returns_constants(self):
         measure = MeasureSpec(angles=(0.2, 0.3, 0.4), lam=0.6, coupling=0.9)
-        spin = sample_spin(measure, sample_stream(1, 0))
+        spin = sample_spin_arrays(measure, sample_stream(1, 0), 1).spin(0)
         assert (spin.alpha, spin.beta, spin.gamma_euler, spin.lam, spin.g) == (
             0.2,
             0.3,
@@ -145,15 +149,15 @@ class TestSampling:
 
     def test_invariant_angle_moments(self):
         rng = sample_stream(7, 0)
-        _, beta, _, lam, _ = sample_spin_arrays(MeasureSpec(), rng, 20_000)
-        assert np.mean(np.sin(beta) ** 2) == pytest.approx(2.0 / 3.0, abs=0.02)
-        assert np.mean(np.cos(beta) ** 2) == pytest.approx(1.0 / 3.0, abs=0.02)
-        assert np.mean((2 * lam - 1) ** 2) == pytest.approx(0.6, abs=0.02)
+        s = sample_spin_arrays(MeasureSpec(), rng, 20_000)
+        assert np.mean(np.sin(s.beta) ** 2) == pytest.approx(2.0 / 3.0, abs=0.02)
+        assert np.mean(np.cos(s.beta) ** 2) == pytest.approx(1.0 / 3.0, abs=0.02)
+        assert np.mean((2 * s.lam - 1) ** 2) == pytest.approx(0.6, abs=0.02)
 
     def test_ks_distance_beta(self):
         n = 100_000
         rng = sample_stream(11, 0)
-        _, beta, _, _, _ = sample_spin_arrays(MeasureSpec(), rng, n)
+        beta = sample_spin_arrays(MeasureSpec(), rng, n).beta
         # CDF of the invariant angle measure: (1 - cos beta) / 2
         grid = np.sort(beta)
         cdf = 0.5 * (1.0 - np.cos(grid))
@@ -166,7 +170,7 @@ class TestSampling:
     def test_ks_distance_lambda(self):
         n = 100_000
         rng = sample_stream(13, 0)
-        _, _, _, lam, _ = sample_spin_arrays(MeasureSpec(), rng, n)
+        lam = sample_spin_arrays(MeasureSpec(), rng, n).lam
         grid = np.sort(lam)
         cdf = 0.5 * ((2.0 * grid - 1.0) ** 3 + 1.0)
         empirical = np.arange(1, n + 1) / n
@@ -179,24 +183,28 @@ class TestSampling:
         measure = MeasureSpec()
         a = sample_spin_arrays(measure, sample_stream(3, 5), 10)
         b = sample_spin_arrays(measure, sample_stream(3, 5), 10)
-        for x, y in zip(a, b):
+        for x, y in zip(vars(a).values(), vars(b).values()):
             np.testing.assert_array_equal(x, y)
 
 
 class TestTimeAverage:
+    """The trapezoidal time average fig1_node takes of each curve."""
+
     def test_constant(self):
-        assert time_average(lambda t: np.ones_like(t), 5.0, 101) == pytest.approx(1.0)
+        # lam = 1/2 makes B identically 1
+        assert fig1_node(0.5, 1.0, 3, 5.0, 101, samples=2, seed=1)[0] == pytest.approx(1.0)
 
     def test_rectified_cosine(self):
+        # one spin at g = 1, lam = 1/2: |gamma(t)| = |cos t|, and
         # (1/tau) int_0^{8 pi} |cos t| dt = 2 / pi
-        got = time_average(lambda t: np.abs(np.cos(t)), 8 * np.pi, 20001)
+        got = fig1_node(0.5, 0.0, 1, 8 * np.pi, 20001, samples=1, seed=1, coupling=1.0)[1]
         assert got == pytest.approx(2.0 / np.pi, abs=1e-5)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            time_average(lambda t: t, 0.0, 10)
-        with pytest.raises(ValueError):
-            time_average(lambda t: t, 1.0, 1)
+        with pytest.raises(ValueError, match="2 points"):
+            RunConfig(seed=0, tau_points=1)
+        with pytest.raises(ValueError, match="2 points"):
+            RunConfig(seed=0, t_points=1)
 
 
 class TestFig1Node:
@@ -265,25 +273,31 @@ class TestFig2Curves:
 
 
 class TestExponentCheck:
+    """Monte Carlo means of the per-spin exponents vs their small-t forms."""
+
+    def exponent_means(self, t, samples, seed):
+        kappa, chi = lln_exponents(sample_spin_arrays(MeasureSpec(), sample_stream(seed, 0, label=3), samples), t)
+        return float(np.mean(kappa)), float(np.mean(chi)), short_time_exponents(MeasureSpec().g2bar(), t)
+
     def test_zero_time_rows(self):
-        rows = exponent_check(MeasureSpec(), [0.0], samples=50, seed=2)
-        assert rows[0]["kappa_mc"] == 0.0
-        assert rows[0]["chi_mc"] == 0.0
-        assert rows[0]["kappa_short"] == 0.0
+        kappa_mc, chi_mc, (kappa_short, _) = self.exponent_means(0.0, 50, 2)
+        assert kappa_mc == 0.0
+        assert chi_mc == 0.0
+        assert kappa_short == 0.0
 
     def test_short_time_ratios(self):
-        rows = exponent_check(MeasureSpec(), [0.05], samples=20_000, seed=3)
-        row = rows[0]
-        assert row["kappa_mc"] / row["kappa_short"] == pytest.approx(1.0, abs=0.05)
-        assert row["chi_mc"] / row["chi_short"] == pytest.approx(1.0, abs=0.05)
+        kappa_mc, chi_mc, (kappa_short, chi_short) = self.exponent_means(0.05, 20_000, 3)
+        assert kappa_mc / kappa_short == pytest.approx(1.0, abs=0.05)
+        assert chi_mc / chi_short == pytest.approx(1.0, abs=0.05)
 
 
 class TestMonteCarloScaling:
     def test_stderr_shrinks_as_root_n(self):
-        measure = MeasureSpec()
-        _, _, se_small = mean_success(measure, 0.9, samples=400, seed=17)
-        _, _, se_big = mean_success(measure, 0.9, samples=1600, seed=17)
-        ratio = se_small / se_big
+        def stderr(samples):
+            vals = local_success_probability(sample_spin_arrays(MeasureSpec(), sample_stream(17, 0, label=4), samples), 0.9)
+            return np.std(vals, ddof=1) / math.sqrt(samples)
+
+        ratio = stderr(400) / stderr(1600)
         assert abs(ratio - 2.0) < 0.4  # within 20% of the root-N factor
 
 

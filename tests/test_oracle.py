@@ -92,7 +92,7 @@ class TestConventionCertification:
             inst = OracleInstance(central, (), (spin,), t)
             joint = full_joint_state(inst)
             block_trace = np.trace(joint[:2, 2:])
-            expected = central.coherence(0, 1) * spin_model.decoherence_factor([spin], t)
+            expected = central.coherence(0, 1) * spin_model.decoherence_factor(spin_model.stack_spins(lambda _: spin, 1), t)
             assert abs(block_trace - expected) < 1e-12
 
     def test_branch_purity_conserved(self):
@@ -235,7 +235,9 @@ class TestEvaluateInstance:
                 for p, q in zip(got, want):
                     np.testing.assert_array_equal(p, q)
             from_report = verify._disturbance_sum(rep.gamma, inst.central.sigma, rep.branches, fam.family)
-            assert from_report == verify._disturbance_bound(inst, fam.family)
+            ens = oracle.branch_ensemble(inst)
+            gamma = sbs_core.collective_gamma(inst.central, ens.gamma_mags)
+            assert from_report == verify._disturbance_sum(gamma, inst.central.sigma, ens.branches, fam.family)
 
     def test_qutrit_prop1_disturbance_suite(self):
         from sbskit.verify import qutrit_prop1_suite
@@ -243,21 +245,3 @@ class TestEvaluateInstance:
         res = qutrit_prop1_suite(instances=10, seed=3)
         assert res.failures == 0
         assert res.checks > 0
-
-    def test_bound_report_assembly(self):
-        rep = evaluate_instance(random_instance(9, 1))
-        br = rep.bound_report()
-        fam = rep.families["helstrom_weighted"]
-        assert br.prop1_bound == rep.gamma + sum(br.pe_list)
-        assert br.epsilon_exact == fam.epsilon
-        assert br.eta_cor1 == rep.eta_cor1
-        assert br.fifty_fifty == pytest.approx(0.5 * (1.0 - fam.epsilon), abs=1e-12)
-        assert all(p >= 0 for p in br.pe_list) and br.gamma >= 0
-
-    def test_environment_layout_view(self):
-        inst = random_instance(9, 2, n_observed=3, n_unobserved=5)
-        env = inst.environment
-        assert env.n_total == 8
-        assert env.n_observed == 3
-        assert env.fraction_observed == pytest.approx(3.0 / 8.0)
-        assert all(m.size == 1 for m in env.observed)

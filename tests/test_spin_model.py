@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sbskit import densmat, spin_model
-from sbskit.spin_model import MacrofractionSpec, SpinParams
+from sbskit.oracle import InteractionSpec, branch_state
+from sbskit.spin_model import SpinParams, stack_spins
 
 
 def random_params(rng, **over):
@@ -19,6 +20,33 @@ def random_params(rng, **over):
     return SpinParams(**kw)
 
 
+def batch(records):
+    """One record of the given records, stacked along a new leading axis."""
+    return stack_spins(records.__getitem__, len(records))
+
+
+def branch_pair(p, t):
+    """Branch states (rho_plus, rho_minus) by explicit matrix evolution."""
+    inter = InteractionSpec()
+    return branch_state(p, inter, 0, 0, t), branch_state(p, inter, 1, 1, t)
+
+
+def fidelity_trace_det(p, t):
+    """Single-spin branch fidelity via the 2x2 trace/determinant route.
+
+    For a 2x2 PSD matrix M, tr sqrt(M) = sqrt(tr M + 2 sqrt(det M)); here
+    tr M = lam^2 + (1-lam)^2 - (2 lam - 1)^2 sin^2(beta) sin^2(gt) and
+    det M = lam^2 (1-lam)^2.
+    """
+    tr_m = (
+        p.lam**2
+        + (1.0 - p.lam) ** 2
+        - (2.0 * p.lam - 1.0) ** 2 * math.sin(p.beta) ** 2 * math.sin(p.g * t) ** 2
+    )
+    det_m = p.lam**2 * (1.0 - p.lam) ** 2
+    return math.sqrt(max(tr_m + 2.0 * math.sqrt(det_m), 0.0))
+
+
 def evolve_oracle(p, t, sign):
     """Independent route: explicit unitary conjugation of R D R^dagger."""
     u = np.diag([np.exp(0.5j * sign * p.g * t), np.exp(-0.5j * sign * p.g * t)])
@@ -31,23 +59,30 @@ class TestSpinParams:
             SpinParams(0.0, 4.0, 0.0, 0.5, 1.0)
         with pytest.raises(ValueError, match="lam"):
             SpinParams(0.0, 1.0, 0.0, 1.5, 1.0)
+        # whole arrays are checked, and the message names the field and a bad value
+        lam = np.full(5, 0.5)
+        lam[3] = -0.25
+        with pytest.raises(ValueError, match=r"lam -0.25 outside"):
+            SpinParams(0.0, np.ones(5), 0.0, lam, np.ones(5))
+        with pytest.raises(ValueError, match="alpha nan"):
+            SpinParams(np.array([0.1, np.nan]), 1.0, 0.0, 0.5, 1.0)
 
+    def test_array_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="shapes differ"):
+            SpinParams(0.0, np.ones(3), 0.0, np.full(4, 0.5), 1.0)
+        # float fields hold for every spin of a batch
+        SpinParams(0.0, np.ones((2, 3)), 0.0, 0.5, np.ones((2, 3)))
 
-class TestLayoutTypes:
-    def test_macrofraction_nonempty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            MacrofractionSpec(())
-
-    def test_environment_counts(self):
-        rng = np.random.default_rng(0)
-        macs = tuple(
-            MacrofractionSpec(tuple(random_params(rng) for _ in range(3))) for _ in range(2)
-        )
-        unobs = tuple(random_params(rng) for _ in range(4))
-        env = spin_model.EnvironmentSpec(macs, unobs)
-        assert env.n_total == 10
-        assert env.n_observed == 6
-        assert env.fraction_observed == pytest.approx(0.6)
+    def test_spin_accessor_and_stacking_round_trip(self):
+        rng = np.random.default_rng(20)
+        spins = [random_params(rng) for _ in range(6)]
+        record = batch([batch(spins[:3]), batch(spins[3:])])
+        assert record.lam.shape == (2, 3)
+        assert record.spin((1, 2)) == spins[5]
+        assert [batch(spins).spin(j) for j in range(6)] == spins
+        shared = SpinParams(0.0, np.ones(2), 0.0, 0.5, 1.0).spin(1)
+        assert shared == SpinParams(0.0, 1.0, 0.0, 0.5, 1.0)
+        assert all(type(v) is float for v in vars(shared).values())
 
 
 class TestInitialState:
@@ -95,7 +130,7 @@ class TestEvolvedBranchStates:
     def test_time_zero(self):
         rng = np.random.default_rng(4)
         p = random_params(rng)
-        rho_p, rho_m = spin_model.evolved_branch_states(p, 0.0)
+        rho_p, rho_m = branch_pair(p, 0.0)
         ini = spin_model.initial_spin_state(p)
         np.testing.assert_allclose(rho_p, ini, atol=1e-14)
         np.testing.assert_allclose(rho_m, ini, atol=1e-14)
@@ -103,7 +138,7 @@ class TestEvolvedBranchStates:
     def test_pointer_eigenstate_frozen(self):
         p = SpinParams(0.0, 0.0, 0.0, 1.0, 0.7)
         for t in (0.0, 1.3, 11.0):
-            rho_p, rho_m = spin_model.evolved_branch_states(p, t)
+            rho_p, rho_m = branch_pair(p, t)
             np.testing.assert_allclose(rho_p, np.diag([1.0, 0.0]), atol=1e-14)
             np.testing.assert_allclose(rho_m, np.diag([1.0, 0.0]), atol=1e-14)
 
@@ -112,14 +147,14 @@ class TestEvolvedBranchStates:
         for _ in range(200):
             p = random_params(rng)
             t = rng.uniform(0, 10)
-            rho_p, rho_m = spin_model.evolved_branch_states(p, t)
+            rho_p, rho_m = branch_pair(p, t)
             assert np.max(np.abs(rho_p - evolve_oracle(p, t, +1))) < 1e-12
             assert np.max(np.abs(rho_m - evolve_oracle(p, t, -1))) < 1e-12
 
     def test_equatorial_counter_rotation(self):
         p = SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0)
         t = 0.9
-        rho_p, rho_m = spin_model.evolved_branch_states(p, t)
+        rho_p, rho_m = branch_pair(p, t)
         assert np.max(np.abs(rho_p - evolve_oracle(p, t, +1))) < 1e-12
         assert np.max(np.abs(rho_m - evolve_oracle(p, t, -1))) < 1e-12
         # both remain pure
@@ -130,25 +165,29 @@ class TestEvolvedBranchStates:
         rng = np.random.default_rng(6)
         for _ in range(50):
             p = random_params(rng)
-            rho_p, _ = spin_model.evolved_branch_states(p, rng.uniform(0, 5))
+            rho_p, _ = branch_pair(p, rng.uniform(0, 5))
             w = np.linalg.eigvalsh(rho_p)
             np.testing.assert_allclose(sorted(w), sorted([p.lam, 1 - p.lam]), atol=1e-12)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            spin_model.evolved_branch_states(SpinParams(0, 0, 0, 1, 1), -1.0)
+        p = SpinParams(0, 0, 0, 1, 1)
+        for form in (spin_model.decoherence_factor, spin_model.macrofraction_fidelity, spin_model.lln_exponents):
+            with pytest.raises(ValueError, match="t must be"):
+                form(p, -1.0)
+            with pytest.raises(ValueError, match="t must be"):
+                form(p, np.array([[0.5], [-1.0]]))
 
 
 class TestDecoherenceFactor:
     def test_time_zero(self):
         rng = np.random.default_rng(7)
         spins = [random_params(rng) for _ in range(5)]
-        assert spin_model.decoherence_factor(spins, 0.0) == pytest.approx(1.0 + 0.0j)
+        assert spin_model.decoherence_factor(batch(spins), 0.0) == pytest.approx(1.0 + 0.0j)
 
     def test_pointer_eigenstate_pure_phase(self):
         p = SpinParams(0.0, 0.0, 0.0, 1.0, 1.0)
         for t in (0.3, 1.7, 9.2):
-            val = spin_model.decoherence_factor([p], t)
+            val = spin_model.decoherence_factor(batch([p]), t)
             assert abs(val) == pytest.approx(1.0, abs=1e-14)
             assert val == pytest.approx(np.exp(1j * p.g * t), abs=1e-12)
 
@@ -156,7 +195,7 @@ class TestDecoherenceFactor:
         # cos(pi/4) + i (0.5)(0.5) sin(pi/4)
         p = SpinParams(0.0, np.pi / 3, 0.0, 0.75, 1.0)
         t = np.pi / 4
-        got = spin_model.decoherence_factor([p], t)
+        got = spin_model.decoherence_factor(batch([p]), t)
         assert got == pytest.approx(0.7071067811865476 + 0.17677669529663687j, abs=1e-12)
         # oracle route: Tr[U_+ rho U_-^dagger]
         u_p = np.diag([np.exp(0.5j * p.g * t), np.exp(-0.5j * p.g * t)])
@@ -168,21 +207,21 @@ class TestDecoherenceFactor:
         rng = np.random.default_rng(8)
         for _ in range(100):
             spins = [random_params(rng) for _ in range(7)]
-            assert abs(spin_model.decoherence_factor(spins, rng.uniform(0, 20))) <= 1 + 1e-12
+            assert abs(spin_model.decoherence_factor(batch(spins), rng.uniform(0, 20))) <= 1 + 1e-12
 
     def test_log_path_matches_direct(self):
         rng = np.random.default_rng(9)
         spins = [random_params(rng) for _ in range(70)]
         t = 0.4
         direct = np.prod(
-            [spin_model.decoherence_factor([s], t) for s in spins]
+            [spin_model.decoherence_factor(batch([s]), t) for s in spins]
         )
-        assert spin_model.decoherence_factor(spins, t) == pytest.approx(direct, rel=1e-12)
+        assert spin_model.decoherence_factor(batch(spins), t) == pytest.approx(direct, rel=1e-12)
 
     def test_no_underflow_at_ten_thousand_spins(self):
         rng = np.random.default_rng(10)
         spins = [random_params(rng) for _ in range(10_000)]
-        val = spin_model.decoherence_factor(spins, 2.0)
+        val = spin_model.decoherence_factor(batch(spins), 2.0)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
         assert abs(val) <= 1.0
 
@@ -191,25 +230,25 @@ class TestDecoherenceFactor:
         p = random_params(rng, g=0.8)
         period = 2 * np.pi / p.g
         for t in (0.3, 1.1):
-            a = spin_model.decoherence_factor([p], t)
-            b = spin_model.decoherence_factor([p], t + period)
+            a = spin_model.decoherence_factor(batch([p]), t)
+            b = spin_model.decoherence_factor(batch([p]), t + period)
             assert a == pytest.approx(b, abs=1e-10)
 
 
 class TestMacrofractionFidelity:
     def test_time_zero(self):
         rng = np.random.default_rng(12)
-        mac = MacrofractionSpec(tuple(random_params(rng) for _ in range(4)))
+        mac = batch([random_params(rng) for _ in range(4)])
         assert spin_model.macrofraction_fidelity(mac, 0.0) == 1.0
 
     def test_one_shot_zero(self):
         p = SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0)
-        assert spin_model.macrofraction_fidelity(MacrofractionSpec((p,)), np.pi / 2) == 0.0
+        assert spin_model.macrofraction_fidelity(batch([p]), np.pi / 2) == 0.0
 
     def test_single_spin_value(self):
         # sqrt(1 - 0.25 * 0.75 * 0.5) = sqrt(0.90625)
         p = SpinParams(0.0, np.pi / 3, 0.0, 0.75, 1.0)
-        got = spin_model.macrofraction_fidelity(MacrofractionSpec((p,)), np.pi / 4)
+        got = spin_model.macrofraction_fidelity(batch([p]), np.pi / 4)
         assert got == pytest.approx(math.sqrt(0.90625), abs=1e-12)
         assert got == pytest.approx(0.9519716382329886, abs=1e-12)
 
@@ -218,9 +257,9 @@ class TestMacrofractionFidelity:
         for _ in range(1000):
             p = random_params(rng)
             t = rng.uniform(0, 2 * np.pi)
-            closed = spin_model.macrofraction_fidelity(MacrofractionSpec((p,)), t)
-            trace_det = spin_model.spin_fidelity_trace_det(p, t)
-            eigen = densmat.fidelity(*spin_model.evolved_branch_states(p, t))
+            closed = spin_model.macrofraction_fidelity(batch([p]), t)
+            trace_det = fidelity_trace_det(p, t)
+            eigen = densmat.fidelity(*branch_pair(p, t))
             assert abs(closed - trace_det) < 1e-9
             assert abs(closed - eigen) < 1e-9
 
@@ -229,10 +268,10 @@ class TestMacrofractionFidelity:
         left = tuple(random_params(rng) for _ in range(3))
         right = tuple(random_params(rng) for _ in range(4))
         t = 0.8
-        whole = spin_model.macrofraction_fidelity(MacrofractionSpec(left + right), t)
+        whole = spin_model.macrofraction_fidelity(batch(left + right), t)
         parts = spin_model.macrofraction_fidelity(
-            MacrofractionSpec(left), t
-        ) * spin_model.macrofraction_fidelity(MacrofractionSpec(right), t)
+            batch(left), t
+        ) * spin_model.macrofraction_fidelity(batch(right), t)
         assert whole == pytest.approx(parts, abs=1e-12)
 
     def test_log_path_matches_direct(self):
@@ -240,15 +279,15 @@ class TestMacrofractionFidelity:
         spins = tuple(random_params(rng) for _ in range(80))
         t = 0.3
         direct = np.prod(
-            [spin_model.macrofraction_fidelity(MacrofractionSpec((s,)), t) for s in spins]
+            [spin_model.macrofraction_fidelity(batch([s]), t) for s in spins]
         )
-        got = spin_model.macrofraction_fidelity(MacrofractionSpec(spins), t)
+        got = spin_model.macrofraction_fidelity(batch(spins), t)
         assert got == pytest.approx(direct, rel=1e-10)
 
     def test_periodicity_single_spin(self):
         rng = np.random.default_rng(16)
         p = random_params(rng, g=0.6)
-        mac = MacrofractionSpec((p,))
+        mac = batch([p])
         period = 2 * np.pi / p.g
         for t in (0.4, 2.0):
             assert spin_model.macrofraction_fidelity(mac, t) == pytest.approx(
@@ -278,9 +317,9 @@ class TestLlnExponents:
         spins = tuple(random_params(rng) for _ in range(6))
         t = 1.1
         kappas, chis = zip(*(spin_model.lln_exponents(s, t) for s in spins))
-        b = spin_model.macrofraction_fidelity(MacrofractionSpec(spins), t)
+        b = spin_model.macrofraction_fidelity(batch(spins), t)
         assert math.exp(-0.5 * sum(kappas)) == pytest.approx(b, abs=1e-10)
-        gam = spin_model.decoherence_factor(spins, t)
+        gam = spin_model.decoherence_factor(batch(spins), t)
         assert math.exp(-sum(chis)) == pytest.approx(abs(gam) ** 2, abs=1e-10)
 
     def test_divergence_reported_as_infinity(self):
@@ -322,3 +361,92 @@ class TestTimeScales:
             spin_model.time_scales(10, 1, 0.0, 1.0)
         with pytest.raises(ValueError, match="f must"):
             spin_model.time_scales(10, 5, 1.0, 1.0)
+
+
+EDGE_NODES = [(lam, beta) for lam in (0.0, 0.5, 1.0) for beta in (0.0, math.pi / 2, math.pi)]
+EDGE_TIMES = (0.0, 0.7, math.pi / 2, 3.0)
+# spin-by-spin references run over this many leading spins (63-spin period of the pattern)
+CHECKED_SPINS = 1000
+
+
+def edge_bath(n=10_000, seed=30):
+    """n spins cycling through the lam x beta edge nodes; every 7th has g = 0."""
+    rng = np.random.default_rng(seed)
+    lam, beta = np.array([EDGE_NODES[j % len(EDGE_NODES)] for j in range(n)]).T
+    g = rng.uniform(0.0, 1.0, n)
+    g[::7] = 0.0
+    return SpinParams(rng.uniform(0, 2 * np.pi, n), beta, rng.uniform(0, 2 * np.pi, n), lam, g)
+
+
+def rows_of(record, width):
+    """The record's spins regrouped into rows of `width` spins."""
+    return SpinParams(*(v.reshape(-1, width) for v in vars(record).values()))
+
+
+def row_of(record, r):
+    """Row r of a two-axis record, as a record of its own."""
+    return SpinParams(*(v[r] for v in vars(record).values()))
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("t", EDGE_TIMES)
+    def test_per_spin_forms_match_spin_by_spin(self, t):
+        bath = edge_bath()
+        spins = [bath.spin(j) for j in range(CHECKED_SPINS)]
+        forms = {
+            "pi_diag": spin_model.pi_diag,
+            "delta": spin_model.delta,
+            "b2 coefficient": lambda p: spin_model.sin2_coefficients(p)[0],
+            "gamma coefficient": lambda p: spin_model.sin2_coefficients(p)[1],
+            "kappa": lambda p: spin_model.lln_exponents(p, t)[0],
+            "chi": lambda p: spin_model.lln_exponents(p, t)[1],
+        }
+        for name, form in forms.items():
+            batched = form(bath)
+            assert not np.any(np.isnan(batched)), name
+            single = np.array([form(p) for p in spins])
+            np.testing.assert_allclose(batched[:CHECKED_SPINS], single, rtol=1e-12, atol=1e-15, err_msg=name)
+
+    @pytest.mark.parametrize("t", EDGE_TIMES)
+    def test_products_match_rows_and_spin_by_spin(self, t):
+        bath = edge_bath()
+        rows = rows_of(bath, 100)
+        for form in (spin_model.decoherence_factor, spin_model.macrofraction_fidelity):
+            batched = form(rows, t)
+            # each row of a batch is reduced exactly as a record of its own
+            np.testing.assert_array_equal(batched, [form(row_of(rows, r), t) for r in range(100)])
+            per_spin = np.array([form(batch([bath.spin(j)]), t) for j in range(CHECKED_SPINS)])
+            expected = np.prod(per_spin.reshape(-1, 100), axis=-1)
+            np.testing.assert_allclose(batched[: len(expected)], expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("t", EDGE_TIMES)
+    def test_ranges_on_a_ten_thousand_spin_bath(self, t):
+        bath = edge_bath()
+        for record in (bath, rows_of(bath, 100)):
+            gamma = spin_model.decoherence_factor(record, t)
+            b = spin_model.macrofraction_fidelity(record, t)
+            assert not np.any(np.isnan(gamma)) and not np.any(np.isnan(b))
+            # a pointer spin's |gamma_j| = 1 can round to 1 + 2^-52 in the complex log
+            assert np.all(np.abs(gamma) <= 1.0 + 1e-12)
+            assert np.all((b >= 0.0) & (b <= 1.0))
+
+    def test_exact_one_at_time_zero_and_for_uncoupled_spins(self):
+        bath = edge_bath()
+        assert spin_model.decoherence_factor(bath, 0.0) == 1.0 + 0.0j
+        assert spin_model.macrofraction_fidelity(bath, 0.0) == 1.0
+        assert np.all(np.array(spin_model.lln_exponents(bath, 0.0)) == 0.0)
+        uncoupled = SpinParams(*(v[::7] for v in vars(bath).values()))
+        for t in EDGE_TIMES:
+            assert spin_model.decoherence_factor(uncoupled, t) == 1.0 + 0.0j
+            assert spin_model.macrofraction_fidelity(uncoupled, t) == 1.0
+
+    def test_exact_zero_on_one_shot_orthogonalization(self):
+        bath = edge_bath()
+        for lam in (0.0, 1.0):
+            # g t = pi/2 turns this pure equatorial spin's branches orthogonal
+            shot = SpinParams(0.0, math.pi / 2, 0.0, lam, 1.0)
+            record = batch([shot] + [bath.spin(j) for j in range(99)])
+            assert spin_model.macrofraction_fidelity(record, math.pi / 2) == 0.0
+            rows = batch([record, batch([bath.spin(j) for j in range(100)])])
+            b = spin_model.macrofraction_fidelity(rows, math.pi / 2)
+            assert b[0] == 0.0 and b[1] > 0.0
