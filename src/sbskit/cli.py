@@ -22,6 +22,7 @@ import argparse
 import copy
 import json
 import math
+import os
 import time
 from pathlib import Path
 
@@ -102,7 +103,7 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -115,22 +116,39 @@ def load_config(path: str | None) -> dict:
     return _merge(copy.deepcopy(DEFAULT_CONFIG), raw)
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config file is not valid JSON: {name} is not a number")
+
+
+def lookup(config: dict, path: str, kind):
+    """The value at a dotted config path converted by kind; a value kind
+    rejects raises ConfigError naming the path."""
+    value = config
+    for key in path.split("."):
+        value = value[key]
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: invalid value {value!r} ({exc})")
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
 def parse_measure(section: dict) -> MeasureSpec:
-    angles = section["angles"]
+    config = {"measure": section}  # so lookups name measure.<field>
+    angles, lam, coupling = section["angles"], section["lambda"], section["coupling"]
     if angles != "haar":
         if not (isinstance(angles, (list, tuple)) and len(angles) == 3):
             raise ConfigError("measure.angles must be \"haar\" or [alpha, beta, gamma]")
-        angles = tuple(float(a) for a in angles)
-    lam = section["lambda"]
+        angles = lookup(config, "measure.angles", _floats)
     if lam != "hilbert_schmidt":
-        lam = float(lam)
-    coupling = section["coupling"]
-    if isinstance(coupling, (list, tuple)):
-        if len(coupling) != 2:
-            raise ConfigError("measure.coupling must be a number or [a, b]")
-        coupling = (float(coupling[0]), float(coupling[1]))
-    else:
-        coupling = float(coupling)
+        lam = lookup(config, "measure.lambda", float)
+    pair = isinstance(coupling, (list, tuple))
+    if pair and len(coupling) != 2:
+        raise ConfigError("measure.coupling must be a number or [a, b]")
+    coupling = lookup(config, "measure.coupling", _floats if pair else float)
     try:
         return MeasureSpec(angles=angles, lam=lam, coupling=coupling)
     except ValueError as exc:
@@ -151,15 +169,32 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def run_config(config: dict, **fields: tuple) -> RunConfig:
+    """RunConfig of the config's seed, threads and measure plus each field
+    given as (dotted config path, type); a bad value raises ConfigError
+    naming its path."""
+    values = {name: lookup(config, path, kind) for name, (path, kind) in fields.items()}
+    measure = parse_measure(config["measure"])
+    try:
+        return RunConfig(
+            seed=lookup(config, "seed", int),
+            threads=lookup(config, "threads", int),
+            measure=measure,
+            **values,
+        )
+    except ValueError as exc:
+        # RunConfig messages start with the name of the rejected field
+        name, _, reason = str(exc).partition(": ")
+        raise ConfigError(f"{fields[name][0]}: {reason}")
+
+
 def run_fig1(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     section = config["fig1"]
-    run = RunConfig(
-        seed=int(config["seed"]),
-        samples=int(section["samples"]),
-        threads=int(config["threads"]),
-        tau=float(section["tau"]),
-        tau_points=int(section["tau_points"]),
-        measure=parse_measure(config["measure"]),
+    run = run_config(
+        config,
+        samples=("fig1.samples", int),
+        tau=("fig1.tau", float),
+        tau_points=("fig1.tau_points", int),
     )
     try:
         surface = fig1_surface(run, section["lambda_grid"], section["beta_grid"], int(section["n_spins"]))
@@ -179,14 +214,12 @@ def run_fig1(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
 
 def run_fig2(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     section = config["fig2"]
-    run = RunConfig(
-        seed=int(config["seed"]),
-        samples=int(config["samples"]),
-        threads=int(config["threads"]),
-        t_min=float(section["t_min"]),
-        t_max=float(section["t_max"]),
-        t_points=int(section["t_points"]),
-        measure=parse_measure(config["measure"]),
+    run = run_config(
+        config,
+        samples=("samples", int),
+        t_min=("fig2.t_min", float),
+        t_max=("fig2.t_max", float),
+        t_points=("fig2.t_points", int),
     )
     try:
         curves = fig2_curves([int(n) for n in section["n_values"]], run)
@@ -205,19 +238,18 @@ def run_fig2(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
 
 
 def run_timescales(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
-    measure = parse_measure(config["measure"])
-    g2bar = measure.g2bar()
+    g2bar = parse_measure(config["measure"]).g2bar()
     header = ["N_m", "N", "f", "g2bar", "t_B", "t_D", "ratio_sq", "B_at_tB", "gamma2_at_tD"]
     rows = []
-    for case in config["timescales"]["cases"]:
+    for k, case in enumerate(config["timescales"]["cases"]):
         try:
             n_mac, n_total, f = int(case["n_mac"]), int(case["n_total"]), float(case["f"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"timescales.cases entries need n_mac, n_total, f ({exc})")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"timescales.cases[{k}]: entries need numbers n_mac, n_total, f ({exc!r})")
         try:
             t_b, t_d, ratio_sq = time_scales(n_total, n_mac, f, g2bar)
         except ValueError as exc:
-            raise ConfigError(f"timescales.cases: {exc}")
+            raise ConfigError(f"timescales.cases[{k}]: {exc}")
         kappa_b, _ = short_time_exponents(g2bar, t_b)
         _, chi_d = short_time_exponents(g2bar, t_d)
         b_at_tb = math.exp(-0.5 * n_mac * kappa_b)
@@ -228,15 +260,15 @@ def run_timescales(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
 
 
 def run_discrimination(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
-    section = config["discrimination"]
     measure = parse_measure(config["measure"])
-    for name in ("n_mac", "draws", "t_points"):
-        if int(section[name]) < 1:
-            raise ConfigError(f"discrimination.{name}: must be >= 1, got {section[name]}")
-    n_mac = int(section["n_mac"])
-    draws = int(section["draws"])
-    seed = int(config["seed"])
-    t_grid = np.linspace(float(section["t_min"]), float(section["t_max"]), int(section["t_points"]))
+    sizes = {name: lookup(config, f"discrimination.{name}", int) for name in ("n_mac", "draws", "t_points")}
+    for name, value in sizes.items():
+        if value < 1:
+            raise ConfigError(f"discrimination.{name}: must be >= 1, got {value}")
+    n_mac, draws = sizes["n_mac"], sizes["draws"]
+    seed = lookup(config, "seed", int)
+    t_min, t_max = (lookup(config, f"discrimination.{name}", float) for name in ("t_min", "t_max"))
+    t_grid = np.linspace(t_min, t_max, sizes["t_points"])
     header = [
         "t",
         "p_bar",
@@ -281,14 +313,14 @@ def run_discrimination(config: dict, out_dir: Path) -> tuple[int, list[str], dic
 
 def run_verify(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     suites = verify.run_all(
-        seed=int(config["seed"]), instances=int(config["verify"]["instances"])
+        seed=lookup(config, "seed", int), instances=lookup(config, "verify.instances", int)
     )
     report = {
         "suites": {name: suite.as_dict() for name, suite in suites.items()},
         "all_passed": all(s.passed for s in suites.values()),
         "failed_suites": sorted(n for n, s in suites.items() if not s.passed),
     }
-    (out_dir / "verify.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    (out_dir / "verify.json").write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     status = EXIT_OK if report["all_passed"] else EXIT_VERIFY
     return status, ["verify.json"], {"all_passed": report["all_passed"]}
 
@@ -305,6 +337,12 @@ RUNNERS = {
 def run_scenario(scenario: str, config: dict, out_dir: Path) -> int:
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario: {scenario} (choose from {', '.join(SCENARIOS)})")
+    # shared fields, checked before any runner reads them or starts a pool
+    lookup(config, "seed", int)
+    threads = lookup(config, "threads", int)
+    cores = os.cpu_count() or 1
+    if not 1 <= threads <= cores:
+        raise ConfigError(f"threads: must be in [1, {cores}] (the core count), got {threads}")
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     status, files, gates = RUNNERS[scenario](config, out_dir)
@@ -319,7 +357,7 @@ def run_scenario(scenario: str, config: dict, out_dir: Path) -> int:
         "exit_status": status,
         "wall_time_s": round(time.time() - started, 3),
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return status
 
 

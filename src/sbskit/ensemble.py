@@ -81,10 +81,17 @@ class RunConfig:
     measure: MeasureSpec = field(default_factory=MeasureSpec)
 
     def __post_init__(self):
-        if self.t_points < 2 or self.tau_points < 2:
-            raise ValueError("time grids need at least 2 points")
+        # each message starts with the field it rejects
+        for name in ("t_points", "tau_points"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name}: time grids need at least 2 points, got {getattr(self, name)}")
+        if not self.tau > 0.0:
+            raise ValueError(f"tau: the averaging window must be > 0, got {self.tau}")
+        if self.tau_points % 2 == 0:
+            # the convergence gate compares with the quadrature on every second point
+            raise ValueError(f"tau_points: must be odd, got {self.tau_points}")
         if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+            raise ValueError(f"samples: must be >= 1, got {self.samples}")
 
     def t_grid(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.t_points)
@@ -231,12 +238,12 @@ def fig1_node(
     All spins share the node's initial state; couplings are freshly sampled
     per Monte Carlo sample.  Returns (mean_B, mean_abs_gamma, stderr_B,
     stderr_gamma, rel_change_B, rel_change_gamma) where the rel_change
-    values compare against the half-resolution quadrature (convergence
-    gate).
+    values compare against the half-resolution quadrature on every second
+    point (convergence gate), so tau_points must be odd.
     """
     measure = MeasureSpec(coupling=coupling)  # only the coupling law is sampled
     t = np.linspace(0.0, tau, tau_points)
-    coarse = slice(None, None, 2) if tau_points % 2 == 1 else None
+    coarse = slice(None, None, 2)
     coeffs = sin2_coefficients(SpinParams(0.0, np.full(n_spins, beta), 0.0, np.full(n_spins, lam_plus), 0.0))
 
     def one(i: int):
@@ -245,12 +252,8 @@ def fig1_node(
         vals = []
         for curve in _product_curves(g, t, coeffs, [n_spins])[:, 0]:
             fine = float(np.trapezoid(curve, t) / tau)
-            if coarse is not None:
-                cs = float(np.trapezoid(curve[coarse], t[coarse]) / tau)
-                rel = abs(fine - cs) / max(abs(fine), 1e-12)
-            else:
-                rel = math.nan
-            vals.append((fine, rel))
+            cs = float(np.trapezoid(curve[coarse], t[coarse]) / tau)
+            vals.append((fine, abs(fine - cs) / max(abs(fine), 1e-12)))
         return vals
 
     results = map_indexed(one, samples, threads)

@@ -17,6 +17,7 @@ exp(+i g t sigma_z / 2) as required by the closed forms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -87,7 +88,7 @@ def full_joint_state(inst: OracleInstance) -> np.ndarray:
     dim = d_s * 2 ** inst.n_spins
     if dim > DIMENSION_CAP:
         raise ValueError(f"joint dimension {dim} exceeds cap {DIMENSION_CAP}")
-    rho0 = inst.central.to_matrix()
+    rho0 = inst.central.rho
     for spin in inst.spins:
         rho0 = densmat.tensor(rho0, initial_spin_state(spin))
     phases = np.empty(dim, dtype=complex)
@@ -113,18 +114,16 @@ def branch_state(spin: SpinParams, inter: InteractionSpec, i: int, j: int, t: fl
     return u_i @ initial_spin_state(spin) @ u_j.conj().T
 
 
-def gamma_products(inst: OracleInstance) -> dict:
-    """Per-pair products over the unobserved spins of Tr[U_i rho U_j^dagger]."""
+def gamma_products(inst: OracleInstance) -> np.ndarray:
+    """d_s x d_s products over the unobserved spins of Tr[U_i rho U_j^dagger].
+
+    The diagonal is exactly 1: a branch does not dephase against itself.
+    """
     d_s = inst.central.d_s
-    out = {}
-    for i in range(d_s):
-        for j in range(d_s):
-            if i == j:
-                continue
-            val = 1.0 + 0.0j
-            for spin in inst.unobserved:
-                val *= np.trace(branch_state(spin, inst.interaction, i, j, inst.t))
-            out[(i, j)] = complex(val)
+    out = np.ones((d_s, d_s), dtype=complex)
+    for i, j in itertools.permutations(range(d_s), 2):
+        for spin in inst.unobserved:
+            out[i, j] *= np.trace(branch_state(spin, inst.interaction, i, j, inst.t))
     return out
 
 
@@ -140,20 +139,16 @@ def analytic_reduced_state(inst: OracleInstance) -> np.ndarray:
     gammas = gamma_products(inst)
     dim_env = 2 ** len(inst.observed)
     out = np.zeros((d_s * dim_env, d_s * dim_env), dtype=complex)
-    for i in range(d_s):
-        for j in range(d_s):
-            if i == j:
-                coeff = complex(inst.central.sigma[i])
-            else:
-                coeff = inst.central.coherence(i, j) * gammas[(i, j)]
-            if coeff == 0.0:
-                continue
-            env = np.array([[1.0 + 0.0j]])
-            for spin in inst.observed:
-                env = densmat.tensor(env, branch_state(spin, inst.interaction, i, j, inst.t))
-            unit = np.zeros((d_s, d_s), dtype=complex)
-            unit[i, j] = 1.0
-            out += coeff * densmat.tensor(unit, env)
+    for i, j in itertools.product(range(d_s), repeat=2):
+        coeff = inst.central.rho[i, j] * gammas[i, j]
+        if coeff == 0.0:
+            continue
+        env = np.array([[1.0 + 0.0j]])
+        for spin in inst.observed:
+            env = densmat.tensor(env, branch_state(spin, inst.interaction, i, j, inst.t))
+        unit = np.zeros((d_s, d_s), dtype=complex)
+        unit[i, j] = 1.0
+        out += coeff * densmat.tensor(unit, env)
     return out
 
 
@@ -167,8 +162,8 @@ def observed_branches(inst: OracleInstance) -> list[list[np.ndarray]]:
 
 
 def branch_ensemble(inst: OracleInstance) -> BranchEnsemble:
-    gammas = gamma_products(inst)
-    mags = {pair: abs(val) for pair, val in gammas.items()}
+    # Python abs per entry: np.abs differs from it in the last bit
+    mags = np.array([[abs(complex(v)) for v in row] for row in gamma_products(inst)])
     branches = tuple(tuple(row) for row in observed_branches(inst))
     return BranchEnsemble(branches, mags)
 
@@ -214,17 +209,19 @@ def exact_mutual_info_check(
 # projector families for the bound checks
 
 
-def qubit_families(inst: OracleInstance, rng: np.random.Generator | None = None) -> dict:
+def qubit_families(
+    central: CentralState, branches: Sequence, rng: np.random.Generator | None = None
+) -> dict:
     """Named two-outcome projector families for a qubit central system.
 
-    "helstrom" and "helstrom_weighted" are the witnesses; "swapped",
-    "coarse" and "random" are deliberately bad measurements the additive
-    bound must still dominate.
+    branches[k][i] is the state of observed environment k on pointer
+    branch i.  "helstrom" and "helstrom_weighted" are the witnesses;
+    "swapped", "coarse" and "random" are deliberately bad measurements the
+    additive bound must still dominate.
     """
-    if inst.central.d_s != 2:
+    if central.d_s != 2:
         raise ValueError("qubit_families requires a two-level central system")
-    branches = observed_branches(inst)
-    sigma = inst.central.sigma
+    sigma = central.sigma
     fams: dict[str, ProjectorFamily] = {}
 
     plain = [helstrom_pair(b[0], b[1]).family() for b in branches]
@@ -294,17 +291,14 @@ def evaluate_instance(
 
     branches = ensemble.branches
     d_s = inst.central.d_s
-    per_env_fids = []
-    for row in branches:
-        fids = {}
-        for i in range(d_s):
-            for j in range(i + 1, d_s):
-                fids[(i, j)] = densmat.fidelity(row[i], row[j])
-        per_env_fids.append(fids)
-    eta = sbs_core.cor1_eta(inst.central, gamma, per_env_fids)
+    fids = np.ones((len(branches), d_s, d_s))
+    for k, row in enumerate(branches):
+        for i, j in itertools.combinations(range(d_s), 2):
+            fids[k, i, j] = fids[k, j, i] = densmat.fidelity(row[i], row[j])
+    eta = sbs_core.cor1_eta(inst.central, gamma, fids)
 
     results = {}
-    for name, family in qubit_families(inst, rng).items():
+    for name, family in qubit_families(inst.central, branches, rng).items():
         pe = tuple(
             sbs_core.discrimination_error(inst.central.sigma, branches[k], family.families[k])
             for k in range(len(branches))
@@ -342,11 +336,9 @@ def random_central(rng: np.random.Generator, d_s: int = 2) -> CentralState:
         sigma = -np.log(np.clip(draws, 1e-300, None))
         sigma = sigma / np.sum(sigma)
     c = float(rng.uniform(0.0, 1.0))
-    offdiag = {}
-    for i in range(d_s):
-        for j in range(i + 1, d_s):
-            offdiag[(i, j)] = c * math.sqrt(sigma[i] * sigma[j])
-    return CentralState(tuple(float(s) for s in sigma), offdiag)
+    rho = c * np.sqrt(np.outer(sigma, sigma))
+    np.fill_diagonal(rho, sigma)
+    return CentralState(rho)
 
 
 def random_instance(

@@ -1,10 +1,10 @@
 """Model-independent spectrum-broadcast-structure machinery.
 
-Given a central state (pointer-basis weights and coherences), per-branch
-environment states and a family of local projective measurements, this
-module builds the ideal broadcast state obtained by cutting the coherent
-part and projecting each branch, and evaluates the distance bounds that
-control how far the actual state is from it:
+Given a central state, per-branch environment states and a family of
+local projective measurements, this module builds the ideal broadcast
+state obtained by cutting the coherent part and projecting each branch,
+and evaluates the distance bounds that control how far the actual state
+is from it:
 
 * the collective dephasing weight Gamma plus the summed discrimination
   errors (the additive bound certified instance-by-instance by the
@@ -13,13 +13,18 @@ control how far the actual state is from it:
   through the pairwise-fidelity bound on optimal discrimination,
 * the information gap bound |I - H_S| <= F(eps) with
   F(x) = 4 h(2x) + 2 h(x) + 10 x log2(d_S), valid for eps <= 1/4.
+
+Every pointer-pair quantity is a d_S x d_S array indexed [i, j]: the
+central density matrix (weights sigma_i on its diagonal, coherences
+sigma_ij off it), the dephasing magnitudes |gamma_ij| and the pairwise
+branch fidelities B_ij; the pair sums run over the off-diagonal entries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -36,48 +41,41 @@ class DegenerateSBSError(ValueError):
 
 @dataclass(frozen=True)
 class CentralState:
-    """Pointer-basis weights sigma_i and coherences sigma_ij of the system.
+    """Density matrix of the central system in the pointer basis.
 
-    offdiag maps ordered pairs (i, j), i != j, to complex entries with
-    sigma_ji = conj(sigma_ij); missing pairs are zero.  The assembled
-    matrix must be a valid state.
+    rho is a d_S x d_S complex array with the pointer weights sigma_i on
+    its diagonal and the coherences sigma_ij off it.  It is stored as a
+    read-only copy and must be a valid state.
     """
 
-    sigma: tuple
-    offdiag: Mapping = field(default_factory=dict)
+    rho: np.ndarray
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=float)
+        rho = densmat.check_square(np.array(self.rho, dtype=complex))
+        rho.setflags(write=False)
+        object.__setattr__(self, "rho", rho)
+        sigma = self.sigma
         if np.any(sigma < -CENTRAL_TOL):
             raise ValueError("pointer weights must be nonnegative")
         if abs(float(np.sum(sigma)) - 1.0) > 1e-12:
             raise ValueError(f"pointer weights sum to {np.sum(sigma)}, not 1")
-        densmat.check_density_matrix(self.to_matrix())
+        densmat.check_density_matrix(rho)
+
+    def __eq__(self, other):
+        return isinstance(other, CentralState) and np.array_equal(self.rho, other.rho)
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """Pointer weights sigma_i, the real diagonal of rho."""
+        return self.rho.diagonal().real
 
     @property
     def d_s(self) -> int:
-        return len(self.sigma)
-
-    def coherence(self, i: int, j: int) -> complex:
-        if (i, j) in self.offdiag:
-            return complex(self.offdiag[(i, j)])
-        if (j, i) in self.offdiag:
-            return complex(np.conj(self.offdiag[(j, i)]))
-        return 0.0j
-
-    def to_matrix(self) -> np.ndarray:
-        d = self.d_s
-        out = np.diag(np.asarray(self.sigma, dtype=complex))
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    out[i, j] = self.coherence(i, j)
-        return out
+        return self.rho.shape[0]
 
     def shannon_entropy(self) -> float:
         """Shannon entropy H[{sigma_i}] of the pointer weights, in bits."""
-        s = np.asarray(self.sigma, dtype=float)
-        s = s[s > 1e-15]
+        s = self.sigma[self.sigma > 1e-15]
         return float(-np.sum(s * np.log2(s)))
 
 
@@ -86,32 +84,26 @@ class BranchEnsemble:
     """Branch states per observed environment plus dephasing magnitudes.
 
     branches[k][i] is the state of observed environment k conditional on
-    pointer index i.  gamma_mags maps each unordered coherence pair to the
-    product over the unobserved environments of the per-environment
-    dephasing-factor magnitudes, a number in [0, 1].
+    pointer index i.  gamma_mags[i, j] is the product over the unobserved
+    environments of the per-environment dephasing-factor magnitudes for
+    the pair (i, j), a number in [0, 1]; only i != j is used.
     """
 
     branches: tuple  # tuple over k of tuple over i of ndarray
-    gamma_mags: Mapping = field(default_factory=dict)
+    gamma_mags: np.ndarray
 
     def __post_init__(self):
         counts = {len(b) for b in self.branches}
         if len(counts) > 1:
             raise ValueError("every environment needs one branch state per pointer index")
-        for val in self.gamma_mags.values():
-            if not (-1e-12 <= float(val) <= 1.0 + 1e-12):
-                raise ValueError(f"dephasing magnitude {val} outside [0, 1]")
+        mags = np.asarray(self.gamma_mags, dtype=float)
+        bad = mags[~((mags >= -1e-12) & (mags <= 1.0 + 1e-12))]  # NaN too
+        if bad.size:
+            raise ValueError(f"dephasing magnitude {bad[0]} outside [0, 1]")
 
     @property
     def n_env(self) -> int:
         return len(self.branches)
-
-    def gamma_mag(self, i: int, j: int) -> float:
-        if (i, j) in self.gamma_mags:
-            return float(self.gamma_mags[(i, j)])
-        if (j, i) in self.gamma_mags:
-            return float(self.gamma_mags[(j, i)])
-        raise KeyError(f"no dephasing magnitude for pair ({i}, {j})")
 
 
 @dataclass(frozen=True)
@@ -170,30 +162,18 @@ class SBSState:
         return blocks
 
 
-def collective_gamma(central: CentralState, gamma_mags: Mapping) -> float:
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    """Entries a[i, j], i != j, of a square array in row-major order."""
+    return a[~np.eye(a.shape[0], dtype=bool)]
+
+
+def collective_gamma(central: CentralState, gamma_mags: np.ndarray) -> float:
     """Coherence weight Gamma = sum_{i != j} |sigma_ij| prod_k |gamma_ij^(k)|.
 
-    gamma_mags maps pointer pairs to the product of dephasing magnitudes
-    over the unobserved environments; every pair with a nonzero coherence
-    must be covered.
+    gamma_mags[i, j] is the product of dephasing magnitudes over the
+    unobserved environments for the pair (i, j).
     """
-    d = central.d_s
-    total = 0.0
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            coh = abs(central.coherence(i, j))
-            if coh == 0.0:
-                continue
-            if (i, j) in gamma_mags:
-                mag = float(gamma_mags[(i, j)])
-            elif (j, i) in gamma_mags:
-                mag = float(gamma_mags[(j, i)])
-            else:
-                raise KeyError(f"missing dephasing magnitude for pair ({i}, {j})")
-            total += coh * mag
-    return total
+    return float(np.sum(_off_diagonal(np.abs(central.rho) * gamma_mags)))
 
 
 def discrimination_error(
@@ -269,46 +249,24 @@ def prop1_bound(gamma: float, pe_list: Sequence[float]) -> float:
     return float(gamma + sum(pe_list))
 
 
-def barnum_knill_bound(weights: Sequence[float], pairwise_fidelities: Mapping) -> float:
+def barnum_knill_bound(weights: Sequence[float], pairwise_fidelities: np.ndarray) -> float:
     """Pairwise-fidelity bound sum_{i != j} sqrt(w_i w_j) B(rho_i, rho_j)
-    on the optimal discrimination error of an ensemble."""
+    on the optimal discrimination error of an ensemble.
+
+    pairwise_fidelities[i, j] is B(rho_i, rho_j).
+    """
     w = np.asarray(weights, dtype=float)
-    total = 0.0
-    for i in range(len(w)):
-        for j in range(len(w)):
-            if i == j:
-                continue
-            if (i, j) in pairwise_fidelities:
-                b = float(pairwise_fidelities[(i, j)])
-            elif (j, i) in pairwise_fidelities:
-                b = float(pairwise_fidelities[(j, i)])
-            else:
-                raise KeyError(f"missing fidelity for pair ({i}, {j})")
-            total += math.sqrt(w[i] * w[j]) * b
-    return total
+    return float(np.sum(_off_diagonal(np.sqrt(np.outer(w, w)) * pairwise_fidelities)))
 
 
-def cor1_eta(
-    central: CentralState, gamma: float, per_env_pair_fidelities: Sequence[Mapping]
-) -> float:
+def cor1_eta(central: CentralState, gamma: float, pair_fidelities: np.ndarray) -> float:
     """Measurement-free bound eta = Gamma + sum_{i!=j} sqrt(sigma_i sigma_j)
-    sum_k B[rho_i^(k), rho_j^(k)]."""
-    sigma = np.asarray(central.sigma, dtype=float)
-    total = float(gamma)
-    for i in range(central.d_s):
-        for j in range(central.d_s):
-            if i == j:
-                continue
-            b_sum = 0.0
-            for fid_k in per_env_pair_fidelities:
-                if (i, j) in fid_k:
-                    b_sum += float(fid_k[(i, j)])
-                elif (j, i) in fid_k:
-                    b_sum += float(fid_k[(j, i)])
-                else:
-                    raise KeyError(f"missing fidelity for pair ({i}, {j})")
-            total += math.sqrt(sigma[i] * sigma[j]) * b_sum
-    return total
+    sum_k B[rho_i^(k), rho_j^(k)].
+
+    pair_fidelities[k, i, j] is the fidelity of branches i and j of
+    observed environment k.
+    """
+    return float(gamma) + barnum_knill_bound(central.sigma, np.sum(pair_fidelities, axis=0))
 
 
 def binary_entropy(x: float) -> float:

@@ -201,9 +201,8 @@ def barnum_knill_suite(pairs: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResu
         rho_m = _random_qubit_state(rng)
         w = float(rng.uniform(0.0, 1.0))
         optimal = 0.5 * (1.0 - densmat.trace_norm(w * rho_p - (1.0 - w) * rho_m))
-        bound = sbs_core.barnum_knill_bound(
-            [w, 1.0 - w], {(0, 1): densmat.fidelity(rho_p, rho_m)}
-        )
+        b = densmat.fidelity(rho_p, rho_m)
+        bound = sbs_core.barnum_knill_bound([w, 1.0 - w], np.array([[1.0, b], [b, 1.0]]))
         res.record(bound - optimal, tol=1e-9)
     return res
 

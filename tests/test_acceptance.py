@@ -68,7 +68,7 @@ def tilted_witness(theta):
     |sin theta| sqrt(1 + 3 cos^2 theta).
     """
     inst = oracle.OracleInstance(
-        CentralState((1.0, 0.0)), (SpinParams(0.0, 0.0, 0.0, 1.0, 1.0),), (), 0.0
+        CentralState(np.diag([1.0, 0.0])), (SpinParams(0.0, 0.0, 0.0, 1.0, 1.0),), (), 0.0
     )
     v = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
     p0 = np.outer(v, v.conj())

@@ -1,19 +1,38 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from sbskit import cli
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "perfbench" / "golden"
 GOLDEN_SURFACE = GOLDEN / "surface" / "fig1_surface.csv"
 GOLDEN_DISCRIMINATION = GOLDEN / "discriminate" / "discrimination.csv"
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def read_json(path):
+    """An artifact parsed as strict JSON: NaN and Infinity fail."""
+    return json.loads(path.read_text(), parse_constant=reject_constant)
+
+
 def run_cli(args):
-    return cli.main(args)
+    """cli.main on args; every manifest.json and verify.json it leaves must be strict JSON."""
+    status = cli.main(args)
+    out = Path(args[args.index("--out-dir") + 1])
+    for name in ("manifest.json", "verify.json"):
+        if (out / name).exists():
+            read_json(out / name)
+    return status
 
 
 class TestConfig:
@@ -48,7 +67,7 @@ class TestConfig:
             out = tmp_path / name
             args = ["--scenario", "timescales", "--out-dir", str(out), "--samples", "3", "--threads", "2"]
             assert run_cli(args) == 0
-            config = json.loads((out / "manifest.json").read_text())["config"]
+            config = read_json(out / "manifest.json")["config"]
             assert config["fig1"]["samples"] == config["discrimination"]["draws"] == 3
         assert cli.DEFAULT_CONFIG == before
 
@@ -91,7 +110,7 @@ class TestTimescalesScenario:
 
     def test_manifest_round_trip(self, tmp_path):
         run_cli(["--scenario", "timescales", "--out-dir", str(tmp_path), "--seed", "77"])
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = read_json(tmp_path / "manifest.json")
         assert manifest["scenario"] == "timescales"
         assert manifest["seed"] == 77
         assert manifest["outputs"] == ["timescales.csv"]
@@ -220,7 +239,7 @@ class TestFig1Scenario:
         assert len(rows) == 4
         by_node = {(r[0], r[1]): r for r in rows}
         assert by_node[(0.5, 0.0)][2] == 1.0  # <B> on the lam = 1/2 ridge
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_json(out / "manifest.json")
         assert manifest["gates"]["quadrature_rel_change"] < 1e-3
 
 
@@ -264,7 +283,7 @@ class TestConvergenceGate:
         out = tmp_path / "out"
         status = run_cli(["--scenario", "fig1", "--config", str(cfg), "--out-dir", str(out)])
         assert status == cli.EXIT_GATE
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_json(out / "manifest.json")
         assert manifest["gates"]["quadrature_rel_change"] >= 1e-3
         assert manifest["exit_status"] == cli.EXIT_GATE
 
@@ -275,7 +294,7 @@ class TestVerifyScenario:
         cfg.write_text(json.dumps({"verify": {"instances": 30}}))
         out = tmp_path / "out"
         status = run_cli(["--scenario", "verify", "--config", str(cfg), "--out-dir", str(out)])
-        report = json.loads((out / "verify.json").read_text())
+        report = read_json(out / "verify.json")
         assert set(report) == {"suites", "all_passed", "failed_suites"}
         assert "convention_certification" in report["suites"]
         for suite in report["suites"].values():
@@ -284,3 +303,32 @@ class TestVerifyScenario:
         # must track the report
         assert status == (cli.EXIT_OK if report["all_passed"] else cli.EXIT_VERIFY)
         assert set(report["failed_suites"]) <= {"prop1_as_stated"}
+
+
+BAD_CONFIGS = [
+    ("fig2", {"fig2": {"t_points": 1}}, [], "fig2.t_points"),
+    ("fig1", {"fig1": {"tau_points": 1}}, [], "fig1.tau_points"),
+    ("fig1", {"fig1": {"tau_points": 1000}}, [], "fig1.tau_points"),
+    ("fig1", {"fig1": {"tau": 0.0, "tau_points": 11}}, [], "fig1.tau"),
+    ("discrimination", {"seed": "abc"}, [], "seed"),
+    ("timescales", {"seed": "abc"}, [], "seed"),
+    ("timescales", {"measure": {"lambda": "abc"}}, [], "measure.lambda"),
+    ("timescales", {"timescales": {"cases": [{"n_mac": 100, "n_total": 200, "f": "x"}]}}, [], "timescales.cases[0]"),
+    ("fig2", {}, ["--threads", "0"], "threads"),
+    # one above the core count; rejected before any pool starts
+    ("fig2", {}, ["--threads", str((os.cpu_count() or 1) + 1)], "threads"),
+]
+
+
+@pytest.mark.parametrize("scenario,override,flags,field", BAD_CONFIGS, ids=[f"{c[0]}-{c[3]}" for c in BAD_CONFIGS])
+def test_bad_config_exits_1_naming_the_field(tmp_path, scenario, override, flags, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    out = tmp_path / "out"
+    args = ["--scenario", scenario, "--config", str(cfg), "--out-dir", str(out), *flags]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "sbskit.cli", *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert proc.stdout.startswith(f"config error: {field}: "), proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert not (out / "manifest.json").exists()

@@ -10,7 +10,6 @@ NO_CALLER_NEEDED = {
     "cli.main": "the entry point of the sbskit console script and of python -m sbskit.cli",
     "oracle.analytic_reduced_state": "reference route the tests compare the partial-trace oracle against",
     "spin_model.pi_diag": "closed form of the conserved population; tests certify it against initial_spin_state",
-    "sbs_core.BranchEnsemble.gamma_mag": "pair lookup kept until the pair-keyed dicts become arrays",
 }
 
 

@@ -205,6 +205,13 @@ class TestTimeAverage:
             RunConfig(seed=0, tau_points=1)
         with pytest.raises(ValueError, match="2 points"):
             RunConfig(seed=0, t_points=1)
+        # the half-resolution grid of the convergence gate must end at tau > 0
+        for tau in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="^tau: "):
+                RunConfig(seed=0, tau=tau)
+        for points in (2, 1000):
+            with pytest.raises(ValueError, match="^tau_points: must be odd"):
+                RunConfig(seed=0, tau_points=points)
 
 
 class TestFig1Node:

@@ -49,7 +49,7 @@ class TestFullJointState:
     def test_time_zero_is_product_state(self):
         inst = make_instance(seed=1, t=0.0)
         joint = full_joint_state(inst)
-        expected = inst.central.to_matrix()
+        expected = inst.central.rho
         for spin in inst.spins:
             expected = densmat.tensor(expected, spin_model.initial_spin_state(spin))
         np.testing.assert_allclose(joint, expected, atol=1e-13)
@@ -61,7 +61,7 @@ class TestFullJointState:
 
     def test_diagonal_central_stays_block_diagonal(self):
         base = make_instance(seed=3)
-        central = CentralState(base.central.sigma)  # coherences dropped
+        central = CentralState(np.diag(base.central.sigma))  # coherences dropped
         inst = OracleInstance(central, base.observed, base.unobserved, 1.3, base.interaction)
         joint = full_joint_state(inst)
         half = joint.shape[0] // 2
@@ -69,7 +69,7 @@ class TestFullJointState:
 
     def test_dimension_cap(self):
         spins = tuple(SpinParams(0, 1, 0, 0.5, 1.0) for _ in range(12))
-        inst = OracleInstance(CentralState((0.5, 0.5)), spins, (), 1.0)
+        inst = OracleInstance(CentralState(np.eye(2) / 2), spins, (), 1.0)
         with pytest.raises(ValueError, match="cap"):
             full_joint_state(inst)
 
@@ -92,7 +92,7 @@ class TestConventionCertification:
             inst = OracleInstance(central, (), (spin,), t)
             joint = full_joint_state(inst)
             block_trace = np.trace(joint[:2, 2:])
-            expected = central.coherence(0, 1) * spin_model.decoherence_factor(spin_model.stack_spins(lambda _: spin, 1), t)
+            expected = central.rho[0, 1] * spin_model.decoherence_factor(spin_model.stack_spins(lambda _: spin, 1), t)
             assert abs(block_trace - expected) < 1e-12
 
     def test_branch_purity_conserved(self):
@@ -127,12 +127,19 @@ class TestReducedState:
         joint = full_joint_state(inst)
         np.testing.assert_allclose(reduced_state_exact(joint, inst), joint, atol=1e-13)
 
+    def test_gamma_products_pair_array(self):
+        gammas = gamma_products(random_instance(6, 0, n_observed=0, n_unobserved=2, d_s=3))
+        assert gammas.shape == (3, 3)
+        np.testing.assert_array_equal(np.diag(gammas), 1.0)
+        # Tr[U_j rho U_i^dagger] = conj Tr[U_i rho U_j^dagger]
+        np.testing.assert_allclose(gammas.T, gammas.conj(), atol=1e-14)
+
     def test_everything_discarded_dephases_central(self):
         inst = make_instance(seed=5, n_obs=0, n_unobs=3)
         reduced = reduced_state_exact(full_joint_state(inst), inst)
-        gam = gamma_products(inst)[(0, 1)]
-        expected = np.diag(np.asarray(inst.central.sigma, dtype=complex))
-        expected[0, 1] = inst.central.coherence(0, 1) * gam
+        gam = gamma_products(inst)[0, 1]
+        expected = np.diag(inst.central.sigma).astype(complex)
+        expected[0, 1] = inst.central.rho[0, 1] * gam
         expected[1, 0] = np.conj(expected[0, 1])
         np.testing.assert_allclose(reduced, expected, atol=1e-12)
 
@@ -142,21 +149,23 @@ class TestExactEpsilon:
         # pure spins at beta = pi/2 reach orthogonal branches at g t = pi/2:
         # the reduced state of a coherence-free central system is then an
         # exact broadcast state and the Helstrom family reproduces it
-        central = CentralState((0.6, 0.4))
+        central = CentralState(np.diag([0.6, 0.4]))
         spins = tuple(SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0) for _ in range(2))
         inst = OracleInstance(central, spins, (), np.pi / 2)
         reduced = reduced_state_exact(full_joint_state(inst), inst)
-        fams = qubit_families(inst)
-        sbs = sbs_core.build_sbs(inst.central, oracle.branch_ensemble(inst), fams["helstrom"])
+        ens = oracle.branch_ensemble(inst)
+        fams = qubit_families(inst.central, ens.branches)
+        sbs = sbs_core.build_sbs(inst.central, ens, fams["helstrom"])
         assert exact_epsilon(reduced, sbs) < 1e-10
 
     def test_positive_at_time_zero_with_coherence(self):
-        central = CentralState((0.5, 0.5), {(0, 1): 0.5})
+        central = CentralState(np.full((2, 2), 0.5))
         spins = tuple(SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0) for _ in range(2))
         inst = OracleInstance(central, spins, (spins[0],), 0.0)
         reduced = reduced_state_exact(full_joint_state(inst), inst)
-        fams = qubit_families(inst)
-        sbs = sbs_core.build_sbs(inst.central, oracle.branch_ensemble(inst), fams["helstrom"])
+        ens = oracle.branch_ensemble(inst)
+        fams = qubit_families(inst.central, ens.branches)
+        sbs = sbs_core.build_sbs(inst.central, ens, fams["helstrom"])
         assert exact_epsilon(reduced, sbs) > 0.1
 
     def test_dimension_mismatch(self):
@@ -166,7 +175,7 @@ class TestExactEpsilon:
 
 class TestMutualInfoCheck:
     def test_perfect_broadcast_means_info_equals_entropy(self):
-        central = CentralState((0.5, 0.5))
+        central = CentralState(np.eye(2) / 2)
         spins = (SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0),)
         inst = OracleInstance(central, spins, (), np.pi / 2)
         reduced = reduced_state_exact(full_joint_state(inst), inst)
@@ -177,7 +186,7 @@ class TestMutualInfoCheck:
         assert check.valid and check.ok
 
     def test_product_state_gap_equals_entropy_bound_inapplicable(self):
-        central = CentralState((0.5, 0.5))
+        central = CentralState(np.eye(2) / 2)
         spins = (SpinParams(0.0, 0.0, 0.0, 1.0, 1.0),)  # frozen pointer spin
         inst = OracleInstance(central, spins, (), 1.0)
         reduced = reduced_state_exact(full_joint_state(inst), inst)
@@ -193,17 +202,17 @@ class TestInstanceGeneration:
         rng = np.random.default_rng(21)
         for _ in range(50):
             c = random_central(rng)
-            sigma = np.asarray(c.sigma)
-            coh = abs(c.coherence(0, 1))
+            sigma = c.sigma
+            coh = abs(c.rho[0, 1])
             assert coh <= math.sqrt(sigma[0] * sigma[1]) + 1e-12
-            densmat.check_density_matrix(c.to_matrix())
+            densmat.check_density_matrix(c.rho)
 
     def test_qutrit_central_valid(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             c = random_central(rng, d_s=3)
             assert c.d_s == 3
-            densmat.check_density_matrix(c.to_matrix())
+            densmat.check_density_matrix(c.rho)
 
     def test_instances_reproducible(self):
         a = random_instance(5, 3)
@@ -229,7 +238,8 @@ class TestEvaluateInstance:
 
         inst = random_instance(8, 1)
         rep = evaluate_instance(inst, np.random.default_rng(31))
-        rebuilt = qubit_families(inst, np.random.default_rng(31))
+        # the same families from branch states rebuilt from scratch
+        rebuilt = qubit_families(inst.central, oracle.observed_branches(inst), np.random.default_rng(31))
         for name, fam in rep.families.items():
             for got, want in zip(fam.family.families, rebuilt[name].families):
                 for p, q in zip(got, want):
@@ -238,6 +248,14 @@ class TestEvaluateInstance:
             ens = oracle.branch_ensemble(inst)
             gamma = sbs_core.collective_gamma(inst.central, ens.gamma_mags)
             assert from_report == verify._disturbance_sum(gamma, inst.central.sigma, ens.branches, fam.family)
+
+    def test_branch_states_built_once(self, monkeypatch):
+        real = oracle.branch_state
+        calls = []
+        monkeypatch.setattr(oracle, "branch_state", lambda *args: calls.append(args) or real(*args))
+        evaluate_instance(random_instance(8, 2), np.random.default_rng(32))
+        # 3 observed spins x 2 branches, then 3 unobserved spins x 2 ordered pairs
+        assert len(calls) == 3 * 2 + 3 * 2
 
     def test_qutrit_prop1_disturbance_suite(self):
         from sbskit.verify import qutrit_prop1_suite

@@ -26,46 +26,67 @@ KET1 = np.diag([0.0j, 1.0 + 0.0j])
 EYE = np.eye(2, dtype=complex)
 
 
+def pair(diag, off):
+    """Symmetric 2 x 2 array with diag on the diagonal and off off it."""
+    return np.array([[diag, off], [off, diag]])
+
+
+def diagonal_central(*sigma):
+    return CentralState(np.diag(sigma))
+
+
 def pessimistic_qubit():
-    return CentralState((0.5, 0.5), {(0, 1): 0.5})
+    return CentralState(np.full((2, 2), 0.5))
 
 
 class TestCentralState:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
-            CentralState((0.6, 0.6))
+            diagonal_central(0.6, 0.6)
 
     def test_excess_coherence_rejected(self):
         # |sigma_01| > sqrt(sigma_0 sigma_1) breaks positivity
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            CentralState((0.9, 0.1), {(0, 1): 0.5})
+            CentralState(np.array([[0.9, 0.5], [0.5, 0.1]]))
 
-    def test_matrix_assembly_and_conjugate_pairs(self):
-        c = CentralState((0.5, 0.5), {(0, 1): 0.2 + 0.1j})
-        m = c.to_matrix()
-        assert m[0, 1] == pytest.approx(0.2 + 0.1j)
-        assert m[1, 0] == pytest.approx(0.2 - 0.1j)
-        assert c.coherence(1, 0) == pytest.approx(0.2 - 0.1j)
+    def test_non_hermitian_matrix_rejected(self):
+        # sigma_10 must be the conjugate of sigma_01
+        with pytest.raises(ValueError, match="not Hermitian"):
+            CentralState(np.array([[0.5, 0.2 + 0.1j], [0.2 + 0.1j, 0.5]]))
+
+    def test_stored_read_only_with_real_weights(self):
+        rho = np.array([[0.5, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]])
+        c = CentralState(rho)
+        rho[0, 1] = 0.0  # the record keeps its own copy
+        assert c.rho[0, 1] == 0.2 + 0.1j
+        assert c.sigma.dtype == float and list(c.sigma) == [0.5, 0.5]
+        with pytest.raises(ValueError, match="read-only"):
+            c.rho[0, 0] = 1.0
 
     def test_shannon_entropy(self):
-        c = CentralState((0.75, 0.25))
+        c = diagonal_central(0.75, 0.25)
         assert c.shannon_entropy() == pytest.approx(0.8112781244591328, abs=1e-12)
 
 
 class TestCollectiveGamma:
     def test_diagonal_central_state(self):
-        c = CentralState((0.3, 0.7))
-        assert collective_gamma(c, {(0, 1): 0.9}) == 0.0
+        c = diagonal_central(0.3, 0.7)
+        assert collective_gamma(c, pair(1.0, 0.9)) == 0.0
 
     def test_two_term_sum(self):
-        assert collective_gamma(pessimistic_qubit(), {(0, 1): 0.3}) == pytest.approx(0.3)
+        assert collective_gamma(pessimistic_qubit(), pair(1.0, 0.3)) == pytest.approx(0.3)
 
     def test_pessimistic_initial_value(self):
-        assert collective_gamma(pessimistic_qubit(), {(0, 1): 1.0}) == pytest.approx(1.0)
+        assert collective_gamma(pessimistic_qubit(), pair(1.0, 1.0)) == pytest.approx(1.0)
 
-    def test_missing_pair(self):
-        with pytest.raises(KeyError):
-            collective_gamma(pessimistic_qubit(), {})
+    def test_diagonal_ignored(self):
+        # only pairs i != j carry coherence weight
+        assert collective_gamma(pessimistic_qubit(), pair(0.0, 0.3)) == pytest.approx(0.3)
+
+    def test_magnitude_outside_unit_interval_rejected(self):
+        for bad in (1.5, np.nan):
+            with pytest.raises(ValueError, match="outside"):
+                BranchEnsemble(((KET0, KET1),), pair(1.0, bad))
 
 
 class TestDiscriminationError:
@@ -88,8 +109,8 @@ class TestDiscriminationError:
 
 class TestBuildSbs:
     def test_supports_already_contained(self):
-        central = CentralState((0.4, 0.6))
-        branches = BranchEnsemble(((KET0, KET1),), {(0, 1): 1.0})
+        central = diagonal_central(0.4, 0.6)
+        branches = BranchEnsemble(((KET0, KET1),), pair(1.0, 1.0))
         family = ProjectorFamily(((KET0, KET1),))
         sbs = build_sbs(central, branches, family)
         assert sbs.weights == pytest.approx((0.4, 0.6))
@@ -98,10 +119,10 @@ class TestBuildSbs:
 
     def test_renormalization_arithmetic(self):
         # success probabilities (0.9, 0.6) at equal weights -> (0.6, 0.4)
-        central = CentralState((0.5, 0.5))
+        central = diagonal_central(0.5, 0.5)
         rho_0 = np.diag([0.9, 0.1]).astype(complex)
         rho_1 = np.diag([0.4, 0.6]).astype(complex)
-        branches = BranchEnsemble(((rho_0, rho_1),), {(0, 1): 1.0})
+        branches = BranchEnsemble(((rho_0, rho_1),), pair(1.0, 1.0))
         family = ProjectorFamily(((KET0, KET1),))
         sbs = build_sbs(central, branches, family)
         assert sbs.weights == pytest.approx((0.6, 0.4))
@@ -113,8 +134,8 @@ class TestBuildSbs:
         rho_0 = g @ g.conj().T
         rho_0 /= np.trace(rho_0).real
         rho_1 = EYE / 2
-        central = CentralState((0.5, 0.5), {(0, 1): 0.25})
-        branches = BranchEnsemble(((rho_0, rho_1),), {(0, 1): 0.5})
+        central = CentralState(pair(0.5, 0.25))
+        branches = BranchEnsemble(((rho_0, rho_1),), pair(1.0, 0.5))
         family = ProjectorFamily(((KET0, KET1),))
         m = build_sbs(central, branches, family).to_matrix()
         densmat.check_density_matrix(m)
@@ -122,8 +143,8 @@ class TestBuildSbs:
         np.testing.assert_allclose(m[:2, 2:], 0.0, atol=1e-14)
 
     def test_degenerate_family_reported(self):
-        central = CentralState((0.5, 0.5))
-        branches = BranchEnsemble(((KET0, KET1),), {(0, 1): 1.0})
+        central = diagonal_central(0.5, 0.5)
+        branches = BranchEnsemble(((KET0, KET1),), pair(1.0, 1.0))
         family = ProjectorFamily(((KET1, KET0),))  # orthogonal to both branches
         with pytest.raises(DegenerateSBSError):
             build_sbs(central, branches, family)
@@ -135,20 +156,25 @@ class TestBounds:
         assert prop1_bound(0.1, [0.05, 0.02]) == pytest.approx(0.17)
 
     def test_barnum_knill_orthogonal(self):
-        assert barnum_knill_bound([0.5, 0.5], {(0, 1): 0.0}) == 0.0
+        assert barnum_knill_bound([0.5, 0.5], pair(1.0, 0.0)) == 0.0
 
     def test_barnum_knill_identical(self):
-        assert barnum_knill_bound([0.5, 0.5], {(0, 1): 1.0}) == pytest.approx(1.0)
+        assert barnum_knill_bound([0.5, 0.5], pair(1.0, 1.0)) == pytest.approx(1.0)
 
     def test_cor1_eta_zero(self):
-        c = CentralState((0.5, 0.5))
-        assert cor1_eta(c, 0.0, [{(0, 1): 0.0}]) == 0.0
+        c = diagonal_central(0.5, 0.5)
+        assert cor1_eta(c, 0.0, np.array([pair(1.0, 0.0)])) == 0.0
 
     def test_cor1_eta_pessimistic_is_gamma_plus_b(self):
         # sigma_+- = 1/2, one observed macrofraction: eta = |gamma| + B
         gamma_mag, b = 0.37, 0.62
-        got = cor1_eta(pessimistic_qubit(), collective_gamma(pessimistic_qubit(), {(0, 1): gamma_mag}), [{(0, 1): b}])
+        got = cor1_eta(pessimistic_qubit(), collective_gamma(pessimistic_qubit(), pair(1.0, gamma_mag)), np.array([pair(1.0, b)]))
         assert got == pytest.approx(gamma_mag + b, abs=1e-12)
+
+    def test_cor1_eta_sums_environments(self):
+        # eta adds the pairwise-fidelity bound of the fidelities summed over k
+        fids = np.array([pair(1.0, 0.2), pair(1.0, 0.3)])
+        assert cor1_eta(pessimistic_qubit(), 0.1, fids) == pytest.approx(0.1 + barnum_knill_bound([0.5, 0.5], pair(2.0, 0.5)))
 
 
 class TestEntropyBounds:
