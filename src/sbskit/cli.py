@@ -312,9 +312,10 @@ def run_discrimination(config: dict, out_dir: Path) -> tuple[int, list[str], dic
 
 
 def run_verify(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
-    suites = verify.run_all(
-        seed=lookup(config, "seed", int), instances=lookup(config, "verify.instances", int)
-    )
+    instances = lookup(config, "verify.instances", int)
+    if instances < 1:
+        raise ConfigError(f"verify.instances: must be >= 1, got {instances}")
+    suites = verify.run_all(seed=lookup(config, "seed", int), instances=instances)
     report = {
         "suites": {name: suite.as_dict() for name, suite in suites.items()},
         "all_passed": all(s.passed for s in suites.values()),

@@ -7,6 +7,11 @@ here validate those properties rather than wrapping arrays in a class.
 Kronecker ordering is fixed once: in ``tensor(A, B)`` the first argument is
 the slow (major) index, i.e. ``tensor(A, B)[i*dB + k, j*dB + l] = A[i, j] *
 B[k, l]``.
+
+The eigensystem, square-root, trace-norm, fidelity and tensor helpers take a
+stack of matrices, shape ``(..., n, n)``, as well as one matrix, and treat
+every matrix of the stack on its own: a stacked call gives, bit for bit, the
+values of one call per matrix.
 """
 
 from __future__ import annotations
@@ -33,15 +38,27 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation from Hermiticity, max |A - A†|."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+def hermiticity_defect(a: np.ndarray):
+    """Largest entrywise deviation from Hermiticity, max |A - A†|, per matrix
+    of a stack (a float for one matrix)."""
+    a = np.asarray(a)
+    if not a.size:
+        return np.zeros(a.shape[:-2])[()]
+    return np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), axis=(-2, -1))
 
 
 def check_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _check_stack(a: np.ndarray) -> np.ndarray:
+    """a as a complex stack of square matrices, shape (..., n, n)."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     return a
 
 
@@ -65,62 +82,76 @@ def check_density_matrix(rho: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
 
 
 def hermitian_eigensystem(h: np.ndarray, tol: float = HERMITICITY_TOL) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+    """Eigendecomposition of a Hermitian matrix or stack, eigenvalues descending.
 
     Rejects inputs whose Hermiticity defect exceeds ``tol``, reporting the
-    measured asymmetry.
+    largest measured asymmetry.
     """
-    h = check_square(h)
-    defect = hermiticity_defect(h)
+    h = _check_stack(h)
+    defect = np.max(hermiticity_defect(h), initial=0.0)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: max |A - A†| = {defect:.3e}")
+    # eigh returns ascending eigenvalues
     w, v = np.linalg.eigh(h)
-    order = np.argsort(w)[::-1]
-    return Spectrum(np.ascontiguousarray(w[order]), np.ascontiguousarray(v[:, order]))
+    return Spectrum(np.ascontiguousarray(w[..., ::-1]), np.ascontiguousarray(v[..., ::-1]))
 
 
 def psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
+    """Hermitian square root of a positive semidefinite matrix or stack.
 
     Eigenvalues above ``PSD_REJECT`` but below zero are treated as rounding
     noise and clamped to zero; anything more negative is rejected.
     """
     w, v = hermitian_eigensystem(rho)
-    lo = float(w[-1])
+    lo = float(np.min(w[..., -1], initial=np.inf))
     if lo < PSD_REJECT:
         raise ValueError(f"matrix is not PSD: eigenvalue {lo:.3e} < {PSD_REJECT:g}")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values; for Hermitian input, sum of |eigenvalues|."""
-    a = check_square(a)
-    if hermiticity_defect(a) <= STATE_TOL:
-        return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+def trace_norm(a: np.ndarray):
+    """Sum of singular values; for Hermitian input, sum of |eigenvalues|.
+
+    Per matrix of a stack (a float for one matrix); the Hermitian route is
+    chosen matrix by matrix from its Hermiticity defect.
+    """
+    a = _check_stack(a)
+    hermitian = hermiticity_defect(a) <= STATE_TOL
+    out = np.empty(a.shape[:-2])
+    if np.any(hermitian):
+        out[hermitian] = np.sum(np.abs(np.linalg.eigvalsh(a[hermitian])), axis=-1)
+    if not np.all(hermitian):
+        out[~hermitian] = np.sum(np.linalg.svd(a[~hermitian], compute_uv=False), axis=-1)
+    return out[()]
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """State fidelity ||sqrt(rho) sqrt(sigma)||_1, in [0, 1].
+def fidelity(rho: np.ndarray, sigma: np.ndarray):
+    """State fidelity ||sqrt(rho) sqrt(sigma)||_1, in [0, 1], per pair of
+    matching stacks (a float for one pair).
 
     Equals 1 iff the states coincide and 0 iff their supports are
     orthogonal; symmetric in its arguments.
     """
-    rho = check_square(rho)
-    sigma = check_square(sigma)
+    rho = _check_stack(rho)
+    sigma = _check_stack(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    prod = psd_sqrt(rho) @ psd_sqrt(sigma)
-    val = float(np.sum(np.linalg.svd(prod, compute_uv=False)))
-    return min(max(val, 0.0), 1.0) if val < 1.0 + 1e-9 else val
+    root_rho, root_sigma = psd_sqrt(np.stack([rho, sigma]))
+    prod = root_rho @ root_sigma
+    val = np.sum(np.linalg.svd(prod, compute_uv=False), axis=-1)
+    return np.where(val < 1.0 + 1e-9, np.clip(val, 0.0, 1.0), val)[()]
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product, first argument major."""
+    """Kronecker product of the last two axes, first argument major; leading
+    axes broadcast, so stacks give one product per entry."""
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
+        f = np.asarray(f, dtype=complex)
+        # the products a_ij b_kl in the order np.kron takes them
+        prod = out[..., :, None, :, None] * f[..., None, :, None, :]
+        out = prod.reshape(prod.shape[:-4] + (out.shape[-2] * f.shape[-2], out.shape[-1] * f.shape[-1]))
     return out
 
 

@@ -232,6 +232,8 @@ def fig1_node(
     seed: int,
     coupling=(0.0, 1.0),
     threads: int = 1,
+    *,
+    with_gamma: bool = True,
 ):
     """Time-averaged <B> and <|gamma|> for one (lam_plus, beta) surface node.
 
@@ -239,12 +241,15 @@ def fig1_node(
     per Monte Carlo sample.  Returns (mean_B, mean_abs_gamma, stderr_B,
     stderr_gamma, rel_change_B, rel_change_gamma) where the rel_change
     values compare against the half-resolution quadrature on every second
-    point (convergence gate), so tau_points must be odd.
+    point (convergence gate), so tau_points must be odd.  With
+    with_gamma=False the |gamma| curve is not computed and its three
+    entries are NaN.
     """
     measure = MeasureSpec(coupling=coupling)  # only the coupling law is sampled
     t = np.linspace(0.0, tau, tau_points)
     coarse = slice(None, None, 2)
     coeffs = sin2_coefficients(SpinParams(0.0, np.full(n_spins, beta), 0.0, np.full(n_spins, lam_plus), 0.0))
+    coeffs = coeffs[: 2 if with_gamma else 1]
 
     def one(i: int):
         rng = sample_stream(seed, i, label=1)
@@ -257,13 +262,11 @@ def fig1_node(
         return vals
 
     results = map_indexed(one, samples, threads)
-    b_vals = np.array([r[0][0] for r in results])
-    g_vals = np.array([r[1][0] for r in results])
-    mean_b, se_b = _mean_stderr(b_vals)
-    mean_g, se_g = _mean_stderr(g_vals)
-    rel_b = max(r[0][1] for r in results)
-    rel_g = max(r[1][1] for r in results)
-    return float(mean_b), float(mean_g), float(se_b), float(se_g), rel_b, rel_g
+    out = [math.nan] * 6
+    for c in range(len(coeffs)):
+        mean, se = _mean_stderr(np.array([r[c][0] for r in results]))
+        out[c], out[2 + c], out[4 + c] = float(mean), float(se), max(r[c][1] for r in results)
+    return tuple(out)
 
 
 def fig1_surface(

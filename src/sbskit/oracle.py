@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -49,10 +49,14 @@ class InteractionSpec:
     def d_s(self) -> int:
         return len(self.pointer_eigenvalues)
 
-    def env_unitary(self, i: int, g: float, t: float) -> np.ndarray:
-        a = self.pointer_eigenvalues[i]
+    def env_unitary(self, i, g, t) -> np.ndarray:
+        """exp(-i a_i g t sigma_z / 2); i, g and t broadcast to a stack (..., 2, 2)."""
+        a = np.asarray(self.pointer_eigenvalues)[i]
         phase = -0.5j * a * g * t
-        return np.diag([np.exp(phase), np.exp(-phase)])
+        u = np.zeros(np.shape(phase) + (2, 2), dtype=complex)
+        u[..., 0, 0] = np.exp(phase)
+        u[..., 1, 1] = np.exp(-phase)
+        return u
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,22 @@ class OracleInstance:
         return [self.central.d_s] + [2] * self.n_spins
 
 
+def _spin_column(spins: Sequence[SpinParams]) -> SpinParams:
+    """Single-spin records as one record of arrays of shape (len(spins), 1),
+    one row per spin, so that index arrays broadcast along the second axis."""
+    values = np.array([list(vars(s).values()) for s in spins], dtype=float)
+    return SpinParams(*values.reshape(len(spins), len(fields(SpinParams))).T[..., None])
+
+
+def _initial_states(spins: SpinParams) -> np.ndarray:
+    """rho(0) of every spin of a record, shape (record shape) + (2, 2)."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in vars(spins).values()))
+    out = np.empty(shape + (2, 2), dtype=complex)
+    for idx in np.ndindex(shape):
+        out[idx] = initial_spin_state(spins.spin(idx) if shape else spins)
+    return out
+
+
 def full_joint_state(inst: OracleInstance) -> np.ndarray:
     """U(t) rho(0) U(t)^dagger for the full system-plus-bath product state.
 
@@ -88,16 +108,12 @@ def full_joint_state(inst: OracleInstance) -> np.ndarray:
     dim = d_s * 2 ** inst.n_spins
     if dim > DIMENSION_CAP:
         raise ValueError(f"joint dimension {dim} exceeds cap {DIMENSION_CAP}")
-    rho0 = inst.central.rho
-    for spin in inst.spins:
-        rho0 = densmat.tensor(rho0, initial_spin_state(spin))
-    phases = np.empty(dim, dtype=complex)
-    block = 2 ** inst.n_spins
-    for i in range(d_s):
-        u = np.array([1.0 + 0.0j])
-        for spin in inst.spins:
-            u = np.kron(u, np.diag(inst.interaction.env_unitary(i, spin.g, inst.t)))
-        phases[i * block : (i + 1) * block] = u
+    rho0 = densmat.tensor(inst.central.rho, *(initial_spin_state(spin) for spin in inst.spins))
+    # per spin, the diagonals of U_0 .. U_{d_s - 1} as a stack of 1 x 2 rows;
+    # their tensor product from a unit row is the phase vector of each U_i
+    g = np.array([spin.g for spin in inst.spins])
+    diagonals = np.diagonal(inst.interaction.env_unitary(np.arange(d_s), g[:, None], inst.t), axis1=-2, axis2=-1)
+    phases = densmat.tensor(np.ones((d_s, 1, 1)), *diagonals[:, :, None]).reshape(dim)
     return (phases[:, None] * rho0) * phases.conj()[None, :]
 
 
@@ -107,11 +123,16 @@ def reduced_state_exact(joint: np.ndarray, inst: OracleInstance) -> np.ndarray:
     return densmat.partial_trace(joint, inst.factor_dims, keep)
 
 
-def branch_state(spin: SpinParams, inter: InteractionSpec, i: int, j: int, t: float) -> np.ndarray:
-    """Cross-branch evolved spin matrix U_i rho(0) U_j^dagger (i = j: a state)."""
+def branch_state(spin: SpinParams, inter: InteractionSpec, i, j, t) -> np.ndarray:
+    """Cross-branch evolved spin matrix U_i rho(0) U_j^dagger (i = j: a state).
+
+    A record of one spin gives one 2 x 2 matrix.  A record of spin arrays,
+    and pointer indices and times given as arrays, broadcast together to a
+    stack of shape (...) + (2, 2).
+    """
     u_i = inter.env_unitary(i, spin.g, t)
     u_j = inter.env_unitary(j, spin.g, t)
-    return u_i @ initial_spin_state(spin) @ u_j.conj().T
+    return u_i @ _initial_states(spin) @ np.swapaxes(u_j.conj(), -1, -2)
 
 
 def gamma_products(inst: OracleInstance) -> np.ndarray:
@@ -120,10 +141,13 @@ def gamma_products(inst: OracleInstance) -> np.ndarray:
     The diagonal is exactly 1: a branch does not dephase against itself.
     """
     d_s = inst.central.d_s
+    i, j = np.array(list(itertools.permutations(range(d_s), 2))).reshape(-1, 2).T
+    crossed = branch_state(_spin_column(inst.unobserved), inst.interaction, i, j, inst.t)
+    traces = np.ascontiguousarray(np.trace(crossed, axis1=-2, axis2=-1).T)
     out = np.ones((d_s, d_s), dtype=complex)
-    for i, j in itertools.permutations(range(d_s), 2):
-        for spin in inst.unobserved:
-            out[i, j] *= np.trace(branch_state(spin, inst.interaction, i, j, inst.t))
+    # a running product from 1 along each contiguous row of spins rounds as a
+    # loop over the spins does; an elementwise product of rows may not
+    out[i, j] = np.multiply.reduce(traces, axis=-1, initial=1.0 + 0.0j)
     return out
 
 
@@ -152,26 +176,27 @@ def analytic_reduced_state(inst: OracleInstance) -> np.ndarray:
     return out
 
 
-def observed_branches(inst: OracleInstance) -> list[list[np.ndarray]]:
-    """Branch states of each observed environment, indexed [k][i]."""
-    d_s = inst.central.d_s
-    return [
-        [branch_state(spin, inst.interaction, i, i, inst.t) for i in range(d_s)]
-        for spin in inst.observed
-    ]
+def observed_branches(inst: OracleInstance) -> np.ndarray:
+    """Branch states of the observed environments, shape (n_observed, d_s, 2, 2)."""
+    i = np.arange(inst.central.d_s)
+    return branch_state(_spin_column(inst.observed), inst.interaction, i, i, inst.t)
 
 
 def branch_ensemble(inst: OracleInstance) -> BranchEnsemble:
-    # Python abs per entry: np.abs differs from it in the last bit
-    mags = np.array([[abs(complex(v)) for v in row] for row in gamma_products(inst)])
-    branches = tuple(tuple(row) for row in observed_branches(inst))
-    return BranchEnsemble(branches, mags)
+    gammas = gamma_products(inst)
+    # hypot per entry, as Python's abs of a complex number: np.abs of a
+    # complex array can differ from it in the last bit
+    return BranchEnsemble(observed_branches(inst), np.hypot(gammas.real, gammas.imag))
 
 
-def exact_epsilon(reduced: np.ndarray, sbs) -> float:
-    """Half trace norm of (actual reduced state - ideal broadcast state)."""
-    sbs_matrix = sbs.to_matrix() if isinstance(sbs, SBSState) else sbs
-    if reduced.shape != sbs_matrix.shape:
+def exact_epsilon(reduced: np.ndarray, sbs):
+    """Half trace norm of (actual reduced state - ideal broadcast state).
+
+    sbs is an SBSState, its matrix or a stack of such matrices (one
+    distance each).
+    """
+    sbs_matrix = sbs.to_matrix() if isinstance(sbs, SBSState) else np.asarray(sbs)
+    if reduced.shape != sbs_matrix.shape[-2:]:
         raise ValueError(f"dimension mismatch: {reduced.shape} vs {sbs_matrix.shape}")
     return 0.5 * densmat.trace_norm(reduced - sbs_matrix)
 
@@ -210,11 +235,11 @@ def exact_mutual_info_check(
 
 
 def qubit_families(
-    central: CentralState, branches: Sequence, rng: np.random.Generator | None = None
+    central: CentralState, branches: np.ndarray, rng: np.random.Generator | None = None
 ) -> dict:
     """Named two-outcome projector families for a qubit central system.
 
-    branches[k][i] is the state of observed environment k on pointer
+    branches[k, i] is the state of observed environment k on pointer
     branch i.  "helstrom" and "helstrom_weighted" are the witnesses;
     "swapped", "coarse" and "random" are deliberately bad measurements the
     additive bound must still dominate.
@@ -222,27 +247,26 @@ def qubit_families(
     if central.d_s != 2:
         raise ValueError("qubit_families requires a two-level central system")
     sigma = central.sigma
-    fams: dict[str, ProjectorFamily] = {}
-
-    plain = [helstrom_pair(b[0], b[1]).family() for b in branches]
-    weighted = [
-        helstrom_pair(b[0], b[1], weights=(float(sigma[0]), float(sigma[1]))).family()
-        for b in branches
-    ]
-    fams["helstrom"] = ProjectorFamily(tuple(tuple(f) for f in plain))
-    fams["helstrom_weighted"] = ProjectorFamily(tuple(tuple(f) for f in weighted))
-    fams["swapped"] = ProjectorFamily(tuple((f[1], f[0]) for f in plain))
+    n_env = len(branches)
+    plain = np.array([helstrom_pair(b[0], b[1]).family() for b in branches]).reshape(n_env, 2, 2, 2)
+    weighted = np.array(
+        [helstrom_pair(b[0], b[1], weights=(float(sigma[0]), float(sigma[1]))).family() for b in branches]
+    ).reshape(n_env, 2, 2, 2)
     eye = np.eye(2, dtype=complex)
-    zero = np.zeros((2, 2), dtype=complex)
-    fams["coarse"] = ProjectorFamily(tuple((eye, zero) for _ in branches))
+    fams = {
+        "helstrom": ProjectorFamily(plain),
+        "helstrom_weighted": ProjectorFamily(weighted),
+        "swapped": ProjectorFamily(plain[:, ::-1]),
+        "coarse": ProjectorFamily(np.broadcast_to([eye, np.zeros_like(eye)], (n_env, 2, 2, 2))),
+    }
     if rng is not None:
-        rand = []
-        for _ in branches:
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            v = v / np.linalg.norm(v)
-            p = np.outer(v, v.conj())
-            rand.append((p, eye - p))
-        fams["random"] = ProjectorFamily(tuple(rand))
+        # per environment a real and an imaginary normal pair, in stream order
+        draws = rng.normal(size=(n_env, 2, 2))
+        v = draws[:, 0] + 1j * draws[:, 1]
+        # the dot products np.linalg.norm takes for one complex vector
+        v = v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
+        p = v[:, :, None] * v.conj()[:, None, :]
+        fams["random"] = ProjectorFamily(np.stack([p, eye - p], axis=1))
     return fams
 
 
@@ -268,7 +292,7 @@ class InstanceReport:
     families: dict
     epsilon_witness: float
     info: MutualInfoCheck
-    branches: tuple  # observed branch states, indexed [k][i]
+    branches: np.ndarray  # observed branch states, indexed [k, i]
 
     @property
     def cor1_margin(self) -> float:
@@ -291,27 +315,20 @@ def evaluate_instance(
 
     branches = ensemble.branches
     d_s = inst.central.d_s
+    i, j = np.triu_indices(d_s, 1)
     fids = np.ones((len(branches), d_s, d_s))
-    for k, row in enumerate(branches):
-        for i, j in itertools.combinations(range(d_s), 2):
-            fids[k, i, j] = fids[k, j, i] = densmat.fidelity(row[i], row[j])
+    fids[:, i, j] = fids[:, j, i] = densmat.fidelity(branches[:, i], branches[:, j])
     eta = sbs_core.cor1_eta(inst.central, gamma, fids)
 
+    families = qubit_families(inst.central, branches, rng)
+    sbs = [sbs_core.build_sbs(inst.central, ensemble, family) for family in families.values()]
+    # one stacked call each over every family: distances and errors
+    eps = exact_epsilon(reduced, np.stack([s.to_matrix() for s in sbs]))
+    pe = sbs_core.discrimination_error(inst.central.sigma, branches, np.stack([f.families for f in families.values()]))
     results = {}
-    for name, family in qubit_families(inst.central, branches, rng).items():
-        pe = tuple(
-            sbs_core.discrimination_error(inst.central.sigma, branches[k], family.families[k])
-            for k in range(len(branches))
-        )
-        sbs = sbs_core.build_sbs(inst.central, ensemble, family)
-        eps = exact_epsilon(reduced, sbs)
-        results[name] = FamilyResult(
-            pe,
-            sbs_core.prop1_bound(gamma, pe),
-            eps,
-            sbs_core.fifty_fifty_error(2.0 * eps),
-            family,
-        )
+    for (name, family), e, pe_f in zip(families.items(), eps.tolist(), pe.tolist()):
+        pe_f = tuple(pe_f)
+        results[name] = FamilyResult(pe_f, sbs_core.prop1_bound(gamma, pe_f), e, sbs_core.fifty_fifty_error(2.0 * e), family)
 
     eps_witness = min(results["helstrom"].epsilon, results["helstrom_weighted"].epsilon)
     info = exact_mutual_info_check(reduced, inst.central, inst.factor_dims[: 1 + len(inst.observed)], eps_witness)

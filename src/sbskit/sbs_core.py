@@ -18,6 +18,13 @@ Every pointer-pair quantity is a d_S x d_S array indexed [i, j]: the
 central density matrix (weights sigma_i on its diagonal, coherences
 sigma_ij off it), the dephasing magnitudes |gamma_ij| and the pairwise
 branch fidelities B_ij; the pair sums run over the off-diagonal entries.
+
+Every per-environment record is one complex array of shape
+(n_env, d_S, dim, dim) indexed [k, i]: the branch states of a
+BranchEnsemble, the projectors of a ProjectorFamily and the projected
+branches of an SBSState.  A branch of zero weight holds a zero matrix, and
+the constructions and checks run over whole arrays, never per environment
+or per branch.
 """
 
 from __future__ import annotations
@@ -79,87 +86,96 @@ class CentralState:
         return float(-np.sum(s * np.log2(s)))
 
 
+def _environment_array(a, what: str) -> np.ndarray:
+    """a as a read-only complex array (n_env, d_S, dim, dim)."""
+    try:
+        a = np.array(a, dtype=complex)
+    except ValueError:  # ragged nesting
+        a = np.empty(0)
+    if a.ndim != 4 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"every environment needs one {what} per pointer index")
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class BranchEnsemble:
     """Branch states per observed environment plus dephasing magnitudes.
 
-    branches[k][i] is the state of observed environment k conditional on
-    pointer index i.  gamma_mags[i, j] is the product over the unobserved
-    environments of the per-environment dephasing-factor magnitudes for
-    the pair (i, j), a number in [0, 1]; only i != j is used.
+    branches[k, i] is the state of observed environment k conditional on
+    pointer index i, stored as one read-only array (n_env, d_S, dim, dim).
+    gamma_mags[i, j] is the product over the unobserved environments of the
+    per-environment dephasing-factor magnitudes for the pair (i, j), a
+    number in [0, 1]; only i != j is used.
     """
 
-    branches: tuple  # tuple over k of tuple over i of ndarray
+    branches: np.ndarray
     gamma_mags: np.ndarray
 
     def __post_init__(self):
-        counts = {len(b) for b in self.branches}
-        if len(counts) > 1:
-            raise ValueError("every environment needs one branch state per pointer index")
+        object.__setattr__(self, "branches", _environment_array(self.branches, "branch state"))
         mags = np.asarray(self.gamma_mags, dtype=float)
         bad = mags[~((mags >= -1e-12) & (mags <= 1.0 + 1e-12))]  # NaN too
         if bad.size:
             raise ValueError(f"dephasing magnitude {bad[0]} outside [0, 1]")
-
-    @property
-    def n_env(self) -> int:
-        return len(self.branches)
 
 
 @dataclass(frozen=True)
 class ProjectorFamily:
     """One complete projector set per observed environment.
 
-    families[k] lists projectors P_i, one per pointer index, Hermitian
-    idempotent, mutually orthogonal and summing to the identity (rank-zero
+    families[k, i] is the projector P_i of environment k, stored as one
+    read-only array (n_env, d_S, dim, dim); each set is Hermitian,
+    idempotent, mutually orthogonal and sums to the identity (rank-zero
     members are allowed).
     """
 
-    families: tuple  # tuple over k of sequence of ndarray
+    families: np.ndarray
 
     def __post_init__(self):
-        for fam in self.families:
-            dim = fam[0].shape[0]
-            total = np.zeros((dim, dim), dtype=complex)
-            for p in fam:
-                if densmat.hermiticity_defect(p) > PROJECTOR_TOL:
-                    raise ValueError("projector is not Hermitian")
-                if np.max(np.abs(p @ p - p)) > PROJECTOR_TOL:
-                    raise ValueError("projector is not idempotent")
-                total += p
-            if np.max(np.abs(total - np.eye(dim))) > PROJECTOR_TOL:
-                raise ValueError("projector family does not sum to the identity")
+        fams = _environment_array(self.families, "projector")
+        object.__setattr__(self, "families", fams)
+        if np.max(densmat.hermiticity_defect(fams), initial=0.0) > PROJECTOR_TOL:
+            raise ValueError("projector is not Hermitian")
+        if np.max(np.abs(fams @ fams - fams), initial=0.0) > PROJECTOR_TOL:
+            raise ValueError("projector is not idempotent")
+        _check_complete(fams)
+
+
+def _check_complete(projectors: np.ndarray) -> None:
+    """Each set of projectors along axis -3 sums to the identity."""
+    identity = np.eye(projectors.shape[-1])
+    if np.max(np.abs(np.sum(projectors, axis=-3) - identity), initial=0.0) > PROJECTOR_TOL:
+        raise ValueError("projector family does not sum to the identity")
 
 
 @dataclass(frozen=True)
 class SBSState:
     """Ideal broadcast state: weights, projected branch states, normalization.
 
-    states[k][i] is the renormalized projected branch (None when the branch
-    carries zero weight); eta_norm is the total projected weight
+    states[k, i] is the renormalized projected branch, an array
+    (n_env, d_S, dim, dim) holding a zero matrix where the branch carries
+    zero weight; eta_norm is the total projected weight
     sum_i sigma_i prod_k p_i^(k) before renormalization.
     """
 
-    weights: tuple
-    states: tuple
+    weights: np.ndarray
+    states: np.ndarray
     eta_norm: float
 
     def to_matrix(self) -> np.ndarray:
+        """sum_i w_i |i><i| (x) states[0, i] (x) ... (x) states[n_env - 1, i]."""
         d_s = len(self.weights)
-        blocks = None
-        for i, w in enumerate(self.weights):
-            if w <= 0.0:
-                continue
-            env = np.array([[1.0 + 0.0j]])
-            for k in range(len(self.states)):
-                if self.states[k][i] is None:
-                    raise ValueError(f"branch {i} has weight {w} but no state for environment {k}")
-                env = densmat.tensor(env, self.states[k][i])
-            proj = np.zeros((d_s, d_s), dtype=complex)
-            proj[i, i] = 1.0
-            term = w * densmat.tensor(proj, env)
-            blocks = term if blocks is None else blocks + term
-        return blocks
+        # the products and sums of the kron route, down to the sign of zero:
+        # environments tensored onto a unit, each pointer block placed by a
+        # unit projector, zero-weight branches left out, and a running sum
+        # (np.sum would start from +0)
+        env = densmat.tensor(np.ones((d_s, 1, 1)), *self.states)
+        i = np.arange(d_s)
+        units = np.zeros((d_s, d_s, d_s), dtype=complex)
+        units[i, i, i] = 1.0
+        terms = self.weights[:, None, None] * densmat.tensor(units, env)
+        return np.add.accumulate(terms[self.weights > 0.0], axis=0)[-1]
 
 
 def _off_diagonal(a: np.ndarray) -> np.ndarray:
@@ -176,27 +192,22 @@ def collective_gamma(central: CentralState, gamma_mags: np.ndarray) -> float:
     return float(np.sum(_off_diagonal(np.abs(central.rho) * gamma_mags)))
 
 
-def discrimination_error(
-    weights: Sequence[float],
-    states: Sequence[np.ndarray],
-    projectors: Sequence[np.ndarray],
-) -> float:
-    """Cumulative error sum_i w_i Tr[rho_i (1 - P_i)] of one local measurement.
+def discrimination_error(weights, states, projectors):
+    """Cumulative error sum_i w_i Tr[rho_i (1 - P_i)] of local measurements.
 
-    Zero iff each projector contains the support of its branch state.
+    states and projectors are (..., d_S, dim, dim) with one pointer index
+    per entry of weights and leading axes that broadcast; one error per
+    leading index (a float for one environment).  Zero iff each projector
+    contains the support of its branch state.
     """
-    if not (len(weights) == len(states) == len(projectors)):
+    w = np.asarray(weights, dtype=float)
+    states = np.asarray(states, dtype=complex)
+    projectors = np.asarray(projectors, dtype=complex)
+    if states.shape[-3:] != projectors.shape[-3:] or states.shape[-3:-2] != w.shape:
         raise ValueError("weights, states and projectors must have matching lengths")
-    dim = states[0].shape[0]
-    total_proj = np.zeros((dim, dim), dtype=complex)
-    for p in projectors:
-        total_proj += p
-    if np.max(np.abs(total_proj - np.eye(dim))) > PROJECTOR_TOL:
-        raise ValueError("projector family does not sum to the identity")
-    err = 0.0
-    for w, rho, p in zip(weights, states, projectors):
-        err += float(w) * float(np.real(np.trace(rho @ (np.eye(dim) - p))))
-    return max(err, 0.0)
+    _check_complete(projectors)
+    miss = np.real(np.trace(states @ (np.eye(states.shape[-1]) - projectors), axis1=-2, axis2=-1))
+    return np.maximum(np.sum(w * miss, axis=-1), 0.0)[()]
 
 
 def build_sbs(
@@ -209,26 +220,18 @@ def build_sbs(
     P rho P / p_i^(k).  When the projectors already contain the branch
     supports this returns the branches unchanged with weights sigma_i.
     """
-    if len(projectors.families) != branches.n_env:
+    fams, states = projectors.families, branches.branches
+    if fams.shape[0] != states.shape[0]:
         raise ValueError("one projector family per observed environment required")
-    d_s = central.d_s
-    succ = np.ones((branches.n_env, d_s))
-    projected = []
-    for k, (branch_k, fam_k) in enumerate(zip(branches.branches, projectors.families)):
-        if len(branch_k) != d_s or len(fam_k) != d_s:
-            raise ValueError("need one branch state and one projector per pointer index")
-        row = []
-        for i in range(d_s):
-            p = fam_k[i]
-            cut = p @ branch_k[i] @ p
-            # rounding can leave a branch orthogonal to its projector with a
-            # tiny negative trace; treat anything at that scale as zero
-            prob = max(float(np.real(np.trace(cut))), 0.0)
-            if prob < PROJECTOR_TOL:
-                prob = 0.0
-            succ[k, i] = prob
-            row.append(cut / prob if prob > 0.0 else None)
-        projected.append(tuple(row))
+    if fams.shape != states.shape or states.shape[1] != central.d_s:
+        raise ValueError("need one branch state and one projector per pointer index")
+    cut = fams @ states @ fams
+    # rounding can leave a branch orthogonal to its projector with a tiny
+    # negative trace; treat anything at that scale as zero
+    succ = np.maximum(np.real(np.trace(cut, axis1=-2, axis2=-1)), 0.0)
+    succ[succ < PROJECTOR_TOL] = 0.0
+    projected = np.zeros_like(cut)
+    np.divide(cut, succ[..., None, None], out=projected, where=succ[..., None, None] > 0.0)
 
     r = np.prod(succ, axis=0)
     sigma = np.asarray(central.sigma, dtype=float)
@@ -238,8 +241,7 @@ def build_sbs(
             "all projected branch weights vanish; the measurement family is "
             "orthogonal to every branch"
         )
-    weights = sigma * r / eta_norm
-    return SBSState(tuple(float(w) for w in weights), tuple(projected), eta_norm)
+    return SBSState(sigma * r / eta_norm, projected, eta_norm)
 
 
 def prop1_bound(gamma: float, pe_list: Sequence[float]) -> float:

@@ -78,7 +78,7 @@ def tilted_witness(theta):
     pe = sbs_core.discrimination_error(inst.central.sigma, ensemble.branches[0], family.families[0])
     reduced = oracle.reduced_state_exact(oracle.full_joint_state(inst), inst)
     eps = oracle.exact_epsilon(reduced, sbs_core.build_sbs(inst.central, ensemble, family))
-    disturbance = verify._disturbance_sum(gamma, inst.central.sigma, ensemble.branches, family)
+    disturbance = verify._disturbance_sum(gamma, inst.central.sigma, ensemble.branches, family.families)
     return eps, sbs_core.prop1_bound(gamma, [pe]), disturbance
 
 

@@ -304,6 +304,16 @@ class TestVerifyScenario:
         assert status == (cli.EXIT_OK if report["all_passed"] else cli.EXIT_VERIFY)
         assert set(report["failed_suites"]) <= {"prop1_as_stated"}
 
+    def test_suite_without_checks_does_not_pass(self):
+        from sbskit.verify import SuiteResult
+
+        empty = SuiteResult("empty")
+        assert not empty.passed
+        assert empty.as_dict()["passed"] is False
+        assert empty.as_dict()["worst_margin"] is None
+        empty.record(0.5)
+        assert empty.passed
+
 
 BAD_CONFIGS = [
     ("fig2", {"fig2": {"t_points": 1}}, [], "fig2.t_points"),
@@ -317,6 +327,8 @@ BAD_CONFIGS = [
     ("fig2", {}, ["--threads", "0"], "threads"),
     # one above the core count; rejected before any pool starts
     ("fig2", {}, ["--threads", str((os.cpu_count() or 1) + 1)], "threads"),
+    # with no instances the oracle suites would check nothing and pass
+    ("verify", {"verify": {"instances": 0}}, [], "verify.instances"),
 ]
 
 

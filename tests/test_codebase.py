@@ -1,9 +1,16 @@
 """Code-base rules checked on the source tree itself."""
 
 import ast
+import importlib.util
+import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sbskit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sbskit"
 
 # public names that need no caller inside src/, each with the reason
 NO_CALLER_NEEDED = {
@@ -55,3 +62,29 @@ def test_every_public_function_has_a_caller_in_src():
             unused.append(qualified)
     assert not unused, f"public names only tests (or nothing) call: {unused}"
     assert set(NO_CALLER_NEEDED) <= defined, "the exemption list names a function that no longer exists"
+
+
+def test_traced_benchmark_finds_every_name(tmp_path, monkeypatch):
+    """perfbench reads sbskit functions, counters and parameters by name; a
+    refactor that renames one would silently zero its metric."""
+    out, trace_dir = tmp_path / "out", tmp_path / "trace"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "--out", str(trace_dir), "--run-id", "guard",
+           "--", "--scenario", "timescales", "--out-dir", str(out)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look the module up
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec.loader.exec_module(run)
+    trace = json.loads((trace_dir / "trace.json").read_text())
+    trace["manifest"] = json.loads((out / "manifest.json").read_text())
+    trace["artifact"] = out / "timescales.csv"
+    _, missing = run.layer_metrics(trace)
+    assert missing == []
+    # the tracer's call hooks bind these parameters by name
+    from sbskit import ensemble, oracle
+
+    assert {"samples", "n_spins", "tau_points"} <= set(inspect.signature(ensemble.fig1_node).parameters)
+    assert "d_s" in inspect.signature(oracle.random_instance).parameters

@@ -244,18 +244,18 @@ class TestEvaluateInstance:
             for got, want in zip(fam.family.families, rebuilt[name].families):
                 for p, q in zip(got, want):
                     np.testing.assert_array_equal(p, q)
-            from_report = verify._disturbance_sum(rep.gamma, inst.central.sigma, rep.branches, fam.family)
+            from_report = verify._disturbance_sum(rep.gamma, inst.central.sigma, rep.branches, fam.family.families)
             ens = oracle.branch_ensemble(inst)
             gamma = sbs_core.collective_gamma(inst.central, ens.gamma_mags)
-            assert from_report == verify._disturbance_sum(gamma, inst.central.sigma, ens.branches, fam.family)
+            assert from_report == verify._disturbance_sum(gamma, inst.central.sigma, ens.branches, fam.family.families)
 
     def test_branch_states_built_once(self, monkeypatch):
         real = oracle.branch_state
-        calls = []
-        monkeypatch.setattr(oracle, "branch_state", lambda *args: calls.append(args) or real(*args))
+        built = []
+        monkeypatch.setattr(oracle, "branch_state", lambda *args: built.append(real(*args)) or built[-1])
         evaluate_instance(random_instance(8, 2), np.random.default_rng(32))
         # 3 observed spins x 2 branches, then 3 unobserved spins x 2 ordered pairs
-        assert len(calls) == 3 * 2 + 3 * 2
+        assert sum(m.size // 4 for m in built) == 3 * 2 + 3 * 2
 
     def test_qutrit_prop1_disturbance_suite(self):
         from sbskit.verify import qutrit_prop1_suite
