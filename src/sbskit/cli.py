@@ -136,6 +136,10 @@ def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
 
 
+def _ints(values) -> tuple:
+    return tuple(int(v) for v in values)
+
+
 def parse_measure(section: dict) -> MeasureSpec:
     config = {"measure": section}  # so lookups name measure.<field>
     angles, lam, coupling = section["angles"], section["lambda"], section["coupling"]
@@ -189,15 +193,18 @@ def run_config(config: dict, **fields: tuple) -> RunConfig:
 
 
 def run_fig1(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
-    section = config["fig1"]
     run = run_config(
         config,
         samples=("fig1.samples", int),
         tau=("fig1.tau", float),
         tau_points=("fig1.tau_points", int),
     )
+    grids = [lookup(config, f"fig1.{name}", _floats) for name in ("lambda_grid", "beta_grid")]
+    n_spins = lookup(config, "fig1.n_spins", int)
+    if n_spins < 1:
+        raise ConfigError(f"fig1.n_spins: must be >= 1, got {n_spins}")
     try:
-        surface = fig1_surface(run, section["lambda_grid"], section["beta_grid"], int(section["n_spins"]))
+        surface = fig1_surface(run, *grids, n_spins)
     except ValueError as exc:
         raise ConfigError(f"fig1: {exc}")
     header = ["lambda_plus", "beta", "mean_B", "mean_abs_gamma", "stderr_B", "stderr_gamma"]
@@ -213,7 +220,6 @@ def run_fig1(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
 
 
 def run_fig2(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
-    section = config["fig2"]
     run = run_config(
         config,
         samples=("samples", int),
@@ -221,8 +227,9 @@ def run_fig2(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
         t_max=("fig2.t_max", float),
         t_points=("fig2.t_points", int),
     )
+    n_values = lookup(config, "fig2.n_values", _ints)
     try:
-        curves = fig2_curves([int(n) for n in section["n_values"]], run)
+        curves = fig2_curves(n_values, run)
     except ValueError as exc:
         raise ConfigError(f"fig2.n_values: {exc}")
     files = []
@@ -241,7 +248,7 @@ def run_timescales(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     g2bar = parse_measure(config["measure"]).g2bar()
     header = ["N_m", "N", "f", "g2bar", "t_B", "t_D", "ratio_sq", "B_at_tB", "gamma2_at_tD"]
     rows = []
-    for k, case in enumerate(config["timescales"]["cases"]):
+    for k, case in enumerate(lookup(config, "timescales.cases", list)):
         try:
             n_mac, n_total, f = int(case["n_mac"]), int(case["n_total"]), float(case["f"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -268,6 +275,9 @@ def run_discrimination(config: dict, out_dir: Path) -> tuple[int, list[str], dic
     n_mac, draws = sizes["n_mac"], sizes["draws"]
     seed = lookup(config, "seed", int)
     t_min, t_max = (lookup(config, f"discrimination.{name}", float) for name in ("t_min", "t_max"))
+    for name, value in (("t_min", t_min), ("t_max", t_max)):
+        if not value >= 0.0:  # also false for NaN
+            raise ConfigError(f"discrimination.{name}: must be >= 0, got {value}")
     t_grid = np.linspace(t_min, t_max, sizes["t_points"])
     header = [
         "t",

@@ -1,5 +1,9 @@
 """Two-state discrimination: Helstrom measurements, majority votes over a
 macrofraction, and the Chernoff / Kolmogorov bounds on their performance.
+
+The Helstrom kernels take stacks: ``helstrom_pair`` one pair of matching
+stacks of states, ``helstrom_spin_analytic`` a spin record with its times,
+and a stacked call gives, bit for bit, the pairs of one call per item.
 """
 
 from __future__ import annotations
@@ -17,18 +21,21 @@ TIE_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class ProjectorPair:
-    """Complete two-outcome projective measurement {P_plus, P_minus}.
+    """Complete two-outcome projective measurements {P_plus, P_minus}.
 
-    ``degenerate`` marks the fallback convention used when the two states
-    to discriminate coincide (no information in the measurement).
+    One pair, or a stack of them: p_plus and p_minus have shape (..., n, n)
+    and ``degenerate`` (a bool, or a bool array of the stack's shape) marks
+    the fallback convention used when the two states to discriminate
+    coincide (no information in the measurement).
     """
 
     p_plus: np.ndarray
     p_minus: np.ndarray
-    degenerate: bool = False
+    degenerate: bool | np.ndarray = False
 
-    def family(self) -> list[np.ndarray]:
-        return [self.p_plus, self.p_minus]
+    def family(self) -> np.ndarray:
+        """P_plus and P_minus stacked, shape (..., 2, n, n)."""
+        return np.stack([self.p_plus, self.p_minus], axis=-3)
 
 
 @dataclass(frozen=True)
@@ -47,29 +54,36 @@ def helstrom_pair(
     rho_minus: np.ndarray,
     weights: tuple[float, float] | None = None,
 ) -> ProjectorPair:
-    """Minimum-error projective measurement for two states.
+    """Minimum-error projective measurement for two states, or per pair of
+    matching stacks (..., n, n).
 
     P_plus projects on the strictly positive eigenspace of
     w_plus rho_plus - w_minus rho_minus (equal weights by default) and
     P_minus is its complement.  With equal weights the achieved error is
     (1/2)(1 - ||rho_plus - rho_minus||_1 / 2); identical states yield
-    P_plus = 0 and error 1/2.
+    P_plus = 0 and error 1/2.  A stacked call gives, bit for bit, the pairs
+    of one call per matrix.
     """
-    rho_plus = densmat.check_square(rho_plus)
-    rho_minus = densmat.check_square(rho_minus)
+    rho_plus = densmat._check_stack(rho_plus)
+    rho_minus = densmat._check_stack(rho_minus)
     if rho_plus.shape != rho_minus.shape:
         raise ValueError(f"dimension mismatch: {rho_plus.shape} vs {rho_minus.shape}")
     w_p, w_m = (0.5, 0.5) if weights is None else weights
-    diff = w_p * rho_plus - w_m * rho_minus
-    w, v = np.linalg.eigh(diff)
-    pos = v[:, w > TIE_TOLERANCE]
-    p_plus = pos @ pos.conj().T
-    dim = rho_plus.shape[0]
-    return ProjectorPair(p_plus, np.eye(dim, dtype=complex) - p_plus, pos.shape[1] == 0)
+    w, v = np.linalg.eigh(w_p * rho_plus - w_m * rho_minus)
+    # eigh sorts ascending, so the positive eigenspace is a suffix of columns;
+    # each rank is multiplied out on its own, as one matrix with that many columns
+    rank = np.count_nonzero(w > TIE_TOLERANCE, axis=-1)
+    n = rho_plus.shape[-1]
+    p_plus = np.zeros_like(rho_plus)
+    # a set, not np.unique: numpy 2.4's first np.unique call adds about 1.2 MiB of resident memory
+    for r in set(rank.ravel().tolist()):
+        pos = v[rank == r][..., n - r :]
+        p_plus[rank == r] = pos @ np.swapaxes(pos.conj(), -1, -2)
+    return ProjectorPair(p_plus, np.eye(n, dtype=complex) - p_plus, (rank == 0)[()])
 
 
-def helstrom_spin_analytic(p: SpinParams, t: float) -> ProjectorPair:
-    """Closed-form Helstrom pair for the evolved branch states of one spin.
+def helstrom_spin_analytic(p: SpinParams, t) -> ProjectorPair:
+    """Closed-form Helstrom pairs for the evolved branch states of each spin.
 
     The branch difference at time t is purely off-diagonal with entry
     2 i sin(gt) delta, so for sin(gt) delta != 0 the optimal projectors are
@@ -78,19 +92,19 @@ def helstrom_spin_analytic(p: SpinParams, t: float) -> ProjectorPair:
                  [-/+ sgn(sin gt) i delta* / (2 |delta|), 1/2]].
 
     Degenerate inputs (delta = 0 or sin(gt) = 0) fall back to the flagged
-    canonical pair P_plus = diag(1, 0).
+    canonical pair P_plus = diag(1, 0).  The record and t broadcast
+    together to the stack's leading shape.
     """
-    d = delta(p)
-    s = math.sin(p.g * t)
+    d, s = np.broadcast_arrays(delta(p), np.sin(p.g * t))
+    # hypot per entry, as abs of one complex number
+    mag = np.hypot(d.real, d.imag)
     # the branch difference has eigenvalues +/- 2 |sin(gt)| |delta|; below the
     # tie tolerance the measurement carries no information
-    if 2.0 * abs(d) * abs(s) <= TIE_TOLERANCE:
-        return ProjectorPair(
-            np.diag([1.0 + 0.0j, 0.0j]), np.diag([0.0j, 1.0 + 0.0j]), degenerate=True
-        )
-    u = 1j * math.copysign(1.0, s) * d / (2.0 * abs(d))
-    p_plus = np.array([[0.5, u], [np.conj(u), 0.5]])
-    return ProjectorPair(p_plus, np.eye(2, dtype=complex) - p_plus, False)
+    degenerate = 2.0 * mag * np.abs(s) <= TIE_TOLERANCE
+    u = 1j * np.copysign(1.0, s) * d / (2.0 * np.where(degenerate, 1.0, mag))
+    p_plus = np.stack([np.full_like(u, 0.5), u, np.conj(u), np.full_like(u, 0.5)], axis=-1).reshape(u.shape + (2, 2))
+    p_plus[degenerate] = np.diag([1.0, 0.0])
+    return ProjectorPair(p_plus, np.eye(2, dtype=complex) - p_plus, degenerate[()])
 
 
 def local_success_probability(p: SpinParams, t):

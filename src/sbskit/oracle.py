@@ -6,7 +6,9 @@ unitaries and partially traced numerically.  No closed form from
 :mod:`sbskit.spin_model` enters the computation, so agreement between the
 two routes certifies the closed forms and the unitary convention, and the
 assembled states provide exact trace-distance and mutual-information
-checks for every bound in :mod:`sbskit.sbs_core`.
+checks for every bound in :mod:`sbskit.sbs_core`.  An instance holds its
+observed and its unobserved spins as one spin record each, and every step
+is one stacked call over spins, environments and pointer pairs.
 
 Convention: the interaction couples the central pointer observable
 A = sum_i a_i |i><i| to sum_k g_k sigma_z^(k) / 2, giving branch unitaries
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -61,41 +63,25 @@ class InteractionSpec:
 
 @dataclass(frozen=True)
 class OracleInstance:
-    """One exactly solvable configuration: central state, spins, time."""
+    """One exactly solvable configuration: central state, spins, time.
+
+    observed and unobserved are spin records whose fields have shape (n,):
+    one observed environment per observed spin.
+    """
 
     central: CentralState
-    observed: tuple  # tuple of SpinParams, one observed environment each
-    unobserved: tuple  # tuple of SpinParams
+    observed: SpinParams
+    unobserved: SpinParams
     t: float
     interaction: InteractionSpec = field(default_factory=InteractionSpec)
 
     @property
     def n_spins(self) -> int:
-        return len(self.observed) + len(self.unobserved)
-
-    @property
-    def spins(self) -> tuple:
-        return self.observed + self.unobserved
+        return len(self.observed.g) + len(self.unobserved.g)
 
     @property
     def factor_dims(self) -> list[int]:
         return [self.central.d_s] + [2] * self.n_spins
-
-
-def _spin_column(spins: Sequence[SpinParams]) -> SpinParams:
-    """Single-spin records as one record of arrays of shape (len(spins), 1),
-    one row per spin, so that index arrays broadcast along the second axis."""
-    values = np.array([list(vars(s).values()) for s in spins], dtype=float)
-    return SpinParams(*values.reshape(len(spins), len(fields(SpinParams))).T[..., None])
-
-
-def _initial_states(spins: SpinParams) -> np.ndarray:
-    """rho(0) of every spin of a record, shape (record shape) + (2, 2)."""
-    shape = np.broadcast_shapes(*(np.shape(v) for v in vars(spins).values()))
-    out = np.empty(shape + (2, 2), dtype=complex)
-    for idx in np.ndindex(shape):
-        out[idx] = initial_spin_state(spins.spin(idx) if shape else spins)
-    return out
 
 
 def full_joint_state(inst: OracleInstance) -> np.ndarray:
@@ -108,10 +94,10 @@ def full_joint_state(inst: OracleInstance) -> np.ndarray:
     dim = d_s * 2 ** inst.n_spins
     if dim > DIMENSION_CAP:
         raise ValueError(f"joint dimension {dim} exceeds cap {DIMENSION_CAP}")
-    rho0 = densmat.tensor(inst.central.rho, *(initial_spin_state(spin) for spin in inst.spins))
+    rho0 = densmat.tensor(inst.central.rho, *initial_spin_state(inst.observed), *initial_spin_state(inst.unobserved))
     # per spin, the diagonals of U_0 .. U_{d_s - 1} as a stack of 1 x 2 rows;
     # their tensor product from a unit row is the phase vector of each U_i
-    g = np.array([spin.g for spin in inst.spins])
+    g = np.concatenate([inst.observed.g, inst.unobserved.g])
     diagonals = np.diagonal(inst.interaction.env_unitary(np.arange(d_s), g[:, None], inst.t), axis1=-2, axis2=-1)
     phases = densmat.tensor(np.ones((d_s, 1, 1)), *diagonals[:, :, None]).reshape(dim)
     return (phases[:, None] * rho0) * phases.conj()[None, :]
@@ -119,7 +105,7 @@ def full_joint_state(inst: OracleInstance) -> np.ndarray:
 
 def reduced_state_exact(joint: np.ndarray, inst: OracleInstance) -> np.ndarray:
     """Trace out the unobserved spins of the evolved joint state."""
-    keep = list(range(1 + len(inst.observed)))
+    keep = list(range(1 + len(inst.observed.g)))
     return densmat.partial_trace(joint, inst.factor_dims, keep)
 
 
@@ -132,7 +118,7 @@ def branch_state(spin: SpinParams, inter: InteractionSpec, i, j, t) -> np.ndarra
     """
     u_i = inter.env_unitary(i, spin.g, t)
     u_j = inter.env_unitary(j, spin.g, t)
-    return u_i @ _initial_states(spin) @ np.swapaxes(u_j.conj(), -1, -2)
+    return u_i @ initial_spin_state(spin) @ np.swapaxes(u_j.conj(), -1, -2)
 
 
 def gamma_products(inst: OracleInstance) -> np.ndarray:
@@ -142,8 +128,8 @@ def gamma_products(inst: OracleInstance) -> np.ndarray:
     """
     d_s = inst.central.d_s
     i, j = np.array(list(itertools.permutations(range(d_s), 2))).reshape(-1, 2).T
-    crossed = branch_state(_spin_column(inst.unobserved), inst.interaction, i, j, inst.t)
-    traces = np.ascontiguousarray(np.trace(crossed, axis1=-2, axis2=-1).T)
+    # one row of spins per ordered pair (i, j)
+    traces = np.trace(branch_state(inst.unobserved, inst.interaction, i[:, None], j[:, None], inst.t), axis1=-2, axis2=-1)
     out = np.ones((d_s, d_s), dtype=complex)
     # a running product from 1 along each contiguous row of spins rounds as a
     # loop over the spins does; an elementwise product of rows may not
@@ -160,26 +146,20 @@ def analytic_reduced_state(inst: OracleInstance) -> np.ndarray:
     cross-branch matrices U_i rho U_j^dagger.
     """
     d_s = inst.central.d_s
-    gammas = gamma_products(inst)
-    dim_env = 2 ** len(inst.observed)
-    out = np.zeros((d_s * dim_env, d_s * dim_env), dtype=complex)
-    for i, j in itertools.product(range(d_s), repeat=2):
-        coeff = inst.central.rho[i, j] * gammas[i, j]
-        if coeff == 0.0:
-            continue
-        env = np.array([[1.0 + 0.0j]])
-        for spin in inst.observed:
-            env = densmat.tensor(env, branch_state(spin, inst.interaction, i, j, inst.t))
-        unit = np.zeros((d_s, d_s), dtype=complex)
-        unit[i, j] = 1.0
-        out += coeff * densmat.tensor(unit, env)
-    return out
+    i, j = np.indices((d_s, d_s)).reshape(2, -1)
+    coeff = (inst.central.rho * gamma_products(inst)).reshape(-1, 1, 1)
+    # per pair (i, j): |i><j| and the cross-branch matrices of every observed spin
+    unit = np.zeros((d_s * d_s, d_s, d_s), dtype=complex)
+    unit[np.arange(d_s * d_s), i, j] = 1.0
+    crossed = branch_state(inst.observed, inst.interaction, i[:, None], j[:, None], inst.t)
+    env = densmat.tensor(np.ones((d_s * d_s, 1, 1)), *np.swapaxes(crossed, 0, 1))
+    return np.sum(coeff * densmat.tensor(unit, env), axis=0)
 
 
 def observed_branches(inst: OracleInstance) -> np.ndarray:
     """Branch states of the observed environments, shape (n_observed, d_s, 2, 2)."""
-    i = np.arange(inst.central.d_s)
-    return branch_state(_spin_column(inst.observed), inst.interaction, i, i, inst.t)
+    i = np.arange(inst.central.d_s)[:, None]
+    return np.swapaxes(branch_state(inst.observed, inst.interaction, i, i, inst.t), 0, 1)
 
 
 def branch_ensemble(inst: OracleInstance) -> BranchEnsemble:
@@ -248,10 +228,8 @@ def qubit_families(
         raise ValueError("qubit_families requires a two-level central system")
     sigma = central.sigma
     n_env = len(branches)
-    plain = np.array([helstrom_pair(b[0], b[1]).family() for b in branches]).reshape(n_env, 2, 2, 2)
-    weighted = np.array(
-        [helstrom_pair(b[0], b[1], weights=(float(sigma[0]), float(sigma[1]))).family() for b in branches]
-    ).reshape(n_env, 2, 2, 2)
+    plain = helstrom_pair(branches[:, 0], branches[:, 1]).family()
+    weighted = helstrom_pair(branches[:, 0], branches[:, 1], weights=(float(sigma[0]), float(sigma[1]))).family()
     eye = np.eye(2, dtype=complex)
     fams = {
         "helstrom": ProjectorFamily(plain),
@@ -331,7 +309,7 @@ def evaluate_instance(
         results[name] = FamilyResult(pe_f, sbs_core.prop1_bound(gamma, pe_f), e, sbs_core.fifty_fifty_error(2.0 * e), family)
 
     eps_witness = min(results["helstrom"].epsilon, results["helstrom_weighted"].epsilon)
-    info = exact_mutual_info_check(reduced, inst.central, inst.factor_dims[: 1 + len(inst.observed)], eps_witness)
+    info = exact_mutual_info_check(reduced, inst.central, inst.factor_dims[: 1 + len(inst.observed.g)], eps_witness)
     return InstanceReport(inst.t, gamma, eta, results, eps_witness, info, branches)
 
 
@@ -371,15 +349,13 @@ def random_instance(
     rng = sample_stream(seed, index, label=5)
     measure = measure or MeasureSpec()
     central = random_central(rng, d_s)
-    n = n_observed + n_unobserved
-    batch = sample_spin_arrays(measure, rng, n)
-    spins = [batch.spin(i) for i in range(n)]
+    batch = vars(sample_spin_arrays(measure, rng, n_observed + n_unobserved)).values()
     t = float(rng.uniform(0.0, t_max))
     eigs = (-1.0, 1.0) if d_s == 2 else tuple(float(a) for a in np.linspace(-1.0, 1.0, d_s))
     return OracleInstance(
         central,
-        tuple(spins[:n_observed]),
-        tuple(spins[n_observed:]),
+        SpinParams(*(v[:n_observed] for v in batch)),
+        SpinParams(*(v[n_observed:] for v in batch)),
         t,
         InteractionSpec(eigs),
     )

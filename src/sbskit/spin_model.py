@@ -70,15 +70,11 @@ class SpinParams:
             raise ValueError(f"field shapes differ: {sorted(shapes)}")
         for name, upper, shown in _RANGES:
             v = getattr(self, name)
-            # plain comparisons for a float: records of one spin are built in loops
+            # plain comparisons for a float field, without building an array
             low, high = (v.min(initial=np.inf), v.max(initial=-np.inf)) if isinstance(v, np.ndarray) else (v, v)
             if not (0.0 <= low and high <= upper):  # also false for NaN
                 v = np.asarray(v, dtype=float)
                 raise ValueError(f"{name} {v[~((v >= 0.0) & (v <= upper))].flat[0]} outside {shown}")
-
-    def spin(self, j) -> SpinParams:
-        """Spin j of a batch (an index into its arrays) as a record of floats."""
-        return SpinParams(*(float(v[j]) if getattr(v, "ndim", 0) else float(v) for v in vars(self).values()))
 
 
 def stack_spins(record: Callable[[int], SpinParams], rows: int) -> SpinParams:
@@ -95,21 +91,20 @@ def stack_spins(record: Callable[[int], SpinParams], rows: int) -> SpinParams:
     return SpinParams(*out)
 
 
-def euler_rotation(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """z-y-z Euler rotation R_z(alpha) R_y(beta) R_z(gamma) in SU(2)."""
-    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
-    return np.array(
-        [
-            [np.exp(-0.5j * (alpha + gamma)) * c, -np.exp(-0.5j * (alpha - gamma)) * s],
-            [np.exp(0.5j * (alpha - gamma)) * s, np.exp(0.5j * (alpha + gamma)) * c],
-        ]
-    )
-
-
 def initial_spin_state(p: SpinParams) -> np.ndarray:
-    """rho(0) = R diag(lam, 1-lam) R^dagger of one spin; eigenvalues {lam, 1-lam}."""
-    r = euler_rotation(p.alpha, p.beta, p.gamma_euler)
-    return (r * np.array([p.lam, 1.0 - p.lam])) @ r.conj().T
+    """rho(0) = R diag(lam, 1-lam) R^dagger, shape (record shape) + (2, 2).
+
+    R = R_z(alpha) R_y(beta) R_z(gamma_euler) is the z-y-z Euler rotation in
+    SU(2); the eigenvalues of each spin's state are {lam, 1-lam}.
+    """
+    alpha, beta, gamma, lam = np.broadcast_arrays(p.alpha, p.beta, p.gamma_euler, p.lam)
+    c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
+    r = np.empty(alpha.shape + (2, 2), dtype=complex)
+    r[..., 0, 0] = np.exp(-0.5j * (alpha + gamma)) * c
+    r[..., 0, 1] = -np.exp(-0.5j * (alpha - gamma)) * s
+    r[..., 1, 0] = np.exp(0.5j * (alpha - gamma)) * s
+    r[..., 1, 1] = np.exp(0.5j * (alpha + gamma)) * c
+    return (r * np.stack([lam, 1.0 - lam], axis=-1)[..., None, :]) @ np.swapaxes(r.conj(), -1, -2)
 
 
 def pi_diag(p: SpinParams):

@@ -203,9 +203,9 @@ def helstrom_suite(pairs: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
     res = SuiteResult("helstrom_identity")
     rho_p, rho_m, _ = _random_state_pairs(seed, 12, pairs)
     tnorms = densmat.trace_norm(rho_p - rho_m)
-    for p, m, tnorm in zip(rho_p, rho_m, tnorms.tolist()):
-        pair = helstrom_pair(p, m)
-        err = 0.5 * float(np.real(np.trace(m @ pair.p_plus) + np.trace(p @ pair.p_minus)))
+    pair = helstrom_pair(rho_p, rho_m)
+    traces = np.trace(rho_m @ pair.p_plus, axis1=-2, axis2=-1) + np.trace(rho_p @ pair.p_minus, axis1=-2, axis2=-1)
+    for err, tnorm in zip((0.5 * np.real(traces)).tolist(), tnorms.tolist()):
         res.record(1e-10 - abs(err - 0.5 * (1.0 - 0.5 * tnorm)))
     return res
 
@@ -237,16 +237,14 @@ def local_probability_suite(draws: int = 1000, seed: int = DEFAULT_SEED) -> Suit
     # draws x 1 spins, row i at its own time t[i]; per draw both branch states
     spins = stack_spins(draw, draws)
     evolved = oracle.branch_state(spins, oracle.InteractionSpec(), [0, 1], [0, 1], t)
-    for i, (rho_p, rho_m) in enumerate(evolved):
-        spin, t_i = spins.spin((i, 0)), float(t[i, 0])
-        pair = helstrom_spin_analytic(spin, t_i)
-        if pair.degenerate:
-            continue
-        p_plus = float(np.real(np.trace(pair.p_plus @ rho_p)))
-        p_minus = float(np.real(np.trace(pair.p_minus @ rho_m)))
-        formula = local_success_probability(spin, t_i)
-        res.record(1e-12 - abs(p_plus - formula))
-        res.record(1e-12 - abs(p_minus - formula))
+    pair = helstrom_spin_analytic(spins, t)
+    p_plus = np.real(np.trace(pair.p_plus[:, 0] @ evolved[:, 0], axis1=-2, axis2=-1))
+    p_minus = np.real(np.trace(pair.p_minus[:, 0] @ evolved[:, 1], axis1=-2, axis2=-1))
+    formula = local_success_probability(spins, t)[:, 0]
+    informative = ~pair.degenerate[:, 0]
+    for p_p, p_m, f in zip(p_plus[informative].tolist(), p_minus[informative].tolist(), formula[informative].tolist()):
+        res.record(1e-12 - abs(p_p - f))
+        res.record(1e-12 - abs(p_m - f))
     return res
 
 
@@ -429,9 +427,9 @@ def qutrit_prop1_suite(instances: int = 40, seed: int = DEFAULT_SEED) -> SuiteRe
         branches = ens.branches
         zero = np.zeros((2, 2), dtype=complex)
         eye = np.eye(2, dtype=complex)
-        pairwise = [(*helstrom_pair(row[0], row[1]).family(), zero) for row in branches]
+        pairwise = helstrom_pair(branches[:, 0], branches[:, 1]).family()
         families = {
-            "pairwise": sbs_core.ProjectorFamily(pairwise),
+            "pairwise": sbs_core.ProjectorFamily(np.concatenate([pairwise, np.zeros_like(branches[:, :1])], axis=1)),
             "coarse": sbs_core.ProjectorFamily(np.broadcast_to([eye, zero, zero], branches.shape)),
         }
         joint = oracle.full_joint_state(inst)

@@ -67,9 +67,8 @@ def tilted_witness(theta):
     p_E = sin^2 theta and eps = |sin theta|, while the disturbance form is
     |sin theta| sqrt(1 + 3 cos^2 theta).
     """
-    inst = oracle.OracleInstance(
-        CentralState(np.diag([1.0, 0.0])), (SpinParams(0.0, 0.0, 0.0, 1.0, 1.0),), (), 0.0
-    )
+    spin = SpinParams(np.zeros(1), np.zeros(1), np.zeros(1), np.ones(1), np.ones(1))
+    inst = oracle.OracleInstance(CentralState(np.diag([1.0, 0.0])), spin, SpinParams(*np.zeros((5, 0))), 0.0)
     v = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
     p0 = np.outer(v, v.conj())
     family = ProjectorFamily(((p0, np.eye(2) - p0),))

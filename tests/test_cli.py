@@ -329,6 +329,14 @@ BAD_CONFIGS = [
     ("fig2", {}, ["--threads", str((os.cpu_count() or 1) + 1)], "threads"),
     # with no instances the oracle suites would check nothing and pass
     ("verify", {"verify": {"instances": 0}}, [], "verify.instances"),
+    # a number where a list belongs
+    ("fig1", {"fig1": {"lambda_grid": 0.5}}, [], "fig1.lambda_grid"),
+    ("fig2", {"fig2": {"n_values": 5}}, [], "fig2.n_values"),
+    ("timescales", {"timescales": {"cases": 5}}, [], "timescales.cases"),
+    # the closed forms reject negative times
+    ("discrimination", {"discrimination": {"t_min": -1.0}}, [], "discrimination.t_min"),
+    ("fig1", {"fig1": {"n_spins": 0}}, [], "fig1.n_spins"),
+    ("fig1", {"fig1": {"n_spins": -1}}, [], "fig1.n_spins"),
 ]
 
 

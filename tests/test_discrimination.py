@@ -334,7 +334,7 @@ class TestBatchedForms:
             probs = local_success_probability(bath, t)
             assert not np.any(np.isnan(probs))
             assert np.all((probs >= 0.5) & (probs <= 1.0))
-            single = [local_success_probability(bath.spin(j), t) for j in range(1000)]
+            single = [local_success_probability(SpinParams(*(float(v[j]) for v in vars(bath).values())), t) for j in range(1000)]
             np.testing.assert_allclose(probs[:1000], single, rtol=1e-12, atol=0.0)
             assert np.all(probs[::7] == 0.5)  # sin(g t) = 0
         assert np.all(local_success_probability(bath, 0.0) == 0.5)

@@ -138,8 +138,8 @@ class TestMeasureSpec:
 class TestSampling:
     def test_fixed_measure_returns_constants(self):
         measure = MeasureSpec(angles=(0.2, 0.3, 0.4), lam=0.6, coupling=0.9)
-        spin = sample_spin_arrays(measure, sample_stream(1, 0), 1).spin(0)
-        assert (spin.alpha, spin.beta, spin.gamma_euler, spin.lam, spin.g) == (
+        spin = sample_spin_arrays(measure, sample_stream(1, 0), 1)
+        assert tuple(float(v[0]) for v in vars(spin).values()) == (
             0.2,
             0.3,
             0.4,

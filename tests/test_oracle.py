@@ -23,6 +23,26 @@ from sbskit.sbs_core import CentralState
 from sbskit.spin_model import SpinParams
 
 
+def record(*spins):
+    """One record of the given one-spin records, fields of shape (len(spins),)."""
+    return SpinParams(*np.array([list(vars(s).values()) for s in spins], dtype=float).reshape(-1, 5).T)
+
+
+def spin_of(record, j):
+    """Spin j of a record (an index into its arrays) as a record of floats."""
+    return SpinParams(*(float(v[j]) for v in vars(record).values()))
+
+
+def same_instance(a, b):
+    """Field-by-field equality of two instances, spin arrays by np.array_equal."""
+    spins = [
+        np.array_equal(x, y)
+        for r, q in ((a.observed, b.observed), (a.unobserved, b.unobserved))
+        for x, y in zip(vars(r).values(), vars(q).values())
+    ]
+    return a.central == b.central and a.t == b.t and a.interaction == b.interaction and all(spins)
+
+
 def make_instance(seed=0, n_obs=2, n_unobs=2, t=None):
     inst = random_instance(seed, 0, n_observed=n_obs, n_unobserved=n_unobs)
     if t is not None:
@@ -50,8 +70,9 @@ class TestFullJointState:
         inst = make_instance(seed=1, t=0.0)
         joint = full_joint_state(inst)
         expected = inst.central.rho
-        for spin in inst.spins:
-            expected = densmat.tensor(expected, spin_model.initial_spin_state(spin))
+        for spins in (inst.observed, inst.unobserved):
+            for j in range(len(spins.g)):
+                expected = densmat.tensor(expected, spin_model.initial_spin_state(spin_of(spins, j)))
         np.testing.assert_allclose(joint, expected, atol=1e-13)
 
     def test_valid_state(self):
@@ -68,8 +89,8 @@ class TestFullJointState:
         assert np.max(np.abs(joint[:half, half:])) < 1e-14
 
     def test_dimension_cap(self):
-        spins = tuple(SpinParams(0, 1, 0, 0.5, 1.0) for _ in range(12))
-        inst = OracleInstance(CentralState(np.eye(2) / 2), spins, (), 1.0)
+        spins = record(*(SpinParams(0, 1, 0, 0.5, 1.0) for _ in range(12)))
+        inst = OracleInstance(CentralState(np.eye(2) / 2), spins, record(), 1.0)
         with pytest.raises(ValueError, match="cap"):
             full_joint_state(inst)
 
@@ -89,7 +110,7 @@ class TestConventionCertification:
                 rng.uniform(0, 1),
             )
             t = rng.uniform(0, 2 * np.pi)
-            inst = OracleInstance(central, (), (spin,), t)
+            inst = OracleInstance(central, record(), record(spin), t)
             joint = full_joint_state(inst)
             block_trace = np.trace(joint[:2, 2:])
             expected = central.rho[0, 1] * spin_model.decoherence_factor(spin_model.stack_spins(lambda _: spin, 1), t)
@@ -150,8 +171,8 @@ class TestExactEpsilon:
         # the reduced state of a coherence-free central system is then an
         # exact broadcast state and the Helstrom family reproduces it
         central = CentralState(np.diag([0.6, 0.4]))
-        spins = tuple(SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0) for _ in range(2))
-        inst = OracleInstance(central, spins, (), np.pi / 2)
+        spins = record(*(SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0) for _ in range(2)))
+        inst = OracleInstance(central, spins, record(), np.pi / 2)
         reduced = reduced_state_exact(full_joint_state(inst), inst)
         ens = oracle.branch_ensemble(inst)
         fams = qubit_families(inst.central, ens.branches)
@@ -160,8 +181,8 @@ class TestExactEpsilon:
 
     def test_positive_at_time_zero_with_coherence(self):
         central = CentralState(np.full((2, 2), 0.5))
-        spins = tuple(SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0) for _ in range(2))
-        inst = OracleInstance(central, spins, (spins[0],), 0.0)
+        spins = record(*(SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0) for _ in range(2)))
+        inst = OracleInstance(central, spins, record(spin_of(spins, 0)), 0.0)
         reduced = reduced_state_exact(full_joint_state(inst), inst)
         ens = oracle.branch_ensemble(inst)
         fams = qubit_families(inst.central, ens.branches)
@@ -176,8 +197,8 @@ class TestExactEpsilon:
 class TestMutualInfoCheck:
     def test_perfect_broadcast_means_info_equals_entropy(self):
         central = CentralState(np.eye(2) / 2)
-        spins = (SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0),)
-        inst = OracleInstance(central, spins, (), np.pi / 2)
+        spins = record(SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0))
+        inst = OracleInstance(central, spins, record(), np.pi / 2)
         reduced = reduced_state_exact(full_joint_state(inst), inst)
         check = exact_mutual_info_check(reduced, central, [2, 2], epsilon=0.0)
         assert check.mutual_info == pytest.approx(1.0, abs=1e-10)
@@ -187,8 +208,8 @@ class TestMutualInfoCheck:
 
     def test_product_state_gap_equals_entropy_bound_inapplicable(self):
         central = CentralState(np.eye(2) / 2)
-        spins = (SpinParams(0.0, 0.0, 0.0, 1.0, 1.0),)  # frozen pointer spin
-        inst = OracleInstance(central, spins, (), 1.0)
+        spins = record(SpinParams(0.0, 0.0, 0.0, 1.0, 1.0))  # frozen pointer spin
+        inst = OracleInstance(central, spins, record(), 1.0)
         reduced = reduced_state_exact(full_joint_state(inst), inst)
         check = exact_mutual_info_check(reduced, central, [2, 2], epsilon=0.6)
         assert check.mutual_info == pytest.approx(0.0, abs=1e-10)
@@ -217,8 +238,9 @@ class TestInstanceGeneration:
     def test_instances_reproducible(self):
         a = random_instance(5, 3)
         b = random_instance(5, 3)
-        assert a == b
-        assert a != random_instance(5, 4)
+        assert same_instance(a, b)
+        assert not same_instance(a, random_instance(5, 4))
+        assert a.observed.g.shape == (3,) and a.unobserved.g.shape == (3,)
 
 
 class TestEvaluateInstance:
@@ -256,6 +278,24 @@ class TestEvaluateInstance:
         evaluate_instance(random_instance(8, 2), np.random.default_rng(32))
         # 3 observed spins x 2 branches, then 3 unobserved spins x 2 ordered pairs
         assert sum(m.size // 4 for m in built) == 3 * 2 + 3 * 2
+
+    def test_calls_per_instance_do_not_grow_with_the_spins(self, monkeypatch):
+        post_init = SpinParams.__post_init__
+        records, pairs = [], []
+        monkeypatch.setattr(SpinParams, "__post_init__", lambda self: records.append(1) or post_init(self))
+        real = oracle.helstrom_pair
+        monkeypatch.setattr(oracle, "helstrom_pair", lambda *args, **kw: pairs.append(1) or real(*args, **kw))
+        built = []
+        for n in (3, 5):
+            inst = random_instance(8, 3, n_observed=n, n_unobserved=n)
+            records.clear()
+            pairs.clear()
+            evaluate_instance(inst, np.random.default_rng(33))
+            built.append(len(records))
+            # one stacked call each for the plain and the prior-weighted family
+            assert len(pairs) == 2
+        # no spin record is built per spin
+        assert built[0] == built[1]
 
     def test_qutrit_prop1_disturbance_suite(self):
         from sbskit.verify import qutrit_prop1_suite

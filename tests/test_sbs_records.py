@@ -1,23 +1,68 @@
-"""Array SBS records and the stacked oracle against the loop versions they
-replaced.
+"""Array SBS records, the stacked oracle and the stacked kernels against the
+loop versions they replaced.
 
-The reference functions below are the per-environment, per-branch and
-per-matrix loops of the earlier tuple records, kept verbatim apart from
-taking their record fields as arguments and spelling densmat.tensor as the
-np.kron chain it was.  The array code is held to exact equality with them.
+The reference functions below are the per-spin, per-environment,
+per-branch and per-matrix loops of the earlier tuple records and one-item
+kernels, kept verbatim apart from taking their record fields as arguments,
+reading one spin of a record through _spins and spelling densmat.tensor as
+the np.kron chain it was.  The array code is held to exact equality with
+them.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from sbskit import densmat, oracle, sbs_core, verify
-from sbskit.discrimination import helstrom_pair
+from sbskit.discrimination import TIE_TOLERANCE, ProjectorPair, helstrom_pair, helstrom_spin_analytic
 from sbskit.sbs_core import BranchEnsemble, CentralState, DegenerateSBSError, ProjectorFamily, build_sbs
-from sbskit.spin_model import initial_spin_state
+from sbskit.spin_model import SpinParams, delta, initial_spin_state
 
 SEED = verify.DEFAULT_SEED
+
+
+def _spins(record):
+    """The spins of a record with fields of shape (n,), one record of floats each."""
+    return [SpinParams(*(float(v[j]) for v in vars(record).values())) for j in range(len(record.g))]
+
+
+def _loop_euler_rotation(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
+    return np.array(
+        [
+            [np.exp(-0.5j * (alpha + gamma)) * c, -np.exp(-0.5j * (alpha - gamma)) * s],
+            [np.exp(0.5j * (alpha - gamma)) * s, np.exp(0.5j * (alpha + gamma)) * c],
+        ]
+    )
+
+
+def _loop_initial_spin_state(p) -> np.ndarray:
+    r = _loop_euler_rotation(p.alpha, p.beta, p.gamma_euler)
+    return (r * np.array([p.lam, 1.0 - p.lam])) @ r.conj().T
+
+
+def _loop_helstrom_pair(rho_plus, rho_minus, weights=None) -> ProjectorPair:
+    rho_plus = densmat.check_square(rho_plus)
+    rho_minus = densmat.check_square(rho_minus)
+    w_p, w_m = (0.5, 0.5) if weights is None else weights
+    diff = w_p * rho_plus - w_m * rho_minus
+    w, v = np.linalg.eigh(diff)
+    pos = v[:, w > TIE_TOLERANCE]
+    p_plus = pos @ pos.conj().T
+    dim = rho_plus.shape[0]
+    return ProjectorPair(p_plus, np.eye(dim, dtype=complex) - p_plus, pos.shape[1] == 0)
+
+
+def _loop_helstrom_spin_analytic(p, t: float) -> ProjectorPair:
+    d = delta(p)
+    s = math.sin(p.g * t)
+    if 2.0 * abs(d) * abs(s) <= TIE_TOLERANCE:
+        return ProjectorPair(np.diag([1.0 + 0.0j, 0.0j]), np.diag([0.0j, 1.0 + 0.0j]), degenerate=True)
+    u = 1j * math.copysign(1.0, s) * d / (2.0 * abs(d))
+    p_plus = np.array([[0.5, u], [np.conj(u), 0.5]])
+    return ProjectorPair(p_plus, np.eye(2, dtype=complex) - p_plus, False)
 
 
 def _loop_to_matrix(weights, states) -> np.ndarray:
@@ -46,7 +91,7 @@ def _loop_env_unitary(inter, i, g, t) -> np.ndarray:
 def _loop_branch_state(spin, inter, i, j, t) -> np.ndarray:
     u_i = _loop_env_unitary(inter, i, spin.g, t)
     u_j = _loop_env_unitary(inter, j, spin.g, t)
-    return u_i @ initial_spin_state(spin) @ u_j.conj().T
+    return u_i @ _loop_initial_spin_state(spin) @ u_j.conj().T
 
 
 def _loop_branch_ensemble(inst):
@@ -54,9 +99,9 @@ def _loop_branch_ensemble(inst):
     d_s = inst.central.d_s
     gammas = np.ones((d_s, d_s), dtype=complex)
     for i, j in itertools.permutations(range(d_s), 2):
-        for spin in inst.unobserved:
+        for spin in _spins(inst.unobserved):
             gammas[i, j] *= np.trace(_loop_branch_state(spin, inst.interaction, i, j, inst.t))
-    branches = [[_loop_branch_state(spin, inst.interaction, i, i, inst.t) for i in range(d_s)] for spin in inst.observed]
+    branches = [[_loop_branch_state(spin, inst.interaction, i, i, inst.t) for i in range(d_s)] for spin in _spins(inst.observed)]
     return branches, np.array([[abs(complex(v)) for v in row] for row in gammas])
 
 
@@ -65,13 +110,14 @@ def _loop_full_joint_state(inst) -> np.ndarray:
     d_s = inst.central.d_s
     dim = d_s * 2 ** inst.n_spins
     rho0 = inst.central.rho
-    for spin in inst.spins:
-        rho0 = np.kron(rho0, initial_spin_state(spin))
+    spins = _spins(inst.observed) + _spins(inst.unobserved)
+    for spin in spins:
+        rho0 = np.kron(rho0, _loop_initial_spin_state(spin))
     phases = np.empty(dim, dtype=complex)
     block = 2 ** inst.n_spins
     for i in range(d_s):
         u = np.array([1.0 + 0.0j])
-        for spin in inst.spins:
+        for spin in spins:
             u = np.kron(u, np.diag(_loop_env_unitary(inst.interaction, i, spin.g, inst.t)))
         phases[i * block : (i + 1) * block] = u
     return (phases[:, None] * rho0) * phases.conj()[None, :]
@@ -122,7 +168,7 @@ def qutrit_cases():
         inst = oracle.random_instance(SEED, index, n_observed=2, n_unobserved=2, d_s=3)
         ens = oracle.branch_ensemble(inst)
         families = {
-            "pairwise": ProjectorFamily([(*helstrom_pair(row[0], row[1]).family(), zero) for row in ens.branches]),
+            "pairwise": ProjectorFamily([(*_loop_helstrom_pair(row[0], row[1]).family(), zero) for row in ens.branches]),
             "coarse": ProjectorFamily([(eye, zero, zero)] * len(ens.branches)),
         }
         yield inst, ens, families
@@ -152,12 +198,19 @@ class TestAgainstLoopVersions:
         families_seen = set()
         for inst, ens, families in qubit_cases():
             check_against_loops(inst, ens, families)
+            sigma = inst.central.sigma
+            for name, weights in (("helstrom", None), ("helstrom_weighted", (float(sigma[0]), float(sigma[1])))):
+                want = [_loop_helstrom_pair(b[0], b[1], weights).family() for b in ens.branches]
+                assert_identical(families[name].families, want)
             families_seen.update(families)
         assert families_seen == {"helstrom", "helstrom_weighted", "swapped", "coarse", "random"}
 
     def test_qutrit_suite_instances(self):
         for inst, ens, families in qutrit_cases():
             check_against_loops(inst, ens, families)
+            # the suite's one stacked call gives the pairs of one call per environment
+            stacked = helstrom_pair(ens.branches[:, 0], ens.branches[:, 1]).family()
+            assert_identical(stacked, families["pairwise"].families[:, :2])
 
     def test_coarse_family_has_zero_weight_branches(self):
         # a rank-zero projector leaves its branch a zero matrix of weight 0
@@ -200,6 +253,84 @@ class TestAgainstLoopVersions:
         states /= np.trace(states, axis1=-2, axis2=-1).real[..., None, None]
         got = densmat.fidelity(states[0], states[1])
         np.testing.assert_array_equal(got, [densmat.fidelity(a, b) for a, b in zip(states[0], states[1])])
+
+
+def edge_record(n=600, seed=93):
+    """Spins cycling through lam in {0, 1/2, 1} x beta in {0, pi/2, pi}; every 7th has g = 0."""
+    rng = np.random.default_rng(seed)
+    nodes = [(lam, beta) for lam in (0.0, 0.5, 1.0) for beta in (0.0, math.pi / 2, math.pi)]
+    lam, beta = np.array([nodes[j % len(nodes)] for j in range(n)]).T
+    # every other spin off the nodes, at a random state
+    lam[1::2], beta[1::2] = rng.uniform(0.0, 1.0, n // 2), rng.uniform(0.0, math.pi, n // 2)
+    g = rng.uniform(0.0, 1.0, n)
+    g[::7] = 0.0
+    return SpinParams(rng.uniform(0, 2 * np.pi, n), beta, rng.uniform(0, 2 * np.pi, n), lam, g)
+
+
+def random_states(rng, count, dim, rank):
+    """count random density matrices of the given dimension and rank."""
+    g = rng.normal(size=(count, dim, rank)) + 1j * rng.normal(size=(count, dim, rank))
+    rho = g @ np.swapaxes(g.conj(), -1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
+class TestStackedKernels:
+    def test_initial_spin_state_per_spin(self):
+        record = edge_record()
+        got = initial_spin_state(record)
+        assert got.shape == (600, 2, 2)
+        assert_identical(got, [_loop_initial_spin_state(spin) for spin in _spins(record)])
+        # a two-axis record and a record of floats give the same matrices
+        rows = SpinParams(*(v.reshape(20, 30) for v in vars(record).values()))
+        assert_identical(initial_spin_state(rows), got.reshape(20, 30, 2, 2))
+        spin = _spins(record)[5]
+        assert_identical(initial_spin_state(spin), _loop_initial_spin_state(spin))
+
+    @pytest.mark.parametrize("dim", (2, 4))
+    def test_helstrom_pair_per_pair(self, dim):
+        rng = np.random.default_rng(94 + dim)
+        # identical, pure-against-mixed and random pairs, each 10 times
+        same = random_states(rng, 10, dim, dim)
+        rho_p = np.concatenate([same, random_states(rng, 10, dim, 1), random_states(rng, 10, dim, dim)])
+        rho_m = np.concatenate([same, random_states(rng, 10, dim, dim), random_states(rng, 10, dim, dim)])
+        ranks = set()
+        for weights in (None, (0.7, 0.3), (0.3, 0.7)):
+            w_p, w_m = (0.5, 0.5) if weights is None else weights
+            rank = np.count_nonzero(np.linalg.eigvalsh(w_p * rho_p - w_m * rho_m) > TIE_TOLERANCE, axis=-1)
+            assert len(set(rank.tolist())) >= 2  # every stack mixes ranks
+            ranks.update(rank.tolist())
+            got = helstrom_pair(rho_p, rho_m, weights)
+            want = [_loop_helstrom_pair(p, m, weights) for p, m in zip(rho_p, rho_m)]
+            assert_identical(got.p_plus, [w.p_plus for w in want])
+            assert_identical(got.p_minus, [w.p_minus for w in want])
+            np.testing.assert_array_equal(got.degenerate, [w.degenerate for w in want])
+            np.testing.assert_array_equal(got.degenerate, rank == 0)
+        assert {0, 1, 2} <= ranks
+        # one pair gives the one-pair result
+        one = helstrom_pair(rho_p[12], rho_m[12])
+        assert_identical(one.p_plus, _loop_helstrom_pair(rho_p[12], rho_m[12]).p_plus)
+        assert one.degenerate == _loop_helstrom_pair(rho_p[12], rho_m[12]).degenerate
+
+    def test_helstrom_spin_analytic_per_spin(self):
+        record = edge_record()
+        rng = np.random.default_rng(95)
+        t = rng.uniform(0.0, 2.0 * np.pi, 600)
+        t[::5] = 0.0
+        for times in (t, 0.0, 1.3):
+            got = helstrom_spin_analytic(record, times)
+            want = [
+                _loop_helstrom_spin_analytic(spin, t_j)
+                for spin, t_j in zip(_spins(record), np.broadcast_to(times, (600,)).tolist())
+            ]
+            assert_identical(got.p_plus, [w.p_plus for w in want])
+            assert_identical(got.p_minus, [w.p_minus for w in want])
+            np.testing.assert_array_equal(got.degenerate, [w.degenerate for w in want])
+        # both kinds of degeneracy occur: delta = 0 at lam = 1/2 or beta in {0, pi},
+        # and sin(gt) = 0 at g = 0 or t = 0
+        flags = helstrom_spin_analytic(record, t).degenerate
+        assert flags[record.lam == 0.5].all() and flags[record.beta == 0.0].all() and flags[record.beta == np.pi].all()
+        assert flags[record.g == 0.0].all() and flags[t == 0.0].all()
+        assert not flags.all()
 
 
 class TestRecords:

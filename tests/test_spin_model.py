@@ -25,6 +25,11 @@ def batch(records):
     return stack_spins(records.__getitem__, len(records))
 
 
+def spin_of(record, j):
+    """Spin j of a record (an index into its arrays) as a record of floats."""
+    return SpinParams(*(float(v[j]) for v in vars(record).values()))
+
+
 def branch_pair(p, t):
     """Branch states (rho_plus, rho_minus) by explicit matrix evolution."""
     inter = InteractionSpec()
@@ -73,16 +78,13 @@ class TestSpinParams:
         # float fields hold for every spin of a batch
         SpinParams(0.0, np.ones((2, 3)), 0.0, 0.5, np.ones((2, 3)))
 
-    def test_spin_accessor_and_stacking_round_trip(self):
+    def test_stacking_round_trip(self):
         rng = np.random.default_rng(20)
         spins = [random_params(rng) for _ in range(6)]
         record = batch([batch(spins[:3]), batch(spins[3:])])
         assert record.lam.shape == (2, 3)
-        assert record.spin((1, 2)) == spins[5]
-        assert [batch(spins).spin(j) for j in range(6)] == spins
-        shared = SpinParams(0.0, np.ones(2), 0.0, 0.5, 1.0).spin(1)
-        assert shared == SpinParams(0.0, 1.0, 0.0, 0.5, 1.0)
-        assert all(type(v) is float for v in vars(shared).values())
+        assert spin_of(record, (1, 2)) == spins[5]
+        assert [spin_of(batch(spins), j) for j in range(6)] == spins
 
 
 class TestInitialState:
@@ -392,7 +394,7 @@ class TestEdgeCases:
     @pytest.mark.parametrize("t", EDGE_TIMES)
     def test_per_spin_forms_match_spin_by_spin(self, t):
         bath = edge_bath()
-        spins = [bath.spin(j) for j in range(CHECKED_SPINS)]
+        spins = [spin_of(bath, j) for j in range(CHECKED_SPINS)]
         forms = {
             "pi_diag": spin_model.pi_diag,
             "delta": spin_model.delta,
@@ -415,7 +417,7 @@ class TestEdgeCases:
             batched = form(rows, t)
             # each row of a batch is reduced exactly as a record of its own
             np.testing.assert_array_equal(batched, [form(row_of(rows, r), t) for r in range(100)])
-            per_spin = np.array([form(batch([bath.spin(j)]), t) for j in range(CHECKED_SPINS)])
+            per_spin = np.array([form(batch([spin_of(bath, j)]), t) for j in range(CHECKED_SPINS)])
             expected = np.prod(per_spin.reshape(-1, 100), axis=-1)
             np.testing.assert_allclose(batched[: len(expected)], expected, rtol=1e-12, atol=0.0)
 
@@ -445,8 +447,8 @@ class TestEdgeCases:
         for lam in (0.0, 1.0):
             # g t = pi/2 turns this pure equatorial spin's branches orthogonal
             shot = SpinParams(0.0, math.pi / 2, 0.0, lam, 1.0)
-            record = batch([shot] + [bath.spin(j) for j in range(99)])
+            record = batch([shot] + [spin_of(bath, j) for j in range(99)])
             assert spin_model.macrofraction_fidelity(record, math.pi / 2) == 0.0
-            rows = batch([record, batch([bath.spin(j) for j in range(100)])])
+            rows = batch([record, batch([spin_of(bath, j) for j in range(100)])])
             b = spin_model.macrofraction_fidelity(rows, math.pi / 2)
             assert b[0] == 0.0 and b[1] > 0.0
