@@ -6,11 +6,14 @@ decoherence times), discrimination (majority-vote performance vs the
 bounds), verify (the full certification suite).
 
 Configuration is a single JSON file of nested sections (schema documented
-in the README, carried under "config_version"); every run emits the
-requested CSV/JSON artifacts plus a manifest.json embedding the fully
-resolved config, seed, package version and wall time, which is enough to
-rerun the experiment.  CSV floats are written with 17 significant digits
-so reruns are byte-identical.
+in the README, carried under "config_version") over DEFAULT_CONFIG, the
+one source of defaults.  Before anything is written, run_scenario converts
+and tests each field its scenario reads against FIELDS (the measure
+section through parse_measure), so a bad value exits 1 naming its field;
+the runners read the converted values.  Every run emits its CSV/JSON
+artifacts plus a manifest.json embedding the resolved config, seed,
+package version and wall time, enough to rerun the experiment.  CSV
+floats have 17 significant digits so reruns are byte-identical.
 
 Exit codes: 0 success, 1 configuration error, 2 verification failure,
 3 numerical convergence gate not met.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import math
 import os
@@ -34,8 +38,9 @@ from .discrimination import (
     majority_stats,
     majority_success_heterogeneous,
 )
-from .ensemble import MeasureSpec, RunConfig, fig2_curves, fig1_surface, sample_spin_arrays, sample_stream
+from .ensemble import MeasureSpec, fig1_node, fig2_curves, sample_spin_arrays, sample_stream
 from .spin_model import (
+    SpinParams,
     macrofraction_fidelity,
     short_time_exponents,
     stack_spins,
@@ -48,8 +53,6 @@ EXIT_VERIFY = 2
 EXIT_GATE = 3
 
 CONVERGENCE_GATE = 1e-3
-
-SCENARIOS = ("fig1", "fig2", "timescales", "discrimination", "verify")
 
 DEFAULT_CONFIG = {
     "config_version": 1,
@@ -79,7 +82,7 @@ DEFAULT_CONFIG = {
 }
 
 
-class ConfigError(ValueError):
+class ConfigError(Exception):
     """Invalid configuration; the message names the offending field."""
 
 
@@ -120,49 +123,103 @@ def _reject_constant(name: str):
     raise ConfigError(f"config file is not valid JSON: {name} is not a number")
 
 
-def lookup(config: dict, path: str, kind):
-    """The value at a dotted config path converted by kind; a value kind
-    rejects raises ConfigError naming the path."""
-    value = config
-    for key in path.split("."):
-        value = value[key]
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: invalid value {value!r} ({exc})")
-
-
 def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
 
 
-def _ints(values) -> tuple:
-    return tuple(int(v) for v in values)
+def _accepts(fn, *args, **kwargs) -> bool:
+    """True once fn(*args, **kwargs) returns; a ValueError it raises says why not."""
+    fn(*args, **kwargs)
+    return True
+
+
+def _check(path: str, value, convert, test, requirement: str):
+    """value converted, or ConfigError naming path if the conversion raises or the test fails."""
+    try:
+        converted = convert(value)
+        if test(converted):
+            return converted
+        reason = ""
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f" ({exc})"
+    raise ConfigError(f"{path}: {requirement}, got {value!r}{reason}")
+
+
+# time_scales takes (n_total, n_mac, f, g2bar); its g2bar is checked with the measure
+_CASE = (
+    lambda case: (int(case["n_mac"]), int(case["n_total"]), float(case["f"])),
+    lambda case: case[1] >= 1 and _accepts(time_scales, case[1], case[0], case[2], 1.0),
+    "needs numbers n_mac, n_total >= 1 and f",
+)
+_COUNT = (int, lambda n: n >= 1, "must be an integer >= 1")
+_TIME = (float, lambda t: t >= 0.0, "must be >= 0")  # also false for NaN
+
+# dotted field -> (conversion, test of the converted value, requirement); the
+# spin and measure ranges stay defined in SpinParams and MeasureSpec
+FIELDS = {
+    "seed": (int, lambda n: n >= 0, "must be an integer >= 0"),
+    "samples": _COUNT,
+    "threads": (int, lambda n: 1 <= n <= (os.cpu_count() or 1), "must be an integer from 1 to the core count"),
+    "measure.angles": (
+        lambda a: a if a == "haar" else _floats(a), lambda a: _accepts(MeasureSpec, angles=a),
+        'must be "haar" or [alpha, beta, gamma]',
+    ),
+    "measure.lambda": (
+        lambda lam: lam if lam == "hilbert_schmidt" else float(lam), lambda lam: _accepts(MeasureSpec, lam=lam),
+        'must be "hilbert_schmidt" or a number',
+    ),
+    "measure.coupling": (
+        lambda c: _floats(c) if isinstance(c, (list, tuple)) else float(c), lambda c: _accepts(MeasureSpec, coupling=c),
+        "must be a number or [a, b]",
+    ),
+    "fig1.lambda_grid": (
+        _floats, lambda lams: len(lams) > 0 and _accepts(SpinParams, 0.0, 0.0, 0.0, np.array(lams), 0.0),
+        "must be a nonempty list of eigenvalues",
+    ),
+    "fig1.beta_grid": (
+        _floats, lambda betas: len(betas) > 0 and _accepts(SpinParams, 0.0, np.array(betas), 0.0, 0.0, 0.0),
+        "must be a nonempty list of polar angles",
+    ),
+    "fig1.n_spins": _COUNT,
+    # the convergence gate's half-resolution quadrature must end at tau > 0 too
+    "fig1.tau": (float, lambda tau: tau > 0.0, "must be > 0"),
+    "fig1.tau_points": (int, lambda n: n >= 3 and n % 2 == 1, "must be an odd integer >= 3"),
+    "fig1.samples": _COUNT,
+    "fig2.n_values": (
+        lambda ns: tuple(int(n) for n in ns), lambda ns: len(ns) > 0 and min(ns) >= 1,
+        "must be a nonempty list of integers >= 1",
+    ),
+    "fig2.t_min": _TIME,
+    "fig2.t_max": _TIME,
+    "fig2.t_points": (int, lambda n: n >= 2, "must be an integer >= 2"),
+    "timescales.cases": (
+        lambda cases: [_check(f"timescales.cases[{k}]", case, *_CASE) for k, case in enumerate(cases)],
+        lambda cases: len(cases) > 0,
+        "must be a nonempty list of cases",
+    ),
+    "discrimination.n_mac": _COUNT,
+    "discrimination.t_min": _TIME,
+    "discrimination.t_max": _TIME,
+    "discrimination.t_points": _COUNT,
+    "discrimination.draws": _COUNT,
+    "verify.instances": _COUNT,  # with none the oracle suites would check nothing
+}
+
+
+def _reads(scenario: str) -> list[str]:
+    """The fields besides the measure section that a scenario reads."""
+    shared = ("seed", "threads", "samples") if scenario == "fig2" else ("seed", "threads")
+    return [path for path in FIELDS if path in shared or path.startswith(f"{scenario}.")]
 
 
 def parse_measure(section: dict) -> MeasureSpec:
-    config = {"measure": section}  # so lookups name measure.<field>
-    angles, lam, coupling = section["angles"], section["lambda"], section["coupling"]
-    if angles != "haar":
-        if not (isinstance(angles, (list, tuple)) and len(angles) == 3):
-            raise ConfigError("measure.angles must be \"haar\" or [alpha, beta, gamma]")
-        angles = lookup(config, "measure.angles", _floats)
-    if lam != "hilbert_schmidt":
-        lam = lookup(config, "measure.lambda", float)
-    pair = isinstance(coupling, (list, tuple))
-    if pair and len(coupling) != 2:
-        raise ConfigError("measure.coupling must be a number or [a, b]")
-    coupling = lookup(config, "measure.coupling", _floats if pair else float)
-    try:
-        return MeasureSpec(angles=angles, lam=lam, coupling=coupling)
-    except ValueError as exc:
-        raise ConfigError(f"measure: {exc}")
+    """The measure section as a MeasureSpec; a bad value raises ConfigError naming its field."""
+    spec = {key: _check(f"measure.{key}", value, *FIELDS[f"measure.{key}"]) for key, value in section.items()}
+    return MeasureSpec(angles=spec["angles"], lam=spec["lambda"], coupling=spec["coupling"])
 
 
 def format_float(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return format(float(x), ".17g")
+    return format(float(x), ".17g")  # NaN prints as nan
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -173,65 +230,29 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def run_config(config: dict, **fields: tuple) -> RunConfig:
-    """RunConfig of the config's seed, threads and measure plus each field
-    given as (dotted config path, type); a bad value raises ConfigError
-    naming its path."""
-    values = {name: lookup(config, path, kind) for name, (path, kind) in fields.items()}
-    measure = parse_measure(config["measure"])
-    try:
-        return RunConfig(
-            seed=lookup(config, "seed", int),
-            threads=lookup(config, "threads", int),
-            measure=measure,
-            **values,
+def run_fig1(values: dict, out_dir: Path) -> tuple[int, list[str], dict]:
+    rows, worst_rel = [], 0.0
+    nodes = itertools.product(values["fig1.lambda_grid"], values["fig1.beta_grid"])
+    for node, (lam_plus, beta) in enumerate(nodes):
+        mean_b, mean_g, se_b, se_g, rel_b, rel_g = fig1_node(
+            lam_plus, beta, values["fig1.n_spins"], values["fig1.tau"], values["fig1.tau_points"],
+            values["fig1.samples"], values["seed"] + node,
+            coupling=values["measure"].coupling, threads=values["threads"],
         )
-    except ValueError as exc:
-        # RunConfig messages start with the name of the rejected field
-        name, _, reason = str(exc).partition(": ")
-        raise ConfigError(f"{fields[name][0]}: {reason}")
-
-
-def run_fig1(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
-    run = run_config(
-        config,
-        samples=("fig1.samples", int),
-        tau=("fig1.tau", float),
-        tau_points=("fig1.tau_points", int),
-    )
-    grids = [lookup(config, f"fig1.{name}", _floats) for name in ("lambda_grid", "beta_grid")]
-    n_spins = lookup(config, "fig1.n_spins", int)
-    if n_spins < 1:
-        raise ConfigError(f"fig1.n_spins: must be >= 1, got {n_spins}")
-    try:
-        surface = fig1_surface(run, *grids, n_spins)
-    except ValueError as exc:
-        raise ConfigError(f"fig1: {exc}")
+        rows.append([lam_plus, beta, mean_b, mean_g, se_b, se_g])
+        worst_rel = max(worst_rel, rel_b, rel_g)
     header = ["lambda_plus", "beta", "mean_B", "mean_abs_gamma", "stderr_B", "stderr_gamma"]
-    rows = [
-        [r["lambda_plus"], r["beta"], r["mean_B"], r["mean_abs_gamma"], r["stderr_B"], r["stderr_gamma"]]
-        for r in surface
-    ]
     write_csv(out_dir / "fig1_surface.csv", header, rows)
-    worst_rel = max(max(r["rel_change_B"], r["rel_change_gamma"]) for r in surface)
     gates = {"quadrature_rel_change": worst_rel, "gate_limit": CONVERGENCE_GATE}
     status = EXIT_OK if worst_rel < CONVERGENCE_GATE else EXIT_GATE
     return status, ["fig1_surface.csv"], gates
 
 
-def run_fig2(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
-    run = run_config(
-        config,
-        samples=("samples", int),
-        t_min=("fig2.t_min", float),
-        t_max=("fig2.t_max", float),
-        t_points=("fig2.t_points", int),
+def run_fig2(values: dict, out_dir: Path) -> tuple[int, list[str], dict]:
+    t = np.linspace(values["fig2.t_min"], values["fig2.t_max"], values["fig2.t_points"])
+    curves = fig2_curves(
+        values["fig2.n_values"], t, values["samples"], values["seed"], values["measure"], values["threads"]
     )
-    n_values = lookup(config, "fig2.n_values", _ints)
-    try:
-        curves = fig2_curves(n_values, run)
-    except ValueError as exc:
-        raise ConfigError(f"fig2.n_values: {exc}")
     files = []
     for n, curve in sorted(curves.items()):
         name = f"fig2_curve_n{n}.csv"
@@ -244,19 +265,12 @@ def run_fig2(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     return EXIT_OK, files, {}
 
 
-def run_timescales(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
-    g2bar = parse_measure(config["measure"]).g2bar()
+def run_timescales(values: dict, out_dir: Path) -> tuple[int, list[str], dict]:
+    g2bar = values["measure"].g2bar()
     header = ["N_m", "N", "f", "g2bar", "t_B", "t_D", "ratio_sq", "B_at_tB", "gamma2_at_tD"]
     rows = []
-    for k, case in enumerate(lookup(config, "timescales.cases", list)):
-        try:
-            n_mac, n_total, f = int(case["n_mac"]), int(case["n_total"]), float(case["f"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"timescales.cases[{k}]: entries need numbers n_mac, n_total, f ({exc!r})")
-        try:
-            t_b, t_d, ratio_sq = time_scales(n_total, n_mac, f, g2bar)
-        except ValueError as exc:
-            raise ConfigError(f"timescales.cases[{k}]: {exc}")
+    for n_mac, n_total, f in values["timescales.cases"]:
+        t_b, t_d, ratio_sq = time_scales(n_total, n_mac, f, g2bar)
         kappa_b, _ = short_time_exponents(g2bar, t_b)
         _, chi_d = short_time_exponents(g2bar, t_d)
         b_at_tb = math.exp(-0.5 * n_mac * kappa_b)
@@ -266,34 +280,16 @@ def run_timescales(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     return EXIT_OK, ["timescales.csv"], {}
 
 
-def run_discrimination(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
-    measure = parse_measure(config["measure"])
-    sizes = {name: lookup(config, f"discrimination.{name}", int) for name in ("n_mac", "draws", "t_points")}
-    for name, value in sizes.items():
-        if value < 1:
-            raise ConfigError(f"discrimination.{name}: must be >= 1, got {value}")
-    n_mac, draws = sizes["n_mac"], sizes["draws"]
-    seed = lookup(config, "seed", int)
-    t_min, t_max = (lookup(config, f"discrimination.{name}", float) for name in ("t_min", "t_max"))
-    for name, value in (("t_min", t_min), ("t_max", t_max)):
-        if not value >= 0.0:  # also false for NaN
-            raise ConfigError(f"discrimination.{name}: must be >= 0, got {value}")
-    t_grid = np.linspace(t_min, t_max, sizes["t_points"])
-    header = [
-        "t",
-        "p_bar",
-        "S_bar",
-        "p_tilde_exact",
-        "chernoff_lb",
-        "K",
-        "fuchs_limit",
-        "p_tilde_het",
-        "mean_B",
-        "ok_fraction",
-    ]
+def run_discrimination(values: dict, out_dir: Path) -> tuple[int, list[str], dict]:
+    n_mac, draws, seed = values["discrimination.n_mac"], values["discrimination.draws"], values["seed"]
+    t_grid = np.linspace(
+        values["discrimination.t_min"], values["discrimination.t_max"], values["discrimination.t_points"]
+    )
+    header = ["t", "p_bar", "S_bar", "p_tilde_exact", "chernoff_lb", "K", "fuchs_limit", "p_tilde_het", "mean_B",
+              "ok_fraction"]
     rows = []
     # draws x n_mac, one row per draw
-    spins = stack_spins(lambda d: sample_spin_arrays(measure, sample_stream(seed, d, label=20), n_mac), draws)
+    spins = stack_spins(lambda d: sample_spin_arrays(values["measure"], sample_stream(seed, d, label=20), n_mac), draws)
     for t in t_grid:
         t = float(t)
         probs = local_success_probability(spins, t)
@@ -321,11 +317,8 @@ def run_discrimination(config: dict, out_dir: Path) -> tuple[int, list[str], dic
     return EXIT_OK if all_ok else EXIT_VERIFY, ["discrimination.csv"], {"fuchs_all_ok": all_ok}
 
 
-def run_verify(config: dict, out_dir: Path) -> tuple[int, list[str], dict]:
-    instances = lookup(config, "verify.instances", int)
-    if instances < 1:
-        raise ConfigError(f"verify.instances: must be >= 1, got {instances}")
-    suites = verify.run_all(seed=lookup(config, "seed", int), instances=instances)
+def run_verify(values: dict, out_dir: Path) -> tuple[int, list[str], dict]:
+    suites = verify.run_all(seed=values["seed"], instances=values["verify.instances"])
     report = {
         "suites": {name: suite.as_dict() for name, suite in suites.items()},
         "all_passed": all(s.passed for s in suites.values()),
@@ -343,20 +336,23 @@ RUNNERS = {
     "discrimination": run_discrimination,
     "verify": run_verify,
 }
+SCENARIOS = tuple(RUNNERS)
 
 
 def run_scenario(scenario: str, config: dict, out_dir: Path) -> int:
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario: {scenario} (choose from {', '.join(SCENARIOS)})")
-    # shared fields, checked before any runner reads them or starts a pool
-    lookup(config, "seed", int)
-    threads = lookup(config, "threads", int)
-    cores = os.cpu_count() or 1
-    if not 1 <= threads <= cores:
-        raise ConfigError(f"threads: must be in [1, {cores}] (the core count), got {threads}")
+    # every field the runner reads, checked before any output is written
+    values = {}
+    for path in _reads(scenario):
+        section, _, key = path.rpartition(".")
+        values[path] = _check(path, config[section][key] if section else config[key], *FIELDS[path])
+    values["measure"] = parse_measure(config["measure"])
+    if scenario == "timescales" and not values["measure"].g2bar() > 0.0:
+        raise ConfigError(f"measure.coupling: timescales need a nonzero coupling, got {config['measure']['coupling']!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    status, files, gates = RUNNERS[scenario](config, out_dir)
+    status, files, gates = RUNNERS[scenario](values, out_dir)
     manifest = {
         "artifact": "sbskit",
         "artifact_version": __version__,

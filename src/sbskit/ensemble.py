@@ -1,7 +1,8 @@
-"""Random spin-parameter sampling and the Monte Carlo surface/curve
-pipelines driven by the CLI: the time-averaged fig1 surface and the fig2
+"""Random spin-parameter sampling and the Monte Carlo pipelines driven by
+the CLI: one time-averaged fig1 surface node (fig1_node) and the fig2
 distance-bound curves, both through one blocked kernel for the B(t) and
-|gamma(t)| products.
+|gamma(t)| products.  The CLI checks every run parameter against its
+config table before it calls them; they take plain values, not a config.
 
 Reproducibility contract: every Monte Carlo sample draws from its own RNG
 stream derived from (master seed, stream label, sample index) through
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,37 +65,6 @@ class MeasureSpec:
             return float(self.coupling) ** 2
         a, b = self.coupling
         return (a * a + a * b + b * b) / 3.0
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully seeded description of one reproducible experiment."""
-
-    seed: int
-    t_min: float = 0.0
-    t_max: float = 1.2
-    t_points: int = 121
-    tau: float = 200.0
-    tau_points: int = 40001
-    samples: int = 200
-    threads: int = 1
-    measure: MeasureSpec = field(default_factory=MeasureSpec)
-
-    def __post_init__(self):
-        # each message starts with the field it rejects
-        for name in ("t_points", "tau_points"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name}: time grids need at least 2 points, got {getattr(self, name)}")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau: the averaging window must be > 0, got {self.tau}")
-        if self.tau_points % 2 == 0:
-            # the convergence gate compares with the quadrature on every second point
-            raise ValueError(f"tau_points: must be odd, got {self.tau_points}")
-        if self.samples < 1:
-            raise ValueError(f"samples: must be >= 1, got {self.samples}")
-
-    def t_grid(self) -> np.ndarray:
-        return np.linspace(self.t_min, self.t_max, self.t_points)
 
 
 @dataclass(frozen=True)
@@ -269,77 +239,39 @@ def fig1_node(
     return tuple(out)
 
 
-def fig1_surface(
-    config: RunConfig,
-    lambda_grid: Sequence[float],
-    beta_grid: Sequence[float],
-    n_spins: int = 100,
-) -> list[dict]:
-    """Surface of time-averaged <B> and <|gamma|> over initial-state nodes."""
-    if not len(lambda_grid) or not len(beta_grid):
-        raise ValueError("grids must be nonempty")
-    rows = []
-    node = 0
-    for lam_plus in lambda_grid:
-        for beta in beta_grid:
-            mean_b, mean_g, se_b, se_g, rel_b, rel_g = fig1_node(
-                float(lam_plus),
-                float(beta),
-                n_spins,
-                config.tau,
-                config.tau_points,
-                config.samples,
-                config.seed + node,
-                coupling=config.measure.coupling,
-                threads=config.threads,
-            )
-            rows.append(
-                {
-                    "lambda_plus": float(lam_plus),
-                    "beta": float(beta),
-                    "mean_B": mean_b,
-                    "mean_abs_gamma": mean_g,
-                    "stderr_B": se_b,
-                    "stderr_gamma": se_g,
-                    "rel_change_B": rel_b,
-                    "rel_change_gamma": rel_g,
-                }
-            )
-            node += 1
-    return rows
-
-
-def fig2_curves(n_values: Sequence[int], config: RunConfig) -> dict[int, AverageCurve]:
-    """Mean distance bound |gamma(t)| + B(t) versus t, one curve per size n.
+def fig2_curves(
+    n_values: Sequence[int],
+    t: np.ndarray,
+    samples: int,
+    seed: int,
+    measure: MeasureSpec,
+    threads: int = 1,
+) -> dict[int, AverageCurve]:
+    """Mean distance bound |gamma(t)| + B(t) over the time grid t, one curve
+    per size n in n_values (each >= 1).
 
     Each curve uses n observed and n unobserved freshly sampled spins per
     Monte Carlo sample.  Samples are nested: size n uses the first n spins
     of the same per-sample stream, so larger-n curves lie below smaller-n
     ones pointwise for every draw, not just on average.
     """
-    if not len(n_values):
-        raise ValueError("n_values must be nonempty")
-    n_values = [int(n) for n in n_values]
-    if min(n_values) < 1:
-        raise ValueError("n_values must be positive")
     n_max = max(n_values)
-    t = config.t_grid()
 
     def one(i: int):
-        rng = sample_stream(config.seed, i, label=2)
-        observed = sample_spin_arrays(config.measure, rng, n_max)
-        unobserved = sample_spin_arrays(config.measure, rng, n_max)
+        rng = sample_stream(seed, i, label=2)
+        observed = sample_spin_arrays(measure, rng, n_max)
+        unobserved = sample_spin_arrays(measure, rng, n_max)
         b_coeff, _ = sin2_coefficients(observed)
         _, gamma_coeff = sin2_coefficients(unobserved)
         b = _product_curves(observed.g, t, [b_coeff], n_values)[0]
         ag = _product_curves(unobserved.g, t, [gamma_coeff], n_values)[0]
         return ag + b
 
-    draws = map_indexed(one, config.samples, config.threads)
+    draws = map_indexed(one, samples, threads)
     out = {}
     for j, n in enumerate(n_values):
         stack = np.stack([d[j] for d in draws])
         mean, stderr = _mean_stderr(stack)
-        out[n] = AverageCurve(t, mean, stderr, config.samples)
+        out[n] = AverageCurve(t, mean, stderr, samples)
     return out
 

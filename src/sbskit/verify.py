@@ -36,7 +36,6 @@ from .discrimination import (
 )
 from .ensemble import (
     MeasureSpec,
-    RunConfig,
     fig1_node,
     fig2_curves,
     sample_spin_arrays,
@@ -386,9 +385,9 @@ def fig2_anchor_suite(
     curve stays below 0.1 beyond twice its broadcast time.
     """
     res = SuiteResult("fig2_anchors")
-    config = RunConfig(seed=seed, samples=samples, t_min=0.0, t_max=1.2, t_points=121)
-    curves = fig2_curves(n_values, config)
-    t = config.t_grid()
+    t = np.linspace(0.0, 1.2, 121)
+    measure = MeasureSpec()
+    curves = fig2_curves(n_values, t, samples, seed, measure)
     for n in n_values:
         res.record(1e-12 - abs(float(curves[n].mean[0]) - 2.0))
     window = (t >= plateau[0]) & (t <= plateau[1])
@@ -406,7 +405,7 @@ def fig2_anchor_suite(
         gap = curves[lo].mean[sl] - curves[hi].mean[sl]
         slack = 3.0 * np.hypot(curves[lo].stderr[sl], curves[hi].stderr[sl])
         res.record(float(np.min(gap + slack)))
-    g2bar = config.measure.g2bar()
+    g2bar = measure.g2bar()
     t_b500, _, _ = time_scales(1000, 500, 0.5, g2bar)
     tail = t >= 2.0 * t_b500
     res.record(0.1 - float(np.max(curves[500].mean[tail])))

@@ -243,14 +243,6 @@ class TestFig1Scenario:
         assert manifest["gates"]["quadrature_rel_change"] < 1e-3
 
 
-    def test_out_of_range_node_is_config_error(self, tmp_path, capsys):
-        # a node is one spin state, validated like any spin record
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"fig1": {"lambda_grid": [1.5], "beta_grid": [0.0], "tau_points": 101}}))
-        out = tmp_path / "out"
-        assert run_cli(["--scenario", "fig1", "--config", str(cfg), "--out-dir", str(out)]) == cli.EXIT_CONFIG
-        assert "fig1: lam 1.5 outside" in capsys.readouterr().out
-
     def test_default_surface_matches_golden(self, tmp_path):
         # the fig1 hot path must reproduce the benchmark's recorded surface byte for byte
         cfg = tmp_path / "cfg.json"
@@ -337,10 +329,34 @@ BAD_CONFIGS = [
     ("discrimination", {"discrimination": {"t_min": -1.0}}, [], "discrimination.t_min"),
     ("fig1", {"fig1": {"n_spins": 0}}, [], "fig1.n_spins"),
     ("fig1", {"fig1": {"n_spins": -1}}, [], "fig1.n_spins"),
+    # a grid value outside the SpinParams range, before any node is computed;
+    # rows whose scenario-field id is taken carry their own id
+    pytest.param(
+        "fig1", {"fig1": {"lambda_grid": [1.5], "beta_grid": [0.0], "tau_points": 101}}, [], "fig1.lambda_grid",
+        id="fig1-fig1.lambda_grid-range",
+    ),
+    ("fig1", {"fig1": {"beta_grid": [0.0, 7.0]}}, [], "fig1.beta_grid"),
+    ("fig2", {"fig2": {"t_min": -1.0}}, [], "fig2.t_min"),
+    pytest.param("discrimination", {}, ["--seed", "-1"], "seed", id="discrimination-seed-negative"),
+    ("fig2", {}, ["--seed", "-1"], "seed"),
+    ("fig1", {"measure": {"coupling": [2.0, 1.0]}}, [], "measure.coupling"),
+    ("discrimination", {"measure": {"lambda": 1.5}}, [], "measure.lambda"),
+    ("fig2", {"measure": {"angles": [0, 9, 0]}}, [], "measure.angles"),
+    # the time scales divide by the coupling and by the bath size
+    ("timescales", {"measure": {"coupling": 0.0}}, [], "measure.coupling"),
+    pytest.param(
+        "timescales", {"timescales": {"cases": [{"n_mac": 100, "n_total": 0, "f": 0.5}]}}, [], "timescales.cases[0]",
+        id="timescales-timescales.cases[0]-no-bath",
+    ),
+    # the convergence gate needs an odd tau_points and tau > 0
+    pytest.param("fig1", {"fig1": {"tau": -1.0, "tau_points": 11}}, [], "fig1.tau", id="fig1-fig1.tau-negative"),
+    ("fig1", {"fig1": {"tau_points": 2}}, [], "fig1.tau_points"),
 ]
 
 
-@pytest.mark.parametrize("scenario,override,flags,field", BAD_CONFIGS, ids=[f"{c[0]}-{c[3]}" for c in BAD_CONFIGS])
+@pytest.mark.parametrize(
+    "scenario,override,flags,field", BAD_CONFIGS, ids=[getattr(c, "id", None) or f"{c[0]}-{c[3]}" for c in BAD_CONFIGS]
+)
 def test_bad_config_exits_1_naming_the_field(tmp_path, scenario, override, flags, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(override))
@@ -351,4 +367,4 @@ def test_bad_config_exits_1_naming_the_field(tmp_path, scenario, override, flags
     assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
     assert proc.stdout.startswith(f"config error: {field}: "), proc.stdout
     assert "Traceback" not in proc.stderr
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()  # every check runs before any output is written

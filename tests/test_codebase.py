@@ -5,9 +5,12 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sbskit"
@@ -88,3 +91,31 @@ def test_traced_benchmark_finds_every_name(tmp_path, monkeypatch):
 
     assert {"samples", "n_spins", "tau_points"} <= set(inspect.signature(ensemble.fig1_node).parameters)
     assert "d_s" in inspect.signature(oracle.random_instance).parameters
+
+
+def config_leaves(section: dict, prefix: str = ""):
+    """Dotted path of every non-section value in a config."""
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_every_config_field_is_checked(tmp_path):
+    """Each default field but config_version has an entry in cli.FIELDS and is
+    checked by some scenario (the measure section by parse_measure): None
+    there exits as a config error naming it before any output is written."""
+    from sbskit import cli
+
+    leaves = set(config_leaves(cli.DEFAULT_CONFIG)) - {"config_version"}
+    assert set(cli.FIELDS) == leaves
+    for path in sorted(leaves):
+        section, _, key = path.rpartition(".")
+        config = cli.load_config(None)
+        (config[section] if section else config)[key] = None
+        readers = [s for s in cli.SCENARIOS if path in cli._reads(s) or section == "measure"]
+        assert readers, f"no scenario checks {path}"
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(path)}: "):
+            cli.run_scenario(readers[0], config, tmp_path / "out")
+    assert not (tmp_path / "out").exists()

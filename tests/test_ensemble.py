@@ -8,7 +8,6 @@ from sbskit.ensemble import (
     CURVE_BLOCK,
     AverageCurve,
     MeasureSpec,
-    RunConfig,
     fig1_node,
     fig2_curves,
     sample_spin_arrays,
@@ -200,19 +199,6 @@ class TestTimeAverage:
         got = fig1_node(0.5, 0.0, 1, 8 * np.pi, 20001, samples=1, seed=1, coupling=1.0)[1]
         assert got == pytest.approx(2.0 / np.pi, abs=1e-5)
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="2 points"):
-            RunConfig(seed=0, tau_points=1)
-        with pytest.raises(ValueError, match="2 points"):
-            RunConfig(seed=0, t_points=1)
-        # the half-resolution grid of the convergence gate must end at tau > 0
-        for tau in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match="^tau: "):
-                RunConfig(seed=0, tau=tau)
-        for points in (2, 1000):
-            with pytest.raises(ValueError, match="^tau_points: must be odd"):
-                RunConfig(seed=0, tau_points=points)
-
 
 class TestFig1Node:
     def test_maximally_mixed_row_is_exactly_one(self):
@@ -244,36 +230,32 @@ class TestFig1Node:
 
 class TestFig2Curves:
     def make_config(self, **over):
-        kw = dict(seed=99, samples=40, t_min=0.0, t_max=1.0, t_points=41)
+        kw = dict(t=np.linspace(0.0, 1.0, 41), samples=40, seed=99, measure=MeasureSpec())
         kw.update(over)
-        return RunConfig(**kw)
+        return kw
 
     def test_curves_start_at_two(self):
-        curves = fig2_curves([10, 20], self.make_config())
+        curves = fig2_curves([10, 20], **self.make_config())
         for curve in curves.values():
             assert curve.mean[0] == pytest.approx(2.0, abs=1e-14)
             assert curve.stderr[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_nested_sampling_orders_curves_pointwise(self):
-        curves = fig2_curves([10, 30, 60], self.make_config())
+        curves = fig2_curves([10, 30, 60], **self.make_config())
         assert np.all(curves[10].mean >= curves[30].mean - 1e-12)
         assert np.all(curves[30].mean >= curves[60].mean - 1e-12)
 
     def test_deterministic_and_thread_invariant(self):
-        a = fig2_curves([15], self.make_config())
-        b = fig2_curves([15], self.make_config())
+        a = fig2_curves([15], **self.make_config())
+        b = fig2_curves([15], **self.make_config())
         np.testing.assert_array_equal(a[15].mean, b[15].mean)
-        c = fig2_curves([15], self.make_config(threads=3))
+        c = fig2_curves([15], **self.make_config(threads=3))
         np.testing.assert_array_equal(a[15].mean, c[15].mean)
-        d = fig2_curves([15], self.make_config(seed=100))
+        d = fig2_curves([15], **self.make_config(seed=100))
         assert np.any(a[15].mean != d[15].mean)
 
-    def test_nonpositive_size_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            fig2_curves([0, 5], self.make_config())
-
     def test_curve_lengths(self):
-        curves = fig2_curves([5], self.make_config(t_points=17))
+        curves = fig2_curves([5], **self.make_config(t=np.linspace(0.0, 1.0, 17)))
         assert len(curves[5].abscissa) == 17
         assert len(curves[5].mean) == 17
         assert len(curves[5].stderr) == 17
