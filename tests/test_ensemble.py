@@ -254,6 +254,21 @@ class TestFig2Curves:
         d = fig2_curves([15], **self.make_config(seed=100))
         assert np.any(a[15].mean != d[15].mean)
 
+    def test_nonpositive_size_rejected(self, tmp_path, monkeypatch):
+        # fig2_curves takes checked sizes; the fig2 config check rejects a
+        # size < 1 before fig2_curves runs or any output is written
+        from sbskit import cli
+
+        def never_called(*args, **kwargs):
+            raise AssertionError("fig2_curves ran on an unchecked size")
+
+        monkeypatch.setattr(cli, "fig2_curves", never_called)
+        config = cli.load_config(None)
+        config["fig2"]["n_values"] = [0, 5]
+        with pytest.raises(cli.ConfigError, match=r"^fig2\.n_values: .*>= 1"):
+            cli.run_scenario("fig2", config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_curve_lengths(self):
         curves = fig2_curves([5], **self.make_config(t=np.linspace(0.0, 1.0, 17)))
         assert len(curves[5].abscissa) == 17
