@@ -127,6 +127,13 @@ def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
 
 
+def _integer(value) -> int:
+    """value as an int; a bool or a fractional number raises instead of being truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _accepts(fn, *args, **kwargs) -> bool:
     """True once fn(*args, **kwargs) returns; a ValueError it raises says why not."""
     fn(*args, **kwargs)
@@ -147,19 +154,19 @@ def _check(path: str, value, convert, test, requirement: str):
 
 # time_scales takes (n_total, n_mac, f, g2bar); its g2bar is checked with the measure
 _CASE = (
-    lambda case: (int(case["n_mac"]), int(case["n_total"]), float(case["f"])),
+    lambda case: (_integer(case["n_mac"]), _integer(case["n_total"]), float(case["f"])),
     lambda case: case[1] >= 1 and _accepts(time_scales, case[1], case[0], case[2], 1.0),
     "needs numbers n_mac, n_total >= 1 and f",
 )
-_COUNT = (int, lambda n: n >= 1, "must be an integer >= 1")
+_COUNT = (_integer, lambda n: n >= 1, "must be an integer >= 1")
 _TIME = (float, lambda t: t >= 0.0, "must be >= 0")  # also false for NaN
 
 # dotted field -> (conversion, test of the converted value, requirement); the
 # spin and measure ranges stay defined in SpinParams and MeasureSpec
 FIELDS = {
-    "seed": (int, lambda n: n >= 0, "must be an integer >= 0"),
+    "seed": (_integer, lambda n: n >= 0, "must be an integer >= 0"),
     "samples": _COUNT,
-    "threads": (int, lambda n: 1 <= n <= (os.cpu_count() or 1), "must be an integer from 1 to the core count"),
+    "threads": (_integer, lambda n: 1 <= n <= (os.cpu_count() or 1), "must be an integer from 1 to the core count"),
     "measure.angles": (
         lambda a: a if a == "haar" else _floats(a), lambda a: _accepts(MeasureSpec, angles=a),
         'must be "haar" or [alpha, beta, gamma]',
@@ -183,15 +190,15 @@ FIELDS = {
     "fig1.n_spins": _COUNT,
     # the convergence gate's half-resolution quadrature must end at tau > 0 too
     "fig1.tau": (float, lambda tau: tau > 0.0, "must be > 0"),
-    "fig1.tau_points": (int, lambda n: n >= 3 and n % 2 == 1, "must be an odd integer >= 3"),
+    "fig1.tau_points": (_integer, lambda n: n >= 3 and n % 2 == 1, "must be an odd integer >= 3"),
     "fig1.samples": _COUNT,
     "fig2.n_values": (
-        lambda ns: tuple(int(n) for n in ns), lambda ns: len(ns) > 0 and min(ns) >= 1,
+        lambda ns: tuple(_integer(n) for n in ns), lambda ns: len(ns) > 0 and min(ns) >= 1,
         "must be a nonempty list of integers >= 1",
     ),
     "fig2.t_min": _TIME,
     "fig2.t_max": _TIME,
-    "fig2.t_points": (int, lambda n: n >= 2, "must be an integer >= 2"),
+    "fig2.t_points": (_integer, lambda n: n >= 2, "must be an integer >= 2"),
     "timescales.cases": (
         lambda cases: [_check(f"timescales.cases[{k}]", case, *_CASE) for k, case in enumerate(cases)],
         lambda cases: len(cases) > 0,

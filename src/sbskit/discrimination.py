@@ -40,9 +40,8 @@ class ProjectorPair:
 
 @dataclass(frozen=True)
 class MajorityStats:
-    """Majority-vote summary for a macrofraction of n_mac spins."""
+    """Majority-vote summary for a macrofraction of spins with mean success p_bar."""
 
-    n_mac: int
     p_bar: float
     s_bar: float
     p_tilde_exact: float
@@ -210,7 +209,7 @@ def majority_stats(n_mac: int, p_bar: float) -> MajorityStats:
         raise AssertionError(
             f"exact majority tail {exact} fell below its Chernoff bound {lower}"
         )
-    return MajorityStats(n_mac, p_bar, s_bar, exact, lower)
+    return MajorityStats(p_bar, s_bar, exact, lower)
 
 
 def kolmogorov_fuchs(p_tilde: float, b_mac: float) -> tuple[float, float, bool]:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -37,15 +36,15 @@ DIMENSION_CAP = 4096
 
 @dataclass(frozen=True)
 class InteractionSpec:
-    """Pointer eigenvalues of the central observable plus the convention tag.
+    """Pointer eigenvalues of the central observable.
 
     Per-environment coupling operators are fixed to g_k sigma_z / 2 with
     g_k taken from each spin record; branch unitaries are
-    exp(-i a_i g_k t sigma_z / 2).
+    exp(-i a_i g_k t sigma_z / 2), so under the default eigenvalues index 0
+    advances by exp(+i g t sigma_z / 2).
     """
 
     pointer_eigenvalues: tuple = (-1.0, 1.0)
-    convention: str = "half-angle, index 0 advances by exp(+i g t sigma_z / 2)"
 
     @property
     def d_s(self) -> int:
@@ -169,60 +168,30 @@ def branch_ensemble(inst: OracleInstance) -> BranchEnsemble:
     return BranchEnsemble(observed_branches(inst), np.hypot(gammas.real, gammas.imag))
 
 
-def exact_epsilon(reduced: np.ndarray, sbs):
-    """Half trace norm of (actual reduced state - ideal broadcast state).
-
-    sbs is an SBSState, its matrix or a stack of such matrices (one
-    distance each).
-    """
-    sbs_matrix = sbs.to_matrix() if isinstance(sbs, SBSState) else np.asarray(sbs)
+def exact_epsilon(reduced: np.ndarray, sbs: SBSState):
+    """Half trace norm of (actual reduced state - ideal broadcast state),
+    one distance per family of sbs (a float for one family)."""
+    sbs_matrix = sbs.to_matrix()
     if reduced.shape != sbs_matrix.shape[-2:]:
         raise ValueError(f"dimension mismatch: {reduced.shape} vs {sbs_matrix.shape}")
     return 0.5 * densmat.trace_norm(reduced - sbs_matrix)
 
 
-@dataclass(frozen=True)
-class MutualInfoCheck:
-    mutual_info: float
-    h_s: float
-    gap: float
-    f_bound: float
-    valid: bool
-    ok: bool
-
-
-def exact_mutual_info_check(
-    reduced: np.ndarray,
-    central: CentralState,
-    factor_dims: Sequence[int],
-    epsilon: float,
-) -> MutualInfoCheck:
-    """Gap |I - H_S| against the information bound F(epsilon).
-
-    The ok flag asserts only when epsilon <= 1/4 (the bound's hypothesis);
-    otherwise it reports True vacuously with valid = False.
-    """
-    info = sbs_core.mutual_information(reduced, factor_dims, [0])
-    h_s = central.shannon_entropy()
-    gap = abs(info - h_s)
-    f_bound, valid = sbs_core.cor2_bound(epsilon, central.d_s)
-    ok = (not valid) or gap <= f_bound + 1e-9
-    return MutualInfoCheck(info, h_s, gap, f_bound, valid, ok)
-
-
 # ---------------------------------------------------------------------------
 # projector families for the bound checks
 
+# the family axis of qubit_families; the two Helstrom families come first
+QUBIT_FAMILIES = ("helstrom", "helstrom_weighted", "swapped", "coarse", "random")
 
-def qubit_families(
-    central: CentralState, branches: np.ndarray, rng: np.random.Generator | None = None
-) -> dict:
-    """Named two-outcome projector families for a qubit central system.
+
+def qubit_families(central: CentralState, branches: np.ndarray, rng: np.random.Generator) -> ProjectorFamily:
+    """Two-outcome projector families for a qubit central system, stacked
+    along a leading axis in the order of QUBIT_FAMILIES.
 
     branches[k, i] is the state of observed environment k on pointer
     branch i.  "helstrom" and "helstrom_weighted" are the witnesses;
-    "swapped", "coarse" and "random" are deliberately bad measurements the
-    additive bound must still dominate.
+    "swapped", "coarse" and "random" (drawn from rng) are deliberately bad
+    measurements the additive bound must still dominate.
     """
     if central.d_s != 2:
         raise ValueError("qubit_families requires a two-level central system")
@@ -231,45 +200,33 @@ def qubit_families(
     plain = helstrom_pair(branches[:, 0], branches[:, 1]).family()
     weighted = helstrom_pair(branches[:, 0], branches[:, 1], weights=(float(sigma[0]), float(sigma[1]))).family()
     eye = np.eye(2, dtype=complex)
-    fams = {
-        "helstrom": ProjectorFamily(plain),
-        "helstrom_weighted": ProjectorFamily(weighted),
-        "swapped": ProjectorFamily(plain[:, ::-1]),
-        "coarse": ProjectorFamily(np.broadcast_to([eye, np.zeros_like(eye)], (n_env, 2, 2, 2))),
-    }
-    if rng is not None:
-        # per environment a real and an imaginary normal pair, in stream order
-        draws = rng.normal(size=(n_env, 2, 2))
-        v = draws[:, 0] + 1j * draws[:, 1]
-        # the dot products np.linalg.norm takes for one complex vector
-        v = v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
-        p = v[:, :, None] * v.conj()[:, None, :]
-        fams["random"] = ProjectorFamily(np.stack([p, eye - p], axis=1))
-    return fams
-
-
-@dataclass(frozen=True)
-class FamilyResult:
-    pe_list: tuple
-    prop1: float
-    epsilon: float
-    fifty_fifty: float
-    family: ProjectorFamily
-
-    @property
-    def prop1_margin(self) -> float:
-        """prop1 - epsilon; the additive bound holds iff this is >= 0."""
-        return self.prop1 - self.epsilon
+    coarse = np.broadcast_to([eye, np.zeros_like(eye)], (n_env, 2, 2, 2))
+    # per environment a real and an imaginary normal pair, in stream order
+    draws = rng.normal(size=(n_env, 2, 2))
+    v = draws[:, 0] + 1j * draws[:, 1]
+    # the dot products np.linalg.norm takes for one complex vector
+    v = v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
+    p = v[:, :, None] * v.conj()[:, None, :]
+    return ProjectorFamily(np.stack([plain, weighted, plain[:, ::-1], coarse, np.stack([p, eye - p], axis=1)]))
 
 
 @dataclass(frozen=True)
 class InstanceReport:
-    t: float
+    """Exact distances and bounds of one instance.
+
+    epsilon and prop1 hold one entry per family of the stacked families,
+    in the order of QUBIT_FAMILIES; cor2 is (F(epsilon_witness), whether
+    epsilon_witness <= 1/4) for the information gap |I - H_S|.
+    """
+
     gamma: float
     eta_cor1: float
-    families: dict
+    families: ProjectorFamily
+    epsilon: np.ndarray
+    prop1: np.ndarray
     epsilon_witness: float
-    info: MutualInfoCheck
+    info_gap: float
+    cor2: tuple
     branches: np.ndarray  # observed branch states, indexed [k, i]
 
     @property
@@ -278,9 +235,7 @@ class InstanceReport:
         return self.eta_cor1 - self.epsilon_witness
 
 
-def evaluate_instance(
-    inst: OracleInstance, rng: np.random.Generator | None = None
-) -> InstanceReport:
+def evaluate_instance(inst: OracleInstance, rng: np.random.Generator) -> InstanceReport:
     """Run every bound check on one instance with exact matrices.
 
     The witness epsilon for the measurement-free bound is the smaller of
@@ -298,19 +253,16 @@ def evaluate_instance(
     fids[:, i, j] = fids[:, j, i] = densmat.fidelity(branches[:, i], branches[:, j])
     eta = sbs_core.cor1_eta(inst.central, gamma, fids)
 
+    # one stacked call each over every family: broadcast states, distances, errors
     families = qubit_families(inst.central, branches, rng)
-    sbs = [sbs_core.build_sbs(inst.central, ensemble, family) for family in families.values()]
-    # one stacked call each over every family: distances and errors
-    eps = exact_epsilon(reduced, np.stack([s.to_matrix() for s in sbs]))
-    pe = sbs_core.discrimination_error(inst.central.sigma, branches, np.stack([f.families for f in families.values()]))
-    results = {}
-    for (name, family), e, pe_f in zip(families.items(), eps.tolist(), pe.tolist()):
-        pe_f = tuple(pe_f)
-        results[name] = FamilyResult(pe_f, sbs_core.prop1_bound(gamma, pe_f), e, sbs_core.fifty_fifty_error(2.0 * e), family)
+    eps = exact_epsilon(reduced, sbs_core.build_sbs(inst.central, ensemble, families))
+    pe = sbs_core.discrimination_error(inst.central.sigma, branches, families.families)
+    eps_witness = min(eps[:2].tolist())
 
-    eps_witness = min(results["helstrom"].epsilon, results["helstrom_weighted"].epsilon)
-    info = exact_mutual_info_check(reduced, inst.central, inst.factor_dims[: 1 + len(inst.observed.g)], eps_witness)
-    return InstanceReport(inst.t, gamma, eta, results, eps_witness, info, branches)
+    info = sbs_core.mutual_information(reduced, inst.factor_dims[: 1 + len(inst.observed.g)], [0])
+    gap = abs(info - inst.central.shannon_entropy())
+    cor2 = sbs_core.cor2_bound(eps_witness, inst.central.d_s)
+    return InstanceReport(gamma, eta, families, eps, sbs_core.prop1_bound(gamma, pe), eps_witness, gap, cor2, branches)
 
 
 # ---------------------------------------------------------------------------

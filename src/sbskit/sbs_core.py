@@ -24,7 +24,9 @@ Every per-environment record is one complex array of shape
 BranchEnsemble, the projectors of a ProjectorFamily and the projected
 branches of an SBSState.  A branch of zero weight holds a zero matrix, and
 the constructions and checks run over whole arrays, never per environment
-or per branch.
+or per branch.  A ProjectorFamily may stack several families on leading
+axes, (..., n_env, d_S, dim, dim); build_sbs, SBSState.to_matrix and
+prop1_bound then give one result per family.
 """
 
 from __future__ import annotations
@@ -87,12 +89,12 @@ class CentralState:
 
 
 def _environment_array(a, what: str) -> np.ndarray:
-    """a as a read-only complex array (n_env, d_S, dim, dim)."""
+    """a as a read-only complex array (..., n_env, d_S, dim, dim)."""
     try:
         a = np.array(a, dtype=complex)
     except ValueError:  # ragged nesting
         a = np.empty(0)
-    if a.ndim != 4 or a.shape[-1] != a.shape[-2]:
+    if a.ndim < 4 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"every environment needs one {what} per pointer index")
     a.setflags(write=False)
     return a
@@ -125,7 +127,8 @@ class ProjectorFamily:
     """One complete projector set per observed environment.
 
     families[k, i] is the projector P_i of environment k, stored as one
-    read-only array (n_env, d_S, dim, dim); each set is Hermitian,
+    read-only array (n_env, d_S, dim, dim), or (..., n_env, d_S, dim, dim)
+    for a stack of families checked at once; each set is Hermitian,
     idempotent, mutually orthogonal and sums to the identity (rank-zero
     members are allowed).
     """
@@ -156,26 +159,30 @@ class SBSState:
     states[k, i] is the renormalized projected branch, an array
     (n_env, d_S, dim, dim) holding a zero matrix where the branch carries
     zero weight; eta_norm is the total projected weight
-    sum_i sigma_i prod_k p_i^(k) before renormalization.
+    sum_i sigma_i prod_k p_i^(k) before renormalization.  Built from a stack
+    of families, every field carries the family axes in front.
     """
 
     weights: np.ndarray
     states: np.ndarray
-    eta_norm: float
+    eta_norm: float | np.ndarray
 
     def to_matrix(self) -> np.ndarray:
-        """sum_i w_i |i><i| (x) states[0, i] (x) ... (x) states[n_env - 1, i]."""
-        d_s = len(self.weights)
+        """sum_i w_i |i><i| (x) states[0, i] (x) ... (x) states[n_env - 1, i],
+        one matrix per family."""
+        d_s = self.weights.shape[-1]
         # the products and sums of the kron route, down to the sign of zero:
         # environments tensored onto a unit, each pointer block placed by a
-        # unit projector, zero-weight branches left out, and a running sum
-        # (np.sum would start from +0)
-        env = densmat.tensor(np.ones((d_s, 1, 1)), *self.states)
+        # unit projector, zero-weight branches turned into -0.0 (which adds
+        # nothing, not even to a signed zero) and a running sum (np.sum would
+        # start from +0)
+        env = densmat.tensor(np.ones((d_s, 1, 1)), *np.moveaxis(self.states, -4, 0))
         i = np.arange(d_s)
         units = np.zeros((d_s, d_s, d_s), dtype=complex)
         units[i, i, i] = 1.0
-        terms = self.weights[:, None, None] * densmat.tensor(units, env)
-        return np.add.accumulate(terms[self.weights > 0.0], axis=0)[-1]
+        w = self.weights[..., None, None]
+        terms = np.where(w > 0.0, w * densmat.tensor(units, env), -0.0)
+        return np.add.accumulate(terms, axis=-3)[..., -1, :, :]
 
 
 def _off_diagonal(a: np.ndarray) -> np.ndarray:
@@ -218,12 +225,13 @@ def build_sbs(
     Weights come out proportional to sigma_i prod_k p_i^(k) with
     p_i^(k) = Tr[P_i rho_i^(k)]; each surviving branch state is
     P rho P / p_i^(k).  When the projectors already contain the branch
-    supports this returns the branches unchanged with weights sigma_i.
+    supports this returns the branches unchanged with weights sigma_i.  A
+    stack of families gives one broadcast state per family.
     """
     fams, states = projectors.families, branches.branches
-    if fams.shape[0] != states.shape[0]:
+    if fams.shape[-4] != states.shape[0]:
         raise ValueError("one projector family per observed environment required")
-    if fams.shape != states.shape or states.shape[1] != central.d_s:
+    if fams.shape[-4:] != states.shape or states.shape[1] != central.d_s:
         raise ValueError("need one branch state and one projector per pointer index")
     cut = fams @ states @ fams
     # rounding can leave a branch orthogonal to its projector with a tiny
@@ -233,22 +241,28 @@ def build_sbs(
     projected = np.zeros_like(cut)
     np.divide(cut, succ[..., None, None], out=projected, where=succ[..., None, None] > 0.0)
 
-    r = np.prod(succ, axis=0)
-    sigma = np.asarray(central.sigma, dtype=float)
-    eta_norm = float(np.sum(sigma * r))
-    if eta_norm <= 0.0:
+    r = np.prod(succ, axis=-2)
+    eta_norm = np.sum(central.sigma * r, axis=-1)
+    if np.any(eta_norm <= 0.0):
         raise DegenerateSBSError(
             "all projected branch weights vanish; the measurement family is "
             "orthogonal to every branch"
         )
-    return SBSState(sigma * r / eta_norm, projected, eta_norm)
+    return SBSState(central.sigma * r / eta_norm[..., None], projected, eta_norm)
 
 
-def prop1_bound(gamma: float, pe_list: Sequence[float]) -> float:
-    """Additive distance bound Gamma + sum_k p_E^(k)."""
-    if gamma < 0 or any(p < 0 for p in pe_list):
+def prop1_bound(gamma: float, pe):
+    """Additive distance bound Gamma + sum_k p_E^(k).
+
+    pe[..., k] is the discrimination error of environment k; one bound per
+    leading index (a float for one family).
+    """
+    pe = np.asarray(pe, dtype=float)
+    if gamma < 0 or np.any(pe < 0):
         raise ValueError("bound ingredients must be nonnegative")
-    return float(gamma + sum(pe_list))
+    # a running sum from 0 over the environments, as Python's sum adds them
+    start = np.zeros(pe.shape[:-1] + (1,))
+    return (gamma + np.add.accumulate(np.concatenate([start, pe], axis=-1), axis=-1)[..., -1])[()]
 
 
 def barnum_knill_bound(weights: Sequence[float], pairwise_fidelities: np.ndarray) -> float:
@@ -319,11 +333,3 @@ def mutual_information(
         + densmat.von_neumann_entropy(rho_f)
         - densmat.von_neumann_entropy(rho)
     )
-
-
-def fifty_fifty_error(trace_dist: float) -> float:
-    """Best error probability for equal-prior global discrimination,
-    (1/2)(1 - ||difference||_1 / 2), from the full trace norm in [0, 2]."""
-    if not (0.0 <= trace_dist <= 2.0 + 1e-12):
-        raise ValueError(f"trace norm {trace_dist} outside [0, 2]")
-    return 0.5 * (1.0 - 0.5 * trace_dist)

@@ -87,6 +87,23 @@ class SuiteResult:
         }
 
 
+def _timed_spin_rows(seed: int, label: int, rows: int, n: int) -> tuple[SpinParams, np.ndarray]:
+    """rows x n spins of the default measure and one time per row, t of shape (rows, 1).
+
+    Stream (label, i) draws the n spins of row i, then its time in [0, 2 pi).
+    """
+    measure = MeasureSpec()
+    t = np.empty((rows, 1))
+
+    def draw(i: int):
+        rng = sample_stream(seed, i, label=label)
+        spins = sample_spin_arrays(measure, rng, n)
+        t[i] = rng.uniform(0.0, 2.0 * math.pi)
+        return spins
+
+    return stack_spins(draw, rows), t
+
+
 def convention_certification(draws: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Oracle matrix evolution vs the closed forms, per spin.
 
@@ -95,17 +112,7 @@ def convention_certification(draws: int = 1000, seed: int = DEFAULT_SEED) -> Sui
     formula, each within 1e-10.
     """
     res = SuiteResult("convention_certification")
-    measure = MeasureSpec()
-    t = np.empty((draws, 1))
-
-    def draw(i: int):
-        rng = sample_stream(seed, i, label=10)
-        batch = sample_spin_arrays(measure, rng, 1)
-        t[i] = rng.uniform(0.0, 2.0 * math.pi)
-        return batch
-
-    # draws x 1 spins, row i at its own time t[i]
-    spins = stack_spins(draw, draws)
+    spins, t = _timed_spin_rows(seed, 10, draws, 1)
     # per draw the pairs (i, j) = (0, 1), (0, 0), (1, 1)
     evolved = oracle.branch_state(spins, oracle.InteractionSpec(), [0, 0, 1], [1, 0, 1], t)
     gamma_oracle = np.trace(evolved[:, 0], axis1=-2, axis2=-1)
@@ -157,15 +164,15 @@ def oracle_inequalities(
         )
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(11, i)))
         rep = oracle.evaluate_instance(inst, rng)
-        families = np.stack([r.family.families for r in rep.families.values()])
-        bounds = _disturbance_sum(rep.gamma, inst.central.sigma, rep.branches, families)
-        for fam_result, bound in zip(rep.families.values(), bounds):
-            stated.record(fam_result.prop1_margin, tol=1e-9)
-            disturbance.record(float(bound) - fam_result.epsilon, tol=1e-9)
+        bounds = _disturbance_sum(rep.gamma, inst.central.sigma, rep.branches, rep.families.families)
+        for prop1, bound, eps in zip(rep.prop1.tolist(), bounds.tolist(), rep.epsilon.tolist()):
+            stated.record(prop1 - eps, tol=1e-9)
+            disturbance.record(bound - eps, tol=1e-9)
         cor1.record(rep.cor1_margin, tol=1e-9)
-        if rep.info.valid:
+        f_bound, applicable = rep.cor2
+        if applicable:
             cor2_applicable += 1
-            cor2.record(rep.info.f_bound - rep.info.gap, tol=1e-9)
+            cor2.record(f_bound - rep.info_gap, tol=1e-9)
     cor2.detail = f"applicable on {cor2_applicable}/{instances} instances (eps <= 1/4)"
     return {
         "prop1_as_stated": stated,
@@ -224,17 +231,8 @@ def barnum_knill_suite(pairs: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResu
 def local_probability_suite(draws: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Closed-form success probability vs explicit Tr[P rho], within 1e-12."""
     res = SuiteResult("local_success_probability")
-    measure = MeasureSpec()
-    t = np.empty((draws, 1))
-
-    def draw(i: int):
-        rng = sample_stream(seed, i, label=14)
-        batch = sample_spin_arrays(measure, rng, 1)
-        t[i] = rng.uniform(0.0, 2.0 * math.pi)
-        return batch
-
-    # draws x 1 spins, row i at its own time t[i]; per draw both branch states
-    spins = stack_spins(draw, draws)
+    spins, t = _timed_spin_rows(seed, 14, draws, 1)
+    # per draw both branch states
     evolved = oracle.branch_state(spins, oracle.InteractionSpec(), [0, 1], [0, 1], t)
     pair = helstrom_spin_analytic(spins, t)
     p_plus = np.real(np.trace(pair.p_plus[:, 0] @ evolved[:, 0], axis1=-2, axis2=-1))
@@ -267,17 +265,7 @@ def kolmogorov_fuchs_suite(
     success probabilities; B is the realized macrofraction fidelity.
     """
     res = SuiteResult("kolmogorov_fuchs")
-    measure = MeasureSpec()
-    t = np.empty((instances, 1))
-
-    def instance(i: int):
-        rng = sample_stream(seed, i, label=15)
-        spins = sample_spin_arrays(measure, rng, n_mac)
-        t[i] = rng.uniform(0.0, 2.0 * math.pi)
-        return spins
-
-    # instances x n_mac spins, row i at its own time t[i]
-    spins = stack_spins(instance, instances)
+    spins, t = _timed_spin_rows(seed, 15, instances, n_mac)
     p_tilde = majority_success_heterogeneous(local_success_probability(spins, t))
     b_mac = macrofraction_fidelity(spins, t)
     for p, b in zip(p_tilde, b_mac):

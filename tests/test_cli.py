@@ -351,6 +351,14 @@ BAD_CONFIGS = [
     # the convergence gate needs an odd tau_points and tau > 0
     pytest.param("fig1", {"fig1": {"tau": -1.0, "tau_points": 11}}, [], "fig1.tau", id="fig1-fig1.tau-negative"),
     ("fig1", {"fig1": {"tau_points": 2}}, [], "fig1.tau_points"),
+    # integer fields reject a fraction or a bool instead of truncating it
+    pytest.param(
+        "timescales", {"timescales": {"cases": [{"n_mac": 100.9, "n_total": 200, "f": 0.5}]}}, [],
+        "timescales.cases[0]", id="timescales-timescales.cases[0]-fraction",
+    ),
+    pytest.param("verify", {"verify": {"instances": 1.5}}, [], "verify.instances", id="verify-verify.instances-fraction"),
+    pytest.param("fig1", {"fig1": {"n_spins": 2.7}}, [], "fig1.n_spins", id="fig1-fig1.n_spins-fraction"),
+    pytest.param("timescales", {"seed": True}, [], "seed", id="timescales-seed-bool"),
 ]
 
 

@@ -22,6 +22,11 @@ NO_CALLER_NEEDED = {
     "spin_model.pi_diag": "closed form of the conserved population; tests certify it against initial_spin_state",
 }
 
+# public dataclass fields that need no reader inside src/, each with the reason
+NO_READER_NEEDED = {
+    "sbs_core.SBSState.eta_norm": "the SBS normalization sum_i sigma_i prod_k p_i^(k) the paper defines; tests check it",
+}
+
 
 def public_definitions(trees):
     """(qualified name, bare name, is_method, node) of every public function and method."""
@@ -65,6 +70,36 @@ def test_every_public_function_has_a_caller_in_src():
             unused.append(qualified)
     assert not unused, f"public names only tests (or nothing) call: {unused}"
     assert set(NO_CALLER_NEEDED) <= defined, "the exemption list names a function that no longer exists"
+
+
+def dataclass_fields(trees):
+    """Qualified name and bare name of every public field of a dataclass."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if any(getattr(d, "id", None) == "dataclass" for d in decorators):
+                for member in node.body:
+                    if isinstance(member, ast.AnnAssign) and not member.target.id.startswith("_"):
+                        yield f"{module}.{node.name}.{member.target.id}", member.target.id
+
+
+def test_every_dataclass_field_has_a_reader_in_src():
+    """A field counts as read when src/ loads an attribute or passes a keyword
+    of its bare name, as the caller rule matches bare names."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.keyword):
+                read.add(node.arg)
+    fields = dict(dataclass_fields(trees))
+    unread = [q for q, name in fields.items() if q not in NO_READER_NEEDED and name not in read]
+    assert not unread, f"dataclass fields nothing in src/ reads: {unread}"
+    assert set(NO_READER_NEEDED) <= set(fields), "the exemption list names a field that no longer exists"
 
 
 def test_traced_benchmark_finds_every_name(tmp_path, monkeypatch):

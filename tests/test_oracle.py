@@ -11,7 +11,6 @@ from sbskit.oracle import (
     branch_state,
     evaluate_instance,
     exact_epsilon,
-    exact_mutual_info_check,
     full_joint_state,
     gamma_products,
     qubit_families,
@@ -19,7 +18,7 @@ from sbskit.oracle import (
     random_instance,
     reduced_state_exact,
 )
-from sbskit.sbs_core import CentralState
+from sbskit.sbs_core import CentralState, ProjectorFamily
 from sbskit.spin_model import SpinParams
 
 
@@ -175,8 +174,9 @@ class TestExactEpsilon:
         inst = OracleInstance(central, spins, record(), np.pi / 2)
         reduced = reduced_state_exact(full_joint_state(inst), inst)
         ens = oracle.branch_ensemble(inst)
-        fams = qubit_families(inst.central, ens.branches)
-        sbs = sbs_core.build_sbs(inst.central, ens, fams["helstrom"])
+        fams = qubit_families(inst.central, ens.branches, np.random.default_rng(0))
+        helstrom = ProjectorFamily(fams.families[oracle.QUBIT_FAMILIES.index("helstrom")])
+        sbs = sbs_core.build_sbs(inst.central, ens, helstrom)
         assert exact_epsilon(reduced, sbs) < 1e-10
 
     def test_positive_at_time_zero_with_coherence(self):
@@ -185,37 +185,44 @@ class TestExactEpsilon:
         inst = OracleInstance(central, spins, record(spin_of(spins, 0)), 0.0)
         reduced = reduced_state_exact(full_joint_state(inst), inst)
         ens = oracle.branch_ensemble(inst)
-        fams = qubit_families(inst.central, ens.branches)
-        sbs = sbs_core.build_sbs(inst.central, ens, fams["helstrom"])
+        fams = qubit_families(inst.central, ens.branches, np.random.default_rng(0))
+        helstrom = ProjectorFamily(fams.families[oracle.QUBIT_FAMILIES.index("helstrom")])
+        sbs = sbs_core.build_sbs(inst.central, ens, helstrom)
         assert exact_epsilon(reduced, sbs) > 0.1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            exact_epsilon(np.eye(4) / 4, np.eye(2) / 2)
+            # one pointer branch with one 2 x 2 environment: a 2 x 2 matrix
+            exact_epsilon(np.eye(4) / 4, sbs_core.SBSState(np.ones(1), np.full((1, 1, 2, 2), 0.5), 1.0))
 
 
 class TestMutualInfoCheck:
+    """The information gap |I - H_S| against F(eps), as evaluate_instance checks it."""
+
     def test_perfect_broadcast_means_info_equals_entropy(self):
         central = CentralState(np.eye(2) / 2)
         spins = record(SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0))
         inst = OracleInstance(central, spins, record(), np.pi / 2)
         reduced = reduced_state_exact(full_joint_state(inst), inst)
-        check = exact_mutual_info_check(reduced, central, [2, 2], epsilon=0.0)
-        assert check.mutual_info == pytest.approx(1.0, abs=1e-10)
-        assert check.h_s == pytest.approx(1.0, abs=1e-12)
-        assert check.gap == pytest.approx(0.0, abs=1e-10)
-        assert check.valid and check.ok
+        info = sbs_core.mutual_information(reduced, [2, 2], [0])
+        assert info == pytest.approx(1.0, abs=1e-10)
+        assert central.shannon_entropy() == pytest.approx(1.0, abs=1e-12)
+        gap = abs(info - central.shannon_entropy())
+        assert gap == pytest.approx(0.0, abs=1e-10)
+        f_bound, valid = sbs_core.cor2_bound(0.0, central.d_s)
+        assert valid and gap <= f_bound + 1e-9
 
     def test_product_state_gap_equals_entropy_bound_inapplicable(self):
         central = CentralState(np.eye(2) / 2)
         spins = record(SpinParams(0.0, 0.0, 0.0, 1.0, 1.0))  # frozen pointer spin
         inst = OracleInstance(central, spins, record(), 1.0)
         reduced = reduced_state_exact(full_joint_state(inst), inst)
-        check = exact_mutual_info_check(reduced, central, [2, 2], epsilon=0.6)
-        assert check.mutual_info == pytest.approx(0.0, abs=1e-10)
-        assert check.gap == pytest.approx(1.0, abs=1e-10)
-        assert not check.valid
-        assert check.ok  # vacuous when the hypothesis fails
+        info = sbs_core.mutual_information(reduced, [2, 2], [0])
+        assert info == pytest.approx(0.0, abs=1e-10)
+        assert abs(info - central.shannon_entropy()) == pytest.approx(1.0, abs=1e-10)
+        # eps = 0.6 is beyond the bound's hypothesis eps <= 1/4: nothing is asserted
+        f_bound, valid = sbs_core.cor2_bound(0.6, central.d_s)
+        assert not valid and f_bound == math.inf
 
 
 class TestInstanceGeneration:
@@ -246,14 +253,25 @@ class TestInstanceGeneration:
 class TestEvaluateInstance:
     def test_report_structure_and_sound_bounds(self):
         rng = np.random.default_rng(30)
-        rep = evaluate_instance(random_instance(8, 0), rng)
-        assert set(rep.families) == {"helstrom", "helstrom_weighted", "swapped", "coarse", "random"}
-        for fam in rep.families.values():
-            assert fam.prop1 == pytest.approx(rep.gamma + sum(fam.pe_list), abs=1e-12)
-            assert 0.0 <= fam.epsilon <= 1.0 + 1e-9
-            assert fam.fifty_fifty == pytest.approx(0.5 * (1.0 - fam.epsilon), abs=1e-12)
+        inst = random_instance(8, 0)
+        rep = evaluate_instance(inst, rng)
+        assert oracle.QUBIT_FAMILIES == ("helstrom", "helstrom_weighted", "swapped", "coarse", "random")
+        assert rep.families.families.shape == (5, 3, 2, 2, 2)
+        assert rep.epsilon.shape == rep.prop1.shape == (5,)
+        pe = sbs_core.discrimination_error(inst.central.sigma, rep.branches, rep.families.families)
+        np.testing.assert_array_equal(rep.prop1, sbs_core.prop1_bound(rep.gamma, pe))
+        for f in range(5):
+            assert rep.prop1[f] == sbs_core.prop1_bound(rep.gamma, pe[f].tolist())
+            assert rep.prop1[f] == pytest.approx(rep.gamma + sum(pe[f]), abs=1e-12)
+        assert np.all((rep.epsilon >= 0.0) & (rep.epsilon <= 1.0 + 1e-9))
         assert rep.cor1_margin >= -1e-9
-        assert rep.epsilon_witness <= rep.families["helstrom"].epsilon + 1e-15
+        # the witness is the better of the two Helstrom families
+        assert rep.epsilon_witness == min(rep.epsilon[:2])
+        # the information gap and its bound at the witness distance
+        reduced = reduced_state_exact(full_joint_state(inst), inst)
+        info = sbs_core.mutual_information(reduced, [2, 2, 2, 2], [0])
+        assert rep.info_gap == abs(info - inst.central.shannon_entropy())
+        assert rep.cor2 == sbs_core.cor2_bound(rep.epsilon_witness, 2)
 
     def test_report_carries_the_families_and_branches_it_used(self):
         from sbskit import verify
@@ -262,14 +280,29 @@ class TestEvaluateInstance:
         rep = evaluate_instance(inst, np.random.default_rng(31))
         # the same families from branch states rebuilt from scratch
         rebuilt = qubit_families(inst.central, oracle.observed_branches(inst), np.random.default_rng(31))
-        for name, fam in rep.families.items():
-            for got, want in zip(fam.family.families, rebuilt[name].families):
-                for p, q in zip(got, want):
-                    np.testing.assert_array_equal(p, q)
-            from_report = verify._disturbance_sum(rep.gamma, inst.central.sigma, rep.branches, fam.family.families)
-            ens = oracle.branch_ensemble(inst)
-            gamma = sbs_core.collective_gamma(inst.central, ens.gamma_mags)
-            assert from_report == verify._disturbance_sum(gamma, inst.central.sigma, ens.branches, fam.family.families)
+        np.testing.assert_array_equal(rep.families.families, rebuilt.families)
+        ens = oracle.branch_ensemble(inst)
+        gamma = sbs_core.collective_gamma(inst.central, ens.gamma_mags)
+        from_report = verify._disturbance_sum(rep.gamma, inst.central.sigma, rep.branches, rep.families.families)
+        np.testing.assert_array_equal(
+            from_report, verify._disturbance_sum(gamma, inst.central.sigma, ens.branches, rebuilt.families)
+        )
+
+    def test_one_family_stack_per_instance(self, monkeypatch):
+        counts = {"validate": 0, "build_sbs": 0, "to_matrix": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(ProjectorFamily, "__post_init__", counted("validate", ProjectorFamily.__post_init__))
+        monkeypatch.setattr(sbs_core, "build_sbs", counted("build_sbs", sbs_core.build_sbs))
+        monkeypatch.setattr(sbs_core.SBSState, "to_matrix", counted("to_matrix", sbs_core.SBSState.to_matrix))
+        evaluate_instance(random_instance(8, 4), np.random.default_rng(34))
+        assert counts == {"validate": 1, "build_sbs": 1, "to_matrix": 1}
 
     def test_branch_states_built_once(self, monkeypatch):
         real = oracle.branch_state

@@ -16,7 +16,6 @@ from sbskit.sbs_core import (
     cor1_eta,
     cor2_bound,
     discrimination_error,
-    fifty_fifty_error,
     mutual_information,
     prop1_bound,
 )
@@ -229,13 +228,3 @@ class TestMutualInformation:
         with pytest.raises(ValueError, match="split"):
             mutual_information(np.eye(4) / 4, [2, 2], [0, 1])
 
-
-class TestFiftyFifty:
-    def test_endpoints(self):
-        assert fifty_fifty_error(0.0) == pytest.approx(0.5)
-        assert fifty_fifty_error(2.0) == pytest.approx(0.0)
-        assert fifty_fifty_error(1.0) == pytest.approx(0.25)
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            fifty_fifty_error(2.5)

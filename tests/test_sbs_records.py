@@ -153,7 +153,7 @@ def assert_identical(got, want):
 
 
 def qubit_cases():
-    """The first 200 instances of the default corpus with their families."""
+    """The first 200 instances of the default corpus with their stacked families."""
     for index in range(200):
         inst = oracle.random_instance(SEED, index)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=SEED, spawn_key=(11, index)))
@@ -162,63 +162,82 @@ def qubit_cases():
 
 
 def qutrit_cases():
-    """The qutrit suite's instances with its pairwise and coarse families."""
+    """The qutrit suite's instances with its pairwise and coarse families, stacked in that order."""
     zero, eye = np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex)
     for index in range(40):
         inst = oracle.random_instance(SEED, index, n_observed=2, n_unobserved=2, d_s=3)
         ens = oracle.branch_ensemble(inst)
-        families = {
-            "pairwise": ProjectorFamily([(*_loop_helstrom_pair(row[0], row[1]).family(), zero) for row in ens.branches]),
-            "coarse": ProjectorFamily([(eye, zero, zero)] * len(ens.branches)),
-        }
-        yield inst, ens, families
+        pairwise = [(*_loop_helstrom_pair(row[0], row[1]).family(), zero) for row in ens.branches]
+        yield inst, ens, ProjectorFamily([pairwise, [(eye, zero, zero)] * len(ens.branches)])
+
+
+def loop_to_matrix(sbs):
+    """The loop reference of one family's SBSState."""
+    return _loop_to_matrix(tuple(float(w) for w in sbs.weights), sbs.states)
 
 
 def check_against_loops(inst, ens, families):
+    """families stacks the families along a leading axis; each is built on its own."""
     assert_identical(oracle.full_joint_state(inst), _loop_full_joint_state(inst))
     branches, mags = _loop_branch_ensemble(inst)
     assert_identical(ens.branches, branches)
     assert_identical(ens.gamma_mags, mags)
     gamma = sbs_core.collective_gamma(inst.central, ens.gamma_mags)
     sigma = inst.central.sigma
-    stacked = verify._disturbance_sum(gamma, sigma, ens.branches, np.stack([f.families for f in families.values()]))
-    for family, bound in zip(families.values(), stacked):
-        want = _loop_disturbance_sum(gamma, sigma, ens.branches, family.families)
-        assert verify._disturbance_sum(gamma, sigma, ens.branches, family.families) == want
+    stacked = verify._disturbance_sum(gamma, sigma, ens.branches, families.families)
+    for family, bound in zip(families.families, stacked):
+        want = _loop_disturbance_sum(gamma, sigma, ens.branches, family)
+        assert verify._disturbance_sum(gamma, sigma, ens.branches, family) == want
         assert bound == want
         try:
-            sbs = build_sbs(inst.central, ens, family)
+            sbs = build_sbs(inst.central, ens, ProjectorFamily(family))
         except DegenerateSBSError:
             continue
-        assert_identical(sbs.to_matrix(), _loop_to_matrix(tuple(float(w) for w in sbs.weights), sbs.states))
+        assert_identical(sbs.to_matrix(), loop_to_matrix(sbs))
 
 
 class TestAgainstLoopVersions:
     def test_qubit_corpus(self):
-        families_seen = set()
         for inst, ens, families in qubit_cases():
             check_against_loops(inst, ens, families)
             sigma = inst.central.sigma
             for name, weights in (("helstrom", None), ("helstrom_weighted", (float(sigma[0]), float(sigma[1])))):
                 want = [_loop_helstrom_pair(b[0], b[1], weights).family() for b in ens.branches]
-                assert_identical(families[name].families, want)
-            families_seen.update(families)
-        assert families_seen == {"helstrom", "helstrom_weighted", "swapped", "coarse", "random"}
+                assert_identical(families.families[oracle.QUBIT_FAMILIES.index(name)], want)
+            assert families.families.shape[0] == len(oracle.QUBIT_FAMILIES)
+
+    def test_qubit_corpus_stacked_families(self):
+        # one build_sbs over the family axis gives every family's loop matrix, signs of zero included
+        for inst, ens, families in qubit_cases():
+            sbs = build_sbs(inst.central, ens, families)
+            matrices = sbs.to_matrix()
+            assert matrices.shape == (len(oracle.QUBIT_FAMILIES), 16, 16)
+            for f, family in enumerate(families.families):
+                one = build_sbs(inst.central, ens, ProjectorFamily(family))
+                assert_identical(sbs.weights[f], one.weights)
+                assert_identical(sbs.states[f], one.states)
+                assert sbs.eta_norm[f] == one.eta_norm
+                assert_identical(matrices[f], loop_to_matrix(one))
 
     def test_qutrit_suite_instances(self):
         for inst, ens, families in qutrit_cases():
             check_against_loops(inst, ens, families)
             # the suite's one stacked call gives the pairs of one call per environment
             stacked = helstrom_pair(ens.branches[:, 0], ens.branches[:, 1]).family()
-            assert_identical(stacked, families["pairwise"].families[:, :2])
+            assert_identical(stacked, families.families[0, :, :2])
 
     def test_coarse_family_has_zero_weight_branches(self):
-        # a rank-zero projector leaves its branch a zero matrix of weight 0
+        # a rank-zero projector leaves its branch a zero matrix of weight 0,
+        # in a family of its own and within the stack
         inst, ens, families = next(qubit_cases())
-        sbs = build_sbs(inst.central, ens, families["coarse"])
-        assert sbs.weights[1] == 0.0
-        assert not np.any(sbs.states[:, 1])
-        assert_identical(sbs.to_matrix(), _loop_to_matrix(tuple(float(w) for w in sbs.weights), sbs.states))
+        coarse = oracle.QUBIT_FAMILIES.index("coarse")
+        one =build_sbs(inst.central, ens, ProjectorFamily(families.families[coarse]))
+        assert one.weights[1] == 0.0
+        assert not np.any(one.states[:, 1])
+        assert_identical(one.to_matrix(), loop_to_matrix(one))
+        stacked = build_sbs(inst.central, ens, families)
+        assert stacked.weights[coarse, 1] == 0.0
+        assert_identical(stacked.to_matrix()[coarse], loop_to_matrix(one))
 
     def test_degenerate_family(self):
         inst, ens, _ = next(qubit_cases())
@@ -337,8 +356,8 @@ class TestRecords:
     def test_records_are_read_only_arrays(self):
         inst, ens, families = next(qubit_cases())
         assert ens.branches.shape == (3, 2, 2, 2)
-        assert families["helstrom"].families.shape == (3, 2, 2, 2)
-        for record in (ens.branches, families["helstrom"].families):
+        assert families.families.shape == (5, 3, 2, 2, 2)
+        for record in (ens.branches, families.families):
             with pytest.raises(ValueError, match="read-only"):
                 record[0, 0, 0, 0] = 1.0
 
@@ -359,3 +378,14 @@ class TestRecords:
         good = np.diag([0.0, 1.0])
         with pytest.raises(ValueError, match=message):
             ProjectorFamily([(good, np.eye(2) - good), (bad, good)])
+
+    def test_stack_with_one_bad_family_rejected(self):
+        inst, ens, families = next(qubit_cases())
+        # Hermitian and complete, but P^2 != P
+        half = np.diag([0.5, 0.0])
+        stack = np.array(families.families)
+        stack[2] = np.broadcast_to([half, np.eye(2) - half], stack[2].shape)
+        with pytest.raises(ValueError, match="not idempotent"):
+            ProjectorFamily(stack)
+        # the same stack without it passes
+        ProjectorFamily(np.delete(stack, 2, axis=0))
