@@ -8,10 +8,9 @@ Kronecker ordering is fixed once: in ``tensor(A, B)`` the first argument is
 the slow (major) index, i.e. ``tensor(A, B)[i*dB + k, j*dB + l] = A[i, j] *
 B[k, l]``.
 
-The eigensystem, square-root, trace-norm, fidelity and tensor helpers take a
-stack of matrices, shape ``(..., n, n)``, as well as one matrix, and treat
-every matrix of the stack on its own: a stacked call gives, bit for bit, the
-values of one call per matrix.
+Every helper takes a stack of matrices, shape ``(..., n, n)``, as well as
+one matrix, and treats every matrix of the stack on its own: a stacked call
+gives, bit for bit, the values of one call per matrix.
 """
 
 from __future__ import annotations
@@ -48,14 +47,7 @@ def hermiticity_defect(a: np.ndarray):
 
 
 def check_square(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def _check_stack(a: np.ndarray) -> np.ndarray:
-    """a as a complex stack of square matrices, shape (..., n, n)."""
+    """a as a complex square matrix or stack of them, shape (..., n, n)."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
@@ -63,19 +55,21 @@ def _check_stack(a: np.ndarray) -> np.ndarray:
 
 
 def check_density_matrix(rho: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a state.
+    """Validate Hermiticity, unit trace and positivity of a state, or of
+    every state of a stack.
 
     Raises ValueError naming the violated property; returns the validated
     array on success.
     """
     rho = check_square(rho)
-    defect = hermiticity_defect(rho)
+    defect = np.max(hermiticity_defect(rho), initial=0.0)
     if defect > tol:
         raise ValueError(f"state is not Hermitian: max |A - A†| = {defect:.3e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"state trace is {tr:.12g}, not 1 within {tol:g}")
-    lo = float(np.min(np.linalg.eigvalsh(rho)))
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    off = tr[np.abs(tr - 1.0) > tol]
+    if off.size:
+        raise ValueError(f"state trace is {complex(off[0]):.12g}, not 1 within {tol:g}")
+    lo = float(np.min(np.linalg.eigvalsh(rho), initial=np.inf))
     if lo < -tol:
         raise ValueError(f"state has negative eigenvalue {lo:.3e}")
     return rho
@@ -87,7 +81,7 @@ def hermitian_eigensystem(h: np.ndarray, tol: float = HERMITICITY_TOL) -> Spectr
     Rejects inputs whose Hermiticity defect exceeds ``tol``, reporting the
     largest measured asymmetry.
     """
-    h = _check_stack(h)
+    h = check_square(h)
     defect = np.max(hermiticity_defect(h), initial=0.0)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: max |A - A†| = {defect:.3e}")
@@ -116,7 +110,7 @@ def trace_norm(a: np.ndarray):
     Per matrix of a stack (a float for one matrix); the Hermitian route is
     chosen matrix by matrix from its Hermiticity defect.
     """
-    a = _check_stack(a)
+    a = check_square(a)
     hermitian = hermiticity_defect(a) <= STATE_TOL
     out = np.empty(a.shape[:-2])
     if np.any(hermitian):
@@ -133,8 +127,8 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray):
     Equals 1 iff the states coincide and 0 iff their supports are
     orthogonal; symmetric in its arguments.
     """
-    rho = _check_stack(rho)
-    sigma = _check_stack(sigma)
+    rho = check_square(rho)
+    sigma = check_square(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     root_rho, root_sigma = psd_sqrt(np.stack([rho, sigma]))
@@ -146,7 +140,8 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray):
 def tensor(*factors: np.ndarray) -> np.ndarray:
     """Kronecker product of the last two axes, first argument major; leading
     axes broadcast, so stacks give one product per entry."""
-    out = np.asarray(factors[0], dtype=complex)
+    # a copy, so the product is always a fresh array its caller may write to
+    out = np.array(factors[0], dtype=complex)
     for f in factors[1:]:
         f = np.asarray(f, dtype=complex)
         # the products a_ij b_kl in the order np.kron takes them
@@ -158,7 +153,8 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
 def partial_trace(
     rho: np.ndarray, factor_dims: Sequence[int], keep: Sequence[int]
 ) -> np.ndarray:
-    """Trace out all tensor factors not listed in ``keep``.
+    """Trace out all tensor factors not listed in ``keep``, per matrix of a
+    stack.
 
     ``factor_dims`` are the dimensions of the factors in major-to-minor
     order (matching ``tensor``); their product must equal the matrix
@@ -166,9 +162,9 @@ def partial_trace(
     """
     rho = check_square(rho)
     dims = [int(d) for d in factor_dims]
-    if int(np.prod(dims)) != rho.shape[0]:
+    if int(np.prod(dims)) != rho.shape[-1]:
         raise ValueError(
-            f"factor dims {dims} do not multiply to matrix dim {rho.shape[0]}"
+            f"factor dims {dims} do not multiply to matrix dim {rho.shape[-1]}"
         )
     keep = sorted(set(int(k) for k in keep))
     if not keep:
@@ -176,20 +172,38 @@ def partial_trace(
     if keep[0] < 0 or keep[-1] >= len(dims):
         raise ValueError(f"keep indices {keep} out of range for {len(dims)} factors")
 
-    n = len(dims)
-    work = rho.reshape(dims + dims)
+    lead = rho.shape[:-2]
+    work = rho.reshape(lead + tuple(dims + dims))
     # trace highest index first so lower positions stay valid
-    for idx in sorted((i for i in range(n) if i not in keep), reverse=True):
-        work = np.trace(work, axis1=idx, axis2=idx + work.ndim // 2)
+    for idx in sorted((i for i in range(len(dims)) if i not in keep), reverse=True):
+        axis = len(lead) + idx
+        work = np.trace(work, axis1=axis, axis2=axis + (work.ndim - len(lead)) // 2)
     d_keep = int(np.prod([dims[k] for k in keep]))
-    return np.ascontiguousarray(work.reshape(d_keep, d_keep))
+    return np.ascontiguousarray(work.reshape(lead + (d_keep, d_keep)))
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy in bits, -sum(w log2 w) over eigenvalues.
+def entropy_bits(p: np.ndarray, cutoff: float):
+    """-sum p log2 p in bits over the entries of each row of p above cutoff
+    (0 log 0 = 0); a float for one row.
+
+    Rows are grouped by how many entries they keep, so each sum adds the
+    kept entries of its row in order, as the sum over that row alone does.
+    """
+    p = np.asarray(p, dtype=float)
+    keep = p > cutoff
+    count = np.count_nonzero(keep, axis=-1)
+    out = np.zeros(count.shape)
+    for c in set(count.ravel().tolist()) - {0}:
+        rows = count == c
+        kept = p[rows][keep[rows]].reshape(-1, c)
+        out[rows] = -np.sum(kept * np.log2(kept), axis=-1)
+    return out[()]
+
+
+def von_neumann_entropy(rho: np.ndarray):
+    """Von Neumann entropy in bits, -sum(w log2 w) over eigenvalues, per
+    matrix of a stack (a float for one matrix).
 
     Eigenvalues below ``ENTROPY_EIGVAL_CUTOFF`` are skipped (0 log 0 = 0).
     """
-    w = np.linalg.eigvalsh(check_square(rho))
-    w = w[w > ENTROPY_EIGVAL_CUTOFF]
-    return float(-np.sum(w * np.log2(w))) if w.size else 0.0
+    return entropy_bits(np.linalg.eigvalsh(check_square(rho)), ENTROPY_EIGVAL_CUTOFF)

@@ -63,8 +63,8 @@ def helstrom_pair(
     P_plus = 0 and error 1/2.  A stacked call gives, bit for bit, the pairs
     of one call per matrix.
     """
-    rho_plus = densmat._check_stack(rho_plus)
-    rho_minus = densmat._check_stack(rho_minus)
+    rho_plus = densmat.check_square(rho_plus)
+    rho_minus = densmat.check_square(rho_minus)
     if rho_plus.shape != rho_minus.shape:
         raise ValueError(f"dimension mismatch: {rho_plus.shape} vs {rho_minus.shape}")
     w_p, w_m = (0.5, 0.5) if weights is None else weights

@@ -69,12 +69,11 @@ class MeasureSpec:
 
 @dataclass(frozen=True)
 class AverageCurve:
-    """Monte Carlo curve: abscissa, mean, standard error, sample count."""
+    """Monte Carlo curve: abscissa, mean, standard error."""
 
     abscissa: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
-    samples: int
 
     def __post_init__(self):
         if not (len(self.abscissa) == len(self.mean) == len(self.stderr)):
@@ -272,6 +271,6 @@ def fig2_curves(
     for j, n in enumerate(n_values):
         stack = np.stack([d[j] for d in draws])
         mean, stderr = _mean_stderr(stack)
-        out[n] = AverageCurve(t, mean, stderr, samples)
+        out[n] = AverageCurve(t, mean, stderr)
     return out
 

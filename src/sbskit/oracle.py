@@ -6,9 +6,12 @@ unitaries and partially traced numerically.  No closed form from
 :mod:`sbskit.spin_model` enters the computation, so agreement between the
 two routes certifies the closed forms and the unitary convention, and the
 assembled states provide exact trace-distance and mutual-information
-checks for every bound in :mod:`sbskit.sbs_core`.  An instance holds its
-observed and its unobserved spins as one spin record each, and every step
-is one stacked call over spins, environments and pointer pairs.
+checks for every bound in :mod:`sbskit.sbs_core`.
+
+The oracle works on blocks of instances that share d_s and their spin
+counts: every step is one stacked call over instances, spins, environments
+and pointer pairs, and one instance is a block of one.  A block of B
+instances gives, bit for bit, the results of B blocks of one.
 
 Convention: the interaction couples the central pointer observable
 A = sum_i a_i |i><i| to sum_k g_k sigma_z^(k) / 2, giving branch unitaries
@@ -22,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +36,9 @@ from .sbs_core import BranchEnsemble, CentralState, ProjectorFamily, SBSState
 from .spin_model import SpinParams, initial_spin_state
 
 DIMENSION_CAP = 4096
+# instances per evaluate_instance call over a corpus: a block of 8 qubit
+# instances with 6 spins holds one 2 MiB stack of joint states
+ORACLE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -62,49 +69,91 @@ class InteractionSpec:
 
 @dataclass(frozen=True)
 class OracleInstance:
-    """One exactly solvable configuration: central state, spins, time.
+    """A block of exactly solvable configurations: central states, spins, times.
 
-    observed and unobserved are spin records whose fields have shape (n,):
-    one observed environment per observed spin.
+    The B instances of a block share d_s and their spin counts:
+    central.rho is (B, d_s, d_s), observed and unobserved are spin records
+    whose fields have shape (B, n), one observed environment per observed
+    spin, and t is (B,).  One instance is a block of one.
     """
 
     central: CentralState
     observed: SpinParams
     unobserved: SpinParams
-    t: float
+    t: np.ndarray
     interaction: InteractionSpec = field(default_factory=InteractionSpec)
+
+    def __post_init__(self):
+        t = np.array(self.t, dtype=float)
+        t.setflags(write=False)
+        object.__setattr__(self, "t", t)
+        spins = [np.shape(v)[:-1] for r in (self.observed, self.unobserved) for v in vars(r).values()]
+        if t.ndim != 1 or any(shape != t.shape for shape in [self.central.rho.shape[:-2]] + spins):
+            raise ValueError("a block needs one central state, one row of spins per record and one time per instance")
 
     @property
     def n_spins(self) -> int:
-        return len(self.observed.g) + len(self.unobserved.g)
+        return self.observed.g.shape[-1] + self.unobserved.g.shape[-1]
 
     @property
     def factor_dims(self) -> list[int]:
         return [self.central.d_s] + [2] * self.n_spins
 
 
+def stack_instances(blocks: Sequence[OracleInstance]) -> OracleInstance:
+    """The instances of the given blocks, in order, as one block."""
+    first = blocks[0]
+    if any(b.interaction != first.interaction for b in blocks):
+        raise ValueError("the instances of a block share one interaction")
+
+    def records(name):
+        fields = zip(*(vars(getattr(b, name)).values() for b in blocks))
+        return SpinParams(*(np.concatenate(f) for f in fields))
+
+    return OracleInstance(
+        CentralState(np.concatenate([b.central.rho for b in blocks])),
+        records("observed"),
+        records("unobserved"),
+        np.concatenate([b.t for b in blocks]),
+        first.interaction,
+    )
+
+
+def _rows(spins: SpinParams) -> SpinParams:
+    """The record (B, n) as (B, 1, n): per instance one row of spins that
+    broadcasts over pointer indices."""
+    return SpinParams(*(v[:, None] for v in vars(spins).values()))
+
+
 def full_joint_state(inst: OracleInstance) -> np.ndarray:
-    """U(t) rho(0) U(t)^dagger for the full system-plus-bath product state.
+    """U(t) rho(0) U(t)^dagger for the full system-plus-bath product state,
+    shape (B, dim, dim).
 
     The conditional unitaries are all diagonal, so U is a diagonal phase
-    vector applied entrywise.
+    vector applied entrywise, in place on the one stack of product states.
     """
     d_s = inst.central.d_s
     dim = d_s * 2 ** inst.n_spins
     if dim > DIMENSION_CAP:
         raise ValueError(f"joint dimension {dim} exceeds cap {DIMENSION_CAP}")
-    rho0 = densmat.tensor(inst.central.rho, *initial_spin_state(inst.observed), *initial_spin_state(inst.unobserved))
-    # per spin, the diagonals of U_0 .. U_{d_s - 1} as a stack of 1 x 2 rows;
-    # their tensor product from a unit row is the phase vector of each U_i
-    g = np.concatenate([inst.observed.g, inst.unobserved.g])
-    diagonals = np.diagonal(inst.interaction.env_unitary(np.arange(d_s), g[:, None], inst.t), axis1=-2, axis2=-1)
-    phases = densmat.tensor(np.ones((d_s, 1, 1)), *diagonals[:, :, None]).reshape(dim)
-    return (phases[:, None] * rho0) * phases.conj()[None, :]
+    spins = np.concatenate([initial_spin_state(inst.observed), initial_spin_state(inst.unobserved)], axis=1)
+    rho = densmat.tensor(inst.central.rho, *np.swapaxes(spins, 0, 1))
+    # per instance and spin, the diagonals of U_0 .. U_{d_s - 1} as a stack
+    # of 1 x 2 rows; their tensor product from a unit row is the phase
+    # vector of each U_i
+    g = np.concatenate([inst.observed.g, inst.unobserved.g], axis=-1)
+    u = inst.interaction.env_unitary(np.arange(d_s), g[..., None], inst.t[:, None, None])
+    diagonals = np.diagonal(u, axis1=-2, axis2=-1)[..., None, :]
+    phases = densmat.tensor(np.ones((d_s, 1, 1)), *np.swapaxes(diagonals, 0, 1)).reshape(-1, dim)
+    # the products of (phases[:, None] * rho) * conj(phases)[None, :], in that order
+    np.multiply(phases[..., :, None], rho, out=rho)
+    np.multiply(rho, phases.conj()[..., None, :], out=rho)
+    return rho
 
 
 def reduced_state_exact(joint: np.ndarray, inst: OracleInstance) -> np.ndarray:
-    """Trace out the unobserved spins of the evolved joint state."""
-    keep = list(range(1 + len(inst.observed.g)))
+    """Trace out the unobserved spins of the evolved joint states."""
+    keep = list(range(1 + inst.observed.g.shape[-1]))
     return densmat.partial_trace(joint, inst.factor_dims, keep)
 
 
@@ -121,18 +170,20 @@ def branch_state(spin: SpinParams, inter: InteractionSpec, i, j, t) -> np.ndarra
 
 
 def gamma_products(inst: OracleInstance) -> np.ndarray:
-    """d_s x d_s products over the unobserved spins of Tr[U_i rho U_j^dagger].
+    """d_s x d_s products over the unobserved spins of Tr[U_i rho U_j^dagger],
+    shape (B, d_s, d_s).
 
     The diagonal is exactly 1: a branch does not dephase against itself.
     """
     d_s = inst.central.d_s
     i, j = np.array(list(itertools.permutations(range(d_s), 2))).reshape(-1, 2).T
-    # one row of spins per ordered pair (i, j)
-    traces = np.trace(branch_state(inst.unobserved, inst.interaction, i[:, None], j[:, None], inst.t), axis1=-2, axis2=-1)
-    out = np.ones((d_s, d_s), dtype=complex)
+    # per instance one row of spins per ordered pair (i, j)
+    crossed = branch_state(_rows(inst.unobserved), inst.interaction, i[:, None], j[:, None], inst.t[:, None, None])
+    traces = np.trace(crossed, axis1=-2, axis2=-1)
+    out = np.ones((len(inst.t), d_s, d_s), dtype=complex)
     # a running product from 1 along each contiguous row of spins rounds as a
     # loop over the spins does; an elementwise product of rows may not
-    out[i, j] = np.multiply.reduce(traces, axis=-1, initial=1.0 + 0.0j)
+    out[:, i, j] = np.multiply.reduce(traces, axis=-1, initial=1.0 + 0.0j)
     return out
 
 
@@ -146,19 +197,19 @@ def analytic_reduced_state(inst: OracleInstance) -> np.ndarray:
     """
     d_s = inst.central.d_s
     i, j = np.indices((d_s, d_s)).reshape(2, -1)
-    coeff = (inst.central.rho * gamma_products(inst)).reshape(-1, 1, 1)
+    coeff = (inst.central.rho * gamma_products(inst)).reshape(-1, d_s * d_s, 1, 1)
     # per pair (i, j): |i><j| and the cross-branch matrices of every observed spin
     unit = np.zeros((d_s * d_s, d_s, d_s), dtype=complex)
     unit[np.arange(d_s * d_s), i, j] = 1.0
-    crossed = branch_state(inst.observed, inst.interaction, i[:, None], j[:, None], inst.t)
-    env = densmat.tensor(np.ones((d_s * d_s, 1, 1)), *np.swapaxes(crossed, 0, 1))
-    return np.sum(coeff * densmat.tensor(unit, env), axis=0)
+    crossed = branch_state(_rows(inst.observed), inst.interaction, i[:, None], j[:, None], inst.t[:, None, None])
+    env = densmat.tensor(np.ones((d_s * d_s, 1, 1)), *np.moveaxis(crossed, -3, 0))
+    return np.sum(coeff * densmat.tensor(unit, env), axis=-3)
 
 
 def observed_branches(inst: OracleInstance) -> np.ndarray:
-    """Branch states of the observed environments, shape (n_observed, d_s, 2, 2)."""
+    """Branch states of the observed environments, shape (B, n_observed, d_s, 2, 2)."""
     i = np.arange(inst.central.d_s)[:, None]
-    return np.swapaxes(branch_state(inst.observed, inst.interaction, i, i, inst.t), 0, 1)
+    return np.swapaxes(branch_state(_rows(inst.observed), inst.interaction, i, i, inst.t[:, None, None]), -4, -3)
 
 
 def branch_ensemble(inst: OracleInstance) -> BranchEnsemble:
@@ -170,11 +221,12 @@ def branch_ensemble(inst: OracleInstance) -> BranchEnsemble:
 
 def exact_epsilon(reduced: np.ndarray, sbs: SBSState):
     """Half trace norm of (actual reduced state - ideal broadcast state),
-    one distance per family of sbs (a float for one family)."""
+    one distance per family and instance of sbs (a float for one); NaN for
+    a degenerate family, which has no broadcast state."""
     sbs_matrix = sbs.to_matrix()
-    if reduced.shape != sbs_matrix.shape[-2:]:
+    if reduced.shape[-2:] != sbs_matrix.shape[-2:]:
         raise ValueError(f"dimension mismatch: {reduced.shape} vs {sbs_matrix.shape}")
-    return 0.5 * densmat.trace_norm(reduced - sbs_matrix)
+    return np.where(sbs.degenerate, np.nan, 0.5 * densmat.trace_norm(reduced - sbs_matrix))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -184,93 +236,105 @@ def exact_epsilon(reduced: np.ndarray, sbs: SBSState):
 QUBIT_FAMILIES = ("helstrom", "helstrom_weighted", "swapped", "coarse", "random")
 
 
-def qubit_families(central: CentralState, branches: np.ndarray, rng: np.random.Generator) -> ProjectorFamily:
-    """Two-outcome projector families for a qubit central system, stacked
-    along a leading axis in the order of QUBIT_FAMILIES.
+def qubit_families(central: CentralState, branches: np.ndarray, draws: np.ndarray) -> ProjectorFamily:
+    """Two-outcome projector families for a block of qubit central systems,
+    stacked along a leading axis in the order of QUBIT_FAMILIES, shape
+    (5, B, n_env, 2, 2, 2).
 
-    branches[k, i] is the state of observed environment k on pointer
-    branch i.  "helstrom" and "helstrom_weighted" are the witnesses;
-    "swapped", "coarse" and "random" (drawn from rng) are deliberately bad
-    measurements the additive bound must still dominate.
+    branches[b, k, i] is the state of observed environment k of instance b
+    on pointer branch i.  "helstrom" and "helstrom_weighted" are the
+    witnesses; "swapped", "coarse" and "random" are deliberately bad
+    measurements the additive bound must still dominate.  draws[b, k] holds
+    the normal draws of the random projector of environment k: a real and
+    an imaginary pair, in stream order.
     """
     if central.d_s != 2:
         raise ValueError("qubit_families requires a two-level central system")
-    sigma = central.sigma
-    n_env = len(branches)
-    plain = helstrom_pair(branches[:, 0], branches[:, 1]).family()
-    weighted = helstrom_pair(branches[:, 0], branches[:, 1], weights=(float(sigma[0]), float(sigma[1]))).family()
+    rho_0, rho_1 = branches[..., 0, :, :], branches[..., 1, :, :]
+    plain = helstrom_pair(rho_0, rho_1).family()
+    # each instance's pointer weights, broadcast over its environments
+    weighted = helstrom_pair(rho_0, rho_1, weights=tuple(central.sigma.T[..., None, None, None])).family()
     eye = np.eye(2, dtype=complex)
-    coarse = np.broadcast_to([eye, np.zeros_like(eye)], (n_env, 2, 2, 2))
-    # per environment a real and an imaginary normal pair, in stream order
-    draws = rng.normal(size=(n_env, 2, 2))
-    v = draws[:, 0] + 1j * draws[:, 1]
+    coarse = np.broadcast_to([eye, np.zeros_like(eye)], plain.shape)
+    v = draws[..., 0, :] + 1j * draws[..., 1, :]
     # the dot products np.linalg.norm takes for one complex vector
-    v = v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
-    p = v[:, :, None] * v.conj()[:, None, :]
-    return ProjectorFamily(np.stack([plain, weighted, plain[:, ::-1], coarse, np.stack([p, eye - p], axis=1)]))
+    v = v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
+    p = v[..., :, None] * v.conj()[..., None, :]
+    return ProjectorFamily(np.stack([plain, weighted, plain[..., ::-1, :, :], coarse, np.stack([p, eye - p], axis=-3)]))
 
 
 @dataclass(frozen=True)
 class InstanceReport:
-    """Exact distances and bounds of one instance.
+    """Exact distances and bounds of a block of B instances.
 
-    epsilon and prop1 hold one entry per family of the stacked families,
-    in the order of QUBIT_FAMILIES; cor2 is (F(epsilon_witness), whether
-    epsilon_witness <= 1/4) for the information gap |I - H_S|.
+    epsilon, prop1 and degenerate are (5, B): one entry per family of the
+    stacked families, in the order of QUBIT_FAMILIES, and instance.  A
+    degenerate family has no broadcast state and a NaN epsilon.  gamma,
+    eta_cor1, epsilon_witness and info_gap are (B,); cor2 holds per
+    instance (F(epsilon_witness), whether epsilon_witness <= 1/4) for the
+    information gap |I - H_S|.
     """
 
-    gamma: float
-    eta_cor1: float
+    gamma: np.ndarray
+    eta_cor1: np.ndarray
     families: ProjectorFamily
+    degenerate: np.ndarray
     epsilon: np.ndarray
     prop1: np.ndarray
-    epsilon_witness: float
-    info_gap: float
-    cor2: tuple
-    branches: np.ndarray  # observed branch states, indexed [k, i]
+    epsilon_witness: np.ndarray
+    info_gap: np.ndarray
+    cor2: list
+    branches: np.ndarray  # observed branch states, indexed [b, k, i]
 
     @property
-    def cor1_margin(self) -> float:
+    def cor1_margin(self) -> np.ndarray:
         """eta - witness epsilon; the measurement-free bound holds iff >= 0."""
         return self.eta_cor1 - self.epsilon_witness
 
 
-def evaluate_instance(inst: OracleInstance, rng: np.random.Generator) -> InstanceReport:
-    """Run every bound check on one instance with exact matrices.
+def evaluate_instance(inst: OracleInstance, draws: np.ndarray) -> InstanceReport:
+    """Run every bound check on a block of qubit instances with exact matrices.
 
-    The witness epsilon for the measurement-free bound is the smaller of
-    the plain and prior-weighted Helstrom family distances.
+    draws[b] are the normal draws of instance b's random family (see
+    qubit_families).  The witness epsilon for the measurement-free bound is
+    the smaller of the plain and prior-weighted Helstrom family distances.
+    The plain family can be degenerate (a pure pointer state whose branches
+    coincide on an environment); the prior-weighted one cannot, up to the
+    tie tolerance (it would need sigma_0 rho_0 <= sigma_1 rho_1 on one
+    environment and the reverse on another), so the witness is finite.
     """
-    joint = full_joint_state(inst)
-    reduced = reduced_state_exact(joint, inst)
+    # the joint states are dropped as soon as they are traced
+    reduced = reduced_state_exact(full_joint_state(inst), inst)
     ensemble = branch_ensemble(inst)
-    gamma = sbs_core.collective_gamma(inst.central, ensemble.gamma_mags)
+    central, branches = inst.central, ensemble.branches
+    gamma = sbs_core.collective_gamma(central, ensemble.gamma_mags)
 
-    branches = ensemble.branches
-    d_s = inst.central.d_s
+    d_s = central.d_s
     i, j = np.triu_indices(d_s, 1)
-    fids = np.ones((len(branches), d_s, d_s))
-    fids[:, i, j] = fids[:, j, i] = densmat.fidelity(branches[:, i], branches[:, j])
-    eta = sbs_core.cor1_eta(inst.central, gamma, fids)
+    fids = np.ones(branches.shape[:-3] + (d_s, d_s))
+    fids[..., i, j] = fids[..., j, i] = densmat.fidelity(branches[..., i, :, :], branches[..., j, :, :])
+    eta = sbs_core.cor1_eta(central, gamma, fids)
 
-    # one stacked call each over every family: broadcast states, distances, errors
-    families = qubit_families(inst.central, branches, rng)
-    eps = exact_epsilon(reduced, sbs_core.build_sbs(inst.central, ensemble, families))
-    pe = sbs_core.discrimination_error(inst.central.sigma, branches, families.families)
-    eps_witness = min(eps[:2].tolist())
+    # one stacked call each over every family and instance: broadcast states, distances, errors
+    families = qubit_families(central, branches, draws)
+    sbs = sbs_core.build_sbs(central, ensemble, families)
+    eps = exact_epsilon(reduced, sbs)
+    pe = sbs_core.discrimination_error(central.sigma[:, None, :], branches, families.families)
+    witness = np.fmin(eps[0], eps[1])
 
-    info = sbs_core.mutual_information(reduced, inst.factor_dims[: 1 + len(inst.observed.g)], [0])
-    gap = abs(info - inst.central.shannon_entropy())
-    cor2 = sbs_core.cor2_bound(eps_witness, inst.central.d_s)
-    return InstanceReport(gamma, eta, families, eps, sbs_core.prop1_bound(gamma, pe), eps_witness, gap, cor2, branches)
+    info = sbs_core.mutual_information(reduced, inst.factor_dims[: 1 + inst.observed.g.shape[-1]], [0])
+    gap = np.abs(info - central.shannon_entropy())
+    cor2 = [sbs_core.cor2_bound(w, d_s) for w in witness.tolist()]
+    prop1 = sbs_core.prop1_bound(gamma, pe)
+    return InstanceReport(gamma, eta, families, sbs.degenerate, eps, prop1, witness, gap, cor2, branches)
 
 
 # ---------------------------------------------------------------------------
 # random instance generation
 
 
-def random_central(rng: np.random.Generator, d_s: int = 2) -> CentralState:
-    """Random central state with coherences c sqrt(sigma_i sigma_j).
+def random_central(rng: np.random.Generator, d_s: int = 2) -> np.ndarray:
+    """Random central density matrix with coherences c sqrt(sigma_i sigma_j).
 
     Mixing diag(sigma) with the matching pure superposition keeps the
     result PSD for any c in [0, 1] and any dimension.
@@ -285,7 +349,7 @@ def random_central(rng: np.random.Generator, d_s: int = 2) -> CentralState:
     c = float(rng.uniform(0.0, 1.0))
     rho = c * np.sqrt(np.outer(sigma, sigma))
     np.fill_diagonal(rho, sigma)
-    return CentralState(rho)
+    return rho
 
 
 def random_instance(
@@ -297,17 +361,18 @@ def random_instance(
     d_s: int = 2,
     measure: MeasureSpec | None = None,
 ) -> OracleInstance:
-    """Instance index of a seeded corpus: random central state, spins, time."""
+    """Instance index of a seeded corpus, as a block of one: random central
+    state, spins, time."""
     rng = sample_stream(seed, index, label=5)
     measure = measure or MeasureSpec()
-    central = random_central(rng, d_s)
+    rho = random_central(rng, d_s)
     batch = vars(sample_spin_arrays(measure, rng, n_observed + n_unobserved)).values()
-    t = float(rng.uniform(0.0, t_max))
+    t = rng.uniform(0.0, t_max, 1)
     eigs = (-1.0, 1.0) if d_s == 2 else tuple(float(a) for a in np.linspace(-1.0, 1.0, d_s))
     return OracleInstance(
-        central,
-        SpinParams(*(v[:n_observed] for v in batch)),
-        SpinParams(*(v[n_observed:] for v in batch)),
+        CentralState(rho[None]),
+        SpinParams(*(v[None, :n_observed] for v in batch)),
+        SpinParams(*(v[None, n_observed:] for v in batch)),
         t,
         InteractionSpec(eigs),
     )

@@ -24,9 +24,15 @@ Every per-environment record is one complex array of shape
 BranchEnsemble, the projectors of a ProjectorFamily and the projected
 branches of an SBSState.  A branch of zero weight holds a zero matrix, and
 the constructions and checks run over whole arrays, never per environment
-or per branch.  A ProjectorFamily may stack several families on leading
-axes, (..., n_env, d_S, dim, dim); build_sbs, SBSState.to_matrix and
-prop1_bound then give one result per family.
+or per branch.
+
+Every record may also carry a block of instances on a leading axis: a
+CentralState of shape (B, d_S, d_S), pointer-pair arrays (B, d_S, d_S) and
+branch states (B, n_env, d_S, dim, dim), and a ProjectorFamily may stack
+several families in front of that, (F, B, n_env, d_S, dim, dim).  The
+leading axes broadcast as in numpy, so build_sbs, SBSState.to_matrix,
+prop1_bound and the bounds give one result per family and instance, bit
+for bit the result of one call per item.
 """
 
 from __future__ import annotations
@@ -44,17 +50,14 @@ PROJECTOR_TOL = 1e-10
 COR2_VALIDITY = 0.25
 
 
-class DegenerateSBSError(ValueError):
-    """Raised when every branch is orthogonal to its projector (all r_i = 0)."""
-
-
 @dataclass(frozen=True)
 class CentralState:
     """Density matrix of the central system in the pointer basis.
 
     rho is a d_S x d_S complex array with the pointer weights sigma_i on
-    its diagonal and the coherences sigma_ij off it.  It is stored as a
-    read-only copy and must be a valid state.
+    its diagonal and the coherences sigma_ij off it, or a stack of them
+    (B, d_S, d_S), one per instance of a block.  It is stored as a
+    read-only copy and every matrix must be a valid state.
     """
 
     rho: np.ndarray
@@ -66,8 +69,10 @@ class CentralState:
         sigma = self.sigma
         if np.any(sigma < -CENTRAL_TOL):
             raise ValueError("pointer weights must be nonnegative")
-        if abs(float(np.sum(sigma)) - 1.0) > 1e-12:
-            raise ValueError(f"pointer weights sum to {np.sum(sigma)}, not 1")
+        total = np.sum(sigma, axis=-1)
+        off = total[np.abs(total - 1.0) > 1e-12]
+        if off.size:
+            raise ValueError(f"pointer weights sum to {off[0]}, not 1")
         densmat.check_density_matrix(rho)
 
     def __eq__(self, other):
@@ -75,17 +80,17 @@ class CentralState:
 
     @property
     def sigma(self) -> np.ndarray:
-        """Pointer weights sigma_i, the real diagonal of rho."""
-        return self.rho.diagonal().real
+        """Pointer weights sigma_i, the real diagonal of rho, shape (..., d_S)."""
+        return np.diagonal(self.rho, axis1=-2, axis2=-1).real
 
     @property
     def d_s(self) -> int:
-        return self.rho.shape[0]
+        return self.rho.shape[-1]
 
-    def shannon_entropy(self) -> float:
-        """Shannon entropy H[{sigma_i}] of the pointer weights, in bits."""
-        s = self.sigma[self.sigma > 1e-15]
-        return float(-np.sum(s * np.log2(s)))
+    def shannon_entropy(self):
+        """Shannon entropy H[{sigma_i}] of the pointer weights, in bits, per
+        matrix of a stack (a float for one)."""
+        return densmat.entropy_bits(self.sigma, 1e-15)
 
 
 def _environment_array(a, what: str) -> np.ndarray:
@@ -104,11 +109,12 @@ def _environment_array(a, what: str) -> np.ndarray:
 class BranchEnsemble:
     """Branch states per observed environment plus dephasing magnitudes.
 
-    branches[k, i] is the state of observed environment k conditional on
-    pointer index i, stored as one read-only array (n_env, d_S, dim, dim).
-    gamma_mags[i, j] is the product over the unobserved environments of the
-    per-environment dephasing-factor magnitudes for the pair (i, j), a
-    number in [0, 1]; only i != j is used.
+    branches[..., k, i] is the state of observed environment k conditional
+    on pointer index i, stored as one read-only array
+    (..., n_env, d_S, dim, dim).  gamma_mags[..., i, j] is the product over
+    the unobserved environments of the per-environment dephasing-factor
+    magnitudes for the pair (i, j), a number in [0, 1]; only i != j is
+    used.  A block of instances leads both arrays.
     """
 
     branches: np.ndarray
@@ -160,16 +166,23 @@ class SBSState:
     (n_env, d_S, dim, dim) holding a zero matrix where the branch carries
     zero weight; eta_norm is the total projected weight
     sum_i sigma_i prod_k p_i^(k) before renormalization.  Built from a stack
-    of families, every field carries the family axes in front.
+    of families or a block of instances, every field carries those axes in
+    front.  Where eta_norm is 0 the family is degenerate: it is orthogonal
+    to every branch, there is no broadcast state, and its weights are 0.
     """
 
     weights: np.ndarray
     states: np.ndarray
     eta_norm: float | np.ndarray
 
+    @property
+    def degenerate(self):
+        """Whether the projected weight vanishes, per family (a bool for one)."""
+        return (np.asarray(self.eta_norm) <= 0.0)[()]
+
     def to_matrix(self) -> np.ndarray:
         """sum_i w_i |i><i| (x) states[0, i] (x) ... (x) states[n_env - 1, i],
-        one matrix per family."""
+        one matrix per family; a zero matrix for a degenerate family."""
         d_s = self.weights.shape[-1]
         # the products and sums of the kron route, down to the sign of zero:
         # environments tensored onto a unit, each pointer block placed by a
@@ -186,31 +199,32 @@ class SBSState:
 
 
 def _off_diagonal(a: np.ndarray) -> np.ndarray:
-    """Entries a[i, j], i != j, of a square array in row-major order."""
-    return a[~np.eye(a.shape[0], dtype=bool)]
+    """Entries a[..., i, j], i != j, of square arrays in row-major order."""
+    return a[..., ~np.eye(a.shape[-1], dtype=bool)]
 
 
-def collective_gamma(central: CentralState, gamma_mags: np.ndarray) -> float:
-    """Coherence weight Gamma = sum_{i != j} |sigma_ij| prod_k |gamma_ij^(k)|.
+def collective_gamma(central: CentralState, gamma_mags: np.ndarray):
+    """Coherence weight Gamma = sum_{i != j} |sigma_ij| prod_k |gamma_ij^(k)|,
+    per instance of a block (a float for one).
 
-    gamma_mags[i, j] is the product of dephasing magnitudes over the
+    gamma_mags[..., i, j] is the product of dephasing magnitudes over the
     unobserved environments for the pair (i, j).
     """
-    return float(np.sum(_off_diagonal(np.abs(central.rho) * gamma_mags)))
+    return np.sum(_off_diagonal(np.abs(central.rho) * gamma_mags), axis=-1)[()]
 
 
 def discrimination_error(weights, states, projectors):
     """Cumulative error sum_i w_i Tr[rho_i (1 - P_i)] of local measurements.
 
-    states and projectors are (..., d_S, dim, dim) with one pointer index
-    per entry of weights and leading axes that broadcast; one error per
-    leading index (a float for one environment).  Zero iff each projector
-    contains the support of its branch state.
+    states and projectors are (..., d_S, dim, dim) and weights (..., d_S),
+    one pointer index per last entry of weights, with leading axes that
+    broadcast; one error per leading index (a float for one environment).
+    Zero iff each projector contains the support of its branch state.
     """
     w = np.asarray(weights, dtype=float)
     states = np.asarray(states, dtype=complex)
     projectors = np.asarray(projectors, dtype=complex)
-    if states.shape[-3:] != projectors.shape[-3:] or states.shape[-3:-2] != w.shape:
+    if states.shape[-3:] != projectors.shape[-3:] or states.shape[-3:-2] != w.shape[-1:]:
         raise ValueError("weights, states and projectors must have matching lengths")
     _check_complete(projectors)
     miss = np.real(np.trace(states @ (np.eye(states.shape[-1]) - projectors), axis1=-2, axis2=-1))
@@ -226,12 +240,13 @@ def build_sbs(
     p_i^(k) = Tr[P_i rho_i^(k)]; each surviving branch state is
     P rho P / p_i^(k).  When the projectors already contain the branch
     supports this returns the branches unchanged with weights sigma_i.  A
-    stack of families gives one broadcast state per family.
+    stack of families or a block of instances gives one broadcast state
+    each; a family orthogonal to every branch is marked degenerate.
     """
     fams, states = projectors.families, branches.branches
-    if fams.shape[-4] != states.shape[0]:
+    if fams.shape[-4] != states.shape[-4]:
         raise ValueError("one projector family per observed environment required")
-    if fams.shape[-4:] != states.shape or states.shape[1] != central.d_s:
+    if fams.shape[-3:] != states.shape[-3:] or states.shape[-3] != central.d_s:
         raise ValueError("need one branch state and one projector per pointer index")
     cut = fams @ states @ fams
     # rounding can leave a branch orthogonal to its projector with a tiny
@@ -241,48 +256,50 @@ def build_sbs(
     projected = np.zeros_like(cut)
     np.divide(cut, succ[..., None, None], out=projected, where=succ[..., None, None] > 0.0)
 
-    r = np.prod(succ, axis=-2)
-    eta_norm = np.sum(central.sigma * r, axis=-1)
-    if np.any(eta_norm <= 0.0):
-        raise DegenerateSBSError(
-            "all projected branch weights vanish; the measurement family is "
-            "orthogonal to every branch"
-        )
-    return SBSState(central.sigma * r / eta_norm[..., None], projected, eta_norm)
+    weighted = central.sigma * np.prod(succ, axis=-2)
+    eta_norm = np.sum(weighted, axis=-1)
+    # a degenerate family keeps weight 0 on every branch
+    weights = np.zeros_like(weighted)
+    np.divide(weighted, eta_norm[..., None], out=weights, where=eta_norm[..., None] > 0.0)
+    return SBSState(weights, projected, eta_norm)
 
 
-def prop1_bound(gamma: float, pe):
+def prop1_bound(gamma, pe):
     """Additive distance bound Gamma + sum_k p_E^(k).
 
-    pe[..., k] is the discrimination error of environment k; one bound per
-    leading index (a float for one family).
+    pe[..., k] is the discrimination error of environment k and gamma
+    broadcasts with pe[..., 0]; one bound per leading index (a float for
+    one family).
     """
     pe = np.asarray(pe, dtype=float)
-    if gamma < 0 or np.any(pe < 0):
+    if np.any(np.asarray(gamma) < 0) or np.any(pe < 0):
         raise ValueError("bound ingredients must be nonnegative")
     # a running sum from 0 over the environments, as Python's sum adds them
     start = np.zeros(pe.shape[:-1] + (1,))
     return (gamma + np.add.accumulate(np.concatenate([start, pe], axis=-1), axis=-1)[..., -1])[()]
 
 
-def barnum_knill_bound(weights: Sequence[float], pairwise_fidelities: np.ndarray) -> float:
+def barnum_knill_bound(weights: Sequence[float], pairwise_fidelities: np.ndarray):
     """Pairwise-fidelity bound sum_{i != j} sqrt(w_i w_j) B(rho_i, rho_j)
-    on the optimal discrimination error of an ensemble.
+    on the optimal discrimination error of an ensemble, per ensemble of a
+    stack (a float for one).
 
-    pairwise_fidelities[i, j] is B(rho_i, rho_j).
+    pairwise_fidelities[..., i, j] is B(rho_i, rho_j) and weights[..., i]
+    the weight of rho_i.
     """
     w = np.asarray(weights, dtype=float)
-    return float(np.sum(_off_diagonal(np.sqrt(np.outer(w, w)) * pairwise_fidelities)))
+    outer = w[..., :, None] * w[..., None, :]
+    return np.sum(_off_diagonal(np.sqrt(outer) * pairwise_fidelities), axis=-1)[()]
 
 
-def cor1_eta(central: CentralState, gamma: float, pair_fidelities: np.ndarray) -> float:
+def cor1_eta(central: CentralState, gamma, pair_fidelities: np.ndarray):
     """Measurement-free bound eta = Gamma + sum_{i!=j} sqrt(sigma_i sigma_j)
-    sum_k B[rho_i^(k), rho_j^(k)].
+    sum_k B[rho_i^(k), rho_j^(k)], per instance of a block (a float for one).
 
-    pair_fidelities[k, i, j] is the fidelity of branches i and j of
+    pair_fidelities[..., k, i, j] is the fidelity of branches i and j of
     observed environment k.
     """
-    return float(gamma) + barnum_knill_bound(central.sigma, np.sum(pair_fidelities, axis=0))
+    return gamma + barnum_knill_bound(central.sigma, np.sum(pair_fidelities, axis=-3))
 
 
 def binary_entropy(x: float) -> float:
@@ -314,10 +331,9 @@ def cor2_bound(eps_or_eta: float, d_s: int) -> tuple[float, bool]:
     return bound, valid
 
 
-def mutual_information(
-    rho: np.ndarray, factor_dims: Sequence[int], system_factors: Sequence[int]
-) -> float:
-    """Quantum mutual information I = S(rho_S) + S(rho_rest) - S(rho), in bits.
+def mutual_information(rho: np.ndarray, factor_dims: Sequence[int], system_factors: Sequence[int]):
+    """Quantum mutual information I = S(rho_S) + S(rho_rest) - S(rho), in
+    bits, per matrix of a stack (a float for one).
 
     system_factors selects which tensor factors make up the system; the
     remaining factors form the observed fraction.

@@ -128,13 +128,15 @@ def convention_certification(draws: int = 1000, seed: int = DEFAULT_SEED) -> Sui
 def _disturbance_sum(gamma, sigma, branches, projectors):
     """Sound telescoping bound: Gamma + sum_k sum_i sigma_i ||rho_i - P rho_i P||_1.
 
-    branches[k, i] are the branch states and projectors[..., k, i] the
-    projectors of one family, or of a stack of families (one bound each).
+    branches[..., k, i] are the branch states of one instance or a block,
+    with its Gamma (...) and weights sigma (..., d_S), and
+    projectors[..., k, i] the projectors of one family, or of a stack of
+    families in front (one bound per family and instance).
     """
-    pieces = sigma * densmat.trace_norm(branches - projectors @ branches @ projectors)
+    pieces = sigma[..., None, :] * densmat.trace_norm(branches - projectors @ branches @ projectors)
     pieces = pieces.reshape(pieces.shape[:-2] + (-1,))
     # a running sum from Gamma adds the pieces one by one, k major
-    start = np.full(pieces.shape[:-1] + (1,), gamma)
+    start = np.broadcast_to(np.asarray(gamma)[..., None], pieces.shape[:-1] + (1,))
     return np.add.accumulate(np.concatenate([start, pieces], axis=-1), axis=-1)[..., -1][()]
 
 
@@ -151,6 +153,9 @@ def oracle_inequalities(
     and deliberately bad families).  Expected to fail; see module docstring.
     prop1_disturbance: the sound disturbance form, expected to pass.
     cor1: witness eps <= eta.  cor2: |I - H_S| <= F(eps) when eps <= 1/4.
+    A degenerate family (no broadcast state) is not checked.  The corpus is
+    evaluated in blocks of oracle.ORACLE_BLOCK instances and recorded
+    instance by instance, in corpus order.
     """
     stated = SuiteResult("prop1_as_stated")
     stated.detail = "additive discrimination-error bound, known-unsound derivation"
@@ -158,21 +163,29 @@ def oracle_inequalities(
     cor1 = SuiteResult("cor1")
     cor2 = SuiteResult("cor2")
     cor2_applicable = 0
-    for i in range(instances):
-        inst = oracle.random_instance(
-            seed, i, n_observed=n_observed, n_unobserved=n_unobserved, t_max=t_max
+    for lo in range(0, instances, oracle.ORACLE_BLOCK):
+        rows = range(lo, min(lo + oracle.ORACLE_BLOCK, instances))
+        block = oracle.stack_instances([
+            oracle.random_instance(seed, i, n_observed=n_observed, n_unobserved=n_unobserved, t_max=t_max)
+            for i in rows
+        ])
+        # each instance's random family from its own stream
+        draws = np.stack([sample_stream(seed, i, label=11).normal(size=(n_observed, 2, 2)) for i in rows])
+        rep = oracle.evaluate_instance(block, draws)
+        bounds = _disturbance_sum(rep.gamma, block.central.sigma, rep.branches, rep.families.families)
+        per_instance = zip(
+            rep.prop1.T.tolist(), bounds.T.tolist(), rep.epsilon.T.tolist(), rep.degenerate.T.tolist(),
+            rep.cor1_margin.tolist(), rep.cor2, rep.info_gap.tolist(),
         )
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(11, i)))
-        rep = oracle.evaluate_instance(inst, rng)
-        bounds = _disturbance_sum(rep.gamma, inst.central.sigma, rep.branches, rep.families.families)
-        for prop1, bound, eps in zip(rep.prop1.tolist(), bounds.tolist(), rep.epsilon.tolist()):
-            stated.record(prop1 - eps, tol=1e-9)
-            disturbance.record(bound - eps, tol=1e-9)
-        cor1.record(rep.cor1_margin, tol=1e-9)
-        f_bound, applicable = rep.cor2
-        if applicable:
-            cor2_applicable += 1
-            cor2.record(f_bound - rep.info_gap, tol=1e-9)
+        for prop1s, bound_row, epsilons, degenerate, cor1_margin, (f_bound, applicable), gap in per_instance:
+            for prop1, bound, eps, skip in zip(prop1s, bound_row, epsilons, degenerate):
+                if not skip:
+                    stated.record(prop1 - eps, tol=1e-9)
+                    disturbance.record(bound - eps, tol=1e-9)
+            cor1.record(cor1_margin, tol=1e-9)
+            if applicable:
+                cor2_applicable += 1
+                cor2.record(f_bound - gap, tol=1e-9)
     cor2.detail = f"applicable on {cor2_applicable}/{instances} instances (eps <= 1/4)"
     return {
         "prop1_as_stated": stated,
@@ -408,27 +421,25 @@ def qutrit_prop1_suite(instances: int = 40, seed: int = DEFAULT_SEED) -> SuiteRe
     distance for these and for coarse families.
     """
     res = SuiteResult("qutrit_prop1_disturbance")
+    zero = np.zeros((2, 2), dtype=complex)
+    eye = np.eye(2, dtype=complex)
     for i in range(instances):
         inst = oracle.random_instance(seed, i, n_observed=2, n_unobserved=2, d_s=3)
         ens = oracle.branch_ensemble(inst)
         branches = ens.branches
-        zero = np.zeros((2, 2), dtype=complex)
-        eye = np.eye(2, dtype=complex)
-        pairwise = helstrom_pair(branches[:, 0], branches[:, 1]).family()
-        families = {
-            "pairwise": sbs_core.ProjectorFamily(np.concatenate([pairwise, np.zeros_like(branches[:, :1])], axis=1)),
-            "coarse": sbs_core.ProjectorFamily(np.broadcast_to([eye, zero, zero], branches.shape)),
-        }
-        joint = oracle.full_joint_state(inst)
-        reduced = oracle.reduced_state_exact(joint, inst)
+        pairwise = helstrom_pair(branches[..., 0, :, :], branches[..., 1, :, :]).family()
+        # the pairwise and the coarse family, stacked in that order
+        families = sbs_core.ProjectorFamily(np.stack([
+            np.concatenate([pairwise, np.zeros_like(branches[..., :1, :, :])], axis=-3),
+            np.broadcast_to([eye, zero, zero], branches.shape),
+        ]))
+        reduced = oracle.reduced_state_exact(oracle.full_joint_state(inst), inst)
         gamma = sbs_core.collective_gamma(inst.central, ens.gamma_mags)
-        for family in families.values():
-            try:
-                sbs = sbs_core.build_sbs(inst.central, ens, family)
-            except sbs_core.DegenerateSBSError:
-                continue
-            eps = oracle.exact_epsilon(reduced, sbs)
-            res.record(_disturbance_sum(gamma, inst.central.sigma, branches, family.families) - eps, tol=1e-9)
+        sbs = sbs_core.build_sbs(inst.central, ens, families)
+        margins = _disturbance_sum(gamma, inst.central.sigma, branches, families.families) - oracle.exact_epsilon(reduced, sbs)
+        for margin, skip in zip(margins.ravel().tolist(), sbs.degenerate.ravel().tolist()):
+            if not skip:
+                res.record(margin, tol=1e-9)
     return res
 
 

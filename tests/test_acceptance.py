@@ -67,18 +67,20 @@ def tilted_witness(theta):
     p_E = sin^2 theta and eps = |sin theta|, while the disturbance form is
     |sin theta| sqrt(1 + 3 cos^2 theta).
     """
-    spin = SpinParams(np.zeros(1), np.zeros(1), np.zeros(1), np.ones(1), np.ones(1))
-    inst = oracle.OracleInstance(CentralState(np.diag([1.0, 0.0])), spin, SpinParams(*np.zeros((5, 0))), 0.0)
+    # a block of one instance
+    spin = SpinParams(*np.array([0.0, 0.0, 0.0, 1.0, 1.0]).reshape(5, 1, 1))
+    central = CentralState(np.diag([1.0, 0.0])[None])
+    inst = oracle.OracleInstance(central, spin, SpinParams(*np.zeros((5, 1, 0))), [0.0])
     v = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
     p0 = np.outer(v, v.conj())
     family = ProjectorFamily(((p0, np.eye(2) - p0),))
     ensemble = oracle.branch_ensemble(inst)
     gamma = sbs_core.collective_gamma(inst.central, ensemble.gamma_mags)
-    pe = sbs_core.discrimination_error(inst.central.sigma, ensemble.branches[0], family.families[0])
+    pe = sbs_core.discrimination_error(inst.central.sigma[0], ensemble.branches[0, 0], family.families[0])
     reduced = oracle.reduced_state_exact(oracle.full_joint_state(inst), inst)
     eps = oracle.exact_epsilon(reduced, sbs_core.build_sbs(inst.central, ensemble, family))
     disturbance = verify._disturbance_sum(gamma, inst.central.sigma, ensemble.branches, family.families)
-    return eps, sbs_core.prop1_bound(gamma, [pe]), disturbance
+    return eps[0], sbs_core.prop1_bound(gamma[0], [pe]), disturbance[0]
 
 
 def test_acceptance_02_additive_bound_as_stated(oracle_suites):

@@ -23,9 +23,7 @@ NO_CALLER_NEEDED = {
 }
 
 # public dataclass fields that need no reader inside src/, each with the reason
-NO_READER_NEEDED = {
-    "sbs_core.SBSState.eta_norm": "the SBS normalization sum_i sigma_i prod_k p_i^(k) the paper defines; tests check it",
-}
+NO_READER_NEEDED: dict[str, str] = {}
 
 
 def public_definitions(trees):
@@ -87,13 +85,16 @@ def dataclass_fields(trees):
 
 def test_every_dataclass_field_has_a_reader_in_src():
     """A field counts as read when src/ loads an attribute or passes a keyword
-    of its bare name, as the caller rule matches bare names."""
+    of its bare name, as the caller rule matches bare names.  Loads from the
+    CLI's argparse namespace (args.<name> in cli.py) read no dataclass and do
+    not count."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     read = set()
-    for tree in trees.values():
+    for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+                if not (module == "cli" and isinstance(node.value, ast.Name) and node.value.id == "args"):
+                    read.add(node.attr)
             elif isinstance(node, ast.keyword):
                 read.add(node.arg)
     fields = dict(dataclass_fields(trees))

@@ -308,4 +308,4 @@ class TestMonteCarloScaling:
 class TestAverageCurve:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            AverageCurve(np.zeros(3), np.zeros(3), np.zeros(2), 5)
+            AverageCurve(np.zeros(3), np.zeros(3), np.zeros(2))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,36 +18,56 @@ from sbskit.oracle import (
     random_central,
     random_instance,
     reduced_state_exact,
+    stack_instances,
 )
 from sbskit.sbs_core import CentralState, ProjectorFamily
 from sbskit.spin_model import SpinParams
 
 
 def record(*spins):
-    """One record of the given one-spin records, fields of shape (len(spins),)."""
-    return SpinParams(*np.array([list(vars(s).values()) for s in spins], dtype=float).reshape(-1, 5).T)
+    """The given one-spin records as one row of a block of one, fields of shape (1, len(spins))."""
+    return SpinParams(*np.array([list(vars(s).values()) for s in spins], dtype=float).reshape(-1, 5).T[:, None])
 
 
-def spin_of(record, j):
-    """Spin j of a record (an index into its arrays) as a record of floats."""
-    return SpinParams(*(float(v[j]) for v in vars(record).values()))
+def spin_of(record, j, b=0):
+    """Spin j of row b of a record (an index into its arrays) as a record of floats."""
+    return SpinParams(*(float(v[b, j]) for v in vars(record).values()))
+
+
+def central(rho):
+    """The central state of a block of one."""
+    return CentralState(np.asarray(rho)[None])
 
 
 def same_instance(a, b):
-    """Field-by-field equality of two instances, spin arrays by np.array_equal."""
+    """Field-by-field equality of two instances, arrays by np.array_equal."""
     spins = [
         np.array_equal(x, y)
         for r, q in ((a.observed, b.observed), (a.unobserved, b.unobserved))
         for x, y in zip(vars(r).values(), vars(q).values())
     ]
-    return a.central == b.central and a.t == b.t and a.interaction == b.interaction and all(spins)
+    return a.central == b.central and np.array_equal(a.t, b.t) and a.interaction == b.interaction and all(spins)
 
 
 def make_instance(seed=0, n_obs=2, n_unobs=2, t=None):
     inst = random_instance(seed, 0, n_observed=n_obs, n_unobserved=n_unobs)
     if t is not None:
-        inst = OracleInstance(inst.central, inst.observed, inst.unobserved, t, inst.interaction)
+        inst = OracleInstance(inst.central, inst.observed, inst.unobserved, [t], inst.interaction)
     return inst
+
+
+def corpus_block(indices, seed=8, **kw):
+    """Instances of a seeded corpus as one block, with family draws from stream 30 + i."""
+    block = stack_instances([random_instance(seed, i, **kw) for i in indices])
+    draws = np.stack([np.random.default_rng(30 + i).normal(size=(len(block.observed.g[0]), 2, 2)) for i in indices])
+    return block, draws
+
+
+def orthogonal_branches_instance():
+    """An exact broadcast structure: pure spins at beta = pi/2 reach
+    orthogonal branches at g t = pi/2, with a coherence-free central state."""
+    spins = record(*(SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0) for _ in range(2)))
+    return OracleInstance(central(np.diag([0.6, 0.4])), spins, record(), [np.pi / 2])
 
 
 class TestInteractionSpec:
@@ -68,11 +89,11 @@ class TestFullJointState:
     def test_time_zero_is_product_state(self):
         inst = make_instance(seed=1, t=0.0)
         joint = full_joint_state(inst)
-        expected = inst.central.rho
+        expected = inst.central.rho[0]
         for spins in (inst.observed, inst.unobserved):
-            for j in range(len(spins.g)):
+            for j in range(spins.g.shape[-1]):
                 expected = densmat.tensor(expected, spin_model.initial_spin_state(spin_of(spins, j)))
-        np.testing.assert_allclose(joint, expected, atol=1e-13)
+        np.testing.assert_allclose(joint[0], expected, atol=1e-13)
 
     def test_valid_state(self):
         inst = make_instance(seed=2)
@@ -81,17 +102,27 @@ class TestFullJointState:
 
     def test_diagonal_central_stays_block_diagonal(self):
         base = make_instance(seed=3)
-        central = CentralState(np.diag(base.central.sigma))  # coherences dropped
-        inst = OracleInstance(central, base.observed, base.unobserved, 1.3, base.interaction)
-        joint = full_joint_state(inst)
+        dropped = central(np.diag(base.central.sigma[0]))  # coherences dropped
+        inst = OracleInstance(dropped, base.observed, base.unobserved, [1.3], base.interaction)
+        joint = full_joint_state(inst)[0]
         half = joint.shape[0] // 2
         assert np.max(np.abs(joint[:half, half:])) < 1e-14
 
     def test_dimension_cap(self):
         spins = record(*(SpinParams(0, 1, 0, 0.5, 1.0) for _ in range(12)))
-        inst = OracleInstance(CentralState(np.eye(2) / 2), spins, record(), 1.0)
+        inst = OracleInstance(central(np.eye(2) / 2), spins, record(), [1.0])
         with pytest.raises(ValueError, match="cap"):
             full_joint_state(inst)
+
+    def test_block_shapes_checked(self):
+        inst = make_instance(seed=1)
+        with pytest.raises(ValueError, match="one time per instance"):
+            OracleInstance(inst.central, inst.observed, inst.unobserved, [1.0, 2.0])
+        with pytest.raises(ValueError, match="one time per instance"):
+            OracleInstance(inst.central, spin_of(inst.observed, 0), inst.unobserved, [1.0])
+        # blocks of different spin counts do not stack
+        with pytest.raises(ValueError):
+            stack_instances([inst, make_instance(seed=1, n_obs=3)])
 
 
 class TestConventionCertification:
@@ -100,7 +131,7 @@ class TestConventionCertification:
         # state must equal the closed-form dephasing factor times sigma_01
         rng = np.random.default_rng(10)
         for _ in range(50):
-            central = random_central(rng)
+            one = random_central(rng)
             spin = SpinParams(
                 rng.uniform(0, 2 * np.pi),
                 rng.uniform(0, np.pi),
@@ -109,10 +140,10 @@ class TestConventionCertification:
                 rng.uniform(0, 1),
             )
             t = rng.uniform(0, 2 * np.pi)
-            inst = OracleInstance(central, record(), record(spin), t)
-            joint = full_joint_state(inst)
+            inst = OracleInstance(central(one), record(), record(spin), [t])
+            joint = full_joint_state(inst)[0]
             block_trace = np.trace(joint[:2, 2:])
-            expected = central.rho[0, 1] * spin_model.decoherence_factor(spin_model.stack_spins(lambda _: spin, 1), t)
+            expected = one[0, 1] * spin_model.decoherence_factor(spin_model.stack_spins(lambda _: spin, 1), t)
             assert abs(block_trace - expected) < 1e-12
 
     def test_branch_purity_conserved(self):
@@ -141,6 +172,11 @@ class TestReducedState:
             reduced = reduced_state_exact(full_joint_state(inst), inst)
             assembled = analytic_reduced_state(inst)
             assert np.max(np.abs(reduced - assembled)) < 1e-10
+        # and instance by instance over a block of qutrit instances
+        inst = stack_instances([random_instance(9, i, n_observed=2, n_unobserved=2, d_s=3) for i in range(5)])
+        reduced = reduced_state_exact(full_joint_state(inst), inst)
+        assert reduced.shape == (5, 12, 12)
+        assert np.max(np.abs(reduced - analytic_reduced_state(inst))) < 1e-10
 
     def test_nothing_discarded_returns_joint(self):
         inst = make_instance(seed=4, n_obs=3, n_unobs=0)
@@ -148,7 +184,7 @@ class TestReducedState:
         np.testing.assert_allclose(reduced_state_exact(joint, inst), joint, atol=1e-13)
 
     def test_gamma_products_pair_array(self):
-        gammas = gamma_products(random_instance(6, 0, n_observed=0, n_unobserved=2, d_s=3))
+        gammas = gamma_products(random_instance(6, 0, n_observed=0, n_unobserved=2, d_s=3))[0]
         assert gammas.shape == (3, 3)
         np.testing.assert_array_equal(np.diag(gammas), 1.0)
         # Tr[U_j rho U_i^dagger] = conj Tr[U_i rho U_j^dagger]
@@ -156,10 +192,10 @@ class TestReducedState:
 
     def test_everything_discarded_dephases_central(self):
         inst = make_instance(seed=5, n_obs=0, n_unobs=3)
-        reduced = reduced_state_exact(full_joint_state(inst), inst)
-        gam = gamma_products(inst)[0, 1]
-        expected = np.diag(inst.central.sigma).astype(complex)
-        expected[0, 1] = inst.central.rho[0, 1] * gam
+        reduced = reduced_state_exact(full_joint_state(inst), inst)[0]
+        gam = gamma_products(inst)[0, 0, 1]
+        expected = np.diag(inst.central.sigma[0]).astype(complex)
+        expected[0, 1] = inst.central.rho[0, 0, 1] * gam
         expected[1, 0] = np.conj(expected[0, 1])
         np.testing.assert_allclose(reduced, expected, atol=1e-12)
 
@@ -169,26 +205,23 @@ class TestExactEpsilon:
         # pure spins at beta = pi/2 reach orthogonal branches at g t = pi/2:
         # the reduced state of a coherence-free central system is then an
         # exact broadcast state and the Helstrom family reproduces it
-        central = CentralState(np.diag([0.6, 0.4]))
-        spins = record(*(SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0) for _ in range(2)))
-        inst = OracleInstance(central, spins, record(), np.pi / 2)
+        inst = orthogonal_branches_instance()
         reduced = reduced_state_exact(full_joint_state(inst), inst)
         ens = oracle.branch_ensemble(inst)
-        fams = qubit_families(inst.central, ens.branches, np.random.default_rng(0))
+        fams = qubit_families(inst.central, ens.branches, np.random.default_rng(0).normal(size=(1, 2, 2, 2)))
         helstrom = ProjectorFamily(fams.families[oracle.QUBIT_FAMILIES.index("helstrom")])
         sbs = sbs_core.build_sbs(inst.central, ens, helstrom)
-        assert exact_epsilon(reduced, sbs) < 1e-10
+        assert exact_epsilon(reduced, sbs)[0] < 1e-10
 
     def test_positive_at_time_zero_with_coherence(self):
-        central = CentralState(np.full((2, 2), 0.5))
         spins = record(*(SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0) for _ in range(2)))
-        inst = OracleInstance(central, spins, record(spin_of(spins, 0)), 0.0)
+        inst = OracleInstance(central(np.full((2, 2), 0.5)), spins, record(spin_of(spins, 0)), [0.0])
         reduced = reduced_state_exact(full_joint_state(inst), inst)
         ens = oracle.branch_ensemble(inst)
-        fams = qubit_families(inst.central, ens.branches, np.random.default_rng(0))
+        fams = qubit_families(inst.central, ens.branches, np.random.default_rng(0).normal(size=(1, 2, 2, 2)))
         helstrom = ProjectorFamily(fams.families[oracle.QUBIT_FAMILIES.index("helstrom")])
         sbs = sbs_core.build_sbs(inst.central, ens, helstrom)
-        assert exact_epsilon(reduced, sbs) > 0.1
+        assert exact_epsilon(reduced, sbs)[0] > 0.1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -202,8 +235,8 @@ class TestMutualInfoCheck:
     def test_perfect_broadcast_means_info_equals_entropy(self):
         central = CentralState(np.eye(2) / 2)
         spins = record(SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0))
-        inst = OracleInstance(central, spins, record(), np.pi / 2)
-        reduced = reduced_state_exact(full_joint_state(inst), inst)
+        inst = OracleInstance(CentralState(central.rho[None]), spins, record(), [np.pi / 2])
+        reduced = reduced_state_exact(full_joint_state(inst), inst)[0]
         info = sbs_core.mutual_information(reduced, [2, 2], [0])
         assert info == pytest.approx(1.0, abs=1e-10)
         assert central.shannon_entropy() == pytest.approx(1.0, abs=1e-12)
@@ -215,8 +248,8 @@ class TestMutualInfoCheck:
     def test_product_state_gap_equals_entropy_bound_inapplicable(self):
         central = CentralState(np.eye(2) / 2)
         spins = record(SpinParams(0.0, 0.0, 0.0, 1.0, 1.0))  # frozen pointer spin
-        inst = OracleInstance(central, spins, record(), 1.0)
-        reduced = reduced_state_exact(full_joint_state(inst), inst)
+        inst = OracleInstance(CentralState(central.rho[None]), spins, record(), [1.0])
+        reduced = reduced_state_exact(full_joint_state(inst), inst)[0]
         info = sbs_core.mutual_information(reduced, [2, 2], [0])
         assert info == pytest.approx(0.0, abs=1e-10)
         assert abs(info - central.shannon_entropy()) == pytest.approx(1.0, abs=1e-10)
@@ -229,7 +262,7 @@ class TestInstanceGeneration:
     def test_random_central_coherence_rule(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
-            c = random_central(rng)
+            c = CentralState(random_central(rng))
             sigma = c.sigma
             coh = abs(c.rho[0, 1])
             assert coh <= math.sqrt(sigma[0] * sigma[1]) + 1e-12
@@ -238,7 +271,7 @@ class TestInstanceGeneration:
     def test_qutrit_central_valid(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
-            c = random_central(rng, d_s=3)
+            c = CentralState(random_central(rng, d_s=3))
             assert c.d_s == 3
             densmat.check_density_matrix(c.rho)
 
@@ -247,39 +280,41 @@ class TestInstanceGeneration:
         b = random_instance(5, 3)
         assert same_instance(a, b)
         assert not same_instance(a, random_instance(5, 4))
-        assert a.observed.g.shape == (3,) and a.unobserved.g.shape == (3,)
+        assert a.observed.g.shape == (1, 3) and a.unobserved.g.shape == (1, 3) and a.t.shape == (1,)
 
 
 class TestEvaluateInstance:
     def test_report_structure_and_sound_bounds(self):
-        rng = np.random.default_rng(30)
-        inst = random_instance(8, 0)
-        rep = evaluate_instance(inst, rng)
+        inst, draws = corpus_block(range(oracle.ORACLE_BLOCK))
+        rep = evaluate_instance(inst, draws)
+        n = oracle.ORACLE_BLOCK
         assert oracle.QUBIT_FAMILIES == ("helstrom", "helstrom_weighted", "swapped", "coarse", "random")
-        assert rep.families.families.shape == (5, 3, 2, 2, 2)
-        assert rep.epsilon.shape == rep.prop1.shape == (5,)
-        pe = sbs_core.discrimination_error(inst.central.sigma, rep.branches, rep.families.families)
+        assert rep.families.families.shape == (5, n, 3, 2, 2, 2)
+        assert rep.epsilon.shape == rep.prop1.shape == rep.degenerate.shape == (5, n)
+        assert not rep.degenerate.any()
+        pe = sbs_core.discrimination_error(inst.central.sigma[:, None, :], rep.branches, rep.families.families)
         np.testing.assert_array_equal(rep.prop1, sbs_core.prop1_bound(rep.gamma, pe))
-        for f in range(5):
-            assert rep.prop1[f] == sbs_core.prop1_bound(rep.gamma, pe[f].tolist())
-            assert rep.prop1[f] == pytest.approx(rep.gamma + sum(pe[f]), abs=1e-12)
-        assert np.all((rep.epsilon >= 0.0) & (rep.epsilon <= 1.0 + 1e-9))
-        assert rep.cor1_margin >= -1e-9
-        # the witness is the better of the two Helstrom families
-        assert rep.epsilon_witness == min(rep.epsilon[:2])
         # the information gap and its bound at the witness distance
         reduced = reduced_state_exact(full_joint_state(inst), inst)
         info = sbs_core.mutual_information(reduced, [2, 2, 2, 2], [0])
-        assert rep.info_gap == abs(info - inst.central.shannon_entropy())
-        assert rep.cor2 == sbs_core.cor2_bound(rep.epsilon_witness, 2)
+        for b in range(n):
+            for f in range(5):
+                assert rep.prop1[f, b] == sbs_core.prop1_bound(rep.gamma[b], pe[f, b].tolist())
+                assert rep.prop1[f, b] == pytest.approx(rep.gamma[b] + sum(pe[f, b]), abs=1e-12)
+            assert np.all((rep.epsilon[:, b] >= 0.0) & (rep.epsilon[:, b] <= 1.0 + 1e-9))
+            assert rep.cor1_margin[b] >= -1e-9
+            # the witness is the better of the two Helstrom families
+            assert rep.epsilon_witness[b] == min(rep.epsilon[:2, b])
+            assert rep.info_gap[b] == abs(info[b] - inst.central.shannon_entropy()[b])
+            assert rep.cor2[b] == sbs_core.cor2_bound(rep.epsilon_witness[b], 2)
 
     def test_report_carries_the_families_and_branches_it_used(self):
         from sbskit import verify
 
-        inst = random_instance(8, 1)
-        rep = evaluate_instance(inst, np.random.default_rng(31))
+        inst, draws = corpus_block(range(1, 4))
+        rep = evaluate_instance(inst, draws)
         # the same families from branch states rebuilt from scratch
-        rebuilt = qubit_families(inst.central, oracle.observed_branches(inst), np.random.default_rng(31))
+        rebuilt = qubit_families(inst.central, oracle.observed_branches(inst), draws)
         np.testing.assert_array_equal(rep.families.families, rebuilt.families)
         ens = oracle.branch_ensemble(inst)
         gamma = sbs_core.collective_gamma(inst.central, ens.gamma_mags)
@@ -289,6 +324,7 @@ class TestEvaluateInstance:
         )
 
     def test_one_family_stack_per_instance(self, monkeypatch):
+        # one validation, one build_sbs and one to_matrix for a whole block
         counts = {"validate": 0, "build_sbs": 0, "to_matrix": 0}
 
         def counted(key, fn):
@@ -301,16 +337,17 @@ class TestEvaluateInstance:
         monkeypatch.setattr(ProjectorFamily, "__post_init__", counted("validate", ProjectorFamily.__post_init__))
         monkeypatch.setattr(sbs_core, "build_sbs", counted("build_sbs", sbs_core.build_sbs))
         monkeypatch.setattr(sbs_core.SBSState, "to_matrix", counted("to_matrix", sbs_core.SBSState.to_matrix))
-        evaluate_instance(random_instance(8, 4), np.random.default_rng(34))
+        evaluate_instance(*corpus_block(range(4, 4 + oracle.ORACLE_BLOCK)))
         assert counts == {"validate": 1, "build_sbs": 1, "to_matrix": 1}
 
     def test_branch_states_built_once(self, monkeypatch):
         real = oracle.branch_state
         built = []
         monkeypatch.setattr(oracle, "branch_state", lambda *args: built.append(real(*args)) or built[-1])
-        evaluate_instance(random_instance(8, 2), np.random.default_rng(32))
-        # 3 observed spins x 2 branches, then 3 unobserved spins x 2 ordered pairs
-        assert sum(m.size // 4 for m in built) == 3 * 2 + 3 * 2
+        evaluate_instance(*corpus_block(range(2, 5)))
+        # per instance 3 observed spins x 2 branches, then 3 unobserved spins x 2 ordered pairs
+        assert sum(m.size // 4 for m in built) == 3 * (3 * 2 + 3 * 2)
+        assert len(built) == 2
 
     def test_calls_per_instance_do_not_grow_with_the_spins(self, monkeypatch):
         post_init = SpinParams.__post_init__
@@ -320,15 +357,67 @@ class TestEvaluateInstance:
         monkeypatch.setattr(oracle, "helstrom_pair", lambda *args, **kw: pairs.append(1) or real(*args, **kw))
         built = []
         for n in (3, 5):
-            inst = random_instance(8, 3, n_observed=n, n_unobserved=n)
+            inst, draws = corpus_block(range(3, 3 + oracle.ORACLE_BLOCK), n_observed=n, n_unobserved=n)
             records.clear()
             pairs.clear()
-            evaluate_instance(inst, np.random.default_rng(33))
+            evaluate_instance(inst, draws)
             built.append(len(records))
             # one stacked call each for the plain and the prior-weighted family
             assert len(pairs) == 2
         # no spin record is built per spin
         assert built[0] == built[1]
+
+    def test_block_peak_memory(self):
+        # one block holds one stack of joint states, multiplied in place
+        inst, draws = corpus_block(range(oracle.ORACLE_BLOCK))
+        evaluate_instance(inst, draws)  # first calls may allocate caches
+        tracemalloc.start()
+        try:
+            evaluate_instance(inst, draws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_orthogonal_branches_mark_swapped_degenerate(self):
+        # the swapped family puts zero weight on every branch of an exact
+        # broadcast structure; the other four give the one-family distances
+        inst = orthogonal_branches_instance()
+        draws = np.random.default_rng(35).normal(size=(1, 2, 2, 2))
+        rep = evaluate_instance(inst, draws)
+        swapped = oracle.QUBIT_FAMILIES.index("swapped")
+        assert rep.degenerate[:, 0].tolist() == [f == swapped for f in range(5)]
+        assert math.isnan(rep.epsilon[swapped, 0])
+        reduced = reduced_state_exact(full_joint_state(inst), inst)
+        ens = oracle.branch_ensemble(inst)
+        for f in range(5):
+            one = sbs_core.build_sbs(inst.central, ens, ProjectorFamily(rep.families.families[f]))
+            assert one.degenerate[0] == (f == swapped)
+            if f != swapped:
+                eps = exact_epsilon(reduced, one)
+                assert np.isfinite(eps[0])
+                assert np.array_equal(rep.epsilon[f], eps)
+                assert np.signbit(rep.epsilon[f, 0]) == np.signbit(eps[0])
+        assert rep.epsilon_witness[0] < 1e-10 and rep.cor2[0][1]
+
+    def test_witness_passes_over_a_degenerate_helstrom_family(self):
+        # at t = 0 the branches coincide: the plain Helstrom family projects
+        # nothing, and a pure pointer state then has no broadcast state for it
+        base = random_instance(8, 5)
+        inst = OracleInstance(central(np.diag([1.0, 0.0])), base.observed, base.unobserved, [0.0])
+        rep = evaluate_instance(inst, np.random.default_rng(36).normal(size=(1, 3, 2, 2)))
+        assert rep.degenerate[:2, 0].tolist() == [True, False]
+        assert rep.epsilon_witness[0] == rep.epsilon[1, 0] < 1e-10
+
+    def test_degenerate_family_records_no_check(self, monkeypatch):
+        from sbskit import verify
+
+        monkeypatch.setattr(oracle, "random_instance", lambda *args, **kw: orthogonal_branches_instance())
+        suites = verify.oracle_inequalities(instances=3, n_observed=2)
+        # per instance the four families that are not degenerate
+        assert suites["prop1_as_stated"].checks == suites["prop1_disturbance"].checks == 3 * 4
+        assert suites["prop1_disturbance"].failures == 0
+        assert suites["cor1"].checks == 3
 
     def test_qutrit_prop1_disturbance_suite(self):
         from sbskit.verify import qutrit_prop1_suite

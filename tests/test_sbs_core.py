@@ -7,7 +7,6 @@ from sbskit import densmat
 from sbskit.sbs_core import (
     BranchEnsemble,
     CentralState,
-    DegenerateSBSError,
     ProjectorFamily,
     barnum_knill_bound,
     binary_entropy,
@@ -65,6 +64,17 @@ class TestCentralState:
     def test_shannon_entropy(self):
         c = diagonal_central(0.75, 0.25)
         assert c.shannon_entropy() == pytest.approx(0.8112781244591328, abs=1e-12)
+
+    def test_stack_of_states(self):
+        rhos = np.array([np.diag([0.75, 0.25]), np.full((2, 2), 0.5), np.diag([1.0, 0.0])])
+        block = CentralState(rhos)
+        assert block.d_s == 2 and block.sigma.shape == (3, 2)
+        np.testing.assert_array_equal(block.shannon_entropy(), [CentralState(r).shannon_entropy() for r in rhos])
+        # one bad matrix rejects the stack
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            CentralState(np.concatenate([rhos, [[[0.9, 0.5], [0.5, 0.1]]]]))
+        with pytest.raises(ValueError, match="sum"):
+            CentralState(np.concatenate([rhos, [np.diag([0.6, 0.6])]]))
 
 
 class TestCollectiveGamma:
@@ -145,8 +155,9 @@ class TestBuildSbs:
         central = diagonal_central(0.5, 0.5)
         branches = BranchEnsemble(((KET0, KET1),), pair(1.0, 1.0))
         family = ProjectorFamily(((KET1, KET0),))  # orthogonal to both branches
-        with pytest.raises(DegenerateSBSError):
-            build_sbs(central, branches, family)
+        sbs = build_sbs(central, branches, family)
+        assert sbs.degenerate and sbs.eta_norm == 0.0
+        assert not np.any(sbs.weights) and not np.any(sbs.to_matrix())
 
 
 class TestBounds:

@@ -4,9 +4,9 @@ loop versions they replaced.
 The reference functions below are the per-spin, per-environment,
 per-branch and per-matrix loops of the earlier tuple records and one-item
 kernels, kept verbatim apart from taking their record fields as arguments,
-reading one spin of a record through _spins and spelling densmat.tensor as
-the np.kron chain it was.  The array code is held to exact equality with
-them.
+reading one spin of a record through _spins, reading instance b of a block
+and spelling densmat.tensor as the np.kron chain it was.  The array code,
+run on blocks of instances, is held to exact equality with them.
 """
 
 import itertools
@@ -17,15 +17,16 @@ import pytest
 
 from sbskit import densmat, oracle, sbs_core, verify
 from sbskit.discrimination import TIE_TOLERANCE, ProjectorPair, helstrom_pair, helstrom_spin_analytic
-from sbskit.sbs_core import BranchEnsemble, CentralState, DegenerateSBSError, ProjectorFamily, build_sbs
+from sbskit.sbs_core import BranchEnsemble, CentralState, ProjectorFamily, build_sbs
 from sbskit.spin_model import SpinParams, delta, initial_spin_state
 
 SEED = verify.DEFAULT_SEED
 
 
-def _spins(record):
-    """The spins of a record with fields of shape (n,), one record of floats each."""
-    return [SpinParams(*(float(v[j]) for v in vars(record).values())) for j in range(len(record.g))]
+def _spins(record, *row):
+    """The spins of a record with fields of shape (n,), or of row b of a
+    record (B, n) given b, one record of floats each."""
+    return [SpinParams(*(float(v[(*row, j)]) for v in vars(record).values())) for j in range(record.g.shape[-1])]
 
 
 def _loop_euler_rotation(alpha: float, beta: float, gamma: float) -> np.ndarray:
@@ -94,23 +95,25 @@ def _loop_branch_state(spin, inter, i, j, t) -> np.ndarray:
     return u_i @ _loop_initial_spin_state(spin) @ u_j.conj().T
 
 
-def _loop_branch_ensemble(inst):
-    """(branches[k][i], |gamma| products) one spin and one pair at a time."""
+def _loop_branch_ensemble(inst, b):
+    """(branches[k][i], |gamma| products) of instance b, one spin and one pair at a time."""
     d_s = inst.central.d_s
+    t = float(inst.t[b])
     gammas = np.ones((d_s, d_s), dtype=complex)
     for i, j in itertools.permutations(range(d_s), 2):
-        for spin in _spins(inst.unobserved):
-            gammas[i, j] *= np.trace(_loop_branch_state(spin, inst.interaction, i, j, inst.t))
-    branches = [[_loop_branch_state(spin, inst.interaction, i, i, inst.t) for i in range(d_s)] for spin in _spins(inst.observed)]
+        for spin in _spins(inst.unobserved, b):
+            gammas[i, j] *= np.trace(_loop_branch_state(spin, inst.interaction, i, j, t))
+    branches = [[_loop_branch_state(spin, inst.interaction, i, i, t) for i in range(d_s)] for spin in _spins(inst.observed, b)]
     return branches, np.array([[abs(complex(v)) for v in row] for row in gammas])
 
 
-def _loop_full_joint_state(inst) -> np.ndarray:
-    """full_joint_state through np.kron, one pointer index at a time."""
+def _loop_full_joint_state(inst, b) -> np.ndarray:
+    """full_joint_state of instance b through np.kron, one pointer index at a time."""
     d_s = inst.central.d_s
     dim = d_s * 2 ** inst.n_spins
-    rho0 = inst.central.rho
-    spins = _spins(inst.observed) + _spins(inst.unobserved)
+    t = float(inst.t[b])
+    rho0 = inst.central.rho[b]
+    spins = _spins(inst.observed, b) + _spins(inst.unobserved, b)
     for spin in spins:
         rho0 = np.kron(rho0, _loop_initial_spin_state(spin))
     phases = np.empty(dim, dtype=complex)
@@ -118,7 +121,7 @@ def _loop_full_joint_state(inst) -> np.ndarray:
     for i in range(d_s):
         u = np.array([1.0 + 0.0j])
         for spin in spins:
-            u = np.kron(u, np.diag(_loop_env_unitary(inst.interaction, i, spin.g, inst.t)))
+            u = np.kron(u, np.diag(_loop_env_unitary(inst.interaction, i, spin.g, t)))
         phases[i * block : (i + 1) * block] = u
     return (phases[:, None] * rho0) * phases.conj()[None, :]
 
@@ -152,23 +155,41 @@ def assert_identical(got, want):
         np.testing.assert_array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
 
+def family_draws(indices, n_env=3):
+    """The random-family draws of the default corpus instances, each from its own stream."""
+    streams = [np.random.default_rng(np.random.SeedSequence(entropy=SEED, spawn_key=(11, i))) for i in indices]
+    return np.stack([rng.normal(size=(n_env, 2, 2)) for rng in streams])
+
+
+def corpus_block(indices, **kw):
+    return oracle.stack_instances([oracle.random_instance(SEED, i, **kw) for i in indices])
+
+
 def qubit_cases():
-    """The first 200 instances of the default corpus with their stacked families."""
-    for index in range(200):
-        inst = oracle.random_instance(SEED, index)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=SEED, spawn_key=(11, index)))
-        ens = oracle.branch_ensemble(inst)
-        yield inst, ens, oracle.qubit_families(inst.central, ens.branches, rng)
+    """The first 200 instances of the default corpus in blocks of
+    oracle.ORACLE_BLOCK, with their stacked families (5, B, ...)."""
+    for lo in range(0, 200, oracle.ORACLE_BLOCK):
+        indices = range(lo, lo + oracle.ORACLE_BLOCK)
+        block = corpus_block(indices)
+        ens = oracle.branch_ensemble(block)
+        yield block, ens, oracle.qubit_families(block.central, ens.branches, family_draws(indices))
 
 
 def qutrit_cases():
-    """The qutrit suite's instances with its pairwise and coarse families, stacked in that order."""
+    """The qutrit suite's instances in blocks with its pairwise and coarse
+    families, stacked in that order, (2, B, ...)."""
     zero, eye = np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex)
-    for index in range(40):
-        inst = oracle.random_instance(SEED, index, n_observed=2, n_unobserved=2, d_s=3)
-        ens = oracle.branch_ensemble(inst)
-        pairwise = [(*_loop_helstrom_pair(row[0], row[1]).family(), zero) for row in ens.branches]
-        yield inst, ens, ProjectorFamily([pairwise, [(eye, zero, zero)] * len(ens.branches)])
+    for lo in range(0, 40, oracle.ORACLE_BLOCK):
+        block = corpus_block(range(lo, lo + oracle.ORACLE_BLOCK), n_observed=2, n_unobserved=2, d_s=3)
+        ens = oracle.branch_ensemble(block)
+        pairwise = [[(*_loop_helstrom_pair(row[0], row[1]).family(), zero) for row in rows] for rows in ens.branches]
+        coarse = [[(eye, zero, zero)] * ens.branches.shape[1]] * len(block.t)
+        yield block, ens, ProjectorFamily([pairwise, coarse])
+
+
+def one_instance(block, ens, b):
+    """Instance b of a block as its own central state and branch ensemble, with no block axis."""
+    return CentralState(block.central.rho[b]), BranchEnsemble(ens.branches[b], ens.gamma_mags[b])
 
 
 def loop_to_matrix(sbs):
@@ -176,77 +197,116 @@ def loop_to_matrix(sbs):
     return _loop_to_matrix(tuple(float(w) for w in sbs.weights), sbs.states)
 
 
-def check_against_loops(inst, ens, families):
-    """families stacks the families along a leading axis; each is built on its own."""
-    assert_identical(oracle.full_joint_state(inst), _loop_full_joint_state(inst))
-    branches, mags = _loop_branch_ensemble(inst)
-    assert_identical(ens.branches, branches)
-    assert_identical(ens.gamma_mags, mags)
-    gamma = sbs_core.collective_gamma(inst.central, ens.gamma_mags)
-    sigma = inst.central.sigma
+def check_against_loops(block, ens, families):
+    """families stacks the families along a leading axis, then the
+    instances of the block; each family and instance is built on its own."""
+    joint = oracle.full_joint_state(block)
+    gamma = sbs_core.collective_gamma(block.central, ens.gamma_mags)
+    sigma = block.central.sigma
     stacked = verify._disturbance_sum(gamma, sigma, ens.branches, families.families)
-    for family, bound in zip(families.families, stacked):
-        want = _loop_disturbance_sum(gamma, sigma, ens.branches, family)
-        assert verify._disturbance_sum(gamma, sigma, ens.branches, family) == want
-        assert bound == want
-        try:
-            sbs = build_sbs(inst.central, ens, ProjectorFamily(family))
-        except DegenerateSBSError:
-            continue
-        assert_identical(sbs.to_matrix(), loop_to_matrix(sbs))
+    for b in range(len(block.t)):
+        assert_identical(joint[b], _loop_full_joint_state(block, b))
+        branches, mags = _loop_branch_ensemble(block, b)
+        assert_identical(ens.branches[b], branches)
+        assert_identical(ens.gamma_mags[b], mags)
+        central, ens_b = one_instance(block, ens, b)
+        for family, bound in zip(families.families[:, b], stacked[:, b]):
+            want = _loop_disturbance_sum(gamma[b], sigma[b], ens.branches[b], family)
+            assert verify._disturbance_sum(gamma[b], sigma[b], ens.branches[b], family) == want
+            assert bound == want
+            sbs = build_sbs(central, ens_b, ProjectorFamily(family))
+            if not sbs.degenerate:
+                assert_identical(sbs.to_matrix(), loop_to_matrix(sbs))
+
+
+def report_rows(rep):
+    """The arrays of an InstanceReport with the instance axis first."""
+    return {
+        "gamma": rep.gamma,
+        "eta_cor1": rep.eta_cor1,
+        "families": np.swapaxes(rep.families.families, 0, 1),
+        "degenerate": rep.degenerate.T.astype(float),
+        "epsilon": rep.epsilon.T,
+        "prop1": rep.prop1.T,
+        "epsilon_witness": rep.epsilon_witness,
+        "info_gap": rep.info_gap,
+        "cor2": np.array(rep.cor2, dtype=float),
+        "branches": rep.branches,
+    }
+
+
+@pytest.fixture(scope="module")
+def blocks_of_one():
+    """Report rows of the first 43 corpus instances, one instance per call."""
+    rows = [report_rows(oracle.evaluate_instance(oracle.random_instance(SEED, i), family_draws([i]))) for i in range(43)]
+    return {name: np.concatenate([r[name] for r in rows]) for name in rows[0]}
 
 
 class TestAgainstLoopVersions:
     def test_qubit_corpus(self):
-        for inst, ens, families in qubit_cases():
-            check_against_loops(inst, ens, families)
-            sigma = inst.central.sigma
-            for name, weights in (("helstrom", None), ("helstrom_weighted", (float(sigma[0]), float(sigma[1])))):
-                want = [_loop_helstrom_pair(b[0], b[1], weights).family() for b in ens.branches]
-                assert_identical(families.families[oracle.QUBIT_FAMILIES.index(name)], want)
+        for block, ens, families in qubit_cases():
+            check_against_loops(block, ens, families)
+            for b, sigma in enumerate(block.central.sigma):
+                for name, weights in (("helstrom", None), ("helstrom_weighted", (float(sigma[0]), float(sigma[1])))):
+                    want = [_loop_helstrom_pair(x[0], x[1], weights).family() for x in ens.branches[b]]
+                    assert_identical(families.families[oracle.QUBIT_FAMILIES.index(name), b], want)
             assert families.families.shape[0] == len(oracle.QUBIT_FAMILIES)
 
     def test_qubit_corpus_stacked_families(self):
-        # one build_sbs over the family axis gives every family's loop matrix, signs of zero included
-        for inst, ens, families in qubit_cases():
-            sbs = build_sbs(inst.central, ens, families)
+        # one build_sbs over the family and instance axes gives every family's
+        # loop matrix, signs of zero included
+        for block, ens, families in qubit_cases():
+            sbs = build_sbs(block.central, ens, families)
             matrices = sbs.to_matrix()
-            assert matrices.shape == (len(oracle.QUBIT_FAMILIES), 16, 16)
-            for f, family in enumerate(families.families):
-                one = build_sbs(inst.central, ens, ProjectorFamily(family))
-                assert_identical(sbs.weights[f], one.weights)
-                assert_identical(sbs.states[f], one.states)
-                assert sbs.eta_norm[f] == one.eta_norm
-                assert_identical(matrices[f], loop_to_matrix(one))
+            assert matrices.shape == (len(oracle.QUBIT_FAMILIES), oracle.ORACLE_BLOCK, 16, 16)
+            for b in range(oracle.ORACLE_BLOCK):
+                central, ens_b = one_instance(block, ens, b)
+                for f, family in enumerate(families.families[:, b]):
+                    one = build_sbs(central, ens_b, ProjectorFamily(family))
+                    assert_identical(sbs.weights[f, b], one.weights)
+                    assert_identical(sbs.states[f, b], one.states)
+                    assert sbs.eta_norm[f, b] == one.eta_norm
+                    assert_identical(matrices[f, b], loop_to_matrix(one))
+
+    @pytest.mark.parametrize("size", (1, 3, 8))
+    def test_blocks_match_blocks_of_one(self, size, blocks_of_one):
+        # 43 instances: the last block is ragged for 3 and 8
+        rows = []
+        for lo in range(0, 43, size):
+            indices = range(lo, min(lo + size, 43))
+            rows.append(report_rows(oracle.evaluate_instance(corpus_block(indices), family_draws(indices))))
+        for name, want in blocks_of_one.items():
+            assert_identical(np.concatenate([r[name] for r in rows]), want)
 
     def test_qutrit_suite_instances(self):
-        for inst, ens, families in qutrit_cases():
-            check_against_loops(inst, ens, families)
+        for block, ens, families in qutrit_cases():
+            check_against_loops(block, ens, families)
             # the suite's one stacked call gives the pairs of one call per environment
-            stacked = helstrom_pair(ens.branches[:, 0], ens.branches[:, 1]).family()
-            assert_identical(stacked, families.families[0, :, :2])
+            stacked = helstrom_pair(ens.branches[..., 0, :, :], ens.branches[..., 1, :, :]).family()
+            assert_identical(stacked, families.families[0, ..., :2, :, :])
 
     def test_coarse_family_has_zero_weight_branches(self):
         # a rank-zero projector leaves its branch a zero matrix of weight 0,
         # in a family of its own and within the stack
-        inst, ens, families = next(qubit_cases())
+        block, ens, families = next(qubit_cases())
         coarse = oracle.QUBIT_FAMILIES.index("coarse")
-        one =build_sbs(inst.central, ens, ProjectorFamily(families.families[coarse]))
+        one = build_sbs(*one_instance(block, ens, 0), ProjectorFamily(families.families[coarse, 0]))
         assert one.weights[1] == 0.0
         assert not np.any(one.states[:, 1])
         assert_identical(one.to_matrix(), loop_to_matrix(one))
-        stacked = build_sbs(inst.central, ens, families)
-        assert stacked.weights[coarse, 1] == 0.0
-        assert_identical(stacked.to_matrix()[coarse], loop_to_matrix(one))
+        stacked = build_sbs(block.central, ens, families)
+        assert stacked.weights[coarse, 0, 1] == 0.0
+        assert_identical(stacked.to_matrix()[coarse, 0], loop_to_matrix(one))
 
     def test_degenerate_family(self):
-        inst, ens, _ = next(qubit_cases())
+        block, ens, _ = next(qubit_cases())
+        _, ens = one_instance(block, ens, 0)
         eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
         # every projector of the family is zero on the branch that carries weight
         central = CentralState(np.diag([1.0, 0.0]))
         family = ProjectorFamily([(zero, eye)] * len(ens.branches))
-        with pytest.raises(DegenerateSBSError):
-            build_sbs(central, ens, family)
+        sbs = build_sbs(central, ens, family)
+        assert sbs.degenerate and not np.any(sbs.weights)
         gamma = sbs_core.collective_gamma(central, ens.gamma_mags)
         got = verify._disturbance_sum(gamma, central.sigma, ens.branches, family.families)
         assert got == _loop_disturbance_sum(gamma, central.sigma, ens.branches, family.families)
@@ -330,6 +390,21 @@ class TestStackedKernels:
         assert_identical(one.p_plus, _loop_helstrom_pair(rho_p[12], rho_m[12]).p_plus)
         assert one.degenerate == _loop_helstrom_pair(rho_p[12], rho_m[12]).degenerate
 
+    def test_partial_trace_and_entropies_per_matrix(self):
+        rng = np.random.default_rng(96)
+        # 2 x 2 x 4 states of every rank: each row keeps its own number of
+        # eigenvalues, and full-rank rows sum 16 of them
+        states = np.concatenate([random_states(rng, 6, 16, rank) for rank in (1, 3, 9, 16)])
+        rng.shuffle(states)
+        for keep in ([0], [1, 2], [0, 2]):
+            got = densmat.partial_trace(states, [2, 2, 4], keep)
+            assert_identical(got, [densmat.partial_trace(rho, [2, 2, 4], keep) for rho in states])
+        entropies = densmat.von_neumann_entropy(states)
+        assert entropies.shape == (24,)
+        assert_identical(entropies, [densmat.von_neumann_entropy(rho) for rho in states])
+        info = sbs_core.mutual_information(states.reshape(4, 6, 16, 16), [2, 2, 4], [0])
+        assert_identical(info.ravel(), [sbs_core.mutual_information(rho, [2, 2, 4], [0]) for rho in states])
+
     def test_helstrom_spin_analytic_per_spin(self):
         record = edge_record()
         rng = np.random.default_rng(95)
@@ -354,9 +429,9 @@ class TestStackedKernels:
 
 class TestRecords:
     def test_records_are_read_only_arrays(self):
-        inst, ens, families = next(qubit_cases())
-        assert ens.branches.shape == (3, 2, 2, 2)
-        assert families.families.shape == (5, 3, 2, 2, 2)
+        _, ens, families = next(qubit_cases())
+        assert ens.branches.shape == (oracle.ORACLE_BLOCK, 3, 2, 2, 2)
+        assert families.families.shape == (5, oracle.ORACLE_BLOCK, 3, 2, 2, 2)
         for record in (ens.branches, families.families):
             with pytest.raises(ValueError, match="read-only"):
                 record[0, 0, 0, 0] = 1.0
@@ -380,7 +455,7 @@ class TestRecords:
             ProjectorFamily([(good, np.eye(2) - good), (bad, good)])
 
     def test_stack_with_one_bad_family_rejected(self):
-        inst, ens, families = next(qubit_cases())
+        _, _, families = next(qubit_cases())
         # Hermitian and complete, but P^2 != P
         half = np.diag([0.5, 0.0])
         stack = np.array(families.families)
