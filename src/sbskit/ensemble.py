@@ -24,8 +24,9 @@ import numpy as np
 from .spin_model import SpinParams, sin2_coefficients
 
 TWO_PI = 2.0 * math.pi
-# time points per block of the B / |gamma| kernel
-CURVE_BLOCK = 2048
+# time points per block of the B / |gamma| kernel; at 100 spins its two
+# (spins, block) buffers take 800 KiB and stay in L2, where 512 timed fastest
+CURVE_BLOCK = 512
 # |a| <= 2^-54 makes 1 + a sin^2(g t) round to exactly 1
 EXACT_ONE_COEFF = 2.0**-54
 
@@ -144,21 +145,24 @@ def _mean_stderr(values: np.ndarray, axis: int = 0):
 
 
 def _product_curves(g, t_grid, coeffs, counts) -> np.ndarray:
-    """sqrt(prod_{k < n} max(0, 1 + a_k sin^2(g_k t))) over t_grid, log space.
+    """sqrt(prod_{k < n} (1 + a_k sin^2(g_k t))) over t_grid, log space.
 
-    One curve per coefficient array a in coeffs and spin count n in counts
-    (1 <= n <= len(g)), the product running over the first n spins; returns
-    shape (len(coeffs), len(counts), len(t_grid)).  The time grid is cut into
-    blocks of at most CURVE_BLOCK points; sin^2(g t) is computed once per
-    block and shared by every coefficient array.  A curve whose coefficients
-    all have magnitude <= 2^-54 is exactly 1 (1 + a rounds to 1) and is not
-    computed.  Every elementwise step and the row-by-row sum over spins
-    match the one-pass full-grid form bit for bit.
+    One curve per coefficient a in coeffs (in [-1, 0], a float for every
+    spin or one per spin) and spin count n in counts (1 <= n <= len(g)), the
+    product running over the first n spins; returns shape (len(coeffs),
+    len(counts), len(t_grid)).  The time grid is cut into blocks of at most
+    CURVE_BLOCK points; sin^2(g t) is computed once per block and shared by
+    every coefficient.  A curve whose coefficients all have magnitude <=
+    2^-54 is exactly 1 (1 + a rounds to 1) and is not computed; one equal to
+    an earlier coefficient copies its curve.  Every elementwise step and the
+    row-by-row sum over spins match the one-pass full-grid form bit for bit.
     """
     ends = np.unique(np.asarray(counts, dtype=np.intp))
     n_spins, n_t = len(g), len(t_grid)
     logs = np.zeros((len(coeffs), len(ends), n_t))
     live = [k for k, a in enumerate(coeffs) if np.max(np.abs(a)) > EXACT_ONE_COEFF]
+    # equal coefficients give equal log sums: only the first of them is computed
+    first = [next(j for j in live if np.array_equal(coeffs[j], coeffs[k])) for k in live]
     if live:
         # blocks of near-equal width: numpy sums a one-column block pairwise
         # instead of row by row, which would change the last bits
@@ -172,13 +176,16 @@ def _product_curves(g, t_grid, coeffs, counts) -> np.ndarray:
             for lo, hi in zip(bounds, bounds[1:]):
                 s2 = s2_buf[: n_spins * (hi - lo)].reshape(n_spins, hi - lo)
                 f = f_buf[: s2.size].reshape(s2.shape)
-                np.multiply.outer(g, t_grid[lo:hi], out=s2)
+                # each g t is one rounded product; einsum's zero start can
+                # only turn -0.0 into +0.0, and sin then square gives +0.0
+                np.einsum("i,j->ij", g, t_grid[lo:hi], out=s2)
                 np.sin(s2, out=s2)
                 np.square(s2, out=s2)
-                for k in live:
-                    np.multiply(coeffs[k][:, None], s2, out=f)
+                for k in sorted(set(first)):
+                    np.multiply(np.reshape(coeffs[k], (-1, 1)), s2, out=f)
+                    # a in [-1, 0] and sin^2 in [0, 1] put 1 + a sin^2 in
+                    # [0, 1] (rounding is monotone), so log needs no clip
                     np.add(1.0, f, out=f)
-                    np.clip(f, 0.0, None, out=f)
                     np.log(f, out=f)
                     # a sum over rows adds them one by one, so storing the sum
                     # of the first n rows in row n - 1 and summing on from
@@ -188,6 +195,7 @@ def _product_curves(g, t_grid, coeffs, counts) -> np.ndarray:
                         logs[k, j, lo:hi] = f[start:n].sum(axis=0)
                         start = n - 1
                         f[start] = logs[k, j, lo:hi]
+        logs[live] = logs[first]
     return np.exp(0.5 * logs)[:, np.searchsorted(ends, counts)]
 
 
@@ -217,7 +225,9 @@ def fig1_node(
     measure = MeasureSpec(coupling=coupling)  # only the coupling law is sampled
     t = np.linspace(0.0, tau, tau_points)
     coarse = slice(None, None, 2)
-    coeffs = sin2_coefficients(SpinParams(0.0, np.full(n_spins, beta), 0.0, np.full(n_spins, lam_plus), 0.0))
+    # one float per curve, from one-spin arrays: the array path squares by
+    # multiplying, where ** 2 on a float calls pow and can round differently
+    coeffs = [a[0] for a in sin2_coefficients(SpinParams(0.0, np.full(1, beta), 0.0, np.full(1, lam_plus), 0.0))]
     coeffs = coeffs[: 2 if with_gamma else 1]
 
     def one(i: int):

@@ -70,10 +70,11 @@ class SuiteResult:
         return self.checks > 0 and self.failures == 0
 
     def record(self, margin: float, tol: float = 0.0):
+        """Count one check; a NaN margin fails and stays the worst margin."""
         self.checks += 1
-        if margin < self.worst_margin:
+        if margin < self.worst_margin or math.isnan(margin):
             self.worst_margin = margin
-        if margin < -tol:
+        if not margin >= -tol:
             self.failures += 1
 
     def as_dict(self) -> dict:
@@ -81,7 +82,8 @@ class SuiteResult:
             "name": self.name,
             "checks": self.checks,
             "failures": self.failures,
-            "worst_margin": None if math.isinf(self.worst_margin) else self.worst_margin,
+            # a string, as verify.json allows no NaN
+            "worst_margin": None if math.isinf(self.worst_margin) else "nan" if math.isnan(self.worst_margin) else self.worst_margin,
             "passed": self.passed,
             "detail": self.detail,
         }

@@ -306,6 +306,25 @@ class TestVerifyScenario:
         empty.record(0.5)
         assert empty.passed
 
+    def test_nan_margin_is_a_failure(self):
+        from sbskit.verify import SuiteResult
+
+        res = SuiteResult("x")
+        res.record(float("nan"))
+        assert (res.checks, res.failures, res.passed) == (1, 1, False)
+        assert math.isnan(res.worst_margin)
+        # it stays the worst margin, and a later finite one still counts
+        res.record(-1.0, tol=0.1)
+        res.record(0.5)
+        assert (res.checks, res.failures) == (3, 2) and math.isnan(res.worst_margin)
+        # verify.json is written with allow_nan=False
+        assert json.loads(json.dumps(res.as_dict(), allow_nan=False))["worst_margin"] == "nan"
+        # a NaN after finite margins also becomes the worst
+        res = SuiteResult("y")
+        res.record(0.5)
+        res.record(float("nan"), tol=1e-9)
+        assert res.failures == 1 and math.isnan(res.worst_margin)
+
 
 BAD_CONFIGS = [
     ("fig2", {"fig2": {"t_points": 1}}, [], "fig2.t_points"),

@@ -10,6 +10,7 @@ from sbskit.ensemble import (
     MeasureSpec,
     fig1_node,
     fig2_curves,
+    sample_coupling_array,
     sample_spin_arrays,
     sample_stream,
     _product_curves,
@@ -49,11 +50,33 @@ def kernel_curves(lam, beta, g, t, counts):
     return _product_curves(g, t, coefficients(lam, beta), counts)
 
 
+def node_coefficients(lam_plus, beta):
+    """One float per curve, as fig1_node passes them for a node's shared state."""
+    return [a[0] for a in coefficients(np.full(1, lam_plus), np.full(1, beta))]
+
+
 def assert_matches_reference(lam, beta, g, t, counts):
     b, gam = kernel_curves(lam, beta, g, t, counts)
     for j, n in enumerate(counts):
         np.testing.assert_array_equal(b[j], _b_curve(lam[:n], beta[:n], g[:n], t))
         np.testing.assert_array_equal(gam[j], _abs_gamma_curve(lam[:n], beta[:n], g[:n], t))
+    if np.all(lam == lam[0]) and np.all(beta == beta[0]):
+        # every spin in one state: float coefficients give the same bits
+        np.testing.assert_array_equal(_product_curves(g, t, node_coefficients(lam[0], beta[0]), counts), [b, gam])
+
+
+def reference_node(lam_plus, beta, n_spins, tau, tau_points, samples, seed):
+    """fig1_node's (mean_B, mean_abs_gamma) from the reference curves."""
+    t = np.linspace(0.0, tau, tau_points)
+    lam, bet = np.full(n_spins, lam_plus), np.full(n_spins, beta)
+    means = []
+    for curve in (_b_curve, _abs_gamma_curve):
+        vals = []
+        for i in range(samples):
+            g = sample_coupling_array(MeasureSpec(), sample_stream(seed, i, label=1), n_spins)
+            vals.append(float(np.trapezoid(curve(lam, bet, g, t), t) / tau))
+        means.append(float(np.mean(np.array(vals))))
+    return tuple(means)
 
 
 # grid lengths around the block width, and the fig1 default
@@ -96,6 +119,50 @@ class TestProductCurves:
         assert np.all((curves >= 0.0) & (curves <= 1.0))
         assert np.all(curves[:, :, 0] == 1.0)
         assert np.all(curves[:, :2] == 1.0)  # only spins with g = 0
+
+    @pytest.mark.parametrize("lam_plus,beta", EDGE_NODES)
+    def test_edge_nodes_fig1_node_matches_reference(self, lam_plus, beta):
+        args = (lam_plus, beta, 40, 50.0, 3001, 2, 8)
+        assert fig1_node(*args)[:2] == reference_node(*args)
+
+    def test_zero_factor_gives_zero_not_nan(self):
+        # lam = 1, beta = pi/2 gives a = -1, and sin(g t)^2 rounds to 1 at
+        # g t = pi/2, so the factor 1 + a sin^2 is exactly 0
+        g = np.array([1.0, 0.3, 0.0])
+        t = np.array([0.0, 0.7, math.pi / 2, 2.0])
+        assert np.sin(g[0] * t[2]) ** 2 == 1.0
+        lam, beta = np.ones(3), np.full(3, math.pi / 2)
+        assert coefficients(lam, beta)[0][0] == -1.0
+        assert_matches_reference(lam, beta, g, t, [1, 2, 3])
+        curves = kernel_curves(lam, beta, g, t, [1, 2, 3])
+        assert not np.any(np.isnan(curves))
+        assert np.all(curves[0, :, 2] == 0.0) and np.all(curves[0, :, :2] > 0.0)
+
+    @pytest.mark.parametrize("beta", [math.pi / 3, math.pi / 2])
+    def test_equal_coefficients_give_equal_curves(self, beta):
+        # at lam = 1 these B and |gamma| coefficients are equal, so the
+        # kernel computes one and copies it
+        b_coeff, gamma_coeff = node_coefficients(1.0, beta)
+        assert b_coeff == gamma_coeff
+        g = np.random.default_rng(9).uniform(0.0, 1.0, 100)
+        t = np.linspace(0.0, 200.0, 2 * CURVE_BLOCK + 1)
+        assert_matches_reference(np.ones(100), np.full(100, beta), g, t, [100])
+        b, gam = kernel_curves(np.ones(100), np.full(100, beta), g, t, [100])
+        np.testing.assert_array_equal(b, gam)
+        args = (1.0, beta, 100, 200.0, 2 * CURVE_BLOCK + 1, 2, 8)
+        mean_b, mean_g, se_b, se_g, rel_b, rel_g = fig1_node(*args)
+        assert (mean_b, se_b, rel_b) == (mean_g, se_g, rel_g)
+        assert (mean_b, mean_g) == reference_node(*args)
+
+    def test_repeated_coefficient_array_gives_equal_rows(self):
+        rng = np.random.default_rng(10)
+        s = sample_spin_arrays(MeasureSpec(), rng, 200)
+        t = np.linspace(0.0, 1.2, 1001)
+        b_coeff, gamma_coeff = sin2_coefficients(s)
+        once = _product_curves(s.g, t, [b_coeff, gamma_coeff], [50, 200])
+        twice = _product_curves(s.g, t, [b_coeff, gamma_coeff, b_coeff.copy(), gamma_coeff], [50, 200])
+        np.testing.assert_array_equal(twice[:2], once)
+        np.testing.assert_array_equal(twice[2:], once)
 
     def test_negligible_coefficients_give_exact_ones(self):
         t = np.linspace(0.0, 200.0, 5001)

@@ -1,4 +1,5 @@
-"""Hypothesis properties of build_sbs on the array records."""
+"""Hypothesis properties of build_sbs on the array records and of the
+majority-vote success probability."""
 
 import itertools
 import math
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from sbskit import densmat
+from sbskit.discrimination import majority_success, majority_success_heterogeneous
 from sbskit.sbs_core import BranchEnsemble, CentralState, ProjectorFamily, build_sbs
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -76,3 +78,15 @@ def test_build_sbs_keeps_contained_branches(case):
     np.testing.assert_allclose(sbs.states, branches.branches, atol=1e-12)
     for k, i in itertools.product(range(len(branches.branches)), range(central.d_s)):
         assert np.trace(sbs.states[k, i]).real == pytest.approx(1.0, abs=1e-12)
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(
+    # both sides of majority_success's switch from exact sums (n <= 64) to the recurrence
+    st.one_of(st.integers(1, 64), st.integers(65, 400)),
+    st.floats(0.0, 1.0),
+)
+def test_majority_success_matches_unequal_trial_dp(n, p):
+    # 2.1e-13 was the largest difference seen over n <= 401
+    exact = float(majority_success_heterogeneous(np.full(n, p)))
+    assert abs(majority_success(n, p) - exact) <= 1e-11
