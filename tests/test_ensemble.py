@@ -79,8 +79,14 @@ def reference_node(lam_plus, beta, n_spins, tau, tau_points, samples, seed):
     return tuple(means)
 
 
-# grid lengths around the block width, and the fig1 default
-BLOCK_EDGE_POINTS = (2, 3, CURVE_BLOCK - 1, CURVE_BLOCK, CURVE_BLOCK + 1, 2 * CURVE_BLOCK + 1, 40001)
+# grid lengths around the block width, around 2048 (a width the kernel has
+# used, still several blocks now), and the fig1 default
+BLOCK_EDGE_POINTS = tuple(
+    sorted(
+        {2, 3, CURVE_BLOCK - 1, CURVE_BLOCK, CURVE_BLOCK + 1, 2 * CURVE_BLOCK + 1}
+        | {2047, 2048, 2049, 4097, 40001}
+    )
+)
 EDGE_NODES = [(lam, beta) for lam in (0.0, 0.5, 1.0) for beta in (0.0, math.pi / 2, math.pi)]
 
 
