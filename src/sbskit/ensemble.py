@@ -225,9 +225,7 @@ def fig1_node(
     measure = MeasureSpec(coupling=coupling)  # only the coupling law is sampled
     t = np.linspace(0.0, tau, tau_points)
     coarse = slice(None, None, 2)
-    # one float per curve, from one-spin arrays: the array path squares by
-    # multiplying, where ** 2 on a float calls pow and can round differently
-    coeffs = [a[0] for a in sin2_coefficients(SpinParams(0.0, np.full(1, beta), 0.0, np.full(1, lam_plus), 0.0))]
+    coeffs = list(sin2_coefficients(SpinParams(0.0, beta, 0.0, lam_plus, 0.0)))
     coeffs = coeffs[: 2 if with_gamma else 1]
 
     def one(i: int):

@@ -33,7 +33,7 @@ from . import densmat, sbs_core
 from .discrimination import helstrom_pair
 from .ensemble import MeasureSpec, sample_spin_arrays, sample_stream
 from .sbs_core import BranchEnsemble, CentralState, ProjectorFamily, SBSState
-from .spin_model import SpinParams, initial_spin_state
+from .spin_model import SpinParams, initial_spin_state, stack_spins
 
 DIMENSION_CAP = 4096
 # instances per evaluate_instance call over a corpus: a block of 8 qubit
@@ -98,25 +98,6 @@ class OracleInstance:
     @property
     def factor_dims(self) -> list[int]:
         return [self.central.d_s] + [2] * self.n_spins
-
-
-def stack_instances(blocks: Sequence[OracleInstance]) -> OracleInstance:
-    """The instances of the given blocks, in order, as one block."""
-    first = blocks[0]
-    if any(b.interaction != first.interaction for b in blocks):
-        raise ValueError("the instances of a block share one interaction")
-
-    def records(name):
-        fields = zip(*(vars(getattr(b, name)).values() for b in blocks))
-        return SpinParams(*(np.concatenate(f) for f in fields))
-
-    return OracleInstance(
-        CentralState(np.concatenate([b.central.rho for b in blocks])),
-        records("observed"),
-        records("unobserved"),
-        np.concatenate([b.t for b in blocks]),
-        first.interaction,
-    )
 
 
 def _rows(spins: SpinParams) -> SpinParams:
@@ -353,26 +334,30 @@ def random_central(rng: np.random.Generator, d_s: int = 2) -> np.ndarray:
 
 
 def random_instance(
-    seed: int,
-    index: int,
-    n_observed: int = 3,
-    n_unobserved: int = 3,
-    t_max: float = 2.0 * math.pi,
-    d_s: int = 2,
-    measure: MeasureSpec | None = None,
+    seed: int, indices: Sequence[int], n_observed: int = 3, n_unobserved: int = 3, d_s: int = 2
 ) -> OracleInstance:
-    """Instance index of a seeded corpus, as a block of one: random central
-    state, spins, time."""
-    rng = sample_stream(seed, index, label=5)
-    measure = measure or MeasureSpec()
-    rho = random_central(rng, d_s)
-    batch = vars(sample_spin_arrays(measure, rng, n_observed + n_unobserved)).values()
-    t = rng.uniform(0.0, t_max, 1)
+    """Instances indices[0], indices[1], ... of a seeded corpus as one block.
+
+    Instance i draws from its own stream (label 5, i): its central state,
+    then its spins, then its time in [0, 2 pi).
+    """
+    measure = MeasureSpec()
+    rho = np.empty((len(indices), d_s, d_s))
+    t = np.empty(len(indices))
+
+    def draw(b: int) -> SpinParams:
+        rng = sample_stream(seed, indices[b], label=5)
+        rho[b] = random_central(rng, d_s)
+        spins = sample_spin_arrays(measure, rng, n_observed + n_unobserved)
+        t[b] = rng.uniform(0.0, 2.0 * math.pi)
+        return spins
+
+    spins = vars(stack_spins(draw, len(indices))).values()
     eigs = (-1.0, 1.0) if d_s == 2 else tuple(float(a) for a in np.linspace(-1.0, 1.0, d_s))
     return OracleInstance(
-        CentralState(rho[None]),
-        SpinParams(*(v[None, :n_observed] for v in batch)),
-        SpinParams(*(v[None, n_observed:] for v in batch)),
+        CentralState(rho),
+        SpinParams(*(v[:, :n_observed] for v in spins)),
+        SpinParams(*(v[:, n_observed:] for v in spins)),
         t,
         InteractionSpec(eigs),
     )

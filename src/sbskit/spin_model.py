@@ -126,10 +126,12 @@ def sin2_coefficients(p: SpinParams):
     The squared branch fidelity b_j^2 takes a = -(2 lam - 1)^2 sin^2 beta and
     |gamma_j|^2 takes a = (2 lam - 1)^2 cos^2 beta - 1; both lie in [-1, 0].
     Negation is exact and x - y is x + (-y) in IEEE arithmetic, so 1 + a s2
-    for b_j^2 is bitwise 1 - c s2.
+    for b_j^2 is bitwise 1 - c s2.  np.square multiplies for a float as for
+    an array (** 2 on a float calls pow, which can round differently), so a
+    float record and a one-spin array record give the same bits.
     """
-    r2 = (2.0 * p.lam - 1.0) ** 2
-    return -(r2 * np.sin(p.beta) ** 2), r2 * np.cos(p.beta) ** 2 - 1.0
+    r2 = np.square(2.0 * p.lam - 1.0)
+    return -(r2 * np.square(np.sin(p.beta))), r2 * np.square(np.cos(p.beta)) - 1.0
 
 
 def _check_time(t) -> None:
@@ -162,7 +164,7 @@ def macrofraction_fidelity(spins: SpinParams, t):
     _check_time(t)
     a, _ = sin2_coefficients(spins)
     with np.errstate(divide="ignore"):
-        return np.exp(0.5 * np.sum(np.log(1.0 + a * np.sin(spins.g * t) ** 2), axis=-1))
+        return np.exp(0.5 * np.sum(np.log(1.0 + a * np.square(np.sin(spins.g * t))), axis=-1))
 
 
 def lln_exponents(p: SpinParams, t):
@@ -174,7 +176,7 @@ def lln_exponents(p: SpinParams, t):
     of |gamma| is reported as +inf.
     """
     _check_time(t)
-    s2 = np.sin(p.g * t) ** 2
+    s2 = np.square(np.sin(p.g * t))
     a_b, a_gamma = sin2_coefficients(p)
     with np.errstate(divide="ignore"):
         return -np.log1p(a_b * s2), -np.log1p(a_gamma * s2)

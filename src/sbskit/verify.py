@@ -142,13 +142,7 @@ def _disturbance_sum(gamma, sigma, branches, projectors):
     return np.add.accumulate(np.concatenate([start, pieces], axis=-1), axis=-1)[..., -1][()]
 
 
-def oracle_inequalities(
-    instances: int = 200,
-    seed: int = DEFAULT_SEED,
-    n_observed: int = 3,
-    n_unobserved: int = 3,
-    t_max: float = 2.0 * math.pi,
-) -> dict[str, SuiteResult]:
+def oracle_inequalities(instances: int = 200, seed: int = DEFAULT_SEED) -> dict[str, SuiteResult]:
     """Exact-distance suites over a seeded corpus of random instances.
 
     prop1_as_stated: eps <= Gamma + sum p_E per family (Helstrom witnesses
@@ -167,12 +161,10 @@ def oracle_inequalities(
     cor2_applicable = 0
     for lo in range(0, instances, oracle.ORACLE_BLOCK):
         rows = range(lo, min(lo + oracle.ORACLE_BLOCK, instances))
-        block = oracle.stack_instances([
-            oracle.random_instance(seed, i, n_observed=n_observed, n_unobserved=n_unobserved, t_max=t_max)
-            for i in rows
-        ])
+        block = oracle.random_instance(seed, rows)
         # each instance's random family from its own stream
-        draws = np.stack([sample_stream(seed, i, label=11).normal(size=(n_observed, 2, 2)) for i in rows])
+        n_env = block.observed.g.shape[-1]
+        draws = np.stack([sample_stream(seed, i, label=11).normal(size=(n_env, 2, 2)) for i in rows])
         rep = oracle.evaluate_instance(block, draws)
         bounds = _disturbance_sum(rep.gamma, block.central.sigma, rep.branches, rep.families.families)
         per_instance = zip(
@@ -420,13 +412,15 @@ def qutrit_prop1_suite(instances: int = 40, seed: int = DEFAULT_SEED) -> SuiteRe
 
     Families pair the two leading pointer branches by Helstrom and assign
     the third a rank-zero projector; the bound must dominate the exact
-    distance for these and for coarse families.
+    distance for these and for coarse families.  The instances are
+    evaluated in blocks of oracle.ORACLE_BLOCK and recorded in order.
     """
     res = SuiteResult("qutrit_prop1_disturbance")
     zero = np.zeros((2, 2), dtype=complex)
     eye = np.eye(2, dtype=complex)
-    for i in range(instances):
-        inst = oracle.random_instance(seed, i, n_observed=2, n_unobserved=2, d_s=3)
+    for lo in range(0, instances, oracle.ORACLE_BLOCK):
+        rows = range(lo, min(lo + oracle.ORACLE_BLOCK, instances))
+        inst = oracle.random_instance(seed, rows, n_observed=2, n_unobserved=2, d_s=3)
         ens = oracle.branch_ensemble(inst)
         branches = ens.branches
         pairwise = helstrom_pair(branches[..., 0, :, :], branches[..., 1, :, :]).family()
@@ -439,7 +433,8 @@ def qutrit_prop1_suite(instances: int = 40, seed: int = DEFAULT_SEED) -> SuiteRe
         gamma = sbs_core.collective_gamma(inst.central, ens.gamma_mags)
         sbs = sbs_core.build_sbs(inst.central, ens, families)
         margins = _disturbance_sum(gamma, inst.central.sigma, branches, families.families) - oracle.exact_epsilon(reduced, sbs)
-        for margin, skip in zip(margins.ravel().tolist(), sbs.degenerate.ravel().tolist()):
+        # instance by instance, each instance's families in order
+        for margin, skip in zip(margins.T.ravel().tolist(), sbs.degenerate.T.ravel().tolist()):
             if not skip:
                 res.record(margin, tol=1e-9)
     return res

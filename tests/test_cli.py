@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "perfbench" / "golden"
 GOLDEN_SURFACE = GOLDEN / "surface" / "fig1_surface.csv"
 GOLDEN_DISCRIMINATION = GOLDEN / "discriminate" / "discrimination.csv"
+GOLDEN_CERTIFY = GOLDEN / "certify" / "verify.json"
 
 
 def reject_constant(name):
@@ -295,6 +296,14 @@ class TestVerifyScenario:
         # must track the report
         assert status == (cli.EXIT_OK if report["all_passed"] else cli.EXIT_VERIFY)
         assert set(report["failed_suites"]) <= {"prop1_as_stated"}
+
+    def test_certify_workload_matches_golden(self, tmp_path):
+        # the oracle corpus must reproduce the benchmark's recorded report byte for byte
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config_version": 1, "seed": 20260808, "threads": 1, "verify": {"instances": 600}}))
+        out = tmp_path / "out"
+        assert run_cli(["--scenario", "verify", "--config", str(cfg), "--out-dir", str(out)]) == cli.EXIT_VERIFY
+        assert (out / "verify.json").read_bytes() == GOLDEN_CERTIFY.read_bytes()
 
     def test_suite_without_checks_does_not_pass(self):
         from sbskit.verify import SuiteResult

@@ -52,7 +52,7 @@ def kernel_curves(lam, beta, g, t, counts):
 
 def node_coefficients(lam_plus, beta):
     """One float per curve, as fig1_node passes them for a node's shared state."""
-    return [a[0] for a in coefficients(np.full(1, lam_plus), np.full(1, beta))]
+    return list(coefficients(lam_plus, beta))
 
 
 def assert_matches_reference(lam, beta, g, t, counts):

@@ -18,7 +18,6 @@ from sbskit.oracle import (
     random_central,
     random_instance,
     reduced_state_exact,
-    stack_instances,
 )
 from sbskit.sbs_core import CentralState, ProjectorFamily
 from sbskit.spin_model import SpinParams
@@ -49,8 +48,15 @@ def same_instance(a, b):
     return a.central == b.central and np.array_equal(a.t, b.t) and a.interaction == b.interaction and all(spins)
 
 
+def instance_of(block, b):
+    """Instance b of a block as a block of one."""
+    rows = slice(b, b + 1)
+    spins = [SpinParams(*(v[rows] for v in vars(r).values())) for r in (block.observed, block.unobserved)]
+    return OracleInstance(CentralState(block.central.rho[rows]), *spins, block.t[rows], block.interaction)
+
+
 def make_instance(seed=0, n_obs=2, n_unobs=2, t=None):
-    inst = random_instance(seed, 0, n_observed=n_obs, n_unobserved=n_unobs)
+    inst = random_instance(seed, [0], n_observed=n_obs, n_unobserved=n_unobs)
     if t is not None:
         inst = OracleInstance(inst.central, inst.observed, inst.unobserved, [t], inst.interaction)
     return inst
@@ -58,16 +64,19 @@ def make_instance(seed=0, n_obs=2, n_unobs=2, t=None):
 
 def corpus_block(indices, seed=8, **kw):
     """Instances of a seeded corpus as one block, with family draws from stream 30 + i."""
-    block = stack_instances([random_instance(seed, i, **kw) for i in indices])
+    block = random_instance(seed, indices, **kw)
     draws = np.stack([np.random.default_rng(30 + i).normal(size=(len(block.observed.g[0]), 2, 2)) for i in indices])
     return block, draws
 
 
-def orthogonal_branches_instance():
+def orthogonal_branches_instance(instances=1):
     """An exact broadcast structure: pure spins at beta = pi/2 reach
-    orthogonal branches at g t = pi/2, with a coherence-free central state."""
-    spins = record(*(SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0) for _ in range(2)))
-    return OracleInstance(central(np.diag([0.6, 0.4])), spins, record(), [np.pi / 2])
+    orthogonal branches at g t = pi/2, with a coherence-free central state;
+    a block of `instances` copies."""
+    spins = [record(*(SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0) for _ in range(2))), record()]
+    rows = [SpinParams(*(np.repeat(v, instances, axis=0) for v in vars(r).values())) for r in spins]
+    rho = np.repeat(np.diag([0.6, 0.4])[None], instances, axis=0)
+    return OracleInstance(CentralState(rho), *rows, [np.pi / 2] * instances)
 
 
 class TestInteractionSpec:
@@ -120,9 +129,6 @@ class TestFullJointState:
             OracleInstance(inst.central, inst.observed, inst.unobserved, [1.0, 2.0])
         with pytest.raises(ValueError, match="one time per instance"):
             OracleInstance(inst.central, spin_of(inst.observed, 0), inst.unobserved, [1.0])
-        # blocks of different spin counts do not stack
-        with pytest.raises(ValueError):
-            stack_instances([inst, make_instance(seed=1, n_obs=3)])
 
 
 class TestConventionCertification:
@@ -168,12 +174,12 @@ class TestConventionCertification:
 class TestReducedState:
     def test_two_routes_agree(self):
         for seed in range(5):
-            inst = random_instance(seed, 0, n_observed=3, n_unobserved=3)
+            inst = random_instance(seed, [0], n_observed=3, n_unobserved=3)
             reduced = reduced_state_exact(full_joint_state(inst), inst)
             assembled = analytic_reduced_state(inst)
             assert np.max(np.abs(reduced - assembled)) < 1e-10
         # and instance by instance over a block of qutrit instances
-        inst = stack_instances([random_instance(9, i, n_observed=2, n_unobserved=2, d_s=3) for i in range(5)])
+        inst = random_instance(9, range(5), n_observed=2, n_unobserved=2, d_s=3)
         reduced = reduced_state_exact(full_joint_state(inst), inst)
         assert reduced.shape == (5, 12, 12)
         assert np.max(np.abs(reduced - analytic_reduced_state(inst))) < 1e-10
@@ -184,7 +190,7 @@ class TestReducedState:
         np.testing.assert_allclose(reduced_state_exact(joint, inst), joint, atol=1e-13)
 
     def test_gamma_products_pair_array(self):
-        gammas = gamma_products(random_instance(6, 0, n_observed=0, n_unobserved=2, d_s=3))[0]
+        gammas = gamma_products(random_instance(6, [0], n_observed=0, n_unobserved=2, d_s=3))[0]
         assert gammas.shape == (3, 3)
         np.testing.assert_array_equal(np.diag(gammas), 1.0)
         # Tr[U_j rho U_i^dagger] = conj Tr[U_i rho U_j^dagger]
@@ -276,11 +282,28 @@ class TestInstanceGeneration:
             densmat.check_density_matrix(c.rho)
 
     def test_instances_reproducible(self):
-        a = random_instance(5, 3)
-        b = random_instance(5, 3)
+        a = random_instance(5, [3])
+        b = random_instance(5, [3])
         assert same_instance(a, b)
-        assert not same_instance(a, random_instance(5, 4))
+        assert not same_instance(a, random_instance(5, [4]))
         assert a.observed.g.shape == (1, 3) and a.unobserved.g.shape == (1, 3) and a.t.shape == (1,)
+
+    @pytest.mark.parametrize(
+        "indices, kw",
+        [([0, 5, 3, 599], {}), ([7, 2, 39, 0, 11], dict(n_observed=2, n_unobserved=2, d_s=3))],
+    )
+    def test_block_is_its_instances_in_index_order(self, indices, kw):
+        block = random_instance(20260808, indices, **kw)
+        assert block.t.shape == (len(indices),)
+        for b, i in enumerate(indices):
+            assert same_instance(instance_of(block, b), random_instance(20260808, [i], **kw))
+
+    def test_one_central_state_per_block(self, monkeypatch):
+        built = []
+        post_init = CentralState.__post_init__
+        monkeypatch.setattr(CentralState, "__post_init__", lambda self: built.append(1) or post_init(self))
+        random_instance(20260808, range(oracle.ORACLE_BLOCK))
+        assert len(built) == 1
 
 
 class TestEvaluateInstance:
@@ -403,7 +426,7 @@ class TestEvaluateInstance:
     def test_witness_passes_over_a_degenerate_helstrom_family(self):
         # at t = 0 the branches coincide: the plain Helstrom family projects
         # nothing, and a pure pointer state then has no broadcast state for it
-        base = random_instance(8, 5)
+        base = random_instance(8, [5])
         inst = OracleInstance(central(np.diag([1.0, 0.0])), base.observed, base.unobserved, [0.0])
         rep = evaluate_instance(inst, np.random.default_rng(36).normal(size=(1, 3, 2, 2)))
         assert rep.degenerate[:2, 0].tolist() == [True, False]
@@ -412,8 +435,10 @@ class TestEvaluateInstance:
     def test_degenerate_family_records_no_check(self, monkeypatch):
         from sbskit import verify
 
-        monkeypatch.setattr(oracle, "random_instance", lambda *args, **kw: orthogonal_branches_instance())
-        suites = verify.oracle_inequalities(instances=3, n_observed=2)
+        monkeypatch.setattr(
+            oracle, "random_instance", lambda seed, indices, **kw: orthogonal_branches_instance(len(indices))
+        )
+        suites = verify.oracle_inequalities(instances=3)
         # per instance the four families that are not degenerate
         assert suites["prop1_as_stated"].checks == suites["prop1_disturbance"].checks == 3 * 4
         assert suites["prop1_disturbance"].failures == 0

@@ -162,7 +162,7 @@ def family_draws(indices, n_env=3):
 
 
 def corpus_block(indices, **kw):
-    return oracle.stack_instances([oracle.random_instance(SEED, i, **kw) for i in indices])
+    return oracle.random_instance(SEED, indices, **kw)
 
 
 def qubit_cases():
@@ -238,7 +238,7 @@ def report_rows(rep):
 @pytest.fixture(scope="module")
 def blocks_of_one():
     """Report rows of the first 43 corpus instances, one instance per call."""
-    rows = [report_rows(oracle.evaluate_instance(oracle.random_instance(SEED, i), family_draws([i]))) for i in range(43)]
+    rows = [report_rows(oracle.evaluate_instance(oracle.random_instance(SEED, [i]), family_draws([i]))) for i in range(43)]
     return {name: np.concatenate([r[name] for r in rows]) for name in rows[0]}
 
 

@@ -442,6 +442,18 @@ class TestEdgeCases:
             assert spin_model.decoherence_factor(uncoupled, t) == 1.0 + 0.0j
             assert spin_model.macrofraction_fidelity(uncoupled, t) == 1.0
 
+    def test_float_record_squares_as_an_array_record(self):
+        # ** 2 on a float calls pow: there the b coefficient rounds to ...964
+        # against the array record's ...963
+        lam, beta = 0.6746893954347775, 1.0
+        one = spin_model.sin2_coefficients(SpinParams(0.0, beta, 0.0, lam, 0.0))
+        array = spin_model.sin2_coefficients(SpinParams(0.0, np.full(1, beta), 0.0, np.full(1, lam), 0.0))
+        assert one[0] == array[0][0] == -0.08643136381387963
+        assert one[1] == array[1][0]
+        spin = SpinParams(0.0, beta, 0.0, lam, 0.9)
+        for t in EDGE_TIMES:
+            assert spin_model.lln_exponents(spin, t) == tuple(e[0] for e in spin_model.lln_exponents(batch([spin]), t))
+
     def test_exact_zero_on_one_shot_orthogonalization(self):
         bath = edge_bath()
         for lam in (0.0, 1.0):
