@@ -34,6 +34,7 @@ import numpy as np
 
 from . import __version__, verify
 from .discrimination import (
+    kolmogorov_fuchs,
     local_success_probability,
     majority_stats,
     majority_success_heterogeneous,
@@ -302,9 +303,10 @@ def run_discrimination(values: dict, out_dir: Path) -> tuple[int, list[str], dic
         probs = local_success_probability(spins, t)
         p_het = majority_success_heterogeneous(probs)
         b_vals = macrofraction_fidelity(spins, t)
-        ok_count = int(np.count_nonzero(np.abs(2.0 * p_het - 1.0) <= 1.0 - 0.5 * b_vals * b_vals + 1e-9))
+        ok_count = int(np.count_nonzero(kolmogorov_fuchs(p_het, b_vals)[2]))
         stats = majority_stats(n_mac, float(np.mean(probs)))
         mean_b = float(np.mean(b_vals))
+        k, limit, _ = kolmogorov_fuchs(stats.p_tilde_exact, mean_b)
         rows.append(
             [
                 t,
@@ -312,8 +314,8 @@ def run_discrimination(values: dict, out_dir: Path) -> tuple[int, list[str], dic
                 stats.s_bar,
                 stats.p_tilde_exact,
                 stats.chernoff_lb,
-                abs(2.0 * stats.p_tilde_exact - 1.0),
-                1.0 - 0.5 * mean_b * mean_b,
+                k,
+                limit,
                 float(np.mean(p_het)),
                 mean_b,
                 ok_count / draws,

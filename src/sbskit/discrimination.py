@@ -190,7 +190,8 @@ def majority_success_heterogeneous(probs):
         p = probs[..., j, None]
         dist[..., 1 : j + 2] = dist[..., 1 : j + 2] * (1.0 - p) + dist[..., : j + 1] * p
         dist[..., :1] *= 1.0 - p
-    return np.sum(dist[..., n // 2 + 1 :], axis=-1)
+    # the summed tail can round above 1 when every p is close to 1
+    return np.minimum(np.sum(dist[..., n // 2 + 1 :], axis=-1), 1.0)
 
 
 def chernoff_bound(n_mac: int, s_bar: float) -> float:
@@ -212,15 +213,17 @@ def majority_stats(n_mac: int, p_bar: float) -> MajorityStats:
     return MajorityStats(p_bar, s_bar, exact, lower)
 
 
-def kolmogorov_fuchs(p_tilde: float, b_mac: float) -> tuple[float, float, bool]:
+def kolmogorov_fuchs(p_tilde, b_mac):
     """Kolmogorov distance of the majority outcome vs the fidelity limit.
 
     The two outcome distributions are (p, 1-p) and (1-p, p), so
     K = |2 p_tilde - 1|; no measurement can exceed 1 - b_mac^2 / 2.
-    Returns (K, limit, K <= limit + 1e-9).
+    Returns (K, limit, K <= limit + 1e-9), elementwise over inputs that
+    broadcast together (two floats and a bool for two floats).
     """
-    if not (0.0 <= p_tilde <= 1.0) or not (0.0 <= b_mac <= 1.0):
+    p_tilde, b_mac = np.broadcast_arrays(np.asarray(p_tilde, dtype=float), np.asarray(b_mac, dtype=float))
+    if not (np.all((p_tilde >= 0.0) & (p_tilde <= 1.0)) and np.all((b_mac >= 0.0) & (b_mac <= 1.0))):
         raise ValueError("p_tilde and b_mac must lie in [0, 1]")
-    k = abs(2.0 * p_tilde - 1.0)
+    k = np.abs(2.0 * p_tilde - 1.0)
     limit = 1.0 - 0.5 * b_mac * b_mac
-    return k, limit, k <= limit + 1e-9
+    return k[()], limit[()], (k <= limit + 1e-9)[()]

@@ -248,24 +248,23 @@ def qubit_families(central: CentralState, branches: np.ndarray, draws: np.ndarra
 class InstanceReport:
     """Exact distances and bounds of a block of B instances.
 
-    epsilon, prop1 and degenerate are (5, B): one entry per family of the
-    stacked families, in the order of QUBIT_FAMILIES, and instance.  A
-    degenerate family has no broadcast state and a NaN epsilon.  gamma,
+    epsilon, prop1, disturbance and degenerate are (5, B): one entry per
+    family of the stacked families, in the order of QUBIT_FAMILIES, and
+    instance; prop1 is the additive bound and disturbance its sound form.
+    A degenerate family has no broadcast state and a NaN epsilon.
     eta_cor1, epsilon_witness and info_gap are (B,); cor2 holds per
     instance (F(epsilon_witness), whether epsilon_witness <= 1/4) for the
     information gap |I - H_S|.
     """
 
-    gamma: np.ndarray
     eta_cor1: np.ndarray
-    families: ProjectorFamily
     degenerate: np.ndarray
     epsilon: np.ndarray
     prop1: np.ndarray
+    disturbance: np.ndarray
     epsilon_witness: np.ndarray
     info_gap: np.ndarray
     cor2: list
-    branches: np.ndarray  # observed branch states, indexed [b, k, i]
 
     @property
     def cor1_margin(self) -> np.ndarray:
@@ -307,7 +306,8 @@ def evaluate_instance(inst: OracleInstance, draws: np.ndarray) -> InstanceReport
     gap = np.abs(info - central.shannon_entropy())
     cor2 = [sbs_core.cor2_bound(w, d_s) for w in witness.tolist()]
     prop1 = sbs_core.prop1_bound(gamma, pe)
-    return InstanceReport(gamma, eta, families, sbs.degenerate, eps, prop1, witness, gap, cor2, branches)
+    disturbance = sbs_core.disturbance_bound(gamma, central.sigma, branches, families.families)
+    return InstanceReport(eta, sbs.degenerate, eps, prop1, disturbance, witness, gap, cor2)
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +353,10 @@ def random_instance(
         return spins
 
     spins = vars(stack_spins(draw, len(indices))).values()
-    eigs = (-1.0, 1.0) if d_s == 2 else tuple(float(a) for a in np.linspace(-1.0, 1.0, d_s))
     return OracleInstance(
         CentralState(rho),
         SpinParams(*(v[:, :n_observed] for v in spins)),
         SpinParams(*(v[:, n_observed:] for v in spins)),
         t,
-        InteractionSpec(eigs),
+        InteractionSpec(tuple(np.linspace(-1.0, 1.0, d_s).tolist())),
     )

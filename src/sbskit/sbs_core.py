@@ -279,6 +279,21 @@ def prop1_bound(gamma, pe):
     return (gamma + np.add.accumulate(np.concatenate([start, pe], axis=-1), axis=-1)[..., -1])[()]
 
 
+def disturbance_bound(gamma, sigma, branches, projectors):
+    """Sound telescoping bound: Gamma + sum_k sum_i sigma_i ||rho_i - P rho_i P||_1.
+
+    branches[..., k, i] are the branch states of one instance or a block,
+    with its Gamma (...) and weights sigma (..., d_S), and
+    projectors[..., k, i] the projectors of one family, or of a stack of
+    families in front (one bound per family and instance).
+    """
+    pieces = sigma[..., None, :] * densmat.trace_norm(branches - projectors @ branches @ projectors)
+    pieces = pieces.reshape(pieces.shape[:-2] + (-1,))
+    # a running sum from Gamma adds the pieces one by one, k major
+    start = np.broadcast_to(np.asarray(gamma)[..., None], pieces.shape[:-1] + (1,))
+    return np.add.accumulate(np.concatenate([start, pieces], axis=-1), axis=-1)[..., -1][()]
+
+
 def barnum_knill_bound(weights: Sequence[float], pairwise_fidelities: np.ndarray):
     """Pairwise-fidelity bound sum_{i != j} sqrt(w_i w_j) B(rho_i, rho_j)
     on the optimal discrimination error of an ensemble, per ensemble of a

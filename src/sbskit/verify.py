@@ -69,13 +69,19 @@ class SuiteResult:
         """No failures among at least one check: a suite that checked nothing certifies nothing."""
         return self.checks > 0 and self.failures == 0
 
-    def record(self, margin: float, tol: float = 0.0):
-        """Count one check; a NaN margin fails and stays the worst margin."""
-        self.checks += 1
-        if margin < self.worst_margin or math.isnan(margin):
-            self.worst_margin = margin
-        if not margin >= -tol:
-            self.failures += 1
+    def record(self, margins, tol: float = 0.0):
+        """Count one check per margin of a float or an array; a NaN margin
+        fails and stays the worst margin, and of equal margins the first is
+        kept, as one call per margin in order would keep it."""
+        margins = np.ravel(np.asarray(margins, dtype=float))
+        if not margins.size:
+            return
+        self.checks += margins.size
+        self.failures += int(np.count_nonzero(~(margins >= -tol)))
+        # argmin picks the first NaN, or the first of equal minima
+        worst = float(margins[np.argmin(margins)])
+        if worst < self.worst_margin or math.isnan(worst):
+            self.worst_margin = worst
 
     def as_dict(self) -> dict:
         return {
@@ -119,27 +125,11 @@ def convention_certification(draws: int = 1000, seed: int = DEFAULT_SEED) -> Sui
     evolved = oracle.branch_state(spins, oracle.InteractionSpec(), [0, 0, 1], [1, 0, 1], t)
     gamma_oracle = np.trace(evolved[:, 0], axis1=-2, axis2=-1)
     b_oracle = densmat.fidelity(evolved[:, 1], evolved[:, 2])
-    gamma_closed = decoherence_factor(spins, t)
-    b_closed = macrofraction_fidelity(spins, t)
-    for g_o, g_c, b_o, b_c in zip(gamma_oracle, gamma_closed, b_oracle, b_closed):
-        res.record(1e-10 - abs(complex(g_o) - complex(g_c)))
-        res.record(1e-10 - abs(float(b_o) - float(b_c)))
+    d = gamma_oracle - decoherence_factor(spins, t)
+    # per draw the Gamma margin (hypot, as Python's abs of a complex), then the fidelity margin
+    gaps = np.stack([np.hypot(d.real, d.imag), np.abs(b_oracle - macrofraction_fidelity(spins, t))], axis=-1)
+    res.record(1e-10 - gaps)
     return res
-
-
-def _disturbance_sum(gamma, sigma, branches, projectors):
-    """Sound telescoping bound: Gamma + sum_k sum_i sigma_i ||rho_i - P rho_i P||_1.
-
-    branches[..., k, i] are the branch states of one instance or a block,
-    with its Gamma (...) and weights sigma (..., d_S), and
-    projectors[..., k, i] the projectors of one family, or of a stack of
-    families in front (one bound per family and instance).
-    """
-    pieces = sigma[..., None, :] * densmat.trace_norm(branches - projectors @ branches @ projectors)
-    pieces = pieces.reshape(pieces.shape[:-2] + (-1,))
-    # a running sum from Gamma adds the pieces one by one, k major
-    start = np.broadcast_to(np.asarray(gamma)[..., None], pieces.shape[:-1] + (1,))
-    return np.add.accumulate(np.concatenate([start, pieces], axis=-1), axis=-1)[..., -1][()]
 
 
 def oracle_inequalities(instances: int = 200, seed: int = DEFAULT_SEED) -> dict[str, SuiteResult]:
@@ -150,8 +140,8 @@ def oracle_inequalities(instances: int = 200, seed: int = DEFAULT_SEED) -> dict[
     prop1_disturbance: the sound disturbance form, expected to pass.
     cor1: witness eps <= eta.  cor2: |I - H_S| <= F(eps) when eps <= 1/4.
     A degenerate family (no broadcast state) is not checked.  The corpus is
-    evaluated in blocks of oracle.ORACLE_BLOCK instances and recorded
-    instance by instance, in corpus order.
+    evaluated in blocks of oracle.ORACLE_BLOCK instances, each recorded
+    instance-major, in corpus order.
     """
     stated = SuiteResult("prop1_as_stated")
     stated.detail = "additive discrimination-error bound, known-unsound derivation"
@@ -166,20 +156,13 @@ def oracle_inequalities(instances: int = 200, seed: int = DEFAULT_SEED) -> dict[
         n_env = block.observed.g.shape[-1]
         draws = np.stack([sample_stream(seed, i, label=11).normal(size=(n_env, 2, 2)) for i in rows])
         rep = oracle.evaluate_instance(block, draws)
-        bounds = _disturbance_sum(rep.gamma, block.central.sigma, rep.branches, rep.families.families)
-        per_instance = zip(
-            rep.prop1.T.tolist(), bounds.T.tolist(), rep.epsilon.T.tolist(), rep.degenerate.T.tolist(),
-            rep.cor1_margin.tolist(), rep.cor2, rep.info_gap.tolist(),
-        )
-        for prop1s, bound_row, epsilons, degenerate, cor1_margin, (f_bound, applicable), gap in per_instance:
-            for prop1, bound, eps, skip in zip(prop1s, bound_row, epsilons, degenerate):
-                if not skip:
-                    stated.record(prop1 - eps, tol=1e-9)
-                    disturbance.record(bound - eps, tol=1e-9)
-            cor1.record(cor1_margin, tol=1e-9)
-            if applicable:
-                cor2_applicable += 1
-                cor2.record(f_bound - gap, tol=1e-9)
+        checked = ~rep.degenerate.T
+        stated.record((rep.prop1 - rep.epsilon).T[checked], tol=1e-9)
+        disturbance.record((rep.disturbance - rep.epsilon).T[checked], tol=1e-9)
+        cor1.record(rep.cor1_margin, tol=1e-9)
+        f_bound, applicable = map(np.array, zip(*rep.cor2))
+        cor2_applicable += int(np.count_nonzero(applicable))
+        cor2.record((f_bound - rep.info_gap)[applicable], tol=1e-9)
     cor2.detail = f"applicable on {cor2_applicable}/{instances} instances (eps <= 1/4)"
     return {
         "prop1_as_stated": stated,
@@ -218,8 +201,7 @@ def helstrom_suite(pairs: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
     tnorms = densmat.trace_norm(rho_p - rho_m)
     pair = helstrom_pair(rho_p, rho_m)
     traces = np.trace(rho_m @ pair.p_plus, axis1=-2, axis2=-1) + np.trace(rho_p @ pair.p_minus, axis1=-2, axis2=-1)
-    for err, tnorm in zip((0.5 * np.real(traces)).tolist(), tnorms.tolist()):
-        res.record(1e-10 - abs(err - 0.5 * (1.0 - 0.5 * tnorm)))
+    res.record(1e-10 - np.abs(0.5 * np.real(traces) - 0.5 * (1.0 - 0.5 * tnorms)))
     return res
 
 
@@ -228,10 +210,9 @@ def barnum_knill_suite(pairs: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResu
     res = SuiteResult("barnum_knill")
     rho_p, rho_m, w = _random_state_pairs(seed, 13, pairs)
     optimal = 0.5 * (1.0 - densmat.trace_norm(w[:, None, None] * rho_p - (1.0 - w)[:, None, None] * rho_m))
-    fids = densmat.fidelity(rho_p, rho_m)
-    for w_i, opt, b in zip(w.tolist(), optimal.tolist(), fids.tolist()):
-        bound = sbs_core.barnum_knill_bound([w_i, 1.0 - w_i], np.array([[1.0, b], [b, 1.0]]))
-        res.record(bound - opt, tol=1e-9)
+    fids = np.ones((pairs, 2, 2))
+    fids[:, 0, 1] = fids[:, 1, 0] = densmat.fidelity(rho_p, rho_m)
+    res.record(sbs_core.barnum_knill_bound(np.stack([w, 1.0 - w], axis=-1), fids) - optimal, tol=1e-9)
     return res
 
 
@@ -244,11 +225,10 @@ def local_probability_suite(draws: int = 1000, seed: int = DEFAULT_SEED) -> Suit
     pair = helstrom_spin_analytic(spins, t)
     p_plus = np.real(np.trace(pair.p_plus[:, 0] @ evolved[:, 0], axis1=-2, axis2=-1))
     p_minus = np.real(np.trace(pair.p_minus[:, 0] @ evolved[:, 1], axis1=-2, axis2=-1))
-    formula = local_success_probability(spins, t)[:, 0]
-    informative = ~pair.degenerate[:, 0]
-    for p_p, p_m, f in zip(p_plus[informative].tolist(), p_minus[informative].tolist(), formula[informative].tolist()):
-        res.record(1e-12 - abs(p_p - f))
-        res.record(1e-12 - abs(p_m - f))
+    formula = local_success_probability(spins, t)
+    # per informative draw the p_plus margin, then the p_minus margin
+    margins = 1e-12 - np.abs(np.stack([p_plus, p_minus], axis=-1) - formula)
+    res.record(margins[~pair.degenerate[:, 0]])
     return res
 
 
@@ -274,10 +254,8 @@ def kolmogorov_fuchs_suite(
     res = SuiteResult("kolmogorov_fuchs")
     spins, t = _timed_spin_rows(seed, 15, instances, n_mac)
     p_tilde = majority_success_heterogeneous(local_success_probability(spins, t))
-    b_mac = macrofraction_fidelity(spins, t)
-    for p, b in zip(p_tilde, b_mac):
-        k, limit, ok = kolmogorov_fuchs(float(p), float(b))
-        res.record(limit - k, tol=1e-9)
+    k, limit, _ = kolmogorov_fuchs(p_tilde, macrofraction_fidelity(spins, t))
+    res.record(limit - k, tol=1e-9)
     return res
 
 
@@ -432,11 +410,9 @@ def qutrit_prop1_suite(instances: int = 40, seed: int = DEFAULT_SEED) -> SuiteRe
         reduced = oracle.reduced_state_exact(oracle.full_joint_state(inst), inst)
         gamma = sbs_core.collective_gamma(inst.central, ens.gamma_mags)
         sbs = sbs_core.build_sbs(inst.central, ens, families)
-        margins = _disturbance_sum(gamma, inst.central.sigma, branches, families.families) - oracle.exact_epsilon(reduced, sbs)
+        margins = sbs_core.disturbance_bound(gamma, inst.central.sigma, branches, families.families) - oracle.exact_epsilon(reduced, sbs)
         # instance by instance, each instance's families in order
-        for margin, skip in zip(margins.T.ravel().tolist(), sbs.degenerate.T.ravel().tolist()):
-            if not skip:
-                res.record(margin, tol=1e-9)
+        res.record(margins.T[~sbs.degenerate.T], tol=1e-9)
     return res
 
 

@@ -79,7 +79,7 @@ def tilted_witness(theta):
     pe = sbs_core.discrimination_error(inst.central.sigma[0], ensemble.branches[0, 0], family.families[0])
     reduced = oracle.reduced_state_exact(oracle.full_joint_state(inst), inst)
     eps = oracle.exact_epsilon(reduced, sbs_core.build_sbs(inst.central, ensemble, family))
-    disturbance = verify._disturbance_sum(gamma, inst.central.sigma, ensemble.branches, family.families)
+    disturbance = sbs_core.disturbance_bound(gamma, inst.central.sigma, ensemble.branches, family.families)
     return eps[0], sbs_core.prop1_bound(gamma[0], [pe]), disturbance[0]
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sbskit import cli
@@ -201,6 +202,25 @@ class TestDiscriminationScenario:
                 assert abs(a - b) <= 1e-12 + 1e-9 * abs(b), (name, a, b)
             assert float(line_got.split(",")[header.index("ok_fraction")]) == 1.0
 
+    def test_majority_near_certainty_stays_a_probability(self, tmp_path):
+        # lam = 1 and beta = pi/2 near g t = pi/2: every spin succeeds with p
+        # close to 1, where the summed majority tail can round above 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "measure": {"angles": [0.0, 1.5707963267948966, 0.0], "lambda": 1.0, "coupling": 1.0},
+            "discrimination": {"n_mac": 51, "t_min": 1.45, "t_max": 1.69, "t_points": 25, "draws": 3},
+        }))
+        out = tmp_path / "out"
+        assert run_cli(["--scenario", "discrimination", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        lines = (out / "discrimination.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert len(lines) == 26
+        for line in lines[1:]:
+            row = dict(zip(header, map(float, line.split(","))))
+            for name in ("p_bar", "p_tilde_exact", "chernoff_lb", "K", "fuchs_limit", "p_tilde_het", "mean_B"):
+                assert 0.0 <= row[name] <= 1.0, (name, row[name])
+            assert row["ok_fraction"] == 1.0
+
     def test_bounds_hold_on_output(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"discrimination": {"n_mac": 21, "t_points": 6, "draws": 40}}))
@@ -333,6 +353,58 @@ class TestVerifyScenario:
         res.record(0.5)
         res.record(float("nan"), tol=1e-9)
         assert res.failures == 1 and math.isnan(res.worst_margin)
+
+    @pytest.mark.parametrize(
+        "margins, tol",
+        [
+            ([0.5, 0.0, -0.0, 0.3], 0.0),
+            ([0.5, -0.0, 0.0, 0.3], 0.0),
+            ([0.2, float("nan"), -1.0, float("nan"), 0.0], 0.0),
+            ([-0.1, 0.3, -0.1, 0.7], 0.05),
+            # just inside and just outside the tolerance
+            ([1e-3, -1e-9, math.nextafter(-1e-9, 0.0), math.nextafter(-1e-9, -1.0), -0.0], 1e-9),
+            ([float("nan")], 1e-9),
+            ([3.0], 0.0),
+        ],
+    )
+    def test_array_record_is_one_record_per_margin(self, margins, tol):
+        from sbskit.verify import SuiteResult
+
+        def same(a, b):
+            assert (a.checks, a.failures) == (b.checks, b.failures)
+            # json writes the sign of a zero margin
+            assert json.dumps(a.as_dict()) == json.dumps(b.as_dict())
+            if math.isnan(b.worst_margin):
+                assert math.isnan(a.worst_margin)
+            else:
+                assert a.worst_margin == b.worst_margin
+                assert math.copysign(1.0, a.worst_margin) == math.copysign(1.0, b.worst_margin)
+
+        # after a first check of +0.0 and of -0.0, so ties with the stored margin count too
+        for first in (None, 0.0, -0.0):
+            loop, whole, split = SuiteResult("x"), SuiteResult("x"), SuiteResult("x")
+            for res in (loop, whole, split) if first is not None else ():
+                res.record(first)
+            for m in margins:
+                loop.record(m, tol=tol)
+            whole.record(np.array(margins), tol=tol)
+            split.record(np.array(margins[:2]), tol=tol)
+            split.record(np.array(margins[2:]).reshape(-1, 1), tol=tol)
+            same(whole, loop)
+            same(split, loop)
+
+    def test_empty_array_records_nothing(self):
+        from sbskit.verify import SuiteResult
+
+        res = SuiteResult("empty")
+        res.record(np.array([]))
+        res.record(np.zeros((3, 0)), tol=1e-9)
+        assert (res.checks, res.failures, res.passed) == (0, 0, False)
+        assert res.as_dict()["worst_margin"] is None
+        res.record(-0.0)
+        res.record(np.array([]))
+        assert (res.checks, res.failures, res.passed) == (1, 0, True)
+        assert math.copysign(1.0, res.worst_margin) == -1.0
 
 
 BAD_CONFIGS = [

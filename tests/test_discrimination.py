@@ -270,6 +270,13 @@ class TestMajorityHeterogeneous:
         stderr = math.sqrt(exact * (1 - exact) / trials)
         assert abs(hits - exact) < 3 * stderr + 1e-12
 
+    def test_tail_near_certainty_stays_a_probability(self):
+        # with every p close to 1 the summed tail rounds above 1 unless clamped
+        probs = np.random.default_rng(110).uniform(1.0 - 1e-3, 1.0, size=(2000, 51))
+        tails = majority_success_heterogeneous(probs)
+        assert np.all((tails >= 0.0) & (tails <= 1.0))
+        assert np.max(tails) == 1.0
+
 
 class TestChernoffBound:
     def test_zero_advantage(self):
@@ -318,6 +325,23 @@ class TestKolmogorovFuchs:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             kolmogorov_fuchs(1.2, 0.5)
+
+    def test_elementwise(self):
+        p = [0.5, 1.0, 0.9, 0.2, 0.0]
+        b = [0.9, 0.0, 0.3, 1.0, 0.1]
+        k, limit, ok = kolmogorov_fuchs(np.array(p), np.array(b))
+        assert k.shape == limit.shape == ok.shape == (5,)
+        for i in range(5):
+            assert k[i] == abs(2.0 * p[i] - 1.0)
+            assert limit[i] == 1.0 - 0.5 * b[i] * b[i]
+        assert ok.tolist() == [True, True, True, False, False]
+        # a float broadcasts against an array
+        k, limit, ok = kolmogorov_fuchs(np.array(p), 0.5)
+        assert limit.shape == (5,) and np.all(limit == 0.875)
+        # one entry out of range, or NaN, rejects the whole call
+        for bad_p, bad_b in (([0.5, 1.0 + 1e-15], [0.5, 0.5]), ([0.5, 0.5], [-1e-300, 0.5]), ([math.nan], [0.5])):
+            with pytest.raises(ValueError):
+                kolmogorov_fuchs(np.array(bad_p), np.array(bad_b))
 
 
 class TestBatchedForms:

@@ -312,18 +312,22 @@ class TestEvaluateInstance:
         rep = evaluate_instance(inst, draws)
         n = oracle.ORACLE_BLOCK
         assert oracle.QUBIT_FAMILIES == ("helstrom", "helstrom_weighted", "swapped", "coarse", "random")
-        assert rep.families.families.shape == (5, n, 3, 2, 2, 2)
-        assert rep.epsilon.shape == rep.prop1.shape == rep.degenerate.shape == (5, n)
+        # the families and branches the report was built from
+        ens = oracle.branch_ensemble(inst)
+        families = qubit_families(inst.central, ens.branches, draws)
+        gamma = sbs_core.collective_gamma(inst.central, ens.gamma_mags)
+        assert families.families.shape == (5, n, 3, 2, 2, 2)
+        assert rep.epsilon.shape == rep.prop1.shape == rep.disturbance.shape == rep.degenerate.shape == (5, n)
         assert not rep.degenerate.any()
-        pe = sbs_core.discrimination_error(inst.central.sigma[:, None, :], rep.branches, rep.families.families)
-        np.testing.assert_array_equal(rep.prop1, sbs_core.prop1_bound(rep.gamma, pe))
+        pe = sbs_core.discrimination_error(inst.central.sigma[:, None, :], ens.branches, families.families)
+        np.testing.assert_array_equal(rep.prop1, sbs_core.prop1_bound(gamma, pe))
         # the information gap and its bound at the witness distance
         reduced = reduced_state_exact(full_joint_state(inst), inst)
         info = sbs_core.mutual_information(reduced, [2, 2, 2, 2], [0])
         for b in range(n):
             for f in range(5):
-                assert rep.prop1[f, b] == sbs_core.prop1_bound(rep.gamma[b], pe[f, b].tolist())
-                assert rep.prop1[f, b] == pytest.approx(rep.gamma[b] + sum(pe[f, b]), abs=1e-12)
+                assert rep.prop1[f, b] == sbs_core.prop1_bound(gamma[b], pe[f, b].tolist())
+                assert rep.prop1[f, b] == pytest.approx(gamma[b] + sum(pe[f, b]), abs=1e-12)
             assert np.all((rep.epsilon[:, b] >= 0.0) & (rep.epsilon[:, b] <= 1.0 + 1e-9))
             assert rep.cor1_margin[b] >= -1e-9
             # the witness is the better of the two Helstrom families
@@ -332,19 +336,15 @@ class TestEvaluateInstance:
             assert rep.cor2[b] == sbs_core.cor2_bound(rep.epsilon_witness[b], 2)
 
     def test_report_carries_the_families_and_branches_it_used(self):
-        from sbskit import verify
-
         inst, draws = corpus_block(range(1, 4))
         rep = evaluate_instance(inst, draws)
-        # the same families from branch states rebuilt from scratch
-        rebuilt = qubit_families(inst.central, oracle.observed_branches(inst), draws)
-        np.testing.assert_array_equal(rep.families.families, rebuilt.families)
-        ens = oracle.branch_ensemble(inst)
-        gamma = sbs_core.collective_gamma(inst.central, ens.gamma_mags)
-        from_report = verify._disturbance_sum(rep.gamma, inst.central.sigma, rep.branches, rep.families.families)
-        np.testing.assert_array_equal(
-            from_report, verify._disturbance_sum(gamma, inst.central.sigma, ens.branches, rebuilt.families)
-        )
+        # the sound bound of families and branch states rebuilt from scratch, bit for bit
+        branches = oracle.observed_branches(inst)
+        rebuilt = qubit_families(inst.central, branches, draws)
+        gamma = sbs_core.collective_gamma(inst.central, oracle.branch_ensemble(inst).gamma_mags)
+        want = sbs_core.disturbance_bound(gamma, inst.central.sigma, branches, rebuilt.families)
+        np.testing.assert_array_equal(rep.disturbance, want)
+        assert rep.disturbance.tobytes() == want.tobytes()
 
     def test_one_family_stack_per_instance(self, monkeypatch):
         # one validation, one build_sbs and one to_matrix for a whole block
@@ -413,8 +413,9 @@ class TestEvaluateInstance:
         assert math.isnan(rep.epsilon[swapped, 0])
         reduced = reduced_state_exact(full_joint_state(inst), inst)
         ens = oracle.branch_ensemble(inst)
+        families = qubit_families(inst.central, ens.branches, draws)
         for f in range(5):
-            one = sbs_core.build_sbs(inst.central, ens, ProjectorFamily(rep.families.families[f]))
+            one = sbs_core.build_sbs(inst.central, ens, ProjectorFamily(families.families[f]))
             assert one.degenerate[0] == (f == swapped)
             if f != swapped:
                 eps = exact_epsilon(reduced, one)

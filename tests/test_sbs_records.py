@@ -203,7 +203,7 @@ def check_against_loops(block, ens, families):
     joint = oracle.full_joint_state(block)
     gamma = sbs_core.collective_gamma(block.central, ens.gamma_mags)
     sigma = block.central.sigma
-    stacked = verify._disturbance_sum(gamma, sigma, ens.branches, families.families)
+    stacked = sbs_core.disturbance_bound(gamma, sigma, ens.branches, families.families)
     for b in range(len(block.t)):
         assert_identical(joint[b], _loop_full_joint_state(block, b))
         branches, mags = _loop_branch_ensemble(block, b)
@@ -212,7 +212,7 @@ def check_against_loops(block, ens, families):
         central, ens_b = one_instance(block, ens, b)
         for family, bound in zip(families.families[:, b], stacked[:, b]):
             want = _loop_disturbance_sum(gamma[b], sigma[b], ens.branches[b], family)
-            assert verify._disturbance_sum(gamma[b], sigma[b], ens.branches[b], family) == want
+            assert sbs_core.disturbance_bound(gamma[b], sigma[b], ens.branches[b], family) == want
             assert bound == want
             sbs = build_sbs(central, ens_b, ProjectorFamily(family))
             if not sbs.degenerate:
@@ -222,16 +222,14 @@ def check_against_loops(block, ens, families):
 def report_rows(rep):
     """The arrays of an InstanceReport with the instance axis first."""
     return {
-        "gamma": rep.gamma,
         "eta_cor1": rep.eta_cor1,
-        "families": np.swapaxes(rep.families.families, 0, 1),
         "degenerate": rep.degenerate.T.astype(float),
         "epsilon": rep.epsilon.T,
         "prop1": rep.prop1.T,
+        "disturbance": rep.disturbance.T,
         "epsilon_witness": rep.epsilon_witness,
         "info_gap": rep.info_gap,
         "cor2": np.array(rep.cor2, dtype=float),
-        "branches": rep.branches,
     }
 
 
@@ -308,7 +306,7 @@ class TestAgainstLoopVersions:
         sbs = build_sbs(central, ens, family)
         assert sbs.degenerate and not np.any(sbs.weights)
         gamma = sbs_core.collective_gamma(central, ens.gamma_mags)
-        got = verify._disturbance_sum(gamma, central.sigma, ens.branches, family.families)
+        got = sbs_core.disturbance_bound(gamma, central.sigma, ens.branches, family.families)
         assert got == _loop_disturbance_sum(gamma, central.sigma, ens.branches, family.families)
 
     def test_trace_norm_route_per_matrix(self):
