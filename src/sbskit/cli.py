@@ -39,12 +39,11 @@ from .discrimination import (
     majority_stats,
     majority_success_heterogeneous,
 )
-from .ensemble import MeasureSpec, fig1_node, fig2_curves, sample_spin_arrays, sample_stream
+from .ensemble import MeasureSpec, fig1_node, fig2_curves, sample_rows, sample_spin_arrays
 from .spin_model import (
     SpinParams,
     macrofraction_fidelity,
     short_time_exponents,
-    stack_spins,
     time_scales,
 )
 
@@ -297,7 +296,9 @@ def run_discrimination(values: dict, out_dir: Path) -> tuple[int, list[str], dic
               "ok_fraction"]
     rows = []
     # draws x n_mac, one row per draw
-    spins = stack_spins(lambda d: sample_spin_arrays(values["measure"], sample_stream(seed, d, label=20), n_mac), draws)
+    spins = SpinParams(
+        *sample_rows(seed, 20, range(draws), lambda rng: tuple(vars(sample_spin_arrays(values["measure"], rng, n_mac)).values()))
+    )
     for t in t_grid:
         t = float(t)
         probs = local_success_probability(spins, t)

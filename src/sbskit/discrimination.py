@@ -120,8 +120,8 @@ def majority_success(n_mac: int, p_bar: float) -> float:
 
     One anchor term at the mode of the tail is computed in log space via
     lgamma; the rest follows the multiplicative term recurrence, so the
-    result stays accurate to ~1e-11 relative up to n_mac ~ 1e4 and never
-    underflows prematurely.
+    result stays within 2e-11 relative up to n_mac = 1e4 (1.86e-11 at
+    p_bar = 0.99) and never underflows prematurely.
     """
     if n_mac < 1:
         raise ValueError("n_mac must be >= 1")

@@ -9,7 +9,8 @@ stream derived from (master seed, stream label, sample index) through
 ``numpy.random.SeedSequence``.  Results are therefore bit-identical for a
 given config regardless of how samples are scheduled across workers, and
 reductions run over arrays indexed by sample so the summation order is
-fixed.
+fixed.  A stack of per-index draws, one row per index, goes through
+``sample_rows``.
 """
 
 from __future__ import annotations
@@ -85,6 +86,25 @@ def sample_stream(seed: int, index: int, label: int = 0) -> np.random.Generator:
     """Independent counter-style RNG stream for one Monte Carlo sample."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(label, index))
     return np.random.default_rng(ss)
+
+
+def sample_rows(seed: int, label: int, indices: Sequence[int], draw: Callable[[np.random.Generator], tuple]) -> list:
+    """draw(sample_stream(seed, i, label)) for each i in indices (at least
+    one), in order, stacked: entry k of row b is out[k][b].
+
+    draw returns a tuple of arrays or floats of the same shapes and dtypes
+    on every row.  out is preallocated from the first row, and each row is
+    copied into it as soon as it is drawn, so the rows are never all held
+    at once.
+    """
+    out = []
+    for b, i in enumerate(indices):
+        row = draw(sample_stream(seed, i, label))
+        if not out:
+            out = [np.empty((len(indices),) + np.shape(v), np.result_type(v)) for v in row]
+        for column, v in zip(out, row):
+            column[b] = v
+    return out
 
 
 def sample_angle_arrays(measure: MeasureSpec, rng: np.random.Generator, n: int):

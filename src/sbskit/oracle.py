@@ -15,25 +15,26 @@ instances gives, bit for bit, the results of B blocks of one.
 
 Convention: the interaction couples the central pointer observable
 A = sum_i a_i |i><i| to sum_k g_k sigma_z^(k) / 2, giving branch unitaries
-U_i^(k)(t) = exp(-i a_i g_k t sigma_z / 2).  The default qubit pointer
-eigenvalues are a = (-1, +1), under which branch index 0 evolves by
-exp(+i g t sigma_z / 2) as required by the closed forms.
+U_i^(k)(t) = exp(-i a_i g_k t sigma_z / 2).  A d_s-level pointer has the
+eigenvalues a = linspace(-1, 1, d_s): (-1, +1) for a qubit, under which
+branch index 0 evolves by exp(+i g t sigma_z / 2) as required by the
+closed forms, and (-1, 0, +1) for a qutrit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import densmat, sbs_core
 from .discrimination import helstrom_pair
-from .ensemble import MeasureSpec, sample_spin_arrays, sample_stream
+from .ensemble import MeasureSpec, sample_rows, sample_spin_arrays
 from .sbs_core import BranchEnsemble, CentralState, ProjectorFamily, SBSState
-from .spin_model import SpinParams, initial_spin_state, stack_spins
+from .spin_model import SpinParams, initial_spin_state
 
 DIMENSION_CAP = 4096
 # instances per evaluate_instance call over a corpus: a block of 8 qubit
@@ -41,30 +42,15 @@ DIMENSION_CAP = 4096
 ORACLE_BLOCK = 8
 
 
-@dataclass(frozen=True)
-class InteractionSpec:
-    """Pointer eigenvalues of the central observable.
-
-    Per-environment coupling operators are fixed to g_k sigma_z / 2 with
-    g_k taken from each spin record; branch unitaries are
-    exp(-i a_i g_k t sigma_z / 2), so under the default eigenvalues index 0
-    advances by exp(+i g t sigma_z / 2).
-    """
-
-    pointer_eigenvalues: tuple = (-1.0, 1.0)
-
-    @property
-    def d_s(self) -> int:
-        return len(self.pointer_eigenvalues)
-
-    def env_unitary(self, i, g, t) -> np.ndarray:
-        """exp(-i a_i g t sigma_z / 2); i, g and t broadcast to a stack (..., 2, 2)."""
-        a = np.asarray(self.pointer_eigenvalues)[i]
-        phase = -0.5j * a * g * t
-        u = np.zeros(np.shape(phase) + (2, 2), dtype=complex)
-        u[..., 0, 0] = np.exp(phase)
-        u[..., 1, 1] = np.exp(-phase)
-        return u
+def env_unitary(i, g, t, d_s: int) -> np.ndarray:
+    """exp(-i a_i g t sigma_z / 2) for the pointer eigenvalues
+    a = linspace(-1, 1, d_s); i, g and t broadcast to a stack (..., 2, 2)."""
+    a = np.linspace(-1.0, 1.0, d_s)[i]
+    phase = -0.5j * a * g * t
+    u = np.zeros(np.shape(phase) + (2, 2), dtype=complex)
+    u[..., 0, 0] = np.exp(phase)
+    u[..., 1, 1] = np.exp(-phase)
+    return u
 
 
 @dataclass(frozen=True)
@@ -81,7 +67,6 @@ class OracleInstance:
     observed: SpinParams
     unobserved: SpinParams
     t: np.ndarray
-    interaction: InteractionSpec = field(default_factory=InteractionSpec)
 
     def __post_init__(self):
         t = np.array(self.t, dtype=float)
@@ -123,7 +108,7 @@ def full_joint_state(inst: OracleInstance) -> np.ndarray:
     # of 1 x 2 rows; their tensor product from a unit row is the phase
     # vector of each U_i
     g = np.concatenate([inst.observed.g, inst.unobserved.g], axis=-1)
-    u = inst.interaction.env_unitary(np.arange(d_s), g[..., None], inst.t[:, None, None])
+    u = env_unitary(np.arange(d_s), g[..., None], inst.t[:, None, None], d_s)
     diagonals = np.diagonal(u, axis1=-2, axis2=-1)[..., None, :]
     phases = densmat.tensor(np.ones((d_s, 1, 1)), *np.swapaxes(diagonals, 0, 1)).reshape(-1, dim)
     # the products of (phases[:, None] * rho) * conj(phases)[None, :], in that order
@@ -138,15 +123,16 @@ def reduced_state_exact(joint: np.ndarray, inst: OracleInstance) -> np.ndarray:
     return densmat.partial_trace(joint, inst.factor_dims, keep)
 
 
-def branch_state(spin: SpinParams, inter: InteractionSpec, i, j, t) -> np.ndarray:
-    """Cross-branch evolved spin matrix U_i rho(0) U_j^dagger (i = j: a state).
+def branch_state(spin: SpinParams, i, j, t, d_s: int) -> np.ndarray:
+    """Cross-branch evolved spin matrix U_i rho(0) U_j^dagger (i = j: a state)
+    of a d_s-level pointer.
 
     A record of one spin gives one 2 x 2 matrix.  A record of spin arrays,
     and pointer indices and times given as arrays, broadcast together to a
     stack of shape (...) + (2, 2).
     """
-    u_i = inter.env_unitary(i, spin.g, t)
-    u_j = inter.env_unitary(j, spin.g, t)
+    u_i = env_unitary(i, spin.g, t, d_s)
+    u_j = env_unitary(j, spin.g, t, d_s)
     return u_i @ initial_spin_state(spin) @ np.swapaxes(u_j.conj(), -1, -2)
 
 
@@ -159,7 +145,7 @@ def gamma_products(inst: OracleInstance) -> np.ndarray:
     d_s = inst.central.d_s
     i, j = np.array(list(itertools.permutations(range(d_s), 2))).reshape(-1, 2).T
     # per instance one row of spins per ordered pair (i, j)
-    crossed = branch_state(_rows(inst.unobserved), inst.interaction, i[:, None], j[:, None], inst.t[:, None, None])
+    crossed = branch_state(_rows(inst.unobserved), i[:, None], j[:, None], inst.t[:, None, None], d_s)
     traces = np.trace(crossed, axis1=-2, axis2=-1)
     out = np.ones((len(inst.t), d_s, d_s), dtype=complex)
     # a running product from 1 along each contiguous row of spins rounds as a
@@ -182,7 +168,7 @@ def analytic_reduced_state(inst: OracleInstance) -> np.ndarray:
     # per pair (i, j): |i><j| and the cross-branch matrices of every observed spin
     unit = np.zeros((d_s * d_s, d_s, d_s), dtype=complex)
     unit[np.arange(d_s * d_s), i, j] = 1.0
-    crossed = branch_state(_rows(inst.observed), inst.interaction, i[:, None], j[:, None], inst.t[:, None, None])
+    crossed = branch_state(_rows(inst.observed), i[:, None], j[:, None], inst.t[:, None, None], d_s)
     env = densmat.tensor(np.ones((d_s * d_s, 1, 1)), *np.moveaxis(crossed, -3, 0))
     return np.sum(coeff * densmat.tensor(unit, env), axis=-3)
 
@@ -190,7 +176,7 @@ def analytic_reduced_state(inst: OracleInstance) -> np.ndarray:
 def observed_branches(inst: OracleInstance) -> np.ndarray:
     """Branch states of the observed environments, shape (B, n_observed, d_s, 2, 2)."""
     i = np.arange(inst.central.d_s)[:, None]
-    return np.swapaxes(branch_state(_rows(inst.observed), inst.interaction, i, i, inst.t[:, None, None]), -4, -3)
+    return np.swapaxes(branch_state(_rows(inst.observed), i, i, inst.t[:, None, None], inst.central.d_s), -4, -3)
 
 
 def branch_ensemble(inst: OracleInstance) -> BranchEnsemble:
@@ -252,9 +238,9 @@ class InstanceReport:
     family of the stacked families, in the order of QUBIT_FAMILIES, and
     instance; prop1 is the additive bound and disturbance its sound form.
     A degenerate family has no broadcast state and a NaN epsilon.
-    eta_cor1, epsilon_witness and info_gap are (B,); cor2 holds per
-    instance (F(epsilon_witness), whether epsilon_witness <= 1/4) for the
-    information gap |I - H_S|.
+    eta_cor1, epsilon_witness, info_gap, cor2 and cor2_applicable are (B,):
+    cor2 is the bound F(epsilon_witness) on the information gap |I - H_S|,
+    asserted where cor2_applicable (epsilon_witness <= 1/4).
     """
 
     eta_cor1: np.ndarray
@@ -264,7 +250,8 @@ class InstanceReport:
     disturbance: np.ndarray
     epsilon_witness: np.ndarray
     info_gap: np.ndarray
-    cor2: list
+    cor2: np.ndarray
+    cor2_applicable: np.ndarray
 
     @property
     def cor1_margin(self) -> np.ndarray:
@@ -304,10 +291,10 @@ def evaluate_instance(inst: OracleInstance, draws: np.ndarray) -> InstanceReport
 
     info = sbs_core.mutual_information(reduced, inst.factor_dims[: 1 + inst.observed.g.shape[-1]], [0])
     gap = np.abs(info - central.shannon_entropy())
-    cor2 = [sbs_core.cor2_bound(w, d_s) for w in witness.tolist()]
+    cor2, applicable = sbs_core.cor2_bound(witness, d_s)
     prop1 = sbs_core.prop1_bound(gamma, pe)
     disturbance = sbs_core.disturbance_bound(gamma, central.sigma, branches, families.families)
-    return InstanceReport(eta, sbs.degenerate, eps, prop1, disturbance, witness, gap, cor2)
+    return InstanceReport(eta, sbs.degenerate, eps, prop1, disturbance, witness, gap, cor2, applicable)
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +329,16 @@ def random_instance(
     then its spins, then its time in [0, 2 pi).
     """
     measure = MeasureSpec()
-    rho = np.empty((len(indices), d_s, d_s))
-    t = np.empty(len(indices))
 
-    def draw(b: int) -> SpinParams:
-        rng = sample_stream(seed, indices[b], label=5)
-        rho[b] = random_central(rng, d_s)
+    def draw(rng: np.random.Generator) -> tuple:
+        rho = random_central(rng, d_s)
         spins = sample_spin_arrays(measure, rng, n_observed + n_unobserved)
-        t[b] = rng.uniform(0.0, 2.0 * math.pi)
-        return spins
+        return (rho, *vars(spins).values(), rng.uniform(0.0, 2.0 * math.pi))
 
-    spins = vars(stack_spins(draw, len(indices))).values()
+    rho, *spins, t = sample_rows(seed, 5, indices, draw)
     return OracleInstance(
         CentralState(rho),
         SpinParams(*(v[:, :n_observed] for v in spins)),
         SpinParams(*(v[:, n_observed:] for v in spins)),
         t,
-        InteractionSpec(tuple(np.linspace(-1.0, 1.0, d_s).tolist())),
     )

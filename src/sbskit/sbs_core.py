@@ -317,33 +317,23 @@ def cor1_eta(central: CentralState, gamma, pair_fidelities: np.ndarray):
     return gamma + barnum_knill_bound(central.sigma, np.sum(pair_fidelities, axis=-3))
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2(1-x) with h(0) = h(1) = 0."""
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"binary entropy argument {x} outside [0, 1]")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
+def cor2_bound(eps_or_eta, d_s: int):
+    """Information-gap bound F(x) = 4 h(2x) + 2 h(x) + 10 x log2(d_S),
+    elementwise, with h the binary entropy in bits.
 
-
-def cor2_bound(eps_or_eta: float, d_s: int) -> tuple[float, bool]:
-    """Information-gap bound F(x) = 4 h(2x) + 2 h(x) + 10 x log2(d_S).
-
-    Returns (F(x), x <= 1/4); the bound is only asserted when the validity
-    flag is set.  Beyond x = 1/2 the h(2x) term leaves its domain and the
-    bound degenerates to +inf.
+    Returns (F(x), x <= 1/4), arrays of the shape of x (floats for a
+    float); the bound is only asserted where the validity flag is set.
+    Beyond x = 1/2 the h(2x) term leaves its domain and the bound
+    degenerates to +inf.
     """
-    if eps_or_eta < 0:
+    x = np.asarray(eps_or_eta, dtype=float)
+    if not np.all(x >= 0.0):  # also false for NaN
         raise ValueError("argument must be >= 0")
-    valid = eps_or_eta <= COR2_VALIDITY
-    if eps_or_eta > 0.5:
-        return math.inf, False
-    bound = (
-        4.0 * binary_entropy(2.0 * eps_or_eta)
-        + 2.0 * binary_entropy(eps_or_eta)
-        + 10.0 * eps_or_eta * math.log2(d_s)
-    )
-    return bound, valid
+    # h(2x) and h(x), each row [v, 1 - v] summed as on its own
+    v = np.stack([2.0 * x, x])
+    h2x, hx = densmat.entropy_bits(np.stack([v, 1.0 - v], axis=-1), 0.0)
+    bound = 4.0 * h2x + 2.0 * hx + 10.0 * x * math.log2(d_s)
+    return np.where(x > 0.5, math.inf, bound)[()], (x <= COR2_VALIDITY)[()]
 
 
 def mutual_information(rho: np.ndarray, factor_dims: Sequence[int], system_factors: Sequence[int]):

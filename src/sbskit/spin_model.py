@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -75,20 +74,6 @@ class SpinParams:
             if not (0.0 <= low and high <= upper):  # also false for NaN
                 v = np.asarray(v, dtype=float)
                 raise ValueError(f"{name} {v[~((v >= 0.0) & (v <= upper))].flat[0]} outside {shown}")
-
-
-def stack_spins(record: Callable[[int], SpinParams], rows: int) -> SpinParams:
-    """record(0), ..., record(rows - 1) (rows >= 1), of one shape, stacked along a new leading axis.
-
-    Each record is copied into one preallocated array as soon as it is
-    made, so the records are never all held at once.
-    """
-    first = np.broadcast_arrays(*vars(record(0)).values())
-    out = np.empty((len(first), rows) + first[0].shape)
-    out[:, 0] = first
-    for i in range(1, rows):
-        out[:, i] = np.broadcast_arrays(*vars(record(i)).values())
-    return SpinParams(*out)
 
 
 def initial_spin_state(p: SpinParams) -> np.ndarray:

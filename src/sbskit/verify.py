@@ -38,6 +38,7 @@ from .ensemble import (
     MeasureSpec,
     fig1_node,
     fig2_curves,
+    sample_rows,
     sample_spin_arrays,
     sample_stream,
 )
@@ -47,7 +48,6 @@ from .spin_model import (
     lln_exponents,
     macrofraction_fidelity,
     short_time_exponents,
-    stack_spins,
     time_scales,
 )
 
@@ -101,15 +101,10 @@ def _timed_spin_rows(seed: int, label: int, rows: int, n: int) -> tuple[SpinPara
     Stream (label, i) draws the n spins of row i, then its time in [0, 2 pi).
     """
     measure = MeasureSpec()
-    t = np.empty((rows, 1))
-
-    def draw(i: int):
-        rng = sample_stream(seed, i, label=label)
-        spins = sample_spin_arrays(measure, rng, n)
-        t[i] = rng.uniform(0.0, 2.0 * math.pi)
-        return spins
-
-    return stack_spins(draw, rows), t
+    *spins, t = sample_rows(
+        seed, label, range(rows), lambda rng: (*vars(sample_spin_arrays(measure, rng, n)).values(), rng.uniform(0.0, 2.0 * math.pi))
+    )
+    return SpinParams(*spins), t[:, None]
 
 
 def convention_certification(draws: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
@@ -122,7 +117,7 @@ def convention_certification(draws: int = 1000, seed: int = DEFAULT_SEED) -> Sui
     res = SuiteResult("convention_certification")
     spins, t = _timed_spin_rows(seed, 10, draws, 1)
     # per draw the pairs (i, j) = (0, 1), (0, 0), (1, 1)
-    evolved = oracle.branch_state(spins, oracle.InteractionSpec(), [0, 0, 1], [1, 0, 1], t)
+    evolved = oracle.branch_state(spins, [0, 0, 1], [1, 0, 1], t, 2)
     gamma_oracle = np.trace(evolved[:, 0], axis1=-2, axis2=-1)
     b_oracle = densmat.fidelity(evolved[:, 1], evolved[:, 2])
     d = gamma_oracle - decoherence_factor(spins, t)
@@ -154,15 +149,14 @@ def oracle_inequalities(instances: int = 200, seed: int = DEFAULT_SEED) -> dict[
         block = oracle.random_instance(seed, rows)
         # each instance's random family from its own stream
         n_env = block.observed.g.shape[-1]
-        draws = np.stack([sample_stream(seed, i, label=11).normal(size=(n_env, 2, 2)) for i in rows])
+        (draws,) = sample_rows(seed, 11, rows, lambda rng: (rng.normal(size=(n_env, 2, 2)),))
         rep = oracle.evaluate_instance(block, draws)
         checked = ~rep.degenerate.T
         stated.record((rep.prop1 - rep.epsilon).T[checked], tol=1e-9)
         disturbance.record((rep.disturbance - rep.epsilon).T[checked], tol=1e-9)
         cor1.record(rep.cor1_margin, tol=1e-9)
-        f_bound, applicable = map(np.array, zip(*rep.cor2))
-        cor2_applicable += int(np.count_nonzero(applicable))
-        cor2.record((f_bound - rep.info_gap)[applicable], tol=1e-9)
+        cor2_applicable += int(np.count_nonzero(rep.cor2_applicable))
+        cor2.record((rep.cor2 - rep.info_gap)[rep.cor2_applicable], tol=1e-9)
     cor2.detail = f"applicable on {cor2_applicable}/{instances} instances (eps <= 1/4)"
     return {
         "prop1_as_stated": stated,
@@ -181,13 +175,9 @@ def _random_qubit_state(rng: np.random.Generator) -> np.ndarray:
 def _random_state_pairs(seed: int, label: int, pairs: int):
     """Stacks rho_p, rho_m (pairs, 2, 2) and a uniform prior weight w per
     pair, drawn in that order from stream (label, i) for pair i."""
-    rho_p, rho_m, w = np.empty((pairs, 2, 2), complex), np.empty((pairs, 2, 2), complex), np.empty(pairs)
-    for i in range(pairs):
-        rng = sample_stream(seed, i, label=label)
-        rho_p[i] = _random_qubit_state(rng)
-        rho_m[i] = _random_qubit_state(rng)
-        w[i] = rng.uniform(0.0, 1.0)
-    return rho_p, rho_m, w
+    return sample_rows(
+        seed, label, range(pairs), lambda rng: (_random_qubit_state(rng), _random_qubit_state(rng), rng.uniform(0.0, 1.0))
+    )
 
 
 def helstrom_suite(pairs: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
@@ -221,7 +211,7 @@ def local_probability_suite(draws: int = 1000, seed: int = DEFAULT_SEED) -> Suit
     res = SuiteResult("local_success_probability")
     spins, t = _timed_spin_rows(seed, 14, draws, 1)
     # per draw both branch states
-    evolved = oracle.branch_state(spins, oracle.InteractionSpec(), [0, 1], [0, 1], t)
+    evolved = oracle.branch_state(spins, [0, 1], [0, 1], t, 2)
     pair = helstrom_spin_analytic(spins, t)
     p_plus = np.real(np.trace(pair.p_plus[:, 0] @ evolved[:, 0], axis1=-2, axis2=-1))
     p_minus = np.real(np.trace(pair.p_minus[:, 0] @ evolved[:, 1], axis1=-2, axis2=-1))

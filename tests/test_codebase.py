@@ -103,6 +103,33 @@ def test_every_dataclass_field_has_a_reader_in_src():
     assert set(NO_READER_NEEDED) <= set(fields), "the exemption list names a field that no longer exists"
 
 
+def stream_calls_in_loops(src: Path):
+    """(module, line) of each sample_stream call inside a loop, comprehension,
+    lambda or nested function, in every module but ensemble.py."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Lambda)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "ensemble":
+            continue
+        tree = ast.parse(path.read_text())
+        scopes = [n for n in ast.walk(tree) if isinstance(n, loops)]
+        scopes += [inner for outer in ast.walk(tree) if isinstance(outer, functions)
+                   for inner in ast.walk(outer) if inner is not outer and isinstance(inner, functions)]
+        for scope in scopes:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and "sample_stream" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    found.add((path.stem, node.lineno))
+    return sorted(found)
+
+
+def test_per_index_streams_go_through_sample_rows():
+    """A stack with row i drawn from stream (label, i) is made by
+    ensemble.sample_rows, so that rule is written once; a single stream per
+    suite may still be opened directly."""
+    assert stream_calls_in_loops(SRC) == []
+
+
 def test_traced_benchmark_finds_every_name(tmp_path, monkeypatch):
     """perfbench reads sbskit functions, counters and parameters by name; a
     refactor that renames one would silently zero its metric."""

@@ -16,14 +16,13 @@ from sbskit.discrimination import (
     majority_success_heterogeneous,
 )
 from sbskit.ensemble import MeasureSpec, sample_spin_arrays, sample_stream
-from sbskit.oracle import InteractionSpec, branch_state
+from sbskit.oracle import branch_state
 from sbskit.spin_model import SpinParams
 
 
 def evolved_branch_states(p, t):
     """Branch states (rho_plus, rho_minus) by explicit matrix evolution."""
-    inter = InteractionSpec()
-    return branch_state(p, inter, 0, 0, t), branch_state(p, inter, 1, 1, t)
+    return branch_state(p, 0, 0, t, 2), branch_state(p, 1, 1, t, 2)
 
 
 def mean_success(measure, t, samples, seed):

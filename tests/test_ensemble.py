@@ -11,6 +11,7 @@ from sbskit.ensemble import (
     fig1_node,
     fig2_curves,
     sample_coupling_array,
+    sample_rows,
     sample_spin_arrays,
     sample_stream,
     _product_curves,
@@ -257,6 +258,31 @@ class TestSampling:
         b = sample_spin_arrays(measure, sample_stream(3, 5), 10)
         for x, y in zip(vars(a).values(), vars(b).values()):
             np.testing.assert_array_equal(x, y)
+
+
+class TestSampleRows:
+    @staticmethod
+    def draw(rng):
+        """A float matrix, a complex vector and a float, in that order."""
+        return rng.normal(size=(2, 3)), rng.normal(size=4) + 1j * rng.normal(size=4), rng.uniform(0.0, 1.0)
+
+    def test_rows_are_direct_draws_on_their_own_streams(self):
+        indices = np.random.default_rng(5).permutation(40)[:17].tolist()
+        out = sample_rows(9, 23, indices, self.draw)
+        assert [column.shape for column in out] == [(17, 2, 3), (17, 4), (17,)]
+        for b, i in enumerate(indices):
+            for column, want in zip(out, self.draw(sample_stream(9, i, label=23))):
+                assert np.array_equal(column[b], want)
+
+    def test_dtypes_are_kept(self):
+        matrix, vector, value = sample_rows(9, 23, range(3), self.draw)
+        assert (matrix.dtype, vector.dtype, value.dtype) == (np.float64, np.complex128, np.float64)
+        assert np.all(vector.imag != 0.0)
+
+    def test_single_index(self):
+        (value,) = sample_rows(4, 1, [6], lambda rng: (rng.uniform(0.0, 1.0),))
+        assert value.shape == (1,)
+        assert value[0] == sample_stream(4, 6, label=1).uniform(0.0, 1.0)
 
 
 class TestTimeAverage:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -6,10 +7,10 @@ import pytest
 
 from sbskit import densmat, oracle, sbs_core, spin_model
 from sbskit.oracle import (
-    InteractionSpec,
     OracleInstance,
     analytic_reduced_state,
     branch_state,
+    env_unitary,
     evaluate_instance,
     exact_epsilon,
     full_joint_state,
@@ -21,6 +22,9 @@ from sbskit.oracle import (
 )
 from sbskit.sbs_core import CentralState, ProjectorFamily
 from sbskit.spin_model import SpinParams
+
+# the pointer eigenvalues of a d_s-level central system, written out
+POINTER_EIGENVALUES = {2: (-1.0, 1.0), 3: (-1.0, 0.0, 1.0)}
 
 
 def record(*spins):
@@ -45,20 +49,20 @@ def same_instance(a, b):
         for r, q in ((a.observed, b.observed), (a.unobserved, b.unobserved))
         for x, y in zip(vars(r).values(), vars(q).values())
     ]
-    return a.central == b.central and np.array_equal(a.t, b.t) and a.interaction == b.interaction and all(spins)
+    return a.central == b.central and np.array_equal(a.t, b.t) and all(spins)
 
 
 def instance_of(block, b):
     """Instance b of a block as a block of one."""
     rows = slice(b, b + 1)
     spins = [SpinParams(*(v[rows] for v in vars(r).values())) for r in (block.observed, block.unobserved)]
-    return OracleInstance(CentralState(block.central.rho[rows]), *spins, block.t[rows], block.interaction)
+    return OracleInstance(CentralState(block.central.rho[rows]), *spins, block.t[rows])
 
 
 def make_instance(seed=0, n_obs=2, n_unobs=2, t=None):
     inst = random_instance(seed, [0], n_observed=n_obs, n_unobserved=n_unobs)
     if t is not None:
-        inst = OracleInstance(inst.central, inst.observed, inst.unobserved, [t], inst.interaction)
+        inst = OracleInstance(inst.central, inst.observed, inst.unobserved, [t])
     return inst
 
 
@@ -79,19 +83,44 @@ def orthogonal_branches_instance(instances=1):
     return OracleInstance(CentralState(rho), *rows, [np.pi / 2] * instances)
 
 
-class TestInteractionSpec:
+class TestEnvUnitary:
     def test_unitarity(self):
-        inter = InteractionSpec()
-        for i in (0, 1):
-            u = inter.env_unitary(i, 0.7, 2.3)
-            assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
+        for d_s in POINTER_EIGENVALUES:
+            for i in range(d_s):
+                u = env_unitary(i, 0.7, 2.3, d_s)
+                assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
 
     def test_index_zero_advances_positively(self):
         # branch 0 must evolve by exp(+i g t sigma_z / 2)
-        inter = InteractionSpec()
         g, t = 0.9, 1.7
         expected = np.diag([np.exp(0.5j * g * t), np.exp(-0.5j * g * t)])
-        np.testing.assert_allclose(inter.env_unitary(0, g, t), expected, atol=1e-14)
+        np.testing.assert_allclose(env_unitary(0, g, t, 2), expected, atol=1e-14)
+
+    def test_pointer_eigenvalues_follow_the_central_dimension(self):
+        # exp(-i a_i g t sigma_z / 2) with a_i read from the table, exactly
+        g, t = 0.9, 1.7
+        for d_s, eigenvalues in POINTER_EIGENVALUES.items():
+            for i, a in enumerate(eigenvalues):
+                phase = -0.5j * a * g * t
+                assert np.array_equal(env_unitary(i, g, t, d_s), np.diag([np.exp(phase), np.exp(-phase)]))
+        # the qutrit's middle branch does not evolve
+        assert np.array_equal(env_unitary(1, g, t, 3), np.eye(2))
+
+    def test_qutrit_branch_state(self):
+        rng = np.random.default_rng(12)
+        spin = SpinParams(*rng.uniform(0.0, 1.0, (5, 4)))
+        t = 2.1
+        rho0 = spin_model.initial_spin_state(spin)
+
+        def u(a):
+            # exp(-i a g t sigma_z / 2) = cos(a g t / 2) - i sin(a g t / 2) sigma_z, per spin
+            half = 0.5 * a * spin.g[:, None, None] * t
+            return np.cos(half) * np.eye(2) - 1j * np.sin(half) * np.diag([1.0, -1.0])
+
+        for i, j in itertools.product(range(3), repeat=2):
+            a_i, a_j = POINTER_EIGENVALUES[3][i], POINTER_EIGENVALUES[3][j]
+            expected = u(a_i) @ rho0 @ np.swapaxes(u(a_j).conj(), -1, -2)
+            np.testing.assert_allclose(branch_state(spin, i, j, t, 3), expected, rtol=0.0, atol=1e-14)
 
 
 class TestFullJointState:
@@ -112,7 +141,7 @@ class TestFullJointState:
     def test_diagonal_central_stays_block_diagonal(self):
         base = make_instance(seed=3)
         dropped = central(np.diag(base.central.sigma[0]))  # coherences dropped
-        inst = OracleInstance(dropped, base.observed, base.unobserved, [1.3], base.interaction)
+        inst = OracleInstance(dropped, base.observed, base.unobserved, [1.3])
         joint = full_joint_state(inst)[0]
         half = joint.shape[0] // 2
         assert np.max(np.abs(joint[:half, half:])) < 1e-14
@@ -149,12 +178,11 @@ class TestConventionCertification:
             inst = OracleInstance(central(one), record(), record(spin), [t])
             joint = full_joint_state(inst)[0]
             block_trace = np.trace(joint[:2, 2:])
-            expected = one[0, 1] * spin_model.decoherence_factor(spin_model.stack_spins(lambda _: spin, 1), t)
+            expected = one[0, 1] * spin_model.decoherence_factor(SpinParams(*(np.array([v]) for v in vars(spin).values())), t)
             assert abs(block_trace - expected) < 1e-12
 
     def test_branch_purity_conserved(self):
         rng = np.random.default_rng(11)
-        inter = InteractionSpec()
         for _ in range(50):
             spin = SpinParams(
                 rng.uniform(0, 2 * np.pi),
@@ -165,7 +193,7 @@ class TestConventionCertification:
             )
             t = rng.uniform(0, 5)
             initial = spin_model.initial_spin_state(spin)
-            evolved = branch_state(spin, inter, 0, 0, t)
+            evolved = branch_state(spin, 0, 0, t, 2)
             p0 = np.trace(initial @ initial).real
             pt = np.trace(evolved @ evolved).real
             assert abs(p0 - pt) < 1e-12
@@ -333,7 +361,7 @@ class TestEvaluateInstance:
             # the witness is the better of the two Helstrom families
             assert rep.epsilon_witness[b] == min(rep.epsilon[:2, b])
             assert rep.info_gap[b] == abs(info[b] - inst.central.shannon_entropy()[b])
-            assert rep.cor2[b] == sbs_core.cor2_bound(rep.epsilon_witness[b], 2)
+            assert (rep.cor2[b], rep.cor2_applicable[b]) == sbs_core.cor2_bound(rep.epsilon_witness[b], 2)
 
     def test_report_carries_the_families_and_branches_it_used(self):
         inst, draws = corpus_block(range(1, 4))
@@ -422,7 +450,7 @@ class TestEvaluateInstance:
                 assert np.isfinite(eps[0])
                 assert np.array_equal(rep.epsilon[f], eps)
                 assert np.signbit(rep.epsilon[f, 0]) == np.signbit(eps[0])
-        assert rep.epsilon_witness[0] < 1e-10 and rep.cor2[0][1]
+        assert rep.epsilon_witness[0] < 1e-10 and rep.cor2_applicable[0]
 
     def test_witness_passes_over_a_degenerate_helstrom_family(self):
         # at t = 0 the branches coincide: the plain Helstrom family projects

@@ -9,7 +9,6 @@ from sbskit.sbs_core import (
     CentralState,
     ProjectorFamily,
     barnum_knill_bound,
-    binary_entropy,
     build_sbs,
     collective_gamma,
     cor1_eta,
@@ -187,14 +186,50 @@ class TestBounds:
         assert cor1_eta(pessimistic_qubit(), 0.1, fids) == pytest.approx(0.1 + barnum_knill_bound([0.5, 0.5], pair(2.0, 0.5)))
 
 
+def scalar_cor2(x: float, d_s: int):
+    """cor2_bound of one float through math.log2, term by term."""
+    def h(v):
+        return 0.0 if v in (0.0, 1.0) else float(-v * math.log2(v) - (1.0 - v) * math.log2(1.0 - v))
+
+    if x > 0.5:
+        return math.inf, False
+    return 4.0 * h(2.0 * x) + 2.0 * h(x) + 10.0 * x * math.log2(d_s), x <= 0.25
+
+
 class TestEntropyBounds:
     def test_binary_entropy_values(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
-        assert binary_entropy(0.5) == pytest.approx(1.0)
-        assert binary_entropy(0.25) == pytest.approx(0.8112781244591328, abs=1e-12)
-        with pytest.raises(ValueError):
-            binary_entropy(1.5)
+        # the binary entropy h(x) of cor2_bound is entropy_bits of [x, 1 - x]
+        def h(x):
+            return densmat.entropy_bits(np.array([x, 1.0 - x]), 0.0)
+
+        assert h(0.0) == 0.0
+        assert h(1.0) == 0.0
+        assert h(0.5) == pytest.approx(1.0)
+        assert h(0.25) == pytest.approx(0.8112781244591328, abs=1e-12)
+        # F(x) = 4 h(2x) + 2 h(x) on d_S = 1, where the dimension term vanishes
+        assert cor2_bound(0.0, 1)[0] == 0.0
+        assert cor2_bound(0.5, 1)[0] == pytest.approx(2.0)
+        assert cor2_bound(0.25, 1)[0] == pytest.approx(4.0 + 2.0 * 0.8112781244591328, abs=1e-12)
+
+    def test_cor2_rejects_negative_and_nan(self):
+        for bad in (-0.1, math.nan, np.array([0.1, math.nan]), np.array([[0.2], [-1e-300]])):
+            with pytest.raises(ValueError, match=">= 0"):
+                cor2_bound(bad, 2)
+
+    def test_cor2_array_matches_scalar_reference(self):
+        rng = np.random.default_rng(41)
+        special = [0.0, 0.25, 0.5, 0.5 + 2.0**-53, 0.75, 1.0, 3.0]
+        x = np.concatenate([special, rng.uniform(0.0, 0.5, 2000), rng.uniform(0.0, 1e-6, 100)]).reshape(-1, 7)
+        for d_s in (2, 3):
+            bound, valid = cor2_bound(x, d_s)
+            assert bound.shape == valid.shape == x.shape
+            want = np.array([scalar_cor2(float(v), d_s) for v in x.flat], dtype=float).reshape(x.shape + (2,))
+            assert np.array_equal(valid, want[..., 1] == 1.0)
+            exact = np.isin(x, [0.0, 0.25, 0.5]) | (x > 0.5)
+            assert np.array_equal(bound[exact], want[..., 0][exact])
+            assert np.all(bound[x > 0.5] == math.inf)
+            got, ref = bound[~exact], want[..., 0][~exact]
+            assert np.max(np.abs(got - ref) / ref) <= 1e-15
 
     def test_cor2_bound_values(self):
         assert cor2_bound(0.0, 2) == (0.0, True)
@@ -204,7 +239,7 @@ class TestEntropyBounds:
         assert valid
 
     def test_cor2_validity_flag(self):
-        assert cor2_bound(0.3, 2)[1] is False
+        assert cor2_bound(0.3, 2)[1].item() is False
         assert cor2_bound(0.75, 2) == (math.inf, False)
 
     def test_cor2_monotone_on_validity_range(self):

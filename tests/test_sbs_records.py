@@ -83,15 +83,19 @@ def _loop_to_matrix(weights, states) -> np.ndarray:
     return blocks
 
 
-def _loop_env_unitary(inter, i, g, t) -> np.ndarray:
-    a = inter.pointer_eigenvalues[i]
+# the pointer eigenvalues of a d_s-level central system, written out
+_POINTER_EIGENVALUES = {2: (-1.0, 1.0), 3: (-1.0, 0.0, 1.0)}
+
+
+def _loop_env_unitary(d_s, i, g, t) -> np.ndarray:
+    a = _POINTER_EIGENVALUES[d_s][i]
     phase = -0.5j * a * g * t
     return np.diag([np.exp(phase), np.exp(-phase)])
 
 
-def _loop_branch_state(spin, inter, i, j, t) -> np.ndarray:
-    u_i = _loop_env_unitary(inter, i, spin.g, t)
-    u_j = _loop_env_unitary(inter, j, spin.g, t)
+def _loop_branch_state(spin, d_s, i, j, t) -> np.ndarray:
+    u_i = _loop_env_unitary(d_s, i, spin.g, t)
+    u_j = _loop_env_unitary(d_s, j, spin.g, t)
     return u_i @ _loop_initial_spin_state(spin) @ u_j.conj().T
 
 
@@ -102,8 +106,8 @@ def _loop_branch_ensemble(inst, b):
     gammas = np.ones((d_s, d_s), dtype=complex)
     for i, j in itertools.permutations(range(d_s), 2):
         for spin in _spins(inst.unobserved, b):
-            gammas[i, j] *= np.trace(_loop_branch_state(spin, inst.interaction, i, j, t))
-    branches = [[_loop_branch_state(spin, inst.interaction, i, i, t) for i in range(d_s)] for spin in _spins(inst.observed, b)]
+            gammas[i, j] *= np.trace(_loop_branch_state(spin, d_s, i, j, t))
+    branches = [[_loop_branch_state(spin, d_s, i, i, t) for i in range(d_s)] for spin in _spins(inst.observed, b)]
     return branches, np.array([[abs(complex(v)) for v in row] for row in gammas])
 
 
@@ -121,7 +125,7 @@ def _loop_full_joint_state(inst, b) -> np.ndarray:
     for i in range(d_s):
         u = np.array([1.0 + 0.0j])
         for spin in spins:
-            u = np.kron(u, np.diag(_loop_env_unitary(inst.interaction, i, spin.g, t)))
+            u = np.kron(u, np.diag(_loop_env_unitary(d_s, i, spin.g, t)))
         phases[i * block : (i + 1) * block] = u
     return (phases[:, None] * rho0) * phases.conj()[None, :]
 
@@ -229,7 +233,7 @@ def report_rows(rep):
         "disturbance": rep.disturbance.T,
         "epsilon_witness": rep.epsilon_witness,
         "info_gap": rep.info_gap,
-        "cor2": np.array(rep.cor2, dtype=float),
+        "cor2": np.stack([rep.cor2, rep.cor2_applicable], axis=-1).astype(float),
     }
 
 

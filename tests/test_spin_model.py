@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sbskit import densmat, spin_model
-from sbskit.oracle import InteractionSpec, branch_state
-from sbskit.spin_model import SpinParams, stack_spins
+from sbskit.oracle import branch_state
+from sbskit.spin_model import SpinParams
 
 
 def random_params(rng, **over):
@@ -21,8 +21,8 @@ def random_params(rng, **over):
 
 
 def batch(records):
-    """One record of the given records, stacked along a new leading axis."""
-    return stack_spins(records.__getitem__, len(records))
+    """One record of the given records, of one shape, stacked along a new leading axis."""
+    return SpinParams(*np.stack([np.broadcast_arrays(*vars(r).values()) for r in records], axis=1))
 
 
 def spin_of(record, j):
@@ -32,8 +32,7 @@ def spin_of(record, j):
 
 def branch_pair(p, t):
     """Branch states (rho_plus, rho_minus) by explicit matrix evolution."""
-    inter = InteractionSpec()
-    return branch_state(p, inter, 0, 0, t), branch_state(p, inter, 1, 1, t)
+    return branch_state(p, 0, 0, t, 2), branch_state(p, 1, 1, t, 2)
 
 
 def fidelity_trace_det(p, t):
