@@ -32,18 +32,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, verify
-from .discrimination import (
-    kolmogorov_fuchs,
-    local_success_probability,
-    majority_stats,
-    majority_success_heterogeneous,
-)
-from .ensemble import MeasureSpec, fig1_node, fig2_curves, sample_rows, sample_spin_arrays
+from . import __version__
+from .ensemble import MeasureSpec, draw_spin_arrays, fig1_node, fig2_curves, sample_rows
 from .spin_model import (
     SpinParams,
+    delta,
     macrofraction_fidelity,
     short_time_exponents,
+    sin2_coefficients,
+    sin_gt,
     time_scales,
 )
 
@@ -288,6 +285,9 @@ def run_timescales(values: dict, out_dir: Path) -> tuple[int, list[str], dict]:
 
 
 def run_discrimination(values: dict, out_dir: Path) -> tuple[int, list[str], dict]:
+    # imported here, as verify in run_verify, so other scenarios never load them
+    from .discrimination import kolmogorov_fuchs, local_success_probability, majority_stats, majority_success_heterogeneous
+
     n_mac, draws, seed = values["discrimination.n_mac"], values["discrimination.draws"], values["seed"]
     t_grid = np.linspace(
         values["discrimination.t_min"], values["discrimination.t_max"], values["discrimination.t_points"]
@@ -296,14 +296,16 @@ def run_discrimination(values: dict, out_dir: Path) -> tuple[int, list[str], dic
               "ok_fraction"]
     rows = []
     # draws x n_mac, one row per draw
-    spins = SpinParams(
-        *sample_rows(seed, 20, range(draws), lambda rng: tuple(vars(sample_spin_arrays(values["measure"], rng, n_mac)).values()))
-    )
+    spins = SpinParams(*sample_rows(seed, 20, range(draws), lambda rng: draw_spin_arrays(values["measure"], rng, n_mac)))
+    # the per-spin factors that do not depend on t
+    abs_delta = np.abs(delta(spins))
+    b2_coeff, _ = sin2_coefficients(spins)
     for t in t_grid:
         t = float(t)
-        probs = local_success_probability(spins, t)
+        s = sin_gt(spins, t)
+        probs = local_success_probability(abs_delta, s)
         p_het = majority_success_heterogeneous(probs)
-        b_vals = macrofraction_fidelity(spins, t)
+        b_vals = macrofraction_fidelity(b2_coeff, s)
         ok_count = int(np.count_nonzero(kolmogorov_fuchs(p_het, b_vals)[2]))
         stats = majority_stats(n_mac, float(np.mean(probs)))
         mean_b = float(np.mean(b_vals))
@@ -328,6 +330,8 @@ def run_discrimination(values: dict, out_dir: Path) -> tuple[int, list[str], dic
 
 
 def run_verify(values: dict, out_dir: Path) -> tuple[int, list[str], dict]:
+    from . import verify
+
     suites = verify.run_all(seed=values["seed"], instances=values["verify.instances"])
     report = {
         "suites": {name: suite.as_dict() for name, suite in suites.items()},

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densmat
-from .spin_model import SpinParams, delta
+from .spin_model import SpinParams, delta, sin_gt
 
 # eigenvalues of the weighted difference below this count as ties
 TIE_TOLERANCE = 1e-12
@@ -91,10 +91,10 @@ def helstrom_spin_analytic(p: SpinParams, t) -> ProjectorPair:
                  [-/+ sgn(sin gt) i delta* / (2 |delta|), 1/2]].
 
     Degenerate inputs (delta = 0 or sin(gt) = 0) fall back to the flagged
-    canonical pair P_plus = diag(1, 0).  The record and t broadcast
+    canonical pair P_plus = diag(1, 0).  The record and t (>= 0) broadcast
     together to the stack's leading shape.
     """
-    d, s = np.broadcast_arrays(delta(p), np.sin(p.g * t))
+    d, s = np.broadcast_arrays(delta(p), sin_gt(p, t))
     # hypot per entry, as abs of one complex number
     mag = np.hypot(d.real, d.imag)
     # the branch difference has eigenvalues +/- 2 |sin(gt)| |delta|; below the
@@ -106,13 +106,17 @@ def helstrom_spin_analytic(p: SpinParams, t) -> ProjectorPair:
     return ProjectorPair(p_plus, np.eye(2, dtype=complex) - p_plus, degenerate[()])
 
 
-def local_success_probability(p: SpinParams, t):
+def local_success_probability(abs_delta, s):
     """Helstrom success probability per spin, 1/2 + |delta| |sin(gt)|.
 
-    Identical for either branch; equals Tr[P_s rho_s(t)] with the analytic
-    projectors.  Elementwise over the record.
+    Takes each spin's |delta| (``np.abs(delta(p))``, fixed in time) and
+    s = sin(g t) (``spin_model.sin_gt(p, t)``, which rejects t < 0), so a
+    caller that scans times computes |delta| once and shares s with
+    ``spin_model.macrofraction_fidelity``.  Identical for either branch;
+    equals Tr[P_s rho_s(t)] with the analytic projectors.  Elementwise over
+    inputs that broadcast together.
     """
-    return 0.5 + np.abs(delta(p)) * np.abs(np.sin(p.g * t))
+    return 0.5 + abs_delta * np.abs(s)
 
 
 def majority_success(n_mac: int, p_bar: float) -> float:
@@ -173,25 +177,34 @@ def majority_success(n_mac: int, p_bar: float) -> float:
 def majority_success_heterogeneous(probs):
     """Exact strict-majority probability for independent unequal trials.
 
-    Dynamic-programming convolution over the success count, O(n^2), along
-    the last axis; leading axes are independent batches, each reduced
-    exactly as a row of its own.  Reduces to ``majority_success`` when all
-    probabilities are equal.
+    Dynamic-programming convolution over the success count, O(n^2), over
+    the last axis of probs; leading axes are independent batches, each
+    reduced exactly as a row of its own.  The count distribution keeps the
+    success count as its leading axis, so each step updates one contiguous
+    block of (count, batch) entries in place; the tail is summed in the
+    (batch, count) layout, which fixes the summation order.  Reduces to
+    ``majority_success`` when all probabilities are equal.  A probability
+    outside [0, 1], or NaN, raises.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.ndim < 1 or probs.shape[-1] < 1:
         raise ValueError("need at least one probability")
-    if np.any((probs < 0.0) | (probs > 1.0)):
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):  # also false for NaN
         raise ValueError("probabilities must lie in [0, 1]")
     n = probs.shape[-1]
-    dist = np.zeros(probs.shape[:-1] + (n + 1,))
-    dist[..., 0] = 1.0
+    p = np.moveaxis(probs, -1, 0).copy()
+    q = 1.0 - p
+    dist = np.zeros((n + 1,) + probs.shape[:-1])
+    dist[0] = 1.0
+    up = np.empty_like(p)
     for j in range(n):
-        p = probs[..., j, None]
-        dist[..., 1 : j + 2] = dist[..., 1 : j + 2] * (1.0 - p) + dist[..., : j + 1] * p
-        dist[..., :1] *= 1.0 - p
+        # count k after trial j: dist[k] q_j + dist[k - 1] p_j; dist[j + 1] is still 0
+        np.multiply(dist[: j + 1], p[j], out=up[: j + 1])
+        dist[: j + 1] *= q[j]
+        dist[1 : j + 2] += up[: j + 1]
     # the summed tail can round above 1 when every p is close to 1
-    return np.minimum(np.sum(dist[..., n // 2 + 1 :], axis=-1), 1.0)
+    tail = np.ascontiguousarray(np.moveaxis(dist, 0, -1))[..., n // 2 + 1 :]
+    return np.minimum(np.sum(tail, axis=-1), 1.0)
 
 
 def chernoff_bound(n_mac: int, s_bar: float) -> float:

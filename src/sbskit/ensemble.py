@@ -16,7 +16,6 @@ fixed.  A stack of per-index draws, one row per index, goes through
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -134,8 +133,10 @@ def sample_coupling_array(measure: MeasureSpec, rng: np.random.Generator, n: int
     return rng.uniform(float(a), float(b), n)
 
 
-def sample_spin_arrays(measure: MeasureSpec, rng: np.random.Generator, n: int) -> SpinParams:
-    """Draw n spins at once, as one record of length-n arrays.
+def draw_spin_arrays(measure: MeasureSpec, rng: np.random.Generator, n: int) -> tuple:
+    """Draw n spins at once as the five unvalidated length-n arrays of a
+    record, in SpinParams field order; a caller stacking rows validates the
+    stacked record once.
 
     Draw order is fixed (angles, eigenvalues, couplings) so a stream yields
     the same spins no matter how the caller consumes them.
@@ -143,13 +144,21 @@ def sample_spin_arrays(measure: MeasureSpec, rng: np.random.Generator, n: int) -
     alpha, beta, gamma = sample_angle_arrays(measure, rng, n)
     lam = sample_lambda_array(measure, rng, n)
     g = sample_coupling_array(measure, rng, n)
-    return SpinParams(alpha, beta, gamma, lam, g)
+    return alpha, beta, gamma, lam, g
+
+
+def sample_spin_arrays(measure: MeasureSpec, rng: np.random.Generator, n: int) -> SpinParams:
+    """Draw n spins at once, as one record of length-n arrays (draw_spin_arrays, validated)."""
+    return SpinParams(*draw_spin_arrays(measure, rng, n))
 
 
 def map_indexed(fn: Callable[[int], object], n: int, threads: int = 1) -> list:
     """Evaluate fn(0..n-1), optionally in a thread pool, ordered by index."""
     if threads <= 1 or n <= 1:
         return [fn(i) for i in range(n)]
+    # imported here so a single-threaded run never loads concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(n)))
 

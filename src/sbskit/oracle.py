@@ -32,7 +32,7 @@ import numpy as np
 
 from . import densmat, sbs_core
 from .discrimination import helstrom_pair
-from .ensemble import MeasureSpec, sample_rows, sample_spin_arrays
+from .ensemble import MeasureSpec, draw_spin_arrays, sample_rows
 from .sbs_core import BranchEnsemble, CentralState, ProjectorFamily, SBSState
 from .spin_model import SpinParams, initial_spin_state
 
@@ -332,8 +332,7 @@ def random_instance(
 
     def draw(rng: np.random.Generator) -> tuple:
         rho = random_central(rng, d_s)
-        spins = sample_spin_arrays(measure, rng, n_observed + n_unobserved)
-        return (rho, *vars(spins).values(), rng.uniform(0.0, 2.0 * math.pi))
+        return (rho, *draw_spin_arrays(measure, rng, n_observed + n_unobserved), rng.uniform(0.0, 2.0 * math.pi))
 
     rho, *spins, t = sample_rows(seed, 5, indices, draw)
     return OracleInstance(

@@ -26,7 +26,9 @@ parameter records are complete.
 
 Every closed form takes one :class:`SpinParams` record, of one spin or of
 a batch: per-spin forms act elementwise, and products over spins are log
-sums along the last axis of the record.
+sums along the last axis of the record.  The macrofraction fidelity takes
+the record's time-invariant coefficient and ``sin_gt`` instead, so a scan
+over times computes each per-spin factor once.
 """
 
 from __future__ import annotations
@@ -124,6 +126,16 @@ def _check_time(t) -> None:
         raise ValueError("t must be >= 0")
 
 
+def sin_gt(p: SpinParams, t):
+    """sin(g t) per spin, for t >= 0 (a negative t raises).
+
+    The one time-dependent factor of the fidelity, success-probability and
+    exponent forms; the record and t broadcast together.
+    """
+    _check_time(t)
+    return np.sin(p.g * t)
+
+
 def decoherence_factor(unobserved: SpinParams, t):
     """Collective dephasing factor over the unobserved spins at time t.
 
@@ -139,17 +151,18 @@ def decoherence_factor(unobserved: SpinParams, t):
         return np.exp(np.sum(np.log(factors), axis=-1))
 
 
-def macrofraction_fidelity(spins: SpinParams, t):
+def macrofraction_fidelity(a, s):
     """Fidelity between the two branch states of a whole macrofraction.
 
-    Product of the per-spin fidelities along the record's last axis, as exp
-    of half a log sum.  Exactly 1 at t = 0 and exactly 0 when any spin
-    reaches a fidelity zero (one-shot distinguishability).
+    Takes each spin's coefficient a = ``sin2_coefficients(spins)[0]``
+    (fixed in time) and s = ``sin_gt(spins, t)``, so a caller that scans
+    times computes a once.  Product of the per-spin fidelities
+    sqrt(1 + a s^2) along the last axis, as exp of half a log sum.  Exactly
+    1 at t = 0 and exactly 0 when any spin reaches a fidelity zero
+    (one-shot distinguishability).
     """
-    _check_time(t)
-    a, _ = sin2_coefficients(spins)
     with np.errstate(divide="ignore"):
-        return np.exp(0.5 * np.sum(np.log(1.0 + a * np.square(np.sin(spins.g * t))), axis=-1))
+        return np.exp(0.5 * np.sum(np.log(1.0 + a * np.square(s)), axis=-1))
 
 
 def lln_exponents(p: SpinParams, t):
@@ -160,8 +173,7 @@ def lln_exponents(p: SpinParams, t):
     so that |gamma|^2 = exp(-sum chi_j).  An exact zero of the fidelity or
     of |gamma| is reported as +inf.
     """
-    _check_time(t)
-    s2 = np.square(np.sin(p.g * t))
+    s2 = np.square(sin_gt(p, t))
     a_b, a_gamma = sin2_coefficients(p)
     with np.errstate(divide="ignore"):
         return -np.log1p(a_b * s2), -np.log1p(a_gamma * s2)

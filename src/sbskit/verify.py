@@ -36,6 +36,7 @@ from .discrimination import (
 )
 from .ensemble import (
     MeasureSpec,
+    draw_spin_arrays,
     fig1_node,
     fig2_curves,
     sample_rows,
@@ -45,9 +46,12 @@ from .ensemble import (
 from .spin_model import (
     SpinParams,
     decoherence_factor,
+    delta,
     lln_exponents,
     macrofraction_fidelity,
     short_time_exponents,
+    sin2_coefficients,
+    sin_gt,
     time_scales,
 )
 
@@ -102,7 +106,7 @@ def _timed_spin_rows(seed: int, label: int, rows: int, n: int) -> tuple[SpinPara
     """
     measure = MeasureSpec()
     *spins, t = sample_rows(
-        seed, label, range(rows), lambda rng: (*vars(sample_spin_arrays(measure, rng, n)).values(), rng.uniform(0.0, 2.0 * math.pi))
+        seed, label, range(rows), lambda rng: (*draw_spin_arrays(measure, rng, n), rng.uniform(0.0, 2.0 * math.pi))
     )
     return SpinParams(*spins), t[:, None]
 
@@ -122,7 +126,8 @@ def convention_certification(draws: int = 1000, seed: int = DEFAULT_SEED) -> Sui
     b_oracle = densmat.fidelity(evolved[:, 1], evolved[:, 2])
     d = gamma_oracle - decoherence_factor(spins, t)
     # per draw the Gamma margin (hypot, as Python's abs of a complex), then the fidelity margin
-    gaps = np.stack([np.hypot(d.real, d.imag), np.abs(b_oracle - macrofraction_fidelity(spins, t))], axis=-1)
+    b_closed = macrofraction_fidelity(sin2_coefficients(spins)[0], sin_gt(spins, t))
+    gaps = np.stack([np.hypot(d.real, d.imag), np.abs(b_oracle - b_closed)], axis=-1)
     res.record(1e-10 - gaps)
     return res
 
@@ -215,7 +220,7 @@ def local_probability_suite(draws: int = 1000, seed: int = DEFAULT_SEED) -> Suit
     pair = helstrom_spin_analytic(spins, t)
     p_plus = np.real(np.trace(pair.p_plus[:, 0] @ evolved[:, 0], axis1=-2, axis2=-1))
     p_minus = np.real(np.trace(pair.p_minus[:, 0] @ evolved[:, 1], axis1=-2, axis2=-1))
-    formula = local_success_probability(spins, t)
+    formula = local_success_probability(np.abs(delta(spins)), sin_gt(spins, t))
     # per informative draw the p_plus margin, then the p_minus margin
     margins = 1e-12 - np.abs(np.stack([p_plus, p_minus], axis=-1) - formula)
     res.record(margins[~pair.degenerate[:, 0]])
@@ -243,8 +248,9 @@ def kolmogorov_fuchs_suite(
     """
     res = SuiteResult("kolmogorov_fuchs")
     spins, t = _timed_spin_rows(seed, 15, instances, n_mac)
-    p_tilde = majority_success_heterogeneous(local_success_probability(spins, t))
-    k, limit, _ = kolmogorov_fuchs(p_tilde, macrofraction_fidelity(spins, t))
+    s = sin_gt(spins, t)
+    p_tilde = majority_success_heterogeneous(local_success_probability(np.abs(delta(spins)), s))
+    k, limit, _ = kolmogorov_fuchs(p_tilde, macrofraction_fidelity(sin2_coefficients(spins)[0], s))
     res.record(limit - k, tol=1e-9)
     return res
 

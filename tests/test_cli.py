@@ -202,6 +202,53 @@ class TestDiscriminationScenario:
                 assert abs(a - b) <= 1e-12 + 1e-9 * abs(b), (name, a, b)
             assert float(line_got.split(",")[header.index("ok_fraction")]) == 1.0
 
+    def test_rows_equal_the_per_time_closed_forms(self, tmp_path):
+        # the reference recomputes |delta|, the B coefficient and sin(g t) at
+        # every time point and validates every drawn row, as the scenario did
+        # before it computed the time-invariant factors once
+        from sbskit.discrimination import kolmogorov_fuchs, majority_stats, majority_success_heterogeneous
+        from sbskit.ensemble import sample_rows, sample_spin_arrays
+        from sbskit.spin_model import SpinParams, delta, sin2_coefficients
+
+        seed, n_mac, t_points, draws = 11, 9, 5, 13
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed, "discrimination": {"n_mac": n_mac, "t_points": t_points, "draws": draws}}))
+        out = tmp_path / "out"
+        assert run_cli(["--scenario", "discrimination", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        got = [list(map(float, line.split(","))) for line in (out / "discrimination.csv").read_text().splitlines()[1:]]
+        measure = cli.parse_measure(cli.DEFAULT_CONFIG["measure"])
+        spins = SpinParams(
+            *sample_rows(seed, 20, range(draws), lambda rng: tuple(vars(sample_spin_arrays(measure, rng, n_mac)).values()))
+        )
+        section = cli.DEFAULT_CONFIG["discrimination"]
+        want = []
+        for t in np.linspace(section["t_min"], section["t_max"], t_points):
+            t = float(t)
+            probs = 0.5 + np.abs(delta(spins)) * np.abs(np.sin(spins.g * t))
+            a, _ = sin2_coefficients(spins)
+            with np.errstate(divide="ignore"):
+                b_vals = np.exp(0.5 * np.sum(np.log(1.0 + a * np.square(np.sin(spins.g * t))), axis=-1))
+            p_het = majority_success_heterogeneous(probs)
+            stats = majority_stats(n_mac, float(np.mean(probs)))
+            k, limit, _ = kolmogorov_fuchs(stats.p_tilde_exact, float(np.mean(b_vals)))
+            ok = np.count_nonzero(kolmogorov_fuchs(p_het, b_vals)[2]) / draws
+            want.append([t, stats.p_bar, stats.s_bar, stats.p_tilde_exact, stats.chernoff_lb, k, limit,
+                         float(np.mean(p_het)), float(np.mean(b_vals)), ok])
+        assert got == want
+
+    def test_one_spin_record_per_run(self, tmp_path, monkeypatch):
+        # the drawn rows are validated once, as one stacked record
+        from sbskit.spin_model import SpinParams
+
+        built = []
+        post_init = SpinParams.__post_init__
+        monkeypatch.setattr(SpinParams, "__post_init__", lambda self: built.append(np.shape(self.g)) or post_init(self))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"discrimination": {"n_mac": 5, "t_points": 2, "draws": 7}}))
+        assert run_cli(["--scenario", "discrimination", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+        # the measure's own check builds a record of floats
+        assert [shape for shape in built if shape] == [(7, 5)]
+
     def test_majority_near_certainty_stays_a_probability(self, tmp_path):
         # lam = 1 and beta = pi/2 near g t = pi/2: every spin succeeds with p
         # close to 1, where the summed majority tail can round above 1
@@ -302,6 +349,18 @@ class TestConvergenceGate:
 
 
 class TestVerifyScenario:
+    def test_timed_spin_rows_validated_once(self, monkeypatch):
+        from sbskit import verify
+        from sbskit.spin_model import SpinParams
+
+        built = []
+        post_init = SpinParams.__post_init__
+        monkeypatch.setattr(SpinParams, "__post_init__", lambda self: built.append(np.shape(self.g)) or post_init(self))
+        spins, t = verify._timed_spin_rows(3, 15, 6, 4)
+        # the measure's own check builds a record of floats
+        assert [shape for shape in built if shape] == [(6, 4)]
+        assert t.shape == (6, 1)
+
     def test_report_structure(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"verify": {"instances": 30}}))

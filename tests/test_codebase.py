@@ -156,6 +156,21 @@ def test_traced_benchmark_finds_every_name(tmp_path, monkeypatch):
     assert "d_s" in inspect.signature(oracle.random_instance).parameters
 
 
+def test_cli_import_loads_only_the_shared_modules():
+    """verify and discrimination are imported by the runners that use them,
+    and concurrent.futures only for more than one thread, so starting the
+    CLI loads neither the oracle stack nor a thread pool."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, sbskit.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"sbskit.cli", "sbskit.ensemble", "sbskit.spin_model"} <= loaded
+    not_loaded = {"sbskit.verify", "sbskit.oracle", "sbskit.sbs_core", "sbskit.densmat", "sbskit.discrimination",
+                  "concurrent.futures"}
+    assert not loaded & not_loaded
+
+
 def config_leaves(section: dict, prefix: str = ""):
     """Dotted path of every non-section value in a config."""
     for key, value in section.items():

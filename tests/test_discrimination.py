@@ -17,7 +17,12 @@ from sbskit.discrimination import (
 )
 from sbskit.ensemble import MeasureSpec, sample_spin_arrays, sample_stream
 from sbskit.oracle import branch_state
-from sbskit.spin_model import SpinParams
+from sbskit.spin_model import SpinParams, delta, sin_gt
+
+
+def success(p, t):
+    """Local success probability of record p at time t, from |delta| and sin(g t)."""
+    return local_success_probability(np.abs(delta(p)), sin_gt(p, t))
 
 
 def evolved_branch_states(p, t):
@@ -27,7 +32,7 @@ def evolved_branch_states(p, t):
 
 def mean_success(measure, t, samples, seed):
     """(p_bar, s_bar, stderr) of the local success probability over sampled spins."""
-    vals = local_success_probability(sample_spin_arrays(measure, sample_stream(seed, 0, label=4), samples), t)
+    vals = success(sample_spin_arrays(measure, sample_stream(seed, 0, label=4), samples), t)
     p_bar = float(np.mean(vals))
     return p_bar, p_bar - 0.5, float(np.std(vals, ddof=1) / math.sqrt(samples))
 
@@ -146,20 +151,33 @@ class TestLocalSuccessProbability:
     def test_pointer_eigenstate_uninformative(self):
         p = SpinParams(0.3, 0.0, 0.1, 0.9, 1.0)
         for t in (0.0, 0.8, 3.0):
-            assert local_success_probability(p, t) == pytest.approx(0.5, abs=1e-14)
+            assert success(p, t) == pytest.approx(0.5, abs=1e-14)
 
     def test_perfect_case(self):
         p = SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0)
-        assert local_success_probability(p, np.pi / 2) == pytest.approx(1.0, abs=1e-14)
+        assert success(p, np.pi / 2) == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_matrix_trace(self):
         p = SpinParams(0.0, np.pi / 3, 0.0, 0.75, 1.0)
         t = np.pi / 8
         pair = helstrom_spin_analytic(p, t)
         rho_p, rho_m = evolved_branch_states(p, t)
-        formula = local_success_probability(p, t)
+        formula = success(p, t)
         assert abs(float(np.real(np.trace(pair.p_plus @ rho_p))) - formula) < 1e-12
         assert abs(float(np.real(np.trace(pair.p_minus @ rho_m))) - formula) < 1e-12
+
+    def test_negative_time_rejected(self):
+        p = SpinParams(0.3, 1.0, 0.1, 0.9, 1.0)
+        for t in (-1.0, np.array([0.5, -1.0])):
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                success(p, t)
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                helstrom_spin_analytic(p, t)
+
+    def test_time_zero_uninformative(self):
+        p = SpinParams(0.3, 1.0, 0.1, 0.9, 1.0)
+        assert success(p, 0.0) == 0.5
+        assert helstrom_spin_analytic(p, 0.0).degenerate
 
     def test_never_below_half(self):
         rng = np.random.default_rng(105)
@@ -171,7 +189,7 @@ class TestLocalSuccessProbability:
                 rng.uniform(0, 1),
                 rng.uniform(0, 1),
             )
-            val = local_success_probability(p, rng.uniform(0, 10))
+            val = success(p, rng.uniform(0, 10))
             assert 0.5 <= val <= 1.0 + 1e-12
 
 
@@ -354,13 +372,13 @@ class TestBatchedForms:
         g[::7] = 0.0
         bath = SpinParams(rng.uniform(0, 2 * np.pi, n), beta, rng.uniform(0, 2 * np.pi, n), lam, g)
         for t in (0.0, 0.7, np.pi / 2, 3.0):
-            probs = local_success_probability(bath, t)
+            probs = success(bath, t)
             assert not np.any(np.isnan(probs))
             assert np.all((probs >= 0.5) & (probs <= 1.0))
-            single = [local_success_probability(SpinParams(*(float(v[j]) for v in vars(bath).values())), t) for j in range(1000)]
+            single = [success(SpinParams(*(float(v[j]) for v in vars(bath).values())), t) for j in range(1000)]
             np.testing.assert_allclose(probs[:1000], single, rtol=1e-12, atol=0.0)
             assert np.all(probs[::7] == 0.5)  # sin(g t) = 0
-        assert np.all(local_success_probability(bath, 0.0) == 0.5)
+        assert np.all(success(bath, 0.0) == 0.5)
 
     @pytest.mark.parametrize("n", (1, 2, 3, 51, 64, 65, 101, 1000))
     def test_batched_majority_equals_per_row(self, n):
@@ -377,5 +395,40 @@ class TestBatchedForms:
     def test_majority_rejects_bad_input(self):
         with pytest.raises(ValueError, match="at least one"):
             majority_success_heterogeneous(np.zeros((3, 0)))
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            majority_success_heterogeneous([[0.5, 0.5], [0.5, 1.5]])
+        for bad in ([[0.5, 0.5], [0.5, 1.5]], [0.6, math.nan, 0.7], [[0.5], [math.nan]]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                majority_success_heterogeneous(bad)
+
+
+def loop_majority(probs):
+    """The Poisson-binomial DP with the success count on the last axis: the
+    row-major reference for majority_success_heterogeneous."""
+    probs = np.asarray(probs, dtype=float)
+    n = probs.shape[-1]
+    dist = np.zeros(probs.shape[:-1] + (n + 1,))
+    dist[..., 0] = 1.0
+    for j in range(n):
+        p = probs[..., j, None]
+        dist[..., 1 : j + 2] = dist[..., 1 : j + 2] * (1.0 - p) + dist[..., : j + 1] * p
+        dist[..., :1] *= 1.0 - p
+    return np.minimum(np.sum(dist[..., n // 2 + 1 :], axis=-1), 1.0)
+
+
+class TestMajorityLayout:
+    """The count-leading DP gives the row-major reference's bits."""
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (9,), (64,), (1000, 1), (7, 3), (600, 51), (5, 4, 64), (2, 101), (3, 0, 4)])
+    def test_equals_row_major_reference(self, shape):
+        rng = np.random.default_rng(sum(shape) + len(shape))
+        probs = rng.uniform(0.0, 1.0, shape)
+        # certain and impossible trials
+        probs.reshape(-1)[::5] = 1.0
+        probs.reshape(-1)[1::7] = 0.0
+        got = majority_success_heterogeneous(probs)
+        want = loop_majority(probs)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("probs, exact", [([0.5] * 3, 0.5), ([0.0] * 4, 0.0), ([1.0] * 5, 1.0), ([0.0, 1.0, 1.0], 1.0), ([1.0, 0.0], 0.0)])
+    def test_anchors(self, probs, exact):
+        assert majority_success_heterogeneous(probs) == loop_majority(probs) == exact

@@ -16,7 +16,7 @@ from sbskit.ensemble import (
     sample_stream,
     _product_curves,
 )
-from sbskit.spin_model import SpinParams, lln_exponents, short_time_exponents, sin2_coefficients
+from sbskit.spin_model import SpinParams, delta, lln_exponents, short_time_exponents, sin2_coefficients, sin_gt
 
 # asymptotic two-sided Kolmogorov-Smirnov critical value at the 1% level
 KS_CRIT_1PCT = 1.628
@@ -397,7 +397,8 @@ class TestExponentCheck:
 class TestMonteCarloScaling:
     def test_stderr_shrinks_as_root_n(self):
         def stderr(samples):
-            vals = local_success_probability(sample_spin_arrays(MeasureSpec(), sample_stream(17, 0, label=4), samples), 0.9)
+            spins = sample_spin_arrays(MeasureSpec(), sample_stream(17, 0, label=4), samples)
+            vals = local_success_probability(np.abs(delta(spins)), sin_gt(spins, 0.9))
             return np.std(vals, ddof=1) / math.sqrt(samples)
 
         ratio = stderr(400) / stderr(1600)

@@ -333,6 +333,14 @@ class TestInstanceGeneration:
         random_instance(20260808, range(oracle.ORACLE_BLOCK))
         assert len(built) == 1
 
+    def test_one_validation_per_spin_record(self, monkeypatch):
+        # the observed and the unobserved stack, not one record per drawn row
+        built = []
+        post_init = SpinParams.__post_init__
+        monkeypatch.setattr(SpinParams, "__post_init__", lambda self: built.append(np.shape(self.g)) or post_init(self))
+        random_instance(20260808, range(oracle.ORACLE_BLOCK), n_observed=2, n_unobserved=4)
+        assert [shape for shape in built if shape] == [(oracle.ORACLE_BLOCK, 2), (oracle.ORACLE_BLOCK, 4)]
+
 
 class TestEvaluateInstance:
     def test_report_structure_and_sound_bounds(self):

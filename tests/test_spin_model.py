@@ -30,6 +30,11 @@ def spin_of(record, j):
     return SpinParams(*(float(v[j]) for v in vars(record).values()))
 
 
+def fidelity(record, t):
+    """Macrofraction fidelity of a record at time t, from its B coefficient and sin(g t)."""
+    return spin_model.macrofraction_fidelity(spin_model.sin2_coefficients(record)[0], spin_model.sin_gt(record, t))
+
+
 def branch_pair(p, t):
     """Branch states (rho_plus, rho_minus) by explicit matrix evolution."""
     return branch_state(p, 0, 0, t, 2), branch_state(p, 1, 1, t, 2)
@@ -172,7 +177,7 @@ class TestEvolvedBranchStates:
 
     def test_negative_time_rejected(self):
         p = SpinParams(0, 0, 0, 1, 1)
-        for form in (spin_model.decoherence_factor, spin_model.macrofraction_fidelity, spin_model.lln_exponents):
+        for form in (spin_model.decoherence_factor, spin_model.sin_gt, spin_model.lln_exponents):
             with pytest.raises(ValueError, match="t must be"):
                 form(p, -1.0)
             with pytest.raises(ValueError, match="t must be"):
@@ -240,16 +245,16 @@ class TestMacrofractionFidelity:
     def test_time_zero(self):
         rng = np.random.default_rng(12)
         mac = batch([random_params(rng) for _ in range(4)])
-        assert spin_model.macrofraction_fidelity(mac, 0.0) == 1.0
+        assert fidelity(mac, 0.0) == 1.0
 
     def test_one_shot_zero(self):
         p = SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0)
-        assert spin_model.macrofraction_fidelity(batch([p]), np.pi / 2) == 0.0
+        assert fidelity(batch([p]), np.pi / 2) == 0.0
 
     def test_single_spin_value(self):
         # sqrt(1 - 0.25 * 0.75 * 0.5) = sqrt(0.90625)
         p = SpinParams(0.0, np.pi / 3, 0.0, 0.75, 1.0)
-        got = spin_model.macrofraction_fidelity(batch([p]), np.pi / 4)
+        got = fidelity(batch([p]), np.pi / 4)
         assert got == pytest.approx(math.sqrt(0.90625), abs=1e-12)
         assert got == pytest.approx(0.9519716382329886, abs=1e-12)
 
@@ -258,7 +263,7 @@ class TestMacrofractionFidelity:
         for _ in range(1000):
             p = random_params(rng)
             t = rng.uniform(0, 2 * np.pi)
-            closed = spin_model.macrofraction_fidelity(batch([p]), t)
+            closed = fidelity(batch([p]), t)
             trace_det = fidelity_trace_det(p, t)
             eigen = densmat.fidelity(*branch_pair(p, t))
             assert abs(closed - trace_det) < 1e-9
@@ -269,10 +274,10 @@ class TestMacrofractionFidelity:
         left = tuple(random_params(rng) for _ in range(3))
         right = tuple(random_params(rng) for _ in range(4))
         t = 0.8
-        whole = spin_model.macrofraction_fidelity(batch(left + right), t)
-        parts = spin_model.macrofraction_fidelity(
+        whole = fidelity(batch(left + right), t)
+        parts = fidelity(
             batch(left), t
-        ) * spin_model.macrofraction_fidelity(batch(right), t)
+        ) * fidelity(batch(right), t)
         assert whole == pytest.approx(parts, abs=1e-12)
 
     def test_log_path_matches_direct(self):
@@ -280,9 +285,9 @@ class TestMacrofractionFidelity:
         spins = tuple(random_params(rng) for _ in range(80))
         t = 0.3
         direct = np.prod(
-            [spin_model.macrofraction_fidelity(batch([s]), t) for s in spins]
+            [fidelity(batch([s]), t) for s in spins]
         )
-        got = spin_model.macrofraction_fidelity(batch(spins), t)
+        got = fidelity(batch(spins), t)
         assert got == pytest.approx(direct, rel=1e-10)
 
     def test_periodicity_single_spin(self):
@@ -291,8 +296,8 @@ class TestMacrofractionFidelity:
         mac = batch([p])
         period = 2 * np.pi / p.g
         for t in (0.4, 2.0):
-            assert spin_model.macrofraction_fidelity(mac, t) == pytest.approx(
-                spin_model.macrofraction_fidelity(mac, t + period), abs=1e-10
+            assert fidelity(mac, t) == pytest.approx(
+                fidelity(mac, t + period), abs=1e-10
             )
 
 
@@ -318,7 +323,7 @@ class TestLlnExponents:
         spins = tuple(random_params(rng) for _ in range(6))
         t = 1.1
         kappas, chis = zip(*(spin_model.lln_exponents(s, t) for s in spins))
-        b = spin_model.macrofraction_fidelity(batch(spins), t)
+        b = fidelity(batch(spins), t)
         assert math.exp(-0.5 * sum(kappas)) == pytest.approx(b, abs=1e-10)
         gam = spin_model.decoherence_factor(batch(spins), t)
         assert math.exp(-sum(chis)) == pytest.approx(abs(gam) ** 2, abs=1e-10)
@@ -412,7 +417,7 @@ class TestEdgeCases:
     def test_products_match_rows_and_spin_by_spin(self, t):
         bath = edge_bath()
         rows = rows_of(bath, 100)
-        for form in (spin_model.decoherence_factor, spin_model.macrofraction_fidelity):
+        for form in (spin_model.decoherence_factor, fidelity):
             batched = form(rows, t)
             # each row of a batch is reduced exactly as a record of its own
             np.testing.assert_array_equal(batched, [form(row_of(rows, r), t) for r in range(100)])
@@ -425,7 +430,7 @@ class TestEdgeCases:
         bath = edge_bath()
         for record in (bath, rows_of(bath, 100)):
             gamma = spin_model.decoherence_factor(record, t)
-            b = spin_model.macrofraction_fidelity(record, t)
+            b = fidelity(record, t)
             assert not np.any(np.isnan(gamma)) and not np.any(np.isnan(b))
             # a pointer spin's |gamma_j| = 1 can round to 1 + 2^-52 in the complex log
             assert np.all(np.abs(gamma) <= 1.0 + 1e-12)
@@ -434,12 +439,12 @@ class TestEdgeCases:
     def test_exact_one_at_time_zero_and_for_uncoupled_spins(self):
         bath = edge_bath()
         assert spin_model.decoherence_factor(bath, 0.0) == 1.0 + 0.0j
-        assert spin_model.macrofraction_fidelity(bath, 0.0) == 1.0
+        assert fidelity(bath, 0.0) == 1.0
         assert np.all(np.array(spin_model.lln_exponents(bath, 0.0)) == 0.0)
         uncoupled = SpinParams(*(v[::7] for v in vars(bath).values()))
         for t in EDGE_TIMES:
             assert spin_model.decoherence_factor(uncoupled, t) == 1.0 + 0.0j
-            assert spin_model.macrofraction_fidelity(uncoupled, t) == 1.0
+            assert fidelity(uncoupled, t) == 1.0
 
     def test_float_record_squares_as_an_array_record(self):
         # ** 2 on a float calls pow: there the b coefficient rounds to ...964
@@ -459,7 +464,7 @@ class TestEdgeCases:
             # g t = pi/2 turns this pure equatorial spin's branches orthogonal
             shot = SpinParams(0.0, math.pi / 2, 0.0, lam, 1.0)
             record = batch([shot] + [spin_of(bath, j) for j in range(99)])
-            assert spin_model.macrofraction_fidelity(record, math.pi / 2) == 0.0
+            assert fidelity(record, math.pi / 2) == 0.0
             rows = batch([record, batch([spin_of(bath, j) for j in range(100)])])
-            b = spin_model.macrofraction_fidelity(rows, math.pi / 2)
+            b = fidelity(rows, math.pi / 2)
             assert b[0] == 0.0 and b[1] > 0.0
