@@ -50,6 +50,10 @@ EXIT_VERIFY = 2
 EXIT_GATE = 3
 
 CONVERGENCE_GATE = 1e-3
+# most Monte Carlo samples or draws one run may ask for: at the default
+# sizes a discrimination draw adds about 6 KiB to the peak memory and a fig2
+# sample about 12 KiB, so a run at the cap stays near 1 GiB
+MAX_SAMPLES = 100_000
 
 DEFAULT_CONFIG = {
     "config_version": 1,
@@ -156,13 +160,14 @@ _CASE = (
     "needs numbers n_mac, n_total >= 1 and f",
 )
 _COUNT = (_integer, lambda n: n >= 1, "must be an integer >= 1")
+_SAMPLES = (_integer, lambda n: 1 <= n <= MAX_SAMPLES, f"must be an integer from 1 to {MAX_SAMPLES}")
 _TIME = (float, lambda t: t >= 0.0, "must be >= 0")  # also false for NaN
 
 # dotted field -> (conversion, test of the converted value, requirement); the
 # spin and measure ranges stay defined in SpinParams and MeasureSpec
 FIELDS = {
     "seed": (_integer, lambda n: n >= 0, "must be an integer >= 0"),
-    "samples": _COUNT,
+    "samples": _SAMPLES,
     "threads": (_integer, lambda n: 1 <= n <= (os.cpu_count() or 1), "must be an integer from 1 to the core count"),
     "measure.angles": (
         lambda a: a if a == "haar" else _floats(a), lambda a: _accepts(MeasureSpec, angles=a),
@@ -188,7 +193,7 @@ FIELDS = {
     # the convergence gate's half-resolution quadrature must end at tau > 0 too
     "fig1.tau": (float, lambda tau: tau > 0.0, "must be > 0"),
     "fig1.tau_points": (_integer, lambda n: n >= 3 and n % 2 == 1, "must be an odd integer >= 3"),
-    "fig1.samples": _COUNT,
+    "fig1.samples": _SAMPLES,
     "fig2.n_values": (
         lambda ns: tuple(_integer(n) for n in ns), lambda ns: len(ns) > 0 and min(ns) >= 1,
         "must be a nonempty list of integers >= 1",
@@ -205,7 +210,7 @@ FIELDS = {
     "discrimination.t_min": _TIME,
     "discrimination.t_max": _TIME,
     "discrimination.t_points": _COUNT,
-    "discrimination.draws": _COUNT,
+    "discrimination.draws": _SAMPLES,
     "verify.instances": _COUNT,  # with none the oracle suites would check nothing
 }
 
@@ -254,17 +259,13 @@ def run_fig1(values: dict, out_dir: Path) -> tuple[int, list[str], dict]:
 
 def run_fig2(values: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     t = np.linspace(values["fig2.t_min"], values["fig2.t_max"], values["fig2.t_points"])
-    curves = fig2_curves(
-        values["fig2.n_values"], t, values["samples"], values["seed"], values["measure"], values["threads"]
-    )
+    n_values = values["fig2.n_values"]
+    mean, stderr = fig2_curves(n_values, t, values["samples"], values["seed"], values["measure"], values["threads"])
     files = []
-    for n, curve in sorted(curves.items()):
+    for n in sorted(set(n_values)):
+        j = n_values.index(n)
         name = f"fig2_curve_n{n}.csv"
-        rows = [
-            [float(t), float(m), float(s)]
-            for t, m, s in zip(curve.abscissa, curve.mean, curve.stderr)
-        ]
-        write_csv(out_dir / name, ["t", "mean_bound", "stderr"], rows)
+        write_csv(out_dir / name, ["t", "mean_bound", "stderr"], np.stack([t, mean[j], stderr[j]], axis=-1).tolist())
         files.append(name)
     return EXIT_OK, files, {}
 

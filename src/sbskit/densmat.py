@@ -1,4 +1,4 @@
-"""Dense complex-matrix kernel: eigensystems, fidelity, trace norm, tensor
+"""Dense complex-matrix kernel: square roots, fidelity, trace norm, tensor
 products, partial traces and entropies.
 
 All operators are plain ``numpy`` arrays of ``complex128``.  Density matrices
@@ -15,7 +15,7 @@ gives, bit for bit, the values of one call per matrix.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,17 +24,6 @@ STATE_TOL = 1e-10
 PSD_CLAMP = -1e-10
 PSD_REJECT = -1e-8
 ENTROPY_EIGVAL_CUTOFF = 1e-14
-
-
-class Spectrum(NamedTuple):
-    """Eigendecomposition with eigenvalues sorted descending.
-
-    ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``;
-    the input is recovered as ``V @ diag(w) @ V†``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def hermiticity_defect(a: np.ndarray):
@@ -54,53 +43,45 @@ def check_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def check_density_matrix(rho: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity of a state, or of
-    every state of a stack.
+    every state of a stack, each within ``STATE_TOL``.
 
     Raises ValueError naming the violated property; returns the validated
     array on success.
     """
     rho = check_square(rho)
     defect = np.max(hermiticity_defect(rho), initial=0.0)
-    if defect > tol:
+    if defect > STATE_TOL:
         raise ValueError(f"state is not Hermitian: max |A - A†| = {defect:.3e}")
     tr = np.trace(rho, axis1=-2, axis2=-1)
-    off = tr[np.abs(tr - 1.0) > tol]
+    off = tr[np.abs(tr - 1.0) > STATE_TOL]
     if off.size:
-        raise ValueError(f"state trace is {complex(off[0]):.12g}, not 1 within {tol:g}")
+        raise ValueError(f"state trace is {complex(off[0]):.12g}, not 1 within {STATE_TOL:g}")
     lo = float(np.min(np.linalg.eigvalsh(rho), initial=np.inf))
-    if lo < -tol:
+    if lo < -STATE_TOL:
         raise ValueError(f"state has negative eigenvalue {lo:.3e}")
     return rho
-
-
-def hermitian_eigensystem(h: np.ndarray, tol: float = HERMITICITY_TOL) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix or stack, eigenvalues descending.
-
-    Rejects inputs whose Hermiticity defect exceeds ``tol``, reporting the
-    largest measured asymmetry.
-    """
-    h = check_square(h)
-    defect = np.max(hermiticity_defect(h), initial=0.0)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: max |A - A†| = {defect:.3e}")
-    # eigh returns ascending eigenvalues
-    w, v = np.linalg.eigh(h)
-    return Spectrum(np.ascontiguousarray(w[..., ::-1]), np.ascontiguousarray(v[..., ::-1]))
 
 
 def psd_sqrt(rho: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix or stack.
 
-    Eigenvalues above ``PSD_REJECT`` but below zero are treated as rounding
-    noise and clamped to zero; anything more negative is rejected.
+    Rejects an input whose Hermiticity defect exceeds ``HERMITICITY_TOL``,
+    reporting the largest measured asymmetry.  Eigenvalues above
+    ``PSD_REJECT`` but below zero are treated as rounding noise and clamped
+    to zero; anything more negative is rejected.
     """
-    w, v = hermitian_eigensystem(rho)
-    lo = float(np.min(w[..., -1], initial=np.inf))
+    rho = check_square(rho)
+    defect = np.max(hermiticity_defect(rho), initial=0.0)
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |A - A†| = {defect:.3e}")
+    w, v = np.linalg.eigh(rho)  # eigenvalues ascending
+    lo = float(np.min(w[..., 0], initial=np.inf))
     if lo < PSD_REJECT:
         raise ValueError(f"matrix is not PSD: eigenvalue {lo:.3e} < {PSD_REJECT:g}")
-    w = np.clip(w, 0.0, None)
+    # descending order fixes the order of the sums in the product, and so the root's last bits
+    w, v = np.clip(w[..., ::-1], 0.0, None), v[..., ::-1]
     return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 

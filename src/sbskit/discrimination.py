@@ -192,18 +192,23 @@ def majority_success_heterogeneous(probs):
     if not np.all((probs >= 0.0) & (probs <= 1.0)):  # also false for NaN
         raise ValueError("probabilities must lie in [0, 1]")
     n = probs.shape[-1]
+    majority = n // 2 + 1
     p = np.moveaxis(probs, -1, 0).copy()
     q = 1.0 - p
     dist = np.zeros((n + 1,) + probs.shape[:-1])
     dist[0] = 1.0
     up = np.empty_like(p)
     for j in range(n):
-        # count k after trial j: dist[k] q_j + dist[k - 1] p_j; dist[j + 1] is still 0
-        np.multiply(dist[: j + 1], p[j], out=up[: j + 1])
-        dist[: j + 1] *= q[j]
-        dist[1 : j + 2] += up[: j + 1]
+        # count k after trial j: dist[k] q_j + dist[k - 1] p_j; dist[j + 1] is still 0.
+        # Counts below lo cannot reach the majority in the n - 1 - j trials
+        # left and feed only such counts, so they are not updated.
+        lo = max(majority - (n - 1 - j), 0)
+        feed = max(lo - 1, 0)
+        np.multiply(dist[feed : j + 1], p[j], out=up[feed : j + 1])
+        dist[lo : j + 1] *= q[j]
+        dist[feed + 1 : j + 2] += up[feed : j + 1]
     # the summed tail can round above 1 when every p is close to 1
-    tail = np.ascontiguousarray(np.moveaxis(dist, 0, -1))[..., n // 2 + 1 :]
+    tail = np.ascontiguousarray(np.moveaxis(dist[majority:], 0, -1))
     return np.minimum(np.sum(tail, axis=-1), 1.0)
 
 

@@ -68,20 +68,7 @@ class MeasureSpec:
         return (a * a + a * b + b * b) / 3.0
 
 
-@dataclass(frozen=True)
-class AverageCurve:
-    """Monte Carlo curve: abscissa, mean, standard error."""
-
-    abscissa: np.ndarray
-    mean: np.ndarray
-    stderr: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.abscissa) == len(self.mean) == len(self.stderr)):
-            raise ValueError("abscissa, mean and stderr lengths differ")
-
-
-def sample_stream(seed: int, index: int, label: int = 0) -> np.random.Generator:
+def sample_stream(seed: int, index: int, label: int) -> np.random.Generator:
     """Independent counter-style RNG stream for one Monte Carlo sample."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(label, index))
     return np.random.default_rng(ss)
@@ -106,26 +93,6 @@ def sample_rows(seed: int, label: int, indices: Sequence[int], draw: Callable[[n
     return out
 
 
-def sample_angle_arrays(measure: MeasureSpec, rng: np.random.Generator, n: int):
-    if measure.angles == "haar":
-        alpha = rng.uniform(0.0, TWO_PI, n)
-        beta = np.arccos(1.0 - 2.0 * rng.uniform(0.0, 1.0, n))
-        gamma = rng.uniform(0.0, TWO_PI, n)
-    else:
-        a, b, c = measure.angles
-        alpha = np.full(n, float(a))
-        beta = np.full(n, float(b))
-        gamma = np.full(n, float(c))
-    return alpha, beta, gamma
-
-
-def sample_lambda_array(measure: MeasureSpec, rng: np.random.Generator, n: int):
-    if measure.lam == "hilbert_schmidt":
-        u = rng.uniform(0.0, 1.0, n)
-        return 0.5 * (1.0 + np.cbrt(2.0 * u - 1.0))
-    return np.full(n, float(measure.lam))
-
-
 def sample_coupling_array(measure: MeasureSpec, rng: np.random.Generator, n: int):
     if isinstance(measure.coupling, (int, float)):
         return np.full(n, float(measure.coupling))
@@ -141,10 +108,17 @@ def draw_spin_arrays(measure: MeasureSpec, rng: np.random.Generator, n: int) -> 
     Draw order is fixed (angles, eigenvalues, couplings) so a stream yields
     the same spins no matter how the caller consumes them.
     """
-    alpha, beta, gamma = sample_angle_arrays(measure, rng, n)
-    lam = sample_lambda_array(measure, rng, n)
-    g = sample_coupling_array(measure, rng, n)
-    return alpha, beta, gamma, lam, g
+    if measure.angles == "haar":
+        alpha = rng.uniform(0.0, TWO_PI, n)
+        beta = np.arccos(1.0 - 2.0 * rng.uniform(0.0, 1.0, n))
+        gamma = rng.uniform(0.0, TWO_PI, n)
+    else:
+        alpha, beta, gamma = (np.full(n, float(v)) for v in measure.angles)
+    if measure.lam == "hilbert_schmidt":
+        lam = 0.5 * (1.0 + np.cbrt(2.0 * rng.uniform(0.0, 1.0, n) - 1.0))
+    else:
+        lam = np.full(n, float(measure.lam))
+    return alpha, beta, gamma, lam, sample_coupling_array(measure, rng, n)
 
 
 def sample_spin_arrays(measure: MeasureSpec, rng: np.random.Generator, n: int) -> SpinParams:
@@ -163,14 +137,13 @@ def map_indexed(fn: Callable[[int], object], n: int, threads: int = 1) -> list:
         return list(pool.map(fn, range(n)))
 
 
-def _mean_stderr(values: np.ndarray, axis: int = 0):
-    n = values.shape[axis]
-    mean = np.mean(values, axis=axis)
+def _mean_stderr(values: np.ndarray):
+    """Mean and standard error over the first axis (samples); a zero error for one sample."""
+    n = len(values)
+    mean = np.mean(values, axis=0)
     if n > 1:
-        stderr = np.std(values, axis=axis, ddof=1) / math.sqrt(n)
-    else:
-        stderr = np.zeros_like(mean)
-    return mean, stderr
+        return mean, np.std(values, axis=0, ddof=1) / math.sqrt(n)
+    return mean, np.zeros_like(mean)
 
 
 def _product_curves(g, t_grid, coeffs, counts) -> np.ndarray:
@@ -258,7 +231,7 @@ def fig1_node(
     coeffs = coeffs[: 2 if with_gamma else 1]
 
     def one(i: int):
-        rng = sample_stream(seed, i, label=1)
+        rng = sample_stream(seed, i, 1)
         g = sample_coupling_array(measure, rng, n_spins)
         vals = []
         for curve in _product_curves(g, t, coeffs, [n_spins])[:, 0]:
@@ -282,9 +255,10 @@ def fig2_curves(
     seed: int,
     measure: MeasureSpec,
     threads: int = 1,
-) -> dict[int, AverageCurve]:
-    """Mean distance bound |gamma(t)| + B(t) over the time grid t, one curve
-    per size n in n_values (each >= 1).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean distance bound |gamma(t)| + B(t) over the time grid t and its
+    standard error, each of shape (len(n_values), len(t)): row j is the
+    curve of size n_values[j] (each >= 1).
 
     Each curve uses n observed and n unobserved freshly sampled spins per
     Monte Carlo sample.  Samples are nested: size n uses the first n spins
@@ -294,7 +268,7 @@ def fig2_curves(
     n_max = max(n_values)
 
     def one(i: int):
-        rng = sample_stream(seed, i, label=2)
+        rng = sample_stream(seed, i, 2)
         observed = sample_spin_arrays(measure, rng, n_max)
         unobserved = sample_spin_arrays(measure, rng, n_max)
         b_coeff, _ = sin2_coefficients(observed)
@@ -303,11 +277,5 @@ def fig2_curves(
         ag = _product_curves(unobserved.g, t, [gamma_coeff], n_values)[0]
         return ag + b
 
-    draws = map_indexed(one, samples, threads)
-    out = {}
-    for j, n in enumerate(n_values):
-        stack = np.stack([d[j] for d in draws])
-        mean, stderr = _mean_stderr(stack)
-        out[n] = AverageCurve(t, mean, stderr)
-    return out
+    return _mean_stderr(np.stack(map_indexed(one, samples, threads)))
 

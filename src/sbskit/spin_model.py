@@ -94,14 +94,6 @@ def initial_spin_state(p: SpinParams) -> np.ndarray:
     return (r * np.stack([lam, 1.0 - lam], axis=-1)[..., None, :]) @ np.swapaxes(r.conj(), -1, -2)
 
 
-def pi_diag(p: SpinParams):
-    """Population of the upper level, (1 + (2 lam - 1) cos beta) / 2.
-
-    The sigma_z branch unitaries leave it constant in time.
-    """
-    return 0.5 * (1.0 + (2.0 * p.lam - 1.0) * np.cos(p.beta))
-
-
 def delta(p: SpinParams):
     """Initial off-diagonal element, (1/2) sin(beta) e^{-i alpha} (2 lam - 1)."""
     return 0.5 * np.sin(p.beta) * np.exp(-1j * p.alpha) * (2.0 * p.lam - 1.0)

@@ -2,9 +2,12 @@
 checked here against the brute-force oracle or an independent route.
 
 Each suite returns a :class:`SuiteResult` with a check count, failure count
-and the worst margin (bound minus value; negative means violated).  The
-CLI ``verify`` scenario and the acceptance tests both run these functions,
-so the shipped gate and the test suite cannot drift apart.
+and the worst margin (bound minus value; negative means violated).  Every
+suite is a fixed definition: it takes only the seed (the oracle corpus also
+its instance count, the ``verify.instances`` config field), and its sizes
+are literals in its body.  The CLI ``verify`` scenario and the acceptance
+tests both run these functions with no other argument, so the shipped gate
+and the test suite cannot drift apart.
 
 Known red suite: ``prop1_as_stated``.  The additive bound
 eps <= Gamma + sum p_E is numerically false for general projector
@@ -55,7 +58,8 @@ from .spin_model import (
     time_scales,
 )
 
-DEFAULT_SEED = 20260808
+# spins sampled by the moments and the short-time suites
+MOMENT_SAMPLES = 100_000
 # spins per lln_exponents call in the short-time suite
 EXPONENT_BLOCK = 10_000
 
@@ -111,15 +115,15 @@ def _timed_spin_rows(seed: int, label: int, rows: int, n: int) -> tuple[SpinPara
     return SpinParams(*spins), t[:, None]
 
 
-def convention_certification(draws: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
+def convention_certification(seed: int) -> SuiteResult:
     """Oracle matrix evolution vs the closed forms, per spin.
 
     Checks Tr[U_+ rho U_-^dagger] against the dephasing-factor formula and
     the oracle fidelity of the evolved branch pair against the fidelity
-    formula, each within 1e-10.
+    formula, each within 1e-10, on 1000 draws.
     """
     res = SuiteResult("convention_certification")
-    spins, t = _timed_spin_rows(seed, 10, draws, 1)
+    spins, t = _timed_spin_rows(seed, 10, 1000, 1)
     # per draw the pairs (i, j) = (0, 1), (0, 0), (1, 1)
     evolved = oracle.branch_state(spins, [0, 0, 1], [1, 0, 1], t, 2)
     gamma_oracle = np.trace(evolved[:, 0], axis1=-2, axis2=-1)
@@ -132,7 +136,7 @@ def convention_certification(draws: int = 1000, seed: int = DEFAULT_SEED) -> Sui
     return res
 
 
-def oracle_inequalities(instances: int = 200, seed: int = DEFAULT_SEED) -> dict[str, SuiteResult]:
+def oracle_inequalities(seed: int, instances: int) -> dict[str, SuiteResult]:
     """Exact-distance suites over a seeded corpus of random instances.
 
     prop1_as_stated: eps <= Gamma + sum p_E per family (Helstrom witnesses
@@ -185,14 +189,14 @@ def _random_state_pairs(seed: int, label: int, pairs: int):
     )
 
 
-def helstrom_suite(pairs: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
-    """Helstrom optimality identity on random qubit pairs.
+def helstrom_suite(seed: int) -> SuiteResult:
+    """Helstrom optimality identity on 1000 random qubit pairs.
 
     Achieved equal-prior error must equal (1/2)(1 - T/2) with T the trace
     norm of the difference, within 1e-10.
     """
     res = SuiteResult("helstrom_identity")
-    rho_p, rho_m, _ = _random_state_pairs(seed, 12, pairs)
+    rho_p, rho_m, _ = _random_state_pairs(seed, 12, 1000)
     tnorms = densmat.trace_norm(rho_p - rho_m)
     pair = helstrom_pair(rho_p, rho_m)
     traces = np.trace(rho_m @ pair.p_plus, axis1=-2, axis2=-1) + np.trace(rho_p @ pair.p_minus, axis1=-2, axis2=-1)
@@ -200,21 +204,22 @@ def helstrom_suite(pairs: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
     return res
 
 
-def barnum_knill_suite(pairs: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
-    """Optimal two-state error <= sum_{i != j} sqrt(w_i w_j) B(rho_i, rho_j)."""
+def barnum_knill_suite(seed: int) -> SuiteResult:
+    """Optimal two-state error <= sum_{i != j} sqrt(w_i w_j) B(rho_i, rho_j)
+    on 1000 random weighted pairs."""
     res = SuiteResult("barnum_knill")
-    rho_p, rho_m, w = _random_state_pairs(seed, 13, pairs)
+    rho_p, rho_m, w = _random_state_pairs(seed, 13, 1000)
     optimal = 0.5 * (1.0 - densmat.trace_norm(w[:, None, None] * rho_p - (1.0 - w)[:, None, None] * rho_m))
-    fids = np.ones((pairs, 2, 2))
+    fids = np.ones((len(w), 2, 2))
     fids[:, 0, 1] = fids[:, 1, 0] = densmat.fidelity(rho_p, rho_m)
     res.record(sbs_core.barnum_knill_bound(np.stack([w, 1.0 - w], axis=-1), fids) - optimal, tol=1e-9)
     return res
 
 
-def local_probability_suite(draws: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
-    """Closed-form success probability vs explicit Tr[P rho], within 1e-12."""
+def local_probability_suite(seed: int) -> SuiteResult:
+    """Closed-form success probability vs explicit Tr[P rho], within 1e-12, on 1000 draws."""
     res = SuiteResult("local_success_probability")
-    spins, t = _timed_spin_rows(seed, 14, draws, 1)
+    spins, t = _timed_spin_rows(seed, 14, 1000, 1)
     # per draw both branch states
     evolved = oracle.branch_state(spins, [0, 1], [0, 1], t, 2)
     pair = helstrom_spin_analytic(spins, t)
@@ -238,16 +243,14 @@ def chernoff_suite() -> SuiteResult:
     return res
 
 
-def kolmogorov_fuchs_suite(
-    instances: int = 500, n_mac: int = 51, seed: int = DEFAULT_SEED
-) -> SuiteResult:
-    """|2 p_tilde - 1| <= 1 - B^2/2 on sampled macrofraction instances.
+def kolmogorov_fuchs_suite(seed: int) -> SuiteResult:
+    """|2 p_tilde - 1| <= 1 - B^2/2 on 500 sampled 51-spin macrofractions.
 
     p_tilde is the exact majority probability for the realized per-spin
     success probabilities; B is the realized macrofraction fidelity.
     """
     res = SuiteResult("kolmogorov_fuchs")
-    spins, t = _timed_spin_rows(seed, 15, instances, n_mac)
+    spins, t = _timed_spin_rows(seed, 15, 500, 51)
     s = sin_gt(spins, t)
     p_tilde = majority_success_heterogeneous(local_success_probability(np.abs(delta(spins)), s))
     k, limit, _ = kolmogorov_fuchs(p_tilde, macrofraction_fidelity(sin2_coefficients(spins)[0], s))
@@ -255,31 +258,30 @@ def kolmogorov_fuchs_suite(
     return res
 
 
-def moments_suite(samples: int = 100_000, seed: int = DEFAULT_SEED) -> SuiteResult:
-    """Sampler moments: E[sin^2 beta] = 2/3, E[cos^2 beta] = 1/3,
-    E[(2 lam - 1)^2] = 3/5, each within 0.01."""
+def moments_suite(seed: int) -> SuiteResult:
+    """Sampler moments over 100,000 spins: E[sin^2 beta] = 2/3,
+    E[cos^2 beta] = 1/3, E[(2 lam - 1)^2] = 3/5, each within 0.01."""
     res = SuiteResult("measure_moments")
-    rng = sample_stream(seed, 0, label=16)
-    spins = sample_spin_arrays(MeasureSpec(), rng, samples)
+    spins = sample_spin_arrays(MeasureSpec(), sample_stream(seed, 0, 16), MOMENT_SAMPLES)
     res.record(0.01 - abs(float(np.mean(np.sin(spins.beta) ** 2)) - 2.0 / 3.0))
     res.record(0.01 - abs(float(np.mean(np.cos(spins.beta) ** 2)) - 1.0 / 3.0))
     res.record(0.01 - abs(float(np.mean((2.0 * spins.lam - 1.0) ** 2)) - 3.0 / 5.0))
     return res
 
 
-def short_time_suite(
-    samples: int = 100_000, t: float = 0.05, seed: int = DEFAULT_SEED
-) -> SuiteResult:
-    """Monte Carlo exponent means over the analytic small-t coefficients.
+def short_time_suite(seed: int) -> SuiteResult:
+    """Monte Carlo exponent means over the analytic small-t coefficients, on
+    100,000 spins at t = 0.05.
 
     Both ratios must land in [0.95, 1.05].
     """
     res = SuiteResult("short_time_exponents")
     measure = MeasureSpec()
-    spins = sample_spin_arrays(measure, sample_stream(seed, 0, label=17), samples)
-    kappa, chi = np.empty(samples), np.empty(samples)
+    t = 0.05
+    spins = sample_spin_arrays(measure, sample_stream(seed, 0, 17), MOMENT_SAMPLES)
+    kappa, chi = np.empty(MOMENT_SAMPLES), np.empty(MOMENT_SAMPLES)
     # blocks keep the exponents' temporaries small next to the sampled arrays
-    for lo in range(0, samples, EXPONENT_BLOCK):
+    for lo in range(0, MOMENT_SAMPLES, EXPONENT_BLOCK):
         block = slice(lo, lo + EXPONENT_BLOCK)
         kappa[block], chi[block] = lln_exponents(SpinParams(*(v[block] for v in vars(spins).values())), t)
     kappa_short, chi_short = short_time_exponents(measure.g2bar(), t)
@@ -314,8 +316,8 @@ def timescale_suite() -> SuiteResult:
     return res
 
 
-def fig1_anchor_suite(seed: int = DEFAULT_SEED, samples: int = 8) -> SuiteResult:
-    """Anchor nodes of the time-averaged surface.
+def fig1_anchor_suite(seed: int) -> SuiteResult:
+    """Anchor nodes of the time-averaged surface, 8 samples per node.
 
     <B> = 1 along lam = 1/2 and beta in {0, pi} and <|gamma|> = 1 at
     (1, 0), all to quadrature tolerance; both averages < 0.05 at
@@ -325,7 +327,7 @@ def fig1_anchor_suite(seed: int = DEFAULT_SEED, samples: int = 8) -> SuiteResult
     quad_tol = 1e-9
 
     def node(lam, beta, with_gamma=True):
-        return fig1_node(lam, beta, 100, 200.0, 40001, samples, seed, with_gamma=with_gamma)
+        return fig1_node(lam, beta, 100, 200.0, 40001, 8, seed, with_gamma=with_gamma)
 
     # the B ridges: the |gamma| curve is not read there
     for lam, beta in ((0.5, 1.0), (0.5, 2.5), (0.8, 0.0), (0.8, math.pi)):
@@ -340,49 +342,38 @@ def fig1_anchor_suite(seed: int = DEFAULT_SEED, samples: int = 8) -> SuiteResult
     return res
 
 
-def fig2_anchor_suite(
-    seed: int = DEFAULT_SEED,
-    samples: int = 200,
-    n_values: tuple = (30, 50, 200, 500),
-    plateau: tuple = (0.1, 0.4),
-) -> SuiteResult:
-    """Anchors of the averaged distance-bound curves.
+def fig2_anchor_suite(seed: int) -> SuiteResult:
+    """Anchors of the averaged distance-bound curves for n in (30, 50, 200,
+    500), 200 samples each.
 
     Every curve starts at exactly 2; the time-averaged bound over the
-    post-initial window exceeds 1 for n in {30, 50}; the curves are
-    ordered decreasing in n pointwise within 3 standard errors; the n=500
-    curve stays below 0.1 beyond twice its broadcast time.
+    post-initial window (0.1, 0.4) exceeds 1 for n in {30, 50}; the curves
+    are ordered decreasing in n pointwise within 3 standard errors; the
+    n=500 curve stays below 0.1 beyond twice its broadcast time.
     """
     res = SuiteResult("fig2_anchors")
     t = np.linspace(0.0, 1.2, 121)
     measure = MeasureSpec()
-    curves = fig2_curves(n_values, t, samples, seed, measure)
-    for n in n_values:
-        res.record(1e-12 - abs(float(curves[n].mean[0]) - 2.0))
-    window = (t >= plateau[0]) & (t <= plateau[1])
-    plateau_means = {}
-    for n in (30, 50):
-        avg = float(np.trapezoid(curves[n].mean[window], t[window]) / (plateau[1] - plateau[0]))
-        plateau_means[n] = avg
-        res.record(avg - 1.0)
-    res.detail = f"plateau averages over {plateau}: " + ", ".join(
-        f"n={n}: {v:.3f}" for n, v in plateau_means.items()
-    )
-    ordered = sorted(n_values)
-    for lo, hi in zip(ordered, ordered[1:]):
-        sl = (t > 0.05)
-        gap = curves[lo].mean[sl] - curves[hi].mean[sl]
-        slack = 3.0 * np.hypot(curves[lo].stderr[sl], curves[hi].stderr[sl])
-        res.record(float(np.min(gap + slack)))
-    g2bar = measure.g2bar()
-    t_b500, _, _ = time_scales(1000, 500, 0.5, g2bar)
-    tail = t >= 2.0 * t_b500
-    res.record(0.1 - float(np.max(curves[500].mean[tail])))
+    # rows n = 30, 50, 200, 500
+    mean, stderr = fig2_curves((30, 50, 200, 500), t, 200, seed, measure)
+    res.record(1e-12 - np.abs(mean[:, 0] - 2.0))
+    lo, hi = 0.1, 0.4
+    window = (t >= lo) & (t <= hi)
+    plateau = np.trapezoid(mean[:2, window], t[window]) / (hi - lo)
+    res.record(plateau - 1.0)
+    res.detail = f"plateau averages over {(lo, hi)}: n=30: {plateau[0]:.3f}, n=50: {plateau[1]:.3f}"
+    sl = t > 0.05
+    gap = mean[:-1, sl] - mean[1:, sl]
+    slack = 3.0 * np.hypot(stderr[:-1, sl], stderr[1:, sl])
+    res.record(np.min(gap + slack, axis=-1))
+    t_b500, _, _ = time_scales(1000, 500, 0.5, measure.g2bar())
+    res.record(0.1 - np.max(mean[3, t >= 2.0 * t_b500]))
     return res
 
 
-def qutrit_prop1_suite(instances: int = 40, seed: int = DEFAULT_SEED) -> SuiteResult:
-    """Disturbance-form additive bound for a three-level central system.
+def qutrit_prop1_suite(seed: int) -> SuiteResult:
+    """Disturbance-form additive bound for a three-level central system, on
+    40 instances.
 
     Families pair the two leading pointer branches by Helstrom and assign
     the third a rank-zero projector; the bound must dominate the exact
@@ -392,6 +383,7 @@ def qutrit_prop1_suite(instances: int = 40, seed: int = DEFAULT_SEED) -> SuiteRe
     res = SuiteResult("qutrit_prop1_disturbance")
     zero = np.zeros((2, 2), dtype=complex)
     eye = np.eye(2, dtype=complex)
+    instances = 40
     for lo in range(0, instances, oracle.ORACLE_BLOCK):
         rows = range(lo, min(lo + oracle.ORACLE_BLOCK, instances))
         inst = oracle.random_instance(seed, rows, n_observed=2, n_unobserved=2, d_s=3)
@@ -412,20 +404,19 @@ def qutrit_prop1_suite(instances: int = 40, seed: int = DEFAULT_SEED) -> SuiteRe
     return res
 
 
-def run_all(seed: int = DEFAULT_SEED, instances: int = 200) -> dict[str, SuiteResult]:
+def run_all(seed: int, instances: int) -> dict[str, SuiteResult]:
     """Every suite, keyed by name; the CLI verify scenario serializes this."""
-    suites: dict[str, SuiteResult] = {}
-    suites["convention_certification"] = convention_certification(seed=seed)
-    suites.update(oracle_inequalities(instances=instances, seed=seed))
-    suites["helstrom_identity"] = helstrom_suite(seed=seed)
-    suites["barnum_knill"] = barnum_knill_suite(seed=seed)
-    suites["local_success_probability"] = local_probability_suite(seed=seed)
+    suites: dict[str, SuiteResult] = {"convention_certification": convention_certification(seed)}
+    suites.update(oracle_inequalities(seed, instances))
+    suites["helstrom_identity"] = helstrom_suite(seed)
+    suites["barnum_knill"] = barnum_knill_suite(seed)
+    suites["local_success_probability"] = local_probability_suite(seed)
     suites["chernoff_vs_exact"] = chernoff_suite()
-    suites["kolmogorov_fuchs"] = kolmogorov_fuchs_suite(seed=seed)
-    suites["measure_moments"] = moments_suite(seed=seed)
-    suites["short_time_exponents"] = short_time_suite(seed=seed)
+    suites["kolmogorov_fuchs"] = kolmogorov_fuchs_suite(seed)
+    suites["measure_moments"] = moments_suite(seed)
+    suites["short_time_exponents"] = short_time_suite(seed)
     suites["time_scales"] = timescale_suite()
-    suites["qutrit_prop1_disturbance"] = qutrit_prop1_suite(seed=seed)
-    suites["fig1_anchors"] = fig1_anchor_suite(seed=seed)
-    suites["fig2_anchors"] = fig2_anchor_suite(seed=seed)
+    suites["qutrit_prop1_disturbance"] = qutrit_prop1_suite(seed)
+    suites["fig1_anchors"] = fig1_anchor_suite(seed)
+    suites["fig2_anchors"] = fig2_anchor_suite(seed)
     return suites

@@ -22,7 +22,7 @@ from sbskit import cli, oracle, sbs_core, verify
 from sbskit.sbs_core import CentralState, ProjectorFamily, cor2_bound
 from sbskit.spin_model import SpinParams
 
-SEED = verify.DEFAULT_SEED
+SEED = cli.DEFAULT_CONFIG["seed"]
 WITNESS_ANGLES = (0.1, math.pi / 6, math.pi / 4, math.pi / 3, 1.4)
 
 
@@ -45,14 +45,14 @@ def report(num, name, suite, elapsed=None, limit=None, passed=None):
 @pytest.fixture(scope="module")
 def oracle_suites():
     start = time.time()
-    suites = verify.oracle_inequalities(instances=200, seed=SEED)
+    suites = verify.oracle_inequalities(SEED, 200)
     suites["_elapsed"] = time.time() - start
     return suites
 
 
 def test_acceptance_01_convention_certification():
     start = time.time()
-    suite = verify.convention_certification(draws=1000, seed=SEED)
+    suite = verify.convention_certification(SEED)
     elapsed = time.time() - start
     report(1, "unitary-convention certification (dephasing factor and fidelity)", suite, elapsed, 5)
     assert suite.failures == 0, f"closed forms disagree with the oracle: {suite.worst_margin}"
@@ -153,7 +153,7 @@ def test_acceptance_04_information_gap_bound(oracle_suites):
 
 def test_acceptance_05_measure_moments():
     start = time.time()
-    suite = verify.moments_suite(samples=100_000, seed=SEED)
+    suite = verify.moments_suite(SEED)
     elapsed = time.time() - start
     report(5, "angle and eigenvalue measure moments (2/3, 1/3, 3/5 +/- 0.01)", suite, elapsed, 5)
     assert suite.failures == 0
@@ -161,7 +161,7 @@ def test_acceptance_05_measure_moments():
 
 
 def test_acceptance_06_short_time_exponents():
-    suite = verify.short_time_suite(samples=100_000, t=0.05, seed=SEED)
+    suite = verify.short_time_suite(SEED)
     report(6, "Monte Carlo exponents vs (2/5) g2 t^2 and (4/5) g2 t^2 within 5%", suite)
     assert suite.failures == 0
 
@@ -174,8 +174,8 @@ def test_acceptance_07_time_scales():
 
 def test_acceptance_08_discrimination():
     start = time.time()
-    helstrom = verify.helstrom_suite(pairs=1000, seed=SEED)
-    local = verify.local_probability_suite(draws=1000, seed=SEED)
+    helstrom = verify.helstrom_suite(SEED)
+    local = verify.local_probability_suite(SEED)
     chernoff = verify.chernoff_suite()
     elapsed = time.time() - start
     report(8, "Helstrom error identity on 1000 random pairs", helstrom, elapsed, 60)
@@ -191,14 +191,14 @@ def test_acceptance_08_discrimination():
 
 
 def test_acceptance_09_kolmogorov_fuchs():
-    suite = verify.kolmogorov_fuchs_suite(instances=500, n_mac=51, seed=SEED)
+    suite = verify.kolmogorov_fuchs_suite(SEED)
     report(9, "Kolmogorov distance vs fidelity limit on 500 instances (n=51)", suite)
     assert suite.failures == 0
 
 
 def test_acceptance_10_surface_anchors():
     start = time.time()
-    suite = verify.fig1_anchor_suite(seed=SEED)
+    suite = verify.fig1_anchor_suite(SEED)
     elapsed = time.time() - start
     report(10, "time-averaged surface anchors (ridges at 1, center < 0.05)", suite, elapsed, 120)
     assert suite.failures == 0
@@ -207,7 +207,7 @@ def test_acceptance_10_surface_anchors():
 
 def test_acceptance_11_bound_curve_anchors():
     start = time.time()
-    suite = verify.fig2_anchor_suite(seed=SEED)
+    suite = verify.fig2_anchor_suite(SEED)
     elapsed = time.time() - start
     report(11, "bound curves: start at 2, small-n plateau > 1, ordered in n", suite, elapsed, 300)
     assert suite.failures == 0

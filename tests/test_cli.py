@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +84,24 @@ class TestConfig:
         assert cli.DEFAULT_CONFIG["measure"]["coupling"] == [0.0, 1.0]
         assert len(cli.DEFAULT_CONFIG["fig1"]["lambda_grid"]) == 6
         assert cli.DEFAULT_CONFIG["timescales"]["cases"][0]["n_mac"] == 100
+
+    @pytest.mark.parametrize(
+        "path, scenario", [("discrimination.draws", "discrimination"), ("samples", "fig2"), ("fig1.samples", "fig1")]
+    )
+    def test_oversize_count_is_config_error(self, tmp_path, monkeypatch, path, scenario):
+        # checked before the runner starts, so nothing is sampled or allocated
+        ran = []
+        monkeypatch.setitem(cli.RUNNERS, scenario, lambda values, out_dir: ran.append(values[path]) or (0, [], {}))
+        section, _, key = path.rpartition(".")
+        config = cli.load_config(None)
+        (config[section] if section else config)[key] = 10**12
+        requirement = f"must be an integer from 1 to {cli.MAX_SAMPLES}, got 1000000000000"
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(path)}: {requirement}"):
+            cli.run_scenario(scenario, config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        (config[section] if section else config)[key] = cli.MAX_SAMPLES
+        assert cli.run_scenario(scenario, config, tmp_path / "out") == 0
+        assert ran == [cli.MAX_SAMPLES]
 
     def test_override_merging(self, tmp_path):
         cfg = tmp_path / "c.json"

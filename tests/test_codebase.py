@@ -19,7 +19,6 @@ SRC = ROOT / "src" / "sbskit"
 NO_CALLER_NEEDED = {
     "cli.main": "the entry point of the sbskit console script and of python -m sbskit.cli",
     "oracle.analytic_reduced_state": "reference route the tests compare the partial-trace oracle against",
-    "spin_model.pi_diag": "closed form of the conserved population; tests certify it against initial_spin_state",
 }
 
 # public dataclass fields that need no reader inside src/, each with the reason
@@ -128,6 +127,23 @@ def test_per_index_streams_go_through_sample_rows():
     ensemble.sample_rows, so that rule is written once; a single stream per
     suite may still be opened directly."""
     assert stream_calls_in_loops(SRC) == []
+
+
+def test_verify_suites_are_fixed_definitions():
+    """A verify suite takes the seed (or nothing), the oracle corpus and
+    run_all also the verify.instances count, and none has a default: every
+    size lives in the suite's body, so the tests run exactly what the verify
+    scenario ships."""
+    from sbskit import verify
+
+    takes_instances = {"oracle_inequalities", "run_all"}
+    for name, fn in vars(verify).items():
+        if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != verify.__name__:
+            continue
+        params = inspect.signature(fn).parameters
+        allowed = [["seed", "instances"]] if name in takes_instances else [["seed"], []]
+        assert list(params) in allowed, f"verify.{name} takes {list(params)}"
+        assert all(p.default is p.empty for p in params.values()), f"verify.{name} has a default"
 
 
 def test_traced_benchmark_finds_every_name(tmp_path, monkeypatch):

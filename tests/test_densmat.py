@@ -16,33 +16,38 @@ def random_hermitian(rng, dim):
 
 
 class TestHermitianEigensystem:
+    """The Hermitian eigen route of psd_sqrt, the one eigendecomposition in densmat."""
+
     def test_diagonal(self):
-        spec = densmat.hermitian_eigensystem(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(spec.eigenvalues, [3.0, 1.0])
-        np.testing.assert_allclose(np.abs(spec.eigenvectors), np.eye(2), atol=1e-14)
+        root = densmat.psd_sqrt(np.diag([3.0, 1.0]))
+        np.testing.assert_allclose(root, np.diag([np.sqrt(3.0), 1.0]), atol=1e-14)
 
     def test_pauli_x_spectrum(self):
+        # eigenvalues 1 and -1: the -1 is reported
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        spec = densmat.hermitian_eigensystem(sx)
-        np.testing.assert_allclose(spec.eigenvalues, [1.0, -1.0], atol=1e-14)
+        with pytest.raises(ValueError, match=r"not PSD: eigenvalue -1\.000e\+00"):
+            densmat.psd_sqrt(sx)
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             h = random_hermitian(rng, 6)
-            w, v = densmat.hermitian_eigensystem(h)
-            assert np.max(np.abs((v * w) @ v.conj().T - h)) < 1e-10
-            assert np.max(np.abs(v.conj().T @ v - np.eye(6))) < 1e-10
-            assert np.all(np.diff(w) <= 1e-14)
+            psd = h @ h
+            root = densmat.psd_sqrt(psd)
+            assert np.max(np.abs(root @ root - psd)) < 1e-10
+            assert np.max(np.abs(root - root.conj().T)) < 1e-10
+            # the root of h^2 is |h|: the eigenvectors of h with absolute eigenvalues
+            w, v = np.linalg.eigh(h)
+            assert np.max(np.abs(root - (v * np.abs(w)) @ v.conj().T)) < 1e-10
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
-            densmat.hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            densmat.psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejection_reports_asymmetry(self):
         bad = np.array([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(ValueError, match="5"):
-            densmat.hermitian_eigensystem(bad)
+            densmat.psd_sqrt(bad)
 
 
 class TestPsdSqrt:

@@ -417,7 +417,11 @@ def loop_majority(probs):
 class TestMajorityLayout:
     """The count-leading DP gives the row-major reference's bits."""
 
-    @pytest.mark.parametrize("shape", [(1,), (2,), (9,), (64,), (1000, 1), (7, 3), (600, 51), (5, 4, 64), (2, 101), (3, 0, 4)])
+    # odd and even n >= 51, where the DP skips the counts that can no longer reach the majority
+    @pytest.mark.parametrize(
+        "shape",
+        [(1,), (2,), (9,), (64,), (1000, 1), (7, 3), (600, 51), (5, 4, 64), (2, 101), (3, 0, 4), (3, 52), (2, 200), (2, 201)],
+    )
     def test_equals_row_major_reference(self, shape):
         rng = np.random.default_rng(sum(shape) + len(shape))
         probs = rng.uniform(0.0, 1.0, shape)

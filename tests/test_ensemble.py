@@ -6,7 +6,6 @@ import pytest
 from sbskit.discrimination import local_success_probability
 from sbskit.ensemble import (
     CURVE_BLOCK,
-    AverageCurve,
     MeasureSpec,
     fig1_node,
     fig2_curves,
@@ -211,7 +210,7 @@ class TestMeasureSpec:
 class TestSampling:
     def test_fixed_measure_returns_constants(self):
         measure = MeasureSpec(angles=(0.2, 0.3, 0.4), lam=0.6, coupling=0.9)
-        spin = sample_spin_arrays(measure, sample_stream(1, 0), 1)
+        spin = sample_spin_arrays(measure, sample_stream(1, 0, 0), 1)
         assert tuple(float(v[0]) for v in vars(spin).values()) == (
             0.2,
             0.3,
@@ -221,7 +220,7 @@ class TestSampling:
         )
 
     def test_invariant_angle_moments(self):
-        rng = sample_stream(7, 0)
+        rng = sample_stream(7, 0, 0)
         s = sample_spin_arrays(MeasureSpec(), rng, 20_000)
         assert np.mean(np.sin(s.beta) ** 2) == pytest.approx(2.0 / 3.0, abs=0.02)
         assert np.mean(np.cos(s.beta) ** 2) == pytest.approx(1.0 / 3.0, abs=0.02)
@@ -229,7 +228,7 @@ class TestSampling:
 
     def test_ks_distance_beta(self):
         n = 100_000
-        rng = sample_stream(11, 0)
+        rng = sample_stream(11, 0, 0)
         beta = sample_spin_arrays(MeasureSpec(), rng, n).beta
         # CDF of the invariant angle measure: (1 - cos beta) / 2
         grid = np.sort(beta)
@@ -242,7 +241,7 @@ class TestSampling:
 
     def test_ks_distance_lambda(self):
         n = 100_000
-        rng = sample_stream(13, 0)
+        rng = sample_stream(13, 0, 0)
         lam = sample_spin_arrays(MeasureSpec(), rng, n).lam
         grid = np.sort(lam)
         cdf = 0.5 * ((2.0 * grid - 1.0) ** 3 + 1.0)
@@ -254,8 +253,8 @@ class TestSampling:
 
     def test_streams_independent_of_consumption_order(self):
         measure = MeasureSpec()
-        a = sample_spin_arrays(measure, sample_stream(3, 5), 10)
-        b = sample_spin_arrays(measure, sample_stream(3, 5), 10)
+        a = sample_spin_arrays(measure, sample_stream(3, 5, 0), 10)
+        b = sample_spin_arrays(measure, sample_stream(3, 5, 0), 10)
         for x, y in zip(vars(a).values(), vars(b).values()):
             np.testing.assert_array_equal(x, y)
 
@@ -334,24 +333,24 @@ class TestFig2Curves:
         return kw
 
     def test_curves_start_at_two(self):
-        curves = fig2_curves([10, 20], **self.make_config())
-        for curve in curves.values():
-            assert curve.mean[0] == pytest.approx(2.0, abs=1e-14)
-            assert curve.stderr[0] == pytest.approx(0.0, abs=1e-14)
+        mean, stderr = fig2_curves([10, 20], **self.make_config())
+        for n in range(2):
+            assert mean[n, 0] == pytest.approx(2.0, abs=1e-14)
+            assert stderr[n, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_nested_sampling_orders_curves_pointwise(self):
-        curves = fig2_curves([10, 30, 60], **self.make_config())
-        assert np.all(curves[10].mean >= curves[30].mean - 1e-12)
-        assert np.all(curves[30].mean >= curves[60].mean - 1e-12)
+        mean, _ = fig2_curves([10, 30, 60], **self.make_config())
+        assert np.all(mean[0] >= mean[1] - 1e-12)
+        assert np.all(mean[1] >= mean[2] - 1e-12)
 
     def test_deterministic_and_thread_invariant(self):
-        a = fig2_curves([15], **self.make_config())
-        b = fig2_curves([15], **self.make_config())
-        np.testing.assert_array_equal(a[15].mean, b[15].mean)
-        c = fig2_curves([15], **self.make_config(threads=3))
-        np.testing.assert_array_equal(a[15].mean, c[15].mean)
-        d = fig2_curves([15], **self.make_config(seed=100))
-        assert np.any(a[15].mean != d[15].mean)
+        a, _ = fig2_curves([15], **self.make_config())
+        b, _ = fig2_curves([15], **self.make_config())
+        np.testing.assert_array_equal(a, b)
+        c, _ = fig2_curves([15], **self.make_config(threads=3))
+        np.testing.assert_array_equal(a, c)
+        d, _ = fig2_curves([15], **self.make_config(seed=100))
+        assert np.any(a != d)
 
     def test_nonpositive_size_rejected(self, tmp_path, monkeypatch):
         # fig2_curves takes checked sizes; the fig2 config check rejects a
@@ -369,10 +368,11 @@ class TestFig2Curves:
         assert not (tmp_path / "out").exists()
 
     def test_curve_lengths(self):
-        curves = fig2_curves([5], **self.make_config(t=np.linspace(0.0, 1.0, 17)))
-        assert len(curves[5].abscissa) == 17
-        assert len(curves[5].mean) == 17
-        assert len(curves[5].stderr) == 17
+        mean, stderr = fig2_curves([5, 2, 5], **self.make_config(t=np.linspace(0.0, 1.0, 17)))
+        assert mean.shape == stderr.shape == (3, 17)
+        # row j is the curve of n_values[j], a repeated size included
+        np.testing.assert_array_equal(mean[0], mean[2])
+        assert np.all(mean[1] >= mean[0] - 1e-12)
 
 
 class TestExponentCheck:
@@ -404,8 +404,3 @@ class TestMonteCarloScaling:
         ratio = stderr(400) / stderr(1600)
         assert abs(ratio - 2.0) < 0.4  # within 20% of the root-N factor
 
-
-class TestAverageCurve:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            AverageCurve(np.zeros(3), np.zeros(3), np.zeros(2))

@@ -475,7 +475,7 @@ class TestEvaluateInstance:
         monkeypatch.setattr(
             oracle, "random_instance", lambda seed, indices, **kw: orthogonal_branches_instance(len(indices))
         )
-        suites = verify.oracle_inequalities(instances=3)
+        suites = verify.oracle_inequalities(20260808, 3)
         # per instance the four families that are not degenerate
         assert suites["prop1_as_stated"].checks == suites["prop1_disturbance"].checks == 3 * 4
         assert suites["prop1_disturbance"].failures == 0
@@ -484,6 +484,6 @@ class TestEvaluateInstance:
     def test_qutrit_prop1_disturbance_suite(self):
         from sbskit.verify import qutrit_prop1_suite
 
-        res = qutrit_prop1_suite(instances=10, seed=3)
+        res = qutrit_prop1_suite(3)
         assert res.failures == 0
         assert res.checks > 0

@@ -15,12 +15,12 @@ import math
 import numpy as np
 import pytest
 
-from sbskit import densmat, oracle, sbs_core, verify
+from sbskit import cli, densmat, oracle, sbs_core
 from sbskit.discrimination import TIE_TOLERANCE, ProjectorPair, helstrom_pair, helstrom_spin_analytic
 from sbskit.sbs_core import BranchEnsemble, CentralState, ProjectorFamily, build_sbs
 from sbskit.spin_model import SpinParams, delta, initial_spin_state
 
-SEED = verify.DEFAULT_SEED
+SEED = cli.DEFAULT_CONFIG["seed"]
 
 
 def _spins(record, *row):

@@ -129,7 +129,8 @@ class TestInitialState:
             p = random_params(rng)
             rho = spin_model.initial_spin_state(p)
             assert abs(spin_model.delta(p) - rho[0, 1]) < 1e-13
-            assert abs(spin_model.pi_diag(p) - rho[0, 0].real) < 1e-13
+            # the upper-level population, which the sigma_z branch unitaries conserve
+            assert abs(0.5 * (1.0 + (2.0 * p.lam - 1.0) * np.cos(p.beta)) - rho[0, 0].real) < 1e-13
 
 
 class TestEvolvedBranchStates:
@@ -400,7 +401,6 @@ class TestEdgeCases:
         bath = edge_bath()
         spins = [spin_of(bath, j) for j in range(CHECKED_SPINS)]
         forms = {
-            "pi_diag": spin_model.pi_diag,
             "delta": spin_model.delta,
             "b2 coefficient": lambda p: spin_model.sin2_coefficients(p)[0],
             "gamma coefficient": lambda p: spin_model.sin2_coefficients(p)[1],
