@@ -8,11 +8,11 @@ bounds), verify (the full certification suite).
 Configuration is a single JSON file of nested sections (schema documented
 in the README, carried under "config_version") over DEFAULT_CONFIG, the
 one source of defaults.  Before anything is written, run_scenario converts
-and tests each field its scenario reads against FIELDS (the measure
-section through parse_measure), so a bad value exits 1 naming its field;
-the runners read the converted values.  Every run emits its CSV/JSON
-artifacts plus a manifest.json embedding the resolved config, seed,
-package version and wall time, enough to rerun the experiment.  CSV
+and tests every field against FIELDS, read by its scenario or not (the
+measure section also through parse_measure), so a bad value exits 1
+naming its field; the runners read the converted values.  Every run emits
+its CSV/JSON artifacts plus a manifest.json embedding the resolved config,
+seed, package version and wall time, enough to rerun the experiment.  CSV
 floats have 17 significant digits so reruns are byte-identical.
 
 Exit codes: 0 success, 1 configuration error, 2 verification failure,
@@ -54,6 +54,14 @@ CONVERGENCE_GATE = 1e-3
 # sizes a discrimination draw adds about 6 KiB to the peak memory and a fig2
 # sample about 12 KiB, so a run at the cap stays near 1 GiB
 MAX_SAMPLES = 100_000
+# most spins of a bath or macrofraction: at the default sizes a run at the cap
+# holds about 0.75 GiB in fig1 and 2 GiB in discrimination (200 draws)
+MAX_SPINS = 100_000
+# most time points: about 55 bytes each in fig1, 12 KiB each in fig2 (200 samples)
+MAX_TAU_POINTS = 10_000_001
+MAX_TIME_POINTS = 100_000
+# oracle instances run in blocks of a fixed size, so this bounds time, not memory
+MAX_INSTANCES = 100_000
 
 DEFAULT_CONFIG = {
     "config_version": 1,
@@ -124,8 +132,16 @@ def _reject_constant(name: str):
     raise ConfigError(f"config file is not valid JSON: {name} is not a number")
 
 
+def _finite(value) -> float:
+    """value as a finite float: a JSON number too large for a float, like 1e999, loads as inf and raises here."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+    return tuple(_finite(v) for v in values)
 
 
 def _integer(value) -> int:
@@ -153,32 +169,34 @@ def _check(path: str, value, convert, test, requirement: str):
     raise ConfigError(f"{path}: {requirement}, got {value!r}{reason}")
 
 
+def _count(low: int, cap: int) -> tuple:
+    return _integer, lambda n: low <= n <= cap, f"must be an integer from {low} to {cap}"
+
+
 # time_scales takes (n_total, n_mac, f, g2bar); its g2bar is checked with the measure
 _CASE = (
-    lambda case: (_integer(case["n_mac"]), _integer(case["n_total"]), float(case["f"])),
+    lambda case: (_integer(case["n_mac"]), _integer(case["n_total"]), _finite(case["f"])),
     lambda case: case[1] >= 1 and _accepts(time_scales, case[1], case[0], case[2], 1.0),
     "needs numbers n_mac, n_total >= 1 and f",
 )
-_COUNT = (_integer, lambda n: n >= 1, "must be an integer >= 1")
-_SAMPLES = (_integer, lambda n: 1 <= n <= MAX_SAMPLES, f"must be an integer from 1 to {MAX_SAMPLES}")
-_TIME = (float, lambda t: t >= 0.0, "must be >= 0")  # also false for NaN
+_TIME = (_finite, lambda t: t >= 0.0, "must be >= 0")
 
 # dotted field -> (conversion, test of the converted value, requirement); the
 # spin and measure ranges stay defined in SpinParams and MeasureSpec
 FIELDS = {
     "seed": (_integer, lambda n: n >= 0, "must be an integer >= 0"),
-    "samples": _SAMPLES,
+    "samples": _count(1, MAX_SAMPLES),
     "threads": (_integer, lambda n: 1 <= n <= (os.cpu_count() or 1), "must be an integer from 1 to the core count"),
     "measure.angles": (
         lambda a: a if a == "haar" else _floats(a), lambda a: _accepts(MeasureSpec, angles=a),
         'must be "haar" or [alpha, beta, gamma]',
     ),
     "measure.lambda": (
-        lambda lam: lam if lam == "hilbert_schmidt" else float(lam), lambda lam: _accepts(MeasureSpec, lam=lam),
+        lambda lam: lam if lam == "hilbert_schmidt" else _finite(lam), lambda lam: _accepts(MeasureSpec, lam=lam),
         'must be "hilbert_schmidt" or a number',
     ),
     "measure.coupling": (
-        lambda c: _floats(c) if isinstance(c, (list, tuple)) else float(c), lambda c: _accepts(MeasureSpec, coupling=c),
+        lambda c: _floats(c) if isinstance(c, (list, tuple)) else _finite(c), lambda c: _accepts(MeasureSpec, coupling=c),
         "must be a number or [a, b]",
     ),
     "fig1.lambda_grid": (
@@ -189,36 +207,32 @@ FIELDS = {
         _floats, lambda betas: len(betas) > 0 and _accepts(SpinParams, 0.0, np.array(betas), 0.0, 0.0, 0.0),
         "must be a nonempty list of polar angles",
     ),
-    "fig1.n_spins": _COUNT,
+    "fig1.n_spins": _count(1, MAX_SPINS),
     # the convergence gate's half-resolution quadrature must end at tau > 0 too
-    "fig1.tau": (float, lambda tau: tau > 0.0, "must be > 0"),
-    "fig1.tau_points": (_integer, lambda n: n >= 3 and n % 2 == 1, "must be an odd integer >= 3"),
-    "fig1.samples": _SAMPLES,
+    "fig1.tau": (_finite, lambda tau: tau > 0.0, "must be > 0"),
+    "fig1.tau_points": (
+        _integer, lambda n: 3 <= n <= MAX_TAU_POINTS and n % 2 == 1, f"must be an odd integer from 3 to {MAX_TAU_POINTS}",
+    ),
+    "fig1.samples": _count(1, MAX_SAMPLES),
     "fig2.n_values": (
-        lambda ns: tuple(_integer(n) for n in ns), lambda ns: len(ns) > 0 and min(ns) >= 1,
-        "must be a nonempty list of integers >= 1",
+        lambda ns: tuple(_integer(n) for n in ns), lambda ns: len(ns) > 0 and 1 <= min(ns) and max(ns) <= MAX_SPINS,
+        f"must be a nonempty list of integers from 1 to {MAX_SPINS}",
     ),
     "fig2.t_min": _TIME,
     "fig2.t_max": _TIME,
-    "fig2.t_points": (_integer, lambda n: n >= 2, "must be an integer >= 2"),
+    "fig2.t_points": _count(2, MAX_TIME_POINTS),
     "timescales.cases": (
         lambda cases: [_check(f"timescales.cases[{k}]", case, *_CASE) for k, case in enumerate(cases)],
         lambda cases: len(cases) > 0,
         "must be a nonempty list of cases",
     ),
-    "discrimination.n_mac": _COUNT,
+    "discrimination.n_mac": _count(1, MAX_SPINS),
     "discrimination.t_min": _TIME,
     "discrimination.t_max": _TIME,
-    "discrimination.t_points": _COUNT,
-    "discrimination.draws": _SAMPLES,
-    "verify.instances": _COUNT,  # with none the oracle suites would check nothing
+    "discrimination.t_points": _count(1, MAX_TIME_POINTS),
+    "discrimination.draws": _count(1, MAX_SAMPLES),
+    "verify.instances": _count(1, MAX_INSTANCES),  # with none the oracle suites would check nothing
 }
-
-
-def _reads(scenario: str) -> list[str]:
-    """The fields besides the measure section that a scenario reads."""
-    shared = ("seed", "threads", "samples") if scenario == "fig2" else ("seed", "threads")
-    return [path for path in FIELDS if path in shared or path.startswith(f"{scenario}.")]
 
 
 def parse_measure(section: dict) -> MeasureSpec:
@@ -287,7 +301,9 @@ def run_timescales(values: dict, out_dir: Path) -> tuple[int, list[str], dict]:
 
 def run_discrimination(values: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     # imported here, as verify in run_verify, so other scenarios never load them
-    from .discrimination import kolmogorov_fuchs, local_success_probability, majority_stats, majority_success_heterogeneous
+    from .discrimination import (
+        chernoff_bound, kolmogorov_fuchs, local_success_probability, majority_success, majority_success_heterogeneous,
+    )
 
     n_mac, draws, seed = values["discrimination.n_mac"], values["discrimination.draws"], values["seed"]
     t_grid = np.linspace(
@@ -308,23 +324,16 @@ def run_discrimination(values: dict, out_dir: Path) -> tuple[int, list[str], dic
         p_het = majority_success_heterogeneous(probs)
         b_vals = macrofraction_fidelity(b2_coeff, s)
         ok_count = int(np.count_nonzero(kolmogorov_fuchs(p_het, b_vals)[2]))
-        stats = majority_stats(n_mac, float(np.mean(probs)))
+        # the exact majority tail at the mean success, checked against its Chernoff lower bound
+        p_bar = float(np.mean(probs))
+        s_bar = p_bar - 0.5
+        exact = majority_success(n_mac, p_bar)
+        lower = chernoff_bound(n_mac, min(max(s_bar, 0.0), 0.5))
+        if s_bar >= 0.0 and exact < lower - 1e-12:
+            raise AssertionError(f"exact majority tail {exact} fell below its Chernoff bound {lower}")
         mean_b = float(np.mean(b_vals))
-        k, limit, _ = kolmogorov_fuchs(stats.p_tilde_exact, mean_b)
-        rows.append(
-            [
-                t,
-                stats.p_bar,
-                stats.s_bar,
-                stats.p_tilde_exact,
-                stats.chernoff_lb,
-                k,
-                limit,
-                float(np.mean(p_het)),
-                mean_b,
-                ok_count / draws,
-            ]
-        )
+        k, limit, _ = kolmogorov_fuchs(exact, mean_b)
+        rows.append([t, p_bar, s_bar, exact, lower, k, limit, float(np.mean(p_het)), mean_b, ok_count / draws])
     write_csv(out_dir / "discrimination.csv", header, rows)
     all_ok = all(row[-1] == 1.0 for row in rows)
     return EXIT_OK if all_ok else EXIT_VERIFY, ["discrimination.csv"], {"fuchs_all_ok": all_ok}
@@ -357,9 +366,10 @@ SCENARIOS = tuple(RUNNERS)
 def run_scenario(scenario: str, config: dict, out_dir: Path) -> int:
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario: {scenario} (choose from {', '.join(SCENARIOS)})")
-    # every field the runner reads, checked before any output is written
+    # every field, read by this scenario or not, checked before any output is
+    # written (the manifest records the whole config), the scenario's own first
     values = {}
-    for path in _reads(scenario):
+    for path in sorted(FIELDS, key=lambda p: not p.startswith(f"{scenario}.")):
         section, _, key = path.rpartition(".")
         values[path] = _check(path, config[section][key] if section else config[key], *FIELDS[path])
     values["measure"] = parse_measure(config["measure"])

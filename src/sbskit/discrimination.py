@@ -2,14 +2,15 @@
 macrofraction, and the Chernoff / Kolmogorov bounds on their performance.
 
 The Helstrom kernels take stacks: ``helstrom_pair`` one pair of matching
-stacks of states, ``helstrom_spin_analytic`` a spin record with its times,
-and a stacked call gives, bit for bit, the pairs of one call per item.
+stacks of states, ``helstrom_spin_analytic`` a spin record with its times.
+Each returns projector families {P_plus, P_minus} of shape (..., 2, n, n),
+the per-environment layout of ``sbs_core.ProjectorFamily``, and a stacked
+call gives, bit for bit, the families of one call per item.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 import numpy as np
 
 from . import densmat
@@ -19,49 +20,21 @@ from .spin_model import SpinParams, delta, sin_gt
 TIE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class ProjectorPair:
-    """Complete two-outcome projective measurements {P_plus, P_minus}.
-
-    One pair, or a stack of them: p_plus and p_minus have shape (..., n, n)
-    and ``degenerate`` (a bool, or a bool array of the stack's shape) marks
-    the fallback convention used when the two states to discriminate
-    coincide (no information in the measurement).
-    """
-
-    p_plus: np.ndarray
-    p_minus: np.ndarray
-    degenerate: bool | np.ndarray = False
-
-    def family(self) -> np.ndarray:
-        """P_plus and P_minus stacked, shape (..., 2, n, n)."""
-        return np.stack([self.p_plus, self.p_minus], axis=-3)
-
-
-@dataclass(frozen=True)
-class MajorityStats:
-    """Majority-vote summary for a macrofraction of spins with mean success p_bar."""
-
-    p_bar: float
-    s_bar: float
-    p_tilde_exact: float
-    chernoff_lb: float
-
-
 def helstrom_pair(
     rho_plus: np.ndarray,
     rho_minus: np.ndarray,
     weights: tuple[float, float] | None = None,
-) -> ProjectorPair:
+) -> np.ndarray:
     """Minimum-error projective measurement for two states, or per pair of
-    matching stacks (..., n, n).
+    matching stacks (..., n, n), as the family {P_plus, P_minus} of shape
+    (..., 2, n, n).
 
     P_plus projects on the strictly positive eigenspace of
     w_plus rho_plus - w_minus rho_minus (equal weights by default) and
     P_minus is its complement.  With equal weights the achieved error is
     (1/2)(1 - ||rho_plus - rho_minus||_1 / 2); identical states yield
-    P_plus = 0 and error 1/2.  A stacked call gives, bit for bit, the pairs
-    of one call per matrix.
+    P_plus = 0 and error 1/2.  A stacked call gives, bit for bit, the
+    families of one call per matrix.
     """
     rho_plus = densmat.check_square(rho_plus)
     rho_minus = densmat.check_square(rho_minus)
@@ -78,11 +51,13 @@ def helstrom_pair(
     for r in set(rank.ravel().tolist()):
         pos = v[rank == r][..., n - r :]
         p_plus[rank == r] = pos @ np.swapaxes(pos.conj(), -1, -2)
-    return ProjectorPair(p_plus, np.eye(n, dtype=complex) - p_plus, (rank == 0)[()])
+    return np.stack([p_plus, np.eye(n, dtype=complex) - p_plus], axis=-3)
 
 
-def helstrom_spin_analytic(p: SpinParams, t) -> ProjectorPair:
-    """Closed-form Helstrom pairs for the evolved branch states of each spin.
+def helstrom_spin_analytic(p: SpinParams, t) -> tuple[np.ndarray, np.ndarray | bool]:
+    """Closed-form Helstrom measurements for the evolved branch states of
+    each spin, as (family, degenerate): the family {P_plus, P_minus} of shape
+    (..., 2, 2, 2) and a bool (array) marking the fallback pairs.
 
     The branch difference at time t is purely off-diagonal with entry
     2 i sin(gt) delta, so for sin(gt) delta != 0 the optimal projectors are
@@ -90,9 +65,9 @@ def helstrom_spin_analytic(p: SpinParams, t) -> ProjectorPair:
         P_+/- = [[1/2, +/- sgn(sin gt) i delta / (2 |delta|)],
                  [-/+ sgn(sin gt) i delta* / (2 |delta|), 1/2]].
 
-    Degenerate inputs (delta = 0 or sin(gt) = 0) fall back to the flagged
-    canonical pair P_plus = diag(1, 0).  The record and t (>= 0) broadcast
-    together to the stack's leading shape.
+    Degenerate inputs (delta = 0 or sin(gt) = 0), which carry no
+    information, fall back to the canonical pair P_plus = diag(1, 0).  The
+    record and t (>= 0) broadcast together to the stack's leading shape.
     """
     d, s = np.broadcast_arrays(delta(p), sin_gt(p, t))
     # hypot per entry, as abs of one complex number
@@ -103,7 +78,7 @@ def helstrom_spin_analytic(p: SpinParams, t) -> ProjectorPair:
     u = 1j * np.copysign(1.0, s) * d / (2.0 * np.where(degenerate, 1.0, mag))
     p_plus = np.stack([np.full_like(u, 0.5), u, np.conj(u), np.full_like(u, 0.5)], axis=-1).reshape(u.shape + (2, 2))
     p_plus[degenerate] = np.diag([1.0, 0.0])
-    return ProjectorPair(p_plus, np.eye(2, dtype=complex) - p_plus, degenerate[()])
+    return np.stack([p_plus, np.eye(2, dtype=complex) - p_plus], axis=-3), degenerate[()]
 
 
 def local_success_probability(abs_delta, s):
@@ -217,18 +192,6 @@ def chernoff_bound(n_mac: int, s_bar: float) -> float:
     if not (0.0 <= s_bar <= 0.5):
         raise ValueError(f"s_bar {s_bar} outside [0, 1/2]")
     return 1.0 - math.exp(-0.5 * n_mac * s_bar * s_bar)
-
-
-def majority_stats(n_mac: int, p_bar: float) -> MajorityStats:
-    """Exact majority tail plus its Chernoff lower bound for one mean p."""
-    s_bar = p_bar - 0.5
-    exact = majority_success(n_mac, p_bar)
-    lower = chernoff_bound(n_mac, min(max(s_bar, 0.0), 0.5))
-    if s_bar >= 0.0 and exact < lower - 1e-12:
-        raise AssertionError(
-            f"exact majority tail {exact} fell below its Chernoff bound {lower}"
-        )
-    return MajorityStats(p_bar, s_bar, exact, lower)
 
 
 def kolmogorov_fuchs(p_tilde, b_mac):

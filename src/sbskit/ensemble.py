@@ -21,9 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spin_model import SpinParams, sin2_coefficients
+from .spin_model import TWO_PI, SpinParams, sin2_coefficients
 
-TWO_PI = 2.0 * math.pi
 # time points per block of the B / |gamma| kernel; at 100 spins its two
 # (spins, block) buffers take 800 KiB and stay in L2, where 512 timed fastest
 CURVE_BLOCK = 512
@@ -119,11 +118,6 @@ def draw_spin_arrays(measure: MeasureSpec, rng: np.random.Generator, n: int) -> 
     else:
         lam = np.full(n, float(measure.lam))
     return alpha, beta, gamma, lam, sample_coupling_array(measure, rng, n)
-
-
-def sample_spin_arrays(measure: MeasureSpec, rng: np.random.Generator, n: int) -> SpinParams:
-    """Draw n spins at once, as one record of length-n arrays (draw_spin_arrays, validated)."""
-    return SpinParams(*draw_spin_arrays(measure, rng, n))
 
 
 def map_indexed(fn: Callable[[int], object], n: int, threads: int = 1) -> list:
@@ -269,8 +263,8 @@ def fig2_curves(
 
     def one(i: int):
         rng = sample_stream(seed, i, 2)
-        observed = sample_spin_arrays(measure, rng, n_max)
-        unobserved = sample_spin_arrays(measure, rng, n_max)
+        observed = SpinParams(*draw_spin_arrays(measure, rng, n_max))
+        unobserved = SpinParams(*draw_spin_arrays(measure, rng, n_max))
         b_coeff, _ = sin2_coefficients(observed)
         _, gamma_coeff = sin2_coefficients(unobserved)
         b = _product_curves(observed.g, t, [b_coeff], n_values)[0]

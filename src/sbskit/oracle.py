@@ -173,17 +173,15 @@ def analytic_reduced_state(inst: OracleInstance) -> np.ndarray:
     return np.sum(coeff * densmat.tensor(unit, env), axis=-3)
 
 
-def observed_branches(inst: OracleInstance) -> np.ndarray:
-    """Branch states of the observed environments, shape (B, n_observed, d_s, 2, 2)."""
-    i = np.arange(inst.central.d_s)[:, None]
-    return np.swapaxes(branch_state(_rows(inst.observed), i, i, inst.t[:, None, None], inst.central.d_s), -4, -3)
-
-
 def branch_ensemble(inst: OracleInstance) -> BranchEnsemble:
+    """Observed branch states (B, n_observed, d_s, 2, 2) and the dephasing
+    magnitudes of gamma_products, as one record."""
     gammas = gamma_products(inst)
+    i = np.arange(inst.central.d_s)[:, None]
+    branches = branch_state(_rows(inst.observed), i, i, inst.t[:, None, None], inst.central.d_s)
     # hypot per entry, as Python's abs of a complex number: np.abs of a
     # complex array can differ from it in the last bit
-    return BranchEnsemble(observed_branches(inst), np.hypot(gammas.real, gammas.imag))
+    return BranchEnsemble(np.swapaxes(branches, -4, -3), np.hypot(gammas.real, gammas.imag))
 
 
 def exact_epsilon(reduced: np.ndarray, sbs: SBSState):
@@ -218,9 +216,9 @@ def qubit_families(central: CentralState, branches: np.ndarray, draws: np.ndarra
     if central.d_s != 2:
         raise ValueError("qubit_families requires a two-level central system")
     rho_0, rho_1 = branches[..., 0, :, :], branches[..., 1, :, :]
-    plain = helstrom_pair(rho_0, rho_1).family()
+    plain = helstrom_pair(rho_0, rho_1)
     # each instance's pointer weights, broadcast over its environments
-    weighted = helstrom_pair(rho_0, rho_1, weights=tuple(central.sigma.T[..., None, None, None])).family()
+    weighted = helstrom_pair(rho_0, rho_1, weights=tuple(central.sigma.T[..., None, None, None]))
     eye = np.eye(2, dtype=complex)
     coarse = np.broadcast_to([eye, np.zeros_like(eye)], plain.shape)
     v = draws[..., 0, :] + 1j * draws[..., 1, :]
@@ -253,11 +251,6 @@ class InstanceReport:
     cor2: np.ndarray
     cor2_applicable: np.ndarray
 
-    @property
-    def cor1_margin(self) -> np.ndarray:
-        """eta - witness epsilon; the measurement-free bound holds iff >= 0."""
-        return self.eta_cor1 - self.epsilon_witness
-
 
 def evaluate_instance(inst: OracleInstance, draws: np.ndarray) -> InstanceReport:
     """Run every bound check on a block of qubit instances with exact matrices.
@@ -289,7 +282,7 @@ def evaluate_instance(inst: OracleInstance, draws: np.ndarray) -> InstanceReport
     pe = sbs_core.discrimination_error(central.sigma[:, None, :], branches, families.families)
     witness = np.fmin(eps[0], eps[1])
 
-    info = sbs_core.mutual_information(reduced, inst.factor_dims[: 1 + inst.observed.g.shape[-1]], [0])
+    info = sbs_core.mutual_information(reduced, inst.factor_dims[: 1 + inst.observed.g.shape[-1]])
     gap = np.abs(info - central.shannon_entropy())
     cor2, applicable = sbs_core.cor2_bound(witness, d_s)
     prop1 = sbs_core.prop1_bound(gamma, pe)

@@ -75,9 +75,6 @@ class CentralState:
             raise ValueError(f"pointer weights sum to {off[0]}, not 1")
         densmat.check_density_matrix(rho)
 
-    def __eq__(self, other):
-        return isinstance(other, CentralState) and np.array_equal(self.rho, other.rho)
-
     @property
     def sigma(self) -> np.ndarray:
         """Pointer weights sigma_i, the real diagonal of rho, shape (..., d_S)."""
@@ -336,19 +333,17 @@ def cor2_bound(eps_or_eta, d_s: int):
     return np.where(x > 0.5, math.inf, bound)[()], (x <= COR2_VALIDITY)[()]
 
 
-def mutual_information(rho: np.ndarray, factor_dims: Sequence[int], system_factors: Sequence[int]):
+def mutual_information(rho: np.ndarray, factor_dims: Sequence[int]):
     """Quantum mutual information I = S(rho_S) + S(rho_rest) - S(rho), in
-    bits, per matrix of a stack (a float for one).
+    bits, per matrix of a stack (a float for one matrix).
 
-    system_factors selects which tensor factors make up the system; the
-    remaining factors form the observed fraction.
+    The system is the first tensor factor, factor_dims[0], and the
+    remaining factors (at least one) form the observed fraction.
     """
-    system_factors = sorted(set(int(k) for k in system_factors))
-    rest = [k for k in range(len(factor_dims)) if k not in system_factors]
-    if not system_factors or not rest:
+    if len(factor_dims) < 2:
         raise ValueError("split must leave factors on both sides")
-    rho_s = densmat.partial_trace(rho, factor_dims, system_factors)
-    rho_f = densmat.partial_trace(rho, factor_dims, rest)
+    rho_s = densmat.partial_trace(rho, factor_dims, [0])
+    rho_f = densmat.partial_trace(rho, factor_dims, range(1, len(factor_dims)))
     return (
         densmat.von_neumann_entropy(rho_s)
         + densmat.von_neumann_entropy(rho_f)

@@ -43,7 +43,6 @@ from .ensemble import (
     fig1_node,
     fig2_curves,
     sample_rows,
-    sample_spin_arrays,
     sample_stream,
 )
 from .spin_model import (
@@ -163,7 +162,7 @@ def oracle_inequalities(seed: int, instances: int) -> dict[str, SuiteResult]:
         checked = ~rep.degenerate.T
         stated.record((rep.prop1 - rep.epsilon).T[checked], tol=1e-9)
         disturbance.record((rep.disturbance - rep.epsilon).T[checked], tol=1e-9)
-        cor1.record(rep.cor1_margin, tol=1e-9)
+        cor1.record(rep.eta_cor1 - rep.epsilon_witness, tol=1e-9)
         cor2_applicable += int(np.count_nonzero(rep.cor2_applicable))
         cor2.record((rep.cor2 - rep.info_gap)[rep.cor2_applicable], tol=1e-9)
     cor2.detail = f"applicable on {cor2_applicable}/{instances} instances (eps <= 1/4)"
@@ -198,8 +197,8 @@ def helstrom_suite(seed: int) -> SuiteResult:
     res = SuiteResult("helstrom_identity")
     rho_p, rho_m, _ = _random_state_pairs(seed, 12, 1000)
     tnorms = densmat.trace_norm(rho_p - rho_m)
-    pair = helstrom_pair(rho_p, rho_m)
-    traces = np.trace(rho_m @ pair.p_plus, axis1=-2, axis2=-1) + np.trace(rho_p @ pair.p_minus, axis1=-2, axis2=-1)
+    family = helstrom_pair(rho_p, rho_m)
+    traces = np.trace(rho_m @ family[:, 0], axis1=-2, axis2=-1) + np.trace(rho_p @ family[:, 1], axis1=-2, axis2=-1)
     res.record(1e-10 - np.abs(0.5 * np.real(traces) - 0.5 * (1.0 - 0.5 * tnorms)))
     return res
 
@@ -222,13 +221,13 @@ def local_probability_suite(seed: int) -> SuiteResult:
     spins, t = _timed_spin_rows(seed, 14, 1000, 1)
     # per draw both branch states
     evolved = oracle.branch_state(spins, [0, 1], [0, 1], t, 2)
-    pair = helstrom_spin_analytic(spins, t)
-    p_plus = np.real(np.trace(pair.p_plus[:, 0] @ evolved[:, 0], axis1=-2, axis2=-1))
-    p_minus = np.real(np.trace(pair.p_minus[:, 0] @ evolved[:, 1], axis1=-2, axis2=-1))
+    family, degenerate = helstrom_spin_analytic(spins, t)
+    p_plus = np.real(np.trace(family[:, 0, 0] @ evolved[:, 0], axis1=-2, axis2=-1))
+    p_minus = np.real(np.trace(family[:, 0, 1] @ evolved[:, 1], axis1=-2, axis2=-1))
     formula = local_success_probability(np.abs(delta(spins)), sin_gt(spins, t))
     # per informative draw the p_plus margin, then the p_minus margin
     margins = 1e-12 - np.abs(np.stack([p_plus, p_minus], axis=-1) - formula)
-    res.record(margins[~pair.degenerate[:, 0]])
+    res.record(margins[~degenerate[:, 0]])
     return res
 
 
@@ -262,7 +261,7 @@ def moments_suite(seed: int) -> SuiteResult:
     """Sampler moments over 100,000 spins: E[sin^2 beta] = 2/3,
     E[cos^2 beta] = 1/3, E[(2 lam - 1)^2] = 3/5, each within 0.01."""
     res = SuiteResult("measure_moments")
-    spins = sample_spin_arrays(MeasureSpec(), sample_stream(seed, 0, 16), MOMENT_SAMPLES)
+    spins = SpinParams(*draw_spin_arrays(MeasureSpec(), sample_stream(seed, 0, 16), MOMENT_SAMPLES))
     res.record(0.01 - abs(float(np.mean(np.sin(spins.beta) ** 2)) - 2.0 / 3.0))
     res.record(0.01 - abs(float(np.mean(np.cos(spins.beta) ** 2)) - 1.0 / 3.0))
     res.record(0.01 - abs(float(np.mean((2.0 * spins.lam - 1.0) ** 2)) - 3.0 / 5.0))
@@ -278,7 +277,7 @@ def short_time_suite(seed: int) -> SuiteResult:
     res = SuiteResult("short_time_exponents")
     measure = MeasureSpec()
     t = 0.05
-    spins = sample_spin_arrays(measure, sample_stream(seed, 0, 17), MOMENT_SAMPLES)
+    spins = SpinParams(*draw_spin_arrays(measure, sample_stream(seed, 0, 17), MOMENT_SAMPLES))
     kappa, chi = np.empty(MOMENT_SAMPLES), np.empty(MOMENT_SAMPLES)
     # blocks keep the exponents' temporaries small next to the sampled arrays
     for lo in range(0, MOMENT_SAMPLES, EXPONENT_BLOCK):
@@ -389,7 +388,7 @@ def qutrit_prop1_suite(seed: int) -> SuiteResult:
         inst = oracle.random_instance(seed, rows, n_observed=2, n_unobserved=2, d_s=3)
         ens = oracle.branch_ensemble(inst)
         branches = ens.branches
-        pairwise = helstrom_pair(branches[..., 0, :, :], branches[..., 1, :, :]).family()
+        pairwise = helstrom_pair(branches[..., 0, :, :], branches[..., 1, :, :])
         # the pairwise and the coarse family, stacked in that order
         families = sbs_core.ProjectorFamily(np.stack([
             np.concatenate([pairwise, np.zeros_like(branches[..., :1, :, :])], axis=-3),

@@ -38,6 +38,22 @@ def run_cli(args):
     return status
 
 
+# each capped size field: its cap, and the largest value a default, a
+# benchmark workload or a bath of 1e4 spins asks of it
+SIZE_CAPS = {
+    "samples": (cli.MAX_SAMPLES, 200),
+    "fig1.samples": (cli.MAX_SAMPLES, 8),
+    "discrimination.draws": (cli.MAX_SAMPLES, 600),
+    "fig1.n_spins": (cli.MAX_SPINS, 10_000),
+    "fig1.tau_points": (cli.MAX_TAU_POINTS, 40_001),
+    "fig2.n_values": (cli.MAX_SPINS, 10_000),
+    "fig2.t_points": (cli.MAX_TIME_POINTS, 121),
+    "discrimination.n_mac": (cli.MAX_SPINS, 10_000),
+    "discrimination.t_points": (cli.MAX_TIME_POINTS, 22),
+    "verify.instances": (cli.MAX_INSTANCES, 600),
+}
+
+
 class TestConfig:
     def test_unknown_field_named(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -86,22 +102,70 @@ class TestConfig:
         assert cli.DEFAULT_CONFIG["timescales"]["cases"][0]["n_mac"] == 100
 
     @pytest.mark.parametrize(
-        "path, scenario", [("discrimination.draws", "discrimination"), ("samples", "fig2"), ("fig1.samples", "fig1")]
+        "path, scenario",
+        [
+            ("discrimination.draws", "discrimination"),
+            ("samples", "fig2"),
+            ("fig1.samples", "fig1"),
+            ("fig1.n_spins", "fig1"),
+            ("fig1.tau_points", "fig1"),
+            ("fig2.n_values", "fig2"),
+            ("fig2.t_points", "fig2"),
+            ("discrimination.n_mac", "discrimination"),
+            ("discrimination.t_points", "discrimination"),
+            ("verify.instances", "verify"),
+        ],
     )
     def test_oversize_count_is_config_error(self, tmp_path, monkeypatch, path, scenario):
-        # checked before the runner starts, so nothing is sampled or allocated
+        # checked before the runner starts, so nothing is sampled or allocated;
+        # each cap sits at least 10 times above what the field must allow
+        cap, needed = SIZE_CAPS[path]
+        assert cap >= 10 * needed and f" to {cap}" in cli.FIELDS[path][2]
         ran = []
         monkeypatch.setitem(cli.RUNNERS, scenario, lambda values, out_dir: ran.append(values[path]) or (0, [], {}))
         section, _, key = path.rpartition(".")
         config = cli.load_config(None)
-        (config[section] if section else config)[key] = 10**12
-        requirement = f"must be an integer from 1 to {cli.MAX_SAMPLES}, got 1000000000000"
-        with pytest.raises(cli.ConfigError, match=f"^{re.escape(path)}: {requirement}"):
+        size = (lambda n: [30, n]) if path == "fig2.n_values" else (lambda n: n)
+        (config[section] if section else config)[key] = size(10**12)
+        requirement = f"{cli.FIELDS[path][2]}, got {size(10**12)!r}"
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(path)}: {re.escape(requirement)}"):
             cli.run_scenario(scenario, config, tmp_path / "out")
         assert not (tmp_path / "out").exists()
-        (config[section] if section else config)[key] = cli.MAX_SAMPLES
+        (config[section] if section else config)[key] = size(cap)
         assert cli.run_scenario(scenario, config, tmp_path / "out") == 0
-        assert ran == [cli.MAX_SAMPLES]
+        assert len(ran) == 1 and np.max(ran[0]) == cap
+
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["plus", "minus"])
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("measure.angles", [0.1, "HUGE", 0.2]),
+            ("measure.lambda", "HUGE"),
+            ("measure.coupling", "HUGE"),
+            ("measure.coupling", [0.0, "HUGE"]),
+            ("fig1.lambda_grid", [0.5, "HUGE"]),
+            ("fig1.beta_grid", ["HUGE"]),
+            ("fig1.tau", "HUGE"),
+            ("fig2.t_min", "HUGE"),
+            ("fig2.t_max", "HUGE"),
+            ("timescales.cases", [{"n_mac": 100, "n_total": 200, "f": "HUGE"}]),
+            ("discrimination.t_min", "HUGE"),
+            ("discrimination.t_max", "HUGE"),
+        ],
+        ids=lambda v: v if isinstance(v, str) and v != "HUGE" else "list" if isinstance(v, list) else "number",
+    )
+    def test_overflowing_number_is_config_error(self, tmp_path, capsys, path, value, sign):
+        # a JSON number too large for a float loads as +-inf; every scenario,
+        # whether it reads the field or not, exits 1 naming it and writes nothing
+        section, _, key = path.rpartition(".")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({section: {key: value}}).replace('"HUGE"', f"{sign}1e999"))
+        assert f"{sign}inf" in repr(cli.load_config(str(cfg))[section][key])
+        for scenario in cli.SCENARIOS:
+            out = tmp_path / scenario
+            assert run_cli(["--scenario", scenario, "--config", str(cfg), "--out-dir", str(out)]) == cli.EXIT_CONFIG
+            assert capsys.readouterr().out.startswith(f"config error: {path}")
+            assert not out.exists()
 
     def test_override_merging(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -225,8 +289,8 @@ class TestDiscriminationScenario:
         # the reference recomputes |delta|, the B coefficient and sin(g t) at
         # every time point and validates every drawn row, as the scenario did
         # before it computed the time-invariant factors once
-        from sbskit.discrimination import kolmogorov_fuchs, majority_stats, majority_success_heterogeneous
-        from sbskit.ensemble import sample_rows, sample_spin_arrays
+        from sbskit.discrimination import chernoff_bound, kolmogorov_fuchs, majority_success, majority_success_heterogeneous
+        from sbskit.ensemble import draw_spin_arrays, sample_rows
         from sbskit.spin_model import SpinParams, delta, sin2_coefficients
 
         seed, n_mac, t_points, draws = 11, 9, 5, 13
@@ -237,7 +301,7 @@ class TestDiscriminationScenario:
         got = [list(map(float, line.split(","))) for line in (out / "discrimination.csv").read_text().splitlines()[1:]]
         measure = cli.parse_measure(cli.DEFAULT_CONFIG["measure"])
         spins = SpinParams(
-            *sample_rows(seed, 20, range(draws), lambda rng: tuple(vars(sample_spin_arrays(measure, rng, n_mac)).values()))
+            *sample_rows(seed, 20, range(draws), lambda rng: tuple(vars(SpinParams(*draw_spin_arrays(measure, rng, n_mac))).values()))
         )
         section = cli.DEFAULT_CONFIG["discrimination"]
         want = []
@@ -248,12 +312,25 @@ class TestDiscriminationScenario:
             with np.errstate(divide="ignore"):
                 b_vals = np.exp(0.5 * np.sum(np.log(1.0 + a * np.square(np.sin(spins.g * t))), axis=-1))
             p_het = majority_success_heterogeneous(probs)
-            stats = majority_stats(n_mac, float(np.mean(probs)))
-            k, limit, _ = kolmogorov_fuchs(stats.p_tilde_exact, float(np.mean(b_vals)))
+            p_bar = float(np.mean(probs))
+            exact = majority_success(n_mac, p_bar)
+            lower = chernoff_bound(n_mac, min(max(p_bar - 0.5, 0.0), 0.5))
+            k, limit, _ = kolmogorov_fuchs(exact, float(np.mean(b_vals)))
             ok = np.count_nonzero(kolmogorov_fuchs(p_het, b_vals)[2]) / draws
-            want.append([t, stats.p_bar, stats.s_bar, stats.p_tilde_exact, stats.chernoff_lb, k, limit,
-                         float(np.mean(p_het)), float(np.mean(b_vals)), ok])
+            want.append([t, p_bar, p_bar - 0.5, exact, lower, k, limit, float(np.mean(p_het)), float(np.mean(b_vals)), ok])
         assert got == want
+
+    def test_chernoff_self_check_raises(self, tmp_path, monkeypatch):
+        # an exact majority tail below its Chernoff lower bound is a bug, not a result
+        from sbskit import discrimination
+
+        exact = discrimination.majority_success(51, 0.7)
+        assert exact >= discrimination.chernoff_bound(51, 0.2)
+        monkeypatch.setattr(discrimination, "majority_success", lambda n_mac, p_bar: 0.0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"discrimination": {"t_points": 3, "draws": 4}}))
+        with pytest.raises(AssertionError, match="fell below its Chernoff bound"):
+            cli.main(["--scenario", "discrimination", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
 
     def test_one_spin_record_per_run(self, tmp_path, monkeypatch):
         # the drawn rows are validated once, as one stacked record

@@ -24,6 +24,11 @@ NO_CALLER_NEEDED = {
 # public dataclass fields that need no reader inside src/, each with the reason
 NO_READER_NEEDED: dict[str, str] = {}
 
+# public module-level constants that need no reader inside src/, each with the reason
+NO_CONSTANT_READER_NEEDED = {
+    "oracle.QUBIT_FAMILIES": "names the family axis of qubit_families, which the tests index by",
+}
+
 
 def public_definitions(trees):
     """(qualified name, bare name, is_method, node) of every public function and method."""
@@ -100,6 +105,34 @@ def test_every_dataclass_field_has_a_reader_in_src():
     unread = [q for q, name in fields.items() if q not in NO_READER_NEEDED and name not in read]
     assert not unread, f"dataclass fields nothing in src/ reads: {unread}"
     assert set(NO_READER_NEEDED) <= set(fields), "the exemption list names a field that no longer exists"
+
+
+def module_constants(trees):
+    """Qualified name and bare name of every public name a module assigns at its top level."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield f"{module}.{target.id}", target.id
+
+
+def test_every_module_constant_has_a_reader_in_src():
+    """A constant counts as read when src/ loads its bare name, as a name
+    (also after an import) or as an attribute, as the caller rule matches
+    bare names."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    constants = dict(module_constants(trees))
+    unread = [q for q, name in constants.items() if q not in NO_CONSTANT_READER_NEEDED and name not in read]
+    assert not unread, f"module constants nothing in src/ reads: {unread}"
+    assert set(NO_CONSTANT_READER_NEEDED) <= set(constants), "the exemption list names a constant that no longer exists"
 
 
 def stream_calls_in_loops(src: Path):
@@ -198,18 +231,18 @@ def config_leaves(section: dict, prefix: str = ""):
 
 def test_every_config_field_is_checked(tmp_path):
     """Each default field but config_version has an entry in cli.FIELDS and is
-    checked by some scenario (the measure section by parse_measure): None
-    there exits as a config error naming it before any output is written."""
+    checked by every scenario, whether it reads the field or not, as the
+    manifest records the whole config: None there exits as a config error
+    naming it before any output is written."""
     from sbskit import cli
 
     leaves = set(config_leaves(cli.DEFAULT_CONFIG)) - {"config_version"}
     assert set(cli.FIELDS) == leaves
     for path in sorted(leaves):
         section, _, key = path.rpartition(".")
-        config = cli.load_config(None)
-        (config[section] if section else config)[key] = None
-        readers = [s for s in cli.SCENARIOS if path in cli._reads(s) or section == "measure"]
-        assert readers, f"no scenario checks {path}"
-        with pytest.raises(cli.ConfigError, match=f"^{re.escape(path)}: "):
-            cli.run_scenario(readers[0], config, tmp_path / "out")
+        for scenario in cli.SCENARIOS:
+            config = cli.load_config(None)
+            (config[section] if section else config)[key] = None
+            with pytest.raises(cli.ConfigError, match=f"^{re.escape(path)}: "):
+                cli.run_scenario(scenario, config, tmp_path / "out")
     assert not (tmp_path / "out").exists()

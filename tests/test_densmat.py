@@ -80,16 +80,20 @@ class TestTraceNorm:
         assert densmat.trace_norm(np.diag([1.0, -1.0])) == pytest.approx(2.0, abs=1e-14)
 
     def test_nilpotent_jordan_block(self):
-        # singular values of [[0,1],[0,0]]: A^dagger A = diag(0,1) -> {1, 0}
+        # [[0,1],[0,0]] is not Hermitian: its trace norm (1, the sum of its
+        # singular values) is not a sum of |eigenvalues|, so it is refused
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        sv = np.sqrt(np.linalg.eigvalsh(a.conj().T @ a))
-        assert sv.sum() == pytest.approx(1.0, abs=1e-14)
-        assert densmat.trace_norm(a) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match=r"not Hermitian: max \|A - A†\| = 1\.000e\+00"):
+            densmat.trace_norm(a)
+        # in a stack too, whatever the other matrices are
+        with pytest.raises(ValueError, match="not Hermitian"):
+            densmat.trace_norm(np.stack([np.eye(2), a]))
 
     def test_matches_svd_on_random(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            a = a + a.conj().T
             expected = np.linalg.svd(a, compute_uv=False).sum()
             assert densmat.trace_norm(a) == pytest.approx(expected, abs=1e-10)
 
@@ -227,6 +231,21 @@ class TestEntropy:
             lhs = densmat.von_neumann_entropy(joint)
             rhs = densmat.von_neumann_entropy(rho_a) + densmat.von_neumann_entropy(rho_b)
             assert abs(lhs - rhs) < 1e-10
+
+
+    def test_dropped_entries_add_nothing(self):
+        # a row of 2 with one entry at or below the cutoff gives, bit for bit,
+        # the sum over its kept entry alone; a row that keeps none gives +0.0
+        rng = np.random.default_rng(24)
+        kept = np.concatenate([rng.uniform(0.0, 1.0, 40), [1.0, 0.5]])
+        for rows in (np.stack([kept, np.zeros(42)], axis=-1), np.stack([np.full(42, 1e-16), kept], axis=-1)):
+            got = densmat.entropy_bits(rows, 1e-15)
+            want = [-np.sum(row[row > 1e-15] * np.log2(row[row > 1e-15])) for row in rows]
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        none = densmat.entropy_bits(np.array([[0.0, 0.0], [1e-16, 0.0], [0.0, -1e-17]]), 1e-15)
+        assert none.tolist() == [0.0, 0.0, 0.0] and not np.signbit(none).any()
+        assert not np.signbit(densmat.entropy_bits(np.zeros(2), 0.0))
 
 
 class TestStateValidation:

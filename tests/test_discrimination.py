@@ -6,7 +6,6 @@ import pytest
 
 from sbskit import densmat
 from sbskit.discrimination import (
-    ProjectorPair,
     chernoff_bound,
     helstrom_pair,
     helstrom_spin_analytic,
@@ -15,7 +14,7 @@ from sbskit.discrimination import (
     majority_success,
     majority_success_heterogeneous,
 )
-from sbskit.ensemble import MeasureSpec, sample_spin_arrays, sample_stream
+from sbskit.ensemble import MeasureSpec, draw_spin_arrays, sample_stream
 from sbskit.oracle import branch_state
 from sbskit.spin_model import SpinParams, delta, sin_gt
 
@@ -32,7 +31,7 @@ def evolved_branch_states(p, t):
 
 def mean_success(measure, t, samples, seed):
     """(p_bar, s_bar, stderr) of the local success probability over sampled spins."""
-    vals = success(sample_spin_arrays(measure, sample_stream(seed, 0, label=4), samples), t)
+    vals = success(SpinParams(*draw_spin_arrays(measure, sample_stream(seed, 0, label=4), samples)), t)
     p_bar = float(np.mean(vals))
     return p_bar, p_bar - 0.5, float(np.std(vals, ddof=1) / math.sqrt(samples))
 
@@ -43,10 +42,9 @@ def random_qubit_state(rng):
     return rho / np.trace(rho).real
 
 
-def achieved_error(pair: ProjectorPair, rho_plus, rho_minus):
-    return 0.5 * float(
-        np.real(np.trace(rho_minus @ pair.p_plus) + np.trace(rho_plus @ pair.p_minus))
-    )
+def achieved_error(family, rho_plus, rho_minus):
+    p_plus, p_minus = family
+    return 0.5 * float(np.real(np.trace(rho_minus @ p_plus) + np.trace(rho_plus @ p_minus)))
 
 
 def enumerate_majority(probs):
@@ -64,47 +62,43 @@ def enumerate_majority(probs):
 
 class TestHelstromPair:
     def test_orthogonal_pure(self):
-        pair = helstrom_pair(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        np.testing.assert_allclose(pair.p_plus, np.diag([1.0, 0.0]), atol=1e-12)
-        assert achieved_error(pair, np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(
+        family = helstrom_pair(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        np.testing.assert_allclose(family[0], np.diag([1.0, 0.0]), atol=1e-12)
+        assert achieved_error(family, np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_identical_states_degenerate(self):
         rho = np.eye(2) / 2
-        pair = helstrom_pair(rho, rho)
-        assert pair.degenerate
-        np.testing.assert_allclose(pair.p_plus, np.zeros((2, 2)), atol=1e-14)
-        assert achieved_error(pair, rho, rho) == pytest.approx(0.5, abs=1e-12)
+        family = helstrom_pair(rho, rho)
+        # no eigenvalue of the difference is positive, so P_plus is exactly 0
+        assert np.all(family[0] == 0.0)
+        np.testing.assert_array_equal(family[1], np.eye(2))
+        assert achieved_error(family, rho, rho) == pytest.approx(0.5, abs=1e-12)
 
     def test_optimality_identity_1000_pairs(self):
         rng = np.random.default_rng(101)
         for _ in range(1000):
             rho_p, rho_m = random_qubit_state(rng), random_qubit_state(rng)
-            pair = helstrom_pair(rho_p, rho_m)
-            err = achieved_error(pair, rho_p, rho_m)
+            err = achieved_error(helstrom_pair(rho_p, rho_m), rho_p, rho_m)
             t_norm = densmat.trace_norm(rho_p - rho_m)
             assert abs(err - 0.5 * (1.0 - 0.5 * t_norm)) < 1e-10
 
     def test_output_is_projective_and_complete(self):
         rng = np.random.default_rng(102)
         for _ in range(50):
-            pair = helstrom_pair(random_qubit_state(rng), random_qubit_state(rng))
-            for p in (pair.p_plus, pair.p_minus):
+            family = helstrom_pair(random_qubit_state(rng), random_qubit_state(rng))
+            for p in family:
                 assert np.max(np.abs(p @ p - p)) < 1e-10
-            assert np.max(np.abs(pair.p_plus + pair.p_minus - np.eye(2))) < 1e-12
+            assert np.max(np.abs(family[0] + family[1] - np.eye(2))) < 1e-12
 
     def test_weighted_variant_optimal_for_priors(self):
         rng = np.random.default_rng(103)
         for _ in range(200):
             rho_p, rho_m = random_qubit_state(rng), random_qubit_state(rng)
             w = rng.uniform(0, 1)
-            pair = helstrom_pair(rho_p, rho_m, weights=(w, 1 - w))
-            err = float(
-                np.real(
-                    w * np.trace(rho_p @ pair.p_minus) + (1 - w) * np.trace(rho_m @ pair.p_plus)
-                )
-            )
+            p_plus, p_minus = helstrom_pair(rho_p, rho_m, weights=(w, 1 - w))
+            err = float(np.real(w * np.trace(rho_p @ p_minus) + (1 - w) * np.trace(rho_m @ p_plus)))
             optimal = 0.5 * (1.0 - densmat.trace_norm(w * rho_p - (1 - w) * rho_m))
             assert abs(err - optimal) < 1e-10
 
@@ -113,19 +107,18 @@ class TestHelstromSpinAnalytic:
     def test_perfect_discrimination(self):
         p = SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0)
         t = np.pi / 2
-        pair = helstrom_spin_analytic(p, t)
-        assert not pair.degenerate
+        family, degenerate = helstrom_spin_analytic(p, t)
+        assert not degenerate
         # rank-1 projectors
-        assert np.linalg.matrix_rank(pair.p_plus) == 1
+        assert np.linalg.matrix_rank(family[0]) == 1
         rho_p, rho_m = evolved_branch_states(p, t)
-        assert achieved_error(pair, rho_p, rho_m) == pytest.approx(0.0, abs=1e-12)
+        assert achieved_error(family, rho_p, rho_m) == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_fallback(self):
-        pair = helstrom_spin_analytic(SpinParams(0.0, 0.0, 0.0, 1.0, 1.0), 0.7)
-        assert pair.degenerate
-        np.testing.assert_allclose(pair.p_plus, np.diag([1.0, 0.0]), atol=1e-14)
-        pair = helstrom_spin_analytic(SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0), np.pi)
-        assert pair.degenerate
+        family, degenerate = helstrom_spin_analytic(SpinParams(0.0, 0.0, 0.0, 1.0, 1.0), 0.7)
+        assert degenerate
+        np.testing.assert_allclose(family[0], np.diag([1.0, 0.0]), atol=1e-14)
+        assert helstrom_spin_analytic(SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0), np.pi)[1]
 
     def test_agreement_with_numeric_helstrom(self):
         rng = np.random.default_rng(104)
@@ -139,11 +132,11 @@ class TestHelstromSpinAnalytic:
                 rng.uniform(0.1, 1),
             )
             t = rng.uniform(0.1, 6)
-            analytic = helstrom_spin_analytic(p, t)
-            if analytic.degenerate:
+            analytic, degenerate = helstrom_spin_analytic(p, t)
+            if degenerate:
                 continue
             numeric = helstrom_pair(*evolved_branch_states(p, t))
-            assert np.max(np.abs(analytic.p_plus - numeric.p_plus)) < 1e-10
+            assert np.max(np.abs(analytic[0] - numeric[0])) < 1e-10
             count += 1
 
 
@@ -160,11 +153,11 @@ class TestLocalSuccessProbability:
     def test_matches_matrix_trace(self):
         p = SpinParams(0.0, np.pi / 3, 0.0, 0.75, 1.0)
         t = np.pi / 8
-        pair = helstrom_spin_analytic(p, t)
+        p_plus, p_minus = helstrom_spin_analytic(p, t)[0]
         rho_p, rho_m = evolved_branch_states(p, t)
         formula = success(p, t)
-        assert abs(float(np.real(np.trace(pair.p_plus @ rho_p))) - formula) < 1e-12
-        assert abs(float(np.real(np.trace(pair.p_minus @ rho_m))) - formula) < 1e-12
+        assert abs(float(np.real(np.trace(p_plus @ rho_p))) - formula) < 1e-12
+        assert abs(float(np.real(np.trace(p_minus @ rho_m))) - formula) < 1e-12
 
     def test_negative_time_rejected(self):
         p = SpinParams(0.3, 1.0, 0.1, 0.9, 1.0)
@@ -177,7 +170,7 @@ class TestLocalSuccessProbability:
     def test_time_zero_uninformative(self):
         p = SpinParams(0.3, 1.0, 0.1, 0.9, 1.0)
         assert success(p, 0.0) == 0.5
-        assert helstrom_spin_analytic(p, 0.0).degenerate
+        assert helstrom_spin_analytic(p, 0.0)[1]
 
     def test_never_below_half(self):
         rng = np.random.default_rng(105)
@@ -318,16 +311,6 @@ class TestChernoffBound:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             chernoff_bound(10, 0.7)
-
-
-class TestMajorityStats:
-    def test_record_fields_and_invariant(self):
-        from sbskit.discrimination import majority_stats
-
-        stats = majority_stats(101, 0.7)
-        assert stats.s_bar == pytest.approx(0.2)
-        assert stats.p_tilde_exact >= stats.chernoff_lb
-        assert stats.p_tilde_exact == pytest.approx(majority_success(101, 0.7), abs=1e-15)
 
 
 class TestKolmogorovFuchs:

@@ -7,11 +7,11 @@ from sbskit.discrimination import local_success_probability
 from sbskit.ensemble import (
     CURVE_BLOCK,
     MeasureSpec,
+    draw_spin_arrays,
     fig1_node,
     fig2_curves,
     sample_coupling_array,
     sample_rows,
-    sample_spin_arrays,
     sample_stream,
     _product_curves,
 )
@@ -102,13 +102,13 @@ class TestProductCurves:
     @pytest.mark.parametrize("n_t", BLOCK_EDGE_POINTS)
     def test_per_spin_states_match_reference(self, n_t):
         rng = np.random.default_rng(n_t)
-        s = sample_spin_arrays(MeasureSpec(), rng, 500)
+        s = SpinParams(*draw_spin_arrays(MeasureSpec(), rng, 500))
         t = np.linspace(0.0, 1.2, n_t)
         assert_matches_reference(s.lam, s.beta, s.g, t, [30, 50, 200, 500])
 
     def test_fig2_shape_and_count_order(self):
         rng = np.random.default_rng(4)
-        s = sample_spin_arrays(MeasureSpec(), rng, 500)
+        s = SpinParams(*draw_spin_arrays(MeasureSpec(), rng, 500))
         t = np.linspace(0.0, 1.2, 121)
         assert_matches_reference(s.lam, s.beta, s.g, t, [500, 1, 2, 200, 50, 50])
 
@@ -162,7 +162,7 @@ class TestProductCurves:
 
     def test_repeated_coefficient_array_gives_equal_rows(self):
         rng = np.random.default_rng(10)
-        s = sample_spin_arrays(MeasureSpec(), rng, 200)
+        s = SpinParams(*draw_spin_arrays(MeasureSpec(), rng, 200))
         t = np.linspace(0.0, 1.2, 1001)
         b_coeff, gamma_coeff = sin2_coefficients(s)
         once = _product_curves(s.g, t, [b_coeff, gamma_coeff], [50, 200])
@@ -210,7 +210,7 @@ class TestMeasureSpec:
 class TestSampling:
     def test_fixed_measure_returns_constants(self):
         measure = MeasureSpec(angles=(0.2, 0.3, 0.4), lam=0.6, coupling=0.9)
-        spin = sample_spin_arrays(measure, sample_stream(1, 0, 0), 1)
+        spin = SpinParams(*draw_spin_arrays(measure, sample_stream(1, 0, 0), 1))
         assert tuple(float(v[0]) for v in vars(spin).values()) == (
             0.2,
             0.3,
@@ -221,7 +221,7 @@ class TestSampling:
 
     def test_invariant_angle_moments(self):
         rng = sample_stream(7, 0, 0)
-        s = sample_spin_arrays(MeasureSpec(), rng, 20_000)
+        s = SpinParams(*draw_spin_arrays(MeasureSpec(), rng, 20_000))
         assert np.mean(np.sin(s.beta) ** 2) == pytest.approx(2.0 / 3.0, abs=0.02)
         assert np.mean(np.cos(s.beta) ** 2) == pytest.approx(1.0 / 3.0, abs=0.02)
         assert np.mean((2 * s.lam - 1) ** 2) == pytest.approx(0.6, abs=0.02)
@@ -229,7 +229,7 @@ class TestSampling:
     def test_ks_distance_beta(self):
         n = 100_000
         rng = sample_stream(11, 0, 0)
-        beta = sample_spin_arrays(MeasureSpec(), rng, n).beta
+        beta = SpinParams(*draw_spin_arrays(MeasureSpec(), rng, n)).beta
         # CDF of the invariant angle measure: (1 - cos beta) / 2
         grid = np.sort(beta)
         cdf = 0.5 * (1.0 - np.cos(grid))
@@ -242,7 +242,7 @@ class TestSampling:
     def test_ks_distance_lambda(self):
         n = 100_000
         rng = sample_stream(13, 0, 0)
-        lam = sample_spin_arrays(MeasureSpec(), rng, n).lam
+        lam = SpinParams(*draw_spin_arrays(MeasureSpec(), rng, n)).lam
         grid = np.sort(lam)
         cdf = 0.5 * ((2.0 * grid - 1.0) ** 3 + 1.0)
         empirical = np.arange(1, n + 1) / n
@@ -253,8 +253,8 @@ class TestSampling:
 
     def test_streams_independent_of_consumption_order(self):
         measure = MeasureSpec()
-        a = sample_spin_arrays(measure, sample_stream(3, 5, 0), 10)
-        b = sample_spin_arrays(measure, sample_stream(3, 5, 0), 10)
+        a = SpinParams(*draw_spin_arrays(measure, sample_stream(3, 5, 0), 10))
+        b = SpinParams(*draw_spin_arrays(measure, sample_stream(3, 5, 0), 10))
         for x, y in zip(vars(a).values(), vars(b).values()):
             np.testing.assert_array_equal(x, y)
 
@@ -363,7 +363,7 @@ class TestFig2Curves:
         monkeypatch.setattr(cli, "fig2_curves", never_called)
         config = cli.load_config(None)
         config["fig2"]["n_values"] = [0, 5]
-        with pytest.raises(cli.ConfigError, match=r"^fig2\.n_values: .*>= 1"):
+        with pytest.raises(cli.ConfigError, match=r"^fig2\.n_values: .*integers from 1 to"):
             cli.run_scenario("fig2", config, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
@@ -379,7 +379,7 @@ class TestExponentCheck:
     """Monte Carlo means of the per-spin exponents vs their small-t forms."""
 
     def exponent_means(self, t, samples, seed):
-        kappa, chi = lln_exponents(sample_spin_arrays(MeasureSpec(), sample_stream(seed, 0, label=3), samples), t)
+        kappa, chi = lln_exponents(SpinParams(*draw_spin_arrays(MeasureSpec(), sample_stream(seed, 0, label=3), samples)), t)
         return float(np.mean(kappa)), float(np.mean(chi)), short_time_exponents(MeasureSpec().g2bar(), t)
 
     def test_zero_time_rows(self):
@@ -397,7 +397,7 @@ class TestExponentCheck:
 class TestMonteCarloScaling:
     def test_stderr_shrinks_as_root_n(self):
         def stderr(samples):
-            spins = sample_spin_arrays(MeasureSpec(), sample_stream(17, 0, label=4), samples)
+            spins = SpinParams(*draw_spin_arrays(MeasureSpec(), sample_stream(17, 0, label=4), samples))
             vals = local_success_probability(np.abs(delta(spins)), sin_gt(spins, 0.9))
             return np.std(vals, ddof=1) / math.sqrt(samples)
 

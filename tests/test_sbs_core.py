@@ -251,16 +251,16 @@ class TestEntropyBounds:
 class TestMutualInformation:
     def test_product_state(self):
         rho = densmat.tensor(np.diag([0.3, 0.7]), EYE / 2)
-        assert mutual_information(rho, [2, 2], [0]) == pytest.approx(0.0, abs=1e-10)
+        assert mutual_information(rho, [2, 2]) == pytest.approx(0.0, abs=1e-10)
 
     def test_perfect_broadcast_one_bit(self):
         rho = 0.5 * densmat.tensor(KET0, KET0) + 0.5 * densmat.tensor(KET1, KET1)
-        assert mutual_information(rho, [2, 2], [0]) == pytest.approx(1.0, abs=1e-10)
+        assert mutual_information(rho, [2, 2]) == pytest.approx(1.0, abs=1e-10)
 
     def test_bell_state_two_bits(self):
         psi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
         rho = np.outer(psi, psi).astype(complex)
-        assert mutual_information(rho, [2, 2], [0]) == pytest.approx(2.0, abs=1e-10)
+        assert mutual_information(rho, [2, 2]) == pytest.approx(2.0, abs=1e-10)
 
     def test_nonnegative_on_random_states(self):
         rng = np.random.default_rng(77)
@@ -268,9 +268,9 @@ class TestMutualInformation:
             g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
             rho = g @ g.conj().T
             rho /= np.trace(rho).real
-            assert mutual_information(rho, [2, 2, 2], [0]) > -1e-9
+            assert mutual_information(rho, [2, 2, 2]) > -1e-9
 
     def test_split_validation(self):
         with pytest.raises(ValueError, match="split"):
-            mutual_information(np.eye(4) / 4, [2, 2], [0, 1])
+            mutual_information(np.eye(2) / 2, [2])
 

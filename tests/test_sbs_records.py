@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from sbskit import cli, densmat, oracle, sbs_core
-from sbskit.discrimination import TIE_TOLERANCE, ProjectorPair, helstrom_pair, helstrom_spin_analytic
+from sbskit.discrimination import TIE_TOLERANCE, helstrom_pair, helstrom_spin_analytic
 from sbskit.sbs_core import BranchEnsemble, CentralState, ProjectorFamily, build_sbs
 from sbskit.spin_model import SpinParams, delta, initial_spin_state
 
@@ -44,7 +44,7 @@ def _loop_initial_spin_state(p) -> np.ndarray:
     return (r * np.array([p.lam, 1.0 - p.lam])) @ r.conj().T
 
 
-def _loop_helstrom_pair(rho_plus, rho_minus, weights=None) -> ProjectorPair:
+def _loop_helstrom_pair(rho_plus, rho_minus, weights=None) -> np.ndarray:
     rho_plus = densmat.check_square(rho_plus)
     rho_minus = densmat.check_square(rho_minus)
     w_p, w_m = (0.5, 0.5) if weights is None else weights
@@ -53,17 +53,17 @@ def _loop_helstrom_pair(rho_plus, rho_minus, weights=None) -> ProjectorPair:
     pos = v[:, w > TIE_TOLERANCE]
     p_plus = pos @ pos.conj().T
     dim = rho_plus.shape[0]
-    return ProjectorPair(p_plus, np.eye(dim, dtype=complex) - p_plus, pos.shape[1] == 0)
+    return np.stack([p_plus, np.eye(dim, dtype=complex) - p_plus])
 
 
-def _loop_helstrom_spin_analytic(p, t: float) -> ProjectorPair:
+def _loop_helstrom_spin_analytic(p, t: float) -> tuple[np.ndarray, bool]:
     d = delta(p)
     s = math.sin(p.g * t)
     if 2.0 * abs(d) * abs(s) <= TIE_TOLERANCE:
-        return ProjectorPair(np.diag([1.0 + 0.0j, 0.0j]), np.diag([0.0j, 1.0 + 0.0j]), degenerate=True)
+        return np.stack([np.diag([1.0 + 0.0j, 0.0j]), np.diag([0.0j, 1.0 + 0.0j])]), True
     u = 1j * math.copysign(1.0, s) * d / (2.0 * abs(d))
     p_plus = np.array([[0.5, u], [np.conj(u), 0.5]])
-    return ProjectorPair(p_plus, np.eye(2, dtype=complex) - p_plus, False)
+    return np.stack([p_plus, np.eye(2, dtype=complex) - p_plus]), False
 
 
 def _loop_to_matrix(weights, states) -> np.ndarray:
@@ -136,9 +136,8 @@ def _loop_hermiticity_defect(a) -> float:
 
 def _loop_trace_norm(a) -> float:
     a = densmat.check_square(a)
-    if _loop_hermiticity_defect(a) <= densmat.STATE_TOL:
-        return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+    assert _loop_hermiticity_defect(a) <= densmat.STATE_TOL
+    return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
 
 
 def _loop_disturbance_sum(gamma, sigma, branches, families) -> float:
@@ -186,7 +185,7 @@ def qutrit_cases():
     for lo in range(0, 40, oracle.ORACLE_BLOCK):
         block = corpus_block(range(lo, lo + oracle.ORACLE_BLOCK), n_observed=2, n_unobserved=2, d_s=3)
         ens = oracle.branch_ensemble(block)
-        pairwise = [[(*_loop_helstrom_pair(row[0], row[1]).family(), zero) for row in rows] for rows in ens.branches]
+        pairwise = [[(*_loop_helstrom_pair(row[0], row[1]), zero) for row in rows] for rows in ens.branches]
         coarse = [[(eye, zero, zero)] * ens.branches.shape[1]] * len(block.t)
         yield block, ens, ProjectorFamily([pairwise, coarse])
 
@@ -250,7 +249,7 @@ class TestAgainstLoopVersions:
             check_against_loops(block, ens, families)
             for b, sigma in enumerate(block.central.sigma):
                 for name, weights in (("helstrom", None), ("helstrom_weighted", (float(sigma[0]), float(sigma[1])))):
-                    want = [_loop_helstrom_pair(x[0], x[1], weights).family() for x in ens.branches[b]]
+                    want = [_loop_helstrom_pair(x[0], x[1], weights) for x in ens.branches[b]]
                     assert_identical(families.families[oracle.QUBIT_FAMILIES.index(name), b], want)
             assert families.families.shape[0] == len(oracle.QUBIT_FAMILIES)
 
@@ -283,8 +282,8 @@ class TestAgainstLoopVersions:
     def test_qutrit_suite_instances(self):
         for block, ens, families in qutrit_cases():
             check_against_loops(block, ens, families)
-            # the suite's one stacked call gives the pairs of one call per environment
-            stacked = helstrom_pair(ens.branches[..., 0, :, :], ens.branches[..., 1, :, :]).family()
+            # the suite's one stacked call gives the families of one call per environment
+            stacked = helstrom_pair(ens.branches[..., 0, :, :], ens.branches[..., 1, :, :])
             assert_identical(stacked, families.families[0, ..., :2, :, :])
 
     def test_coarse_family_has_zero_weight_branches(self):
@@ -315,14 +314,9 @@ class TestAgainstLoopVersions:
 
     def test_trace_norm_route_per_matrix(self):
         rng = np.random.default_rng(91)
-        stack = []
-        for n in range(24):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            # every other matrix Hermitian: eigvalsh there, svd elsewhere
-            stack.append(a + a.conj().T if n % 2 else a)
-        stack = np.array(stack)
-        hermitian = densmat.hermiticity_defect(stack) <= densmat.STATE_TOL
-        assert hermitian.any() and not hermitian.all()
+        a = rng.normal(size=(24, 4, 4)) + 1j * rng.normal(size=(24, 4, 4))
+        # Hermitian matrices, the only ones trace_norm takes
+        stack = a + np.swapaxes(a.conj(), -1, -2)
         np.testing.assert_array_equal(densmat.trace_norm(stack), [_loop_trace_norm(a) for a in stack])
         # one matrix gives the loop's float
         assert densmat.trace_norm(stack[0]) == _loop_trace_norm(stack[0])
@@ -381,16 +375,12 @@ class TestStackedKernels:
             assert len(set(rank.tolist())) >= 2  # every stack mixes ranks
             ranks.update(rank.tolist())
             got = helstrom_pair(rho_p, rho_m, weights)
-            want = [_loop_helstrom_pair(p, m, weights) for p, m in zip(rho_p, rho_m)]
-            assert_identical(got.p_plus, [w.p_plus for w in want])
-            assert_identical(got.p_minus, [w.p_minus for w in want])
-            np.testing.assert_array_equal(got.degenerate, [w.degenerate for w in want])
-            np.testing.assert_array_equal(got.degenerate, rank == 0)
+            assert_identical(got, [_loop_helstrom_pair(p, m, weights) for p, m in zip(rho_p, rho_m)])
+            # no positive eigenvalue: P_plus is 0 and P_minus the identity
+            assert not np.any(got[rank == 0, 0])
         assert {0, 1, 2} <= ranks
         # one pair gives the one-pair result
-        one = helstrom_pair(rho_p[12], rho_m[12])
-        assert_identical(one.p_plus, _loop_helstrom_pair(rho_p[12], rho_m[12]).p_plus)
-        assert one.degenerate == _loop_helstrom_pair(rho_p[12], rho_m[12]).degenerate
+        assert_identical(helstrom_pair(rho_p[12], rho_m[12]), _loop_helstrom_pair(rho_p[12], rho_m[12]))
 
     def test_partial_trace_and_entropies_per_matrix(self):
         rng = np.random.default_rng(96)
@@ -404,8 +394,8 @@ class TestStackedKernels:
         entropies = densmat.von_neumann_entropy(states)
         assert entropies.shape == (24,)
         assert_identical(entropies, [densmat.von_neumann_entropy(rho) for rho in states])
-        info = sbs_core.mutual_information(states.reshape(4, 6, 16, 16), [2, 2, 4], [0])
-        assert_identical(info.ravel(), [sbs_core.mutual_information(rho, [2, 2, 4], [0]) for rho in states])
+        info = sbs_core.mutual_information(states.reshape(4, 6, 16, 16), [2, 2, 4])
+        assert_identical(info.ravel(), [sbs_core.mutual_information(rho, [2, 2, 4]) for rho in states])
 
     def test_helstrom_spin_analytic_per_spin(self):
         record = edge_record()
@@ -413,17 +403,16 @@ class TestStackedKernels:
         t = rng.uniform(0.0, 2.0 * np.pi, 600)
         t[::5] = 0.0
         for times in (t, 0.0, 1.3):
-            got = helstrom_spin_analytic(record, times)
+            got, degenerate = helstrom_spin_analytic(record, times)
             want = [
                 _loop_helstrom_spin_analytic(spin, t_j)
                 for spin, t_j in zip(_spins(record), np.broadcast_to(times, (600,)).tolist())
             ]
-            assert_identical(got.p_plus, [w.p_plus for w in want])
-            assert_identical(got.p_minus, [w.p_minus for w in want])
-            np.testing.assert_array_equal(got.degenerate, [w.degenerate for w in want])
+            assert_identical(got, [family for family, _ in want])
+            np.testing.assert_array_equal(degenerate, [flag for _, flag in want])
         # both kinds of degeneracy occur: delta = 0 at lam = 1/2 or beta in {0, pi},
         # and sin(gt) = 0 at g = 0 or t = 0
-        flags = helstrom_spin_analytic(record, t).degenerate
+        flags = helstrom_spin_analytic(record, t)[1]
         assert flags[record.lam == 0.5].all() and flags[record.beta == 0.0].all() and flags[record.beta == np.pi].all()
         assert flags[record.g == 0.0].all() and flags[t == 0.0].all()
         assert not flags.all()
