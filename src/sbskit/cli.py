@@ -13,10 +13,11 @@ measure section also through parse_measure), so a bad value exits 1
 naming its field; the runners read the converted values.  Every run emits
 its CSV/JSON artifacts plus a manifest.json embedding the resolved config,
 seed, package version and wall time, enough to rerun the experiment.  CSV
-floats have 17 significant digits so reruns are byte-identical.
+floats have 17 significant digits so reruns are byte-identical.  Every run
+parameter comes from the config: no option overrides a field.
 
-Exit codes: 0 success, 1 configuration error, 2 verification failure,
-3 numerical convergence gate not met.
+Exit codes: 0 success, 1 bad invocation (a bad option, config file, field
+or output directory), 2 verification failure, 3 convergence gate not met.
 """
 
 from __future__ import annotations
@@ -118,13 +119,15 @@ def load_config(path: str | None) -> dict:
         raw = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror or exc}")
+    except ValueError as exc:  # invalid JSON, or bytes that do not decode as text
         raise ConfigError(f"config file is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     version = raw.get("config_version", 1)
-    if version != 1:
-        raise ConfigError(f"unsupported config_version: {version}")
+    if type(version) is not int or version != 1:  # True == 1, but a bool or a float is no version
+        raise ConfigError(f"unsupported config_version: {version!r}")
     return _merge(copy.deepcopy(DEFAULT_CONFIG), raw)
 
 
@@ -259,8 +262,7 @@ def run_fig1(values: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     for node, (lam_plus, beta) in enumerate(nodes):
         mean_b, mean_g, se_b, se_g, rel_b, rel_g = fig1_node(
             lam_plus, beta, values["fig1.n_spins"], values["fig1.tau"], values["fig1.tau_points"],
-            values["fig1.samples"], values["seed"] + node,
-            coupling=values["measure"].coupling, threads=values["threads"],
+            values["fig1.samples"], values["seed"] + node, values["measure"], values["threads"],
         )
         rows.append([lam_plus, beta, mean_b, mean_g, se_b, se_g])
         worst_rel = max(worst_rel, rel_b, rel_g)
@@ -367,15 +369,18 @@ def run_scenario(scenario: str, config: dict, out_dir: Path) -> int:
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario: {scenario} (choose from {', '.join(SCENARIOS)})")
     # every field, read by this scenario or not, checked before any output is
-    # written (the manifest records the whole config), the scenario's own first
+    # written: the manifest records the whole config
     values = {}
-    for path in sorted(FIELDS, key=lambda p: not p.startswith(f"{scenario}.")):
+    for path in FIELDS:
         section, _, key = path.rpartition(".")
         values[path] = _check(path, config[section][key] if section else config[key], *FIELDS[path])
     values["measure"] = parse_measure(config["measure"])
     if scenario == "timescales" and not values["measure"].g2bar() > 0.0:
         raise ConfigError(f"measure.coupling: timescales need a nonzero coupling, got {config['measure']['coupling']!r}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out-dir {out_dir}: {exc.strerror or exc}")
     started = time.time()
     status, files, gates = RUNNERS[scenario](values, out_dir)
     manifest = {
@@ -393,30 +398,24 @@ def run_scenario(scenario: str, config: dict, out_dir: Path) -> int:
     return status
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so they exit 1 as bad input, not 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sbskit",
         description="Run broadcast-structure experiment scenarios and emit CSV/JSON artifacts.",
     )
     parser.add_argument("--scenario", required=True, help=f"one of: {', '.join(SCENARIOS)}")
     parser.add_argument("--config", default=None, help="JSON config file (defaults built in)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out-dir", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=None, help="override worker threads")
-    parser.add_argument("--samples", type=int, default=None, help="override Monte Carlo samples")
-    args = parser.parse_args(argv)
-
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config["seed"] = int(args.seed)
-        if args.threads is not None:
-            config["threads"] = int(args.threads)
-        if args.samples is not None:
-            config["samples"] = int(args.samples)
-            config["fig1"]["samples"] = int(args.samples)
-            config["discrimination"]["draws"] = int(args.samples)
-        return run_scenario(args.scenario, config, Path(args.out_dir))
+        args = parser.parse_args(argv)
+        return run_scenario(args.scenario, load_config(args.config), Path(args.out_dir))
     except ConfigError as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG

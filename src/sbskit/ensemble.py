@@ -183,14 +183,8 @@ def _product_curves(g, t_grid, coeffs, counts) -> np.ndarray:
                     # [0, 1] (rounding is monotone), so log needs no clip
                     np.add(1.0, f, out=f)
                     np.log(f, out=f)
-                    # a sum over rows adds them one by one, so storing the sum
-                    # of the first n rows in row n - 1 and summing on from
-                    # there equals one sum over the first n' rows
-                    start = 0
                     for j, n in enumerate(ends):
-                        logs[k, j, lo:hi] = f[start:n].sum(axis=0)
-                        start = n - 1
-                        f[start] = logs[k, j, lo:hi]
+                        logs[k, j, lo:hi] = f[:n].sum(axis=0)
         logs[live] = logs[first]
     return np.exp(0.5 * logs)[:, np.searchsorted(ends, counts)]
 
@@ -203,22 +197,21 @@ def fig1_node(
     tau_points: int,
     samples: int,
     seed: int,
-    coupling=(0.0, 1.0),
+    measure: MeasureSpec = MeasureSpec(),
     threads: int = 1,
     *,
     with_gamma: bool = True,
 ):
     """Time-averaged <B> and <|gamma|> for one (lam_plus, beta) surface node.
 
-    All spins share the node's initial state; couplings are freshly sampled
-    per Monte Carlo sample.  Returns (mean_B, mean_abs_gamma, stderr_B,
-    stderr_gamma, rel_change_B, rel_change_gamma) where the rel_change
-    values compare against the half-resolution quadrature on every second
-    point (convergence gate), so tau_points must be odd.  With
-    with_gamma=False the |gamma| curve is not computed and its three
-    entries are NaN.
+    All spins share the node's initial state; only the coupling law of
+    measure is sampled, afresh per Monte Carlo sample.  Returns (mean_B,
+    mean_abs_gamma, stderr_B, stderr_gamma, rel_change_B, rel_change_gamma)
+    where the rel_change values compare against the half-resolution
+    quadrature on every second point (convergence gate), so tau_points must
+    be odd.  With with_gamma=False the |gamma| curve is not computed and its
+    three entries are NaN.
     """
-    measure = MeasureSpec(coupling=coupling)  # only the coupling law is sampled
     t = np.linspace(0.0, tau, tau_points)
     coarse = slice(None, None, 2)
     coeffs = list(sin2_coefficients(SpinParams(0.0, beta, 0.0, lam_plus, 0.0)))

@@ -33,7 +33,7 @@ import numpy as np
 from . import densmat, sbs_core
 from .discrimination import helstrom_pair
 from .ensemble import MeasureSpec, draw_spin_arrays, sample_rows
-from .sbs_core import BranchEnsemble, CentralState, ProjectorFamily, SBSState
+from .sbs_core import CentralState, ProjectorFamily, SBSState
 from .spin_model import SpinParams, initial_spin_state
 
 DIMENSION_CAP = 4096
@@ -173,15 +173,18 @@ def analytic_reduced_state(inst: OracleInstance) -> np.ndarray:
     return np.sum(coeff * densmat.tensor(unit, env), axis=-3)
 
 
-def branch_ensemble(inst: OracleInstance) -> BranchEnsemble:
-    """Observed branch states (B, n_observed, d_s, 2, 2) and the dephasing
-    magnitudes of gamma_products, as one record."""
+def branch_ensemble(inst: OracleInstance) -> tuple[np.ndarray, np.ndarray]:
+    """(branches, gamma_mags): the observed branch states, a read-only array
+    (B, n_observed, d_s, 2, 2) indexed [b, k, i], and the magnitudes of
+    gamma_products, (B, d_s, d_s)."""
     gammas = gamma_products(inst)
-    i = np.arange(inst.central.d_s)[:, None]
-    branches = branch_state(_rows(inst.observed), i, i, inst.t[:, None, None], inst.central.d_s)
+    i = np.arange(inst.central.d_s)
+    spins = SpinParams(*(v[..., None] for v in vars(inst.observed).values()))
+    branches = branch_state(spins, i, i, inst.t[:, None, None], inst.central.d_s)
+    branches.setflags(write=False)
     # hypot per entry, as Python's abs of a complex number: np.abs of a
     # complex array can differ from it in the last bit
-    return BranchEnsemble(np.swapaxes(branches, -4, -3), np.hypot(gammas.real, gammas.imag))
+    return branches, np.hypot(gammas.real, gammas.imag)
 
 
 def exact_epsilon(reduced: np.ndarray, sbs: SBSState):
@@ -265,9 +268,9 @@ def evaluate_instance(inst: OracleInstance, draws: np.ndarray) -> InstanceReport
     """
     # the joint states are dropped as soon as they are traced
     reduced = reduced_state_exact(full_joint_state(inst), inst)
-    ensemble = branch_ensemble(inst)
-    central, branches = inst.central, ensemble.branches
-    gamma = sbs_core.collective_gamma(central, ensemble.gamma_mags)
+    central = inst.central
+    branches, gamma_mags = branch_ensemble(inst)
+    gamma = sbs_core.collective_gamma(central, gamma_mags)
 
     d_s = central.d_s
     i, j = np.triu_indices(d_s, 1)
@@ -277,7 +280,7 @@ def evaluate_instance(inst: OracleInstance, draws: np.ndarray) -> InstanceReport
 
     # one stacked call each over every family and instance: broadcast states, distances, errors
     families = qubit_families(central, branches, draws)
-    sbs = sbs_core.build_sbs(central, ensemble, families)
+    sbs = sbs_core.build_sbs(central, branches, families)
     eps = exact_epsilon(reduced, sbs)
     pe = sbs_core.discrimination_error(central.sigma[:, None, :], branches, families.families)
     witness = np.fmin(eps[0], eps[1])

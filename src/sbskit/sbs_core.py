@@ -19,12 +19,11 @@ central density matrix (weights sigma_i on its diagonal, coherences
 sigma_ij off it), the dephasing magnitudes |gamma_ij| and the pairwise
 branch fidelities B_ij; the pair sums run over the off-diagonal entries.
 
-Every per-environment record is one complex array of shape
-(n_env, d_S, dim, dim) indexed [k, i]: the branch states of a
-BranchEnsemble, the projectors of a ProjectorFamily and the projected
-branches of an SBSState.  A branch of zero weight holds a zero matrix, and
-the constructions and checks run over whole arrays, never per environment
-or per branch.
+Every per-environment array is complex of shape (n_env, d_S, dim, dim),
+indexed [k, i]: the branch states, the projectors of a ProjectorFamily and
+the projected branches of an SBSState.  A branch of zero weight holds a
+zero matrix, and the constructions and checks run over whole arrays, never
+per environment or per branch.
 
 Every record may also carry a block of instances on a leading axis: a
 CentralState of shape (B, d_S, d_S), pointer-pair arrays (B, d_S, d_S) and
@@ -100,29 +99,6 @@ def _environment_array(a, what: str) -> np.ndarray:
         raise ValueError(f"every environment needs one {what} per pointer index")
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class BranchEnsemble:
-    """Branch states per observed environment plus dephasing magnitudes.
-
-    branches[..., k, i] is the state of observed environment k conditional
-    on pointer index i, stored as one read-only array
-    (..., n_env, d_S, dim, dim).  gamma_mags[..., i, j] is the product over
-    the unobserved environments of the per-environment dephasing-factor
-    magnitudes for the pair (i, j), a number in [0, 1]; only i != j is
-    used.  A block of instances leads both arrays.
-    """
-
-    branches: np.ndarray
-    gamma_mags: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "branches", _environment_array(self.branches, "branch state"))
-        mags = np.asarray(self.gamma_mags, dtype=float)
-        bad = mags[~((mags >= -1e-12) & (mags <= 1.0 + 1e-12))]  # NaN too
-        if bad.size:
-            raise ValueError(f"dephasing magnitude {bad[0]} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -205,8 +181,13 @@ def collective_gamma(central: CentralState, gamma_mags: np.ndarray):
     per instance of a block (a float for one).
 
     gamma_mags[..., i, j] is the product of dephasing magnitudes over the
-    unobserved environments for the pair (i, j).
+    unobserved environments for the pair (i, j), a number in [0, 1]; only
+    i != j is used.
     """
+    mags = np.asarray(gamma_mags, dtype=float)
+    bad = mags[~((mags >= -1e-12) & (mags <= 1.0 + 1e-12))]  # NaN too
+    if bad.size:
+        raise ValueError(f"dephasing magnitude {bad[0]} outside [0, 1]")
     return np.sum(_off_diagonal(np.abs(central.rho) * gamma_mags), axis=-1)[()]
 
 
@@ -228,19 +209,19 @@ def discrimination_error(weights, states, projectors):
     return np.maximum(np.sum(w * miss, axis=-1), 0.0)[()]
 
 
-def build_sbs(
-    central: CentralState, branches: BranchEnsemble, projectors: ProjectorFamily
-) -> SBSState:
+def build_sbs(central: CentralState, branches, projectors: ProjectorFamily) -> SBSState:
     """Cut the coherences and project each branch on its measurement sector.
 
     Weights come out proportional to sigma_i prod_k p_i^(k) with
     p_i^(k) = Tr[P_i rho_i^(k)]; each surviving branch state is
-    P rho P / p_i^(k).  When the projectors already contain the branch
-    supports this returns the branches unchanged with weights sigma_i.  A
-    stack of families or a block of instances gives one broadcast state
-    each; a family orthogonal to every branch is marked degenerate.
+    P rho P / p_i^(k), where branches[..., k, i] is the state of observed
+    environment k conditional on pointer index i.  When the projectors
+    already contain the branch supports this returns the branches unchanged
+    with weights sigma_i.  A stack of families or a block of instances gives
+    one broadcast state each; a family orthogonal to every branch is marked
+    degenerate.
     """
-    fams, states = projectors.families, branches.branches
+    fams, states = projectors.families, _environment_array(branches, "branch state")
     if fams.shape[-4] != states.shape[-4]:
         raise ValueError("one projector family per observed environment required")
     if fams.shape[-3:] != states.shape[-3:] or states.shape[-3] != central.d_s:

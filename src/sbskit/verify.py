@@ -146,8 +146,7 @@ def oracle_inequalities(seed: int, instances: int) -> dict[str, SuiteResult]:
     evaluated in blocks of oracle.ORACLE_BLOCK instances, each recorded
     instance-major, in corpus order.
     """
-    stated = SuiteResult("prop1_as_stated")
-    stated.detail = "additive discrimination-error bound, known-unsound derivation"
+    stated = SuiteResult("prop1_as_stated", detail="additive discrimination-error bound, known-unsound derivation")
     disturbance = SuiteResult("prop1_disturbance")
     cor1 = SuiteResult("cor1")
     cor2 = SuiteResult("cor2")
@@ -166,12 +165,7 @@ def oracle_inequalities(seed: int, instances: int) -> dict[str, SuiteResult]:
         cor2_applicable += int(np.count_nonzero(rep.cor2_applicable))
         cor2.record((rep.cor2 - rep.info_gap)[rep.cor2_applicable], tol=1e-9)
     cor2.detail = f"applicable on {cor2_applicable}/{instances} instances (eps <= 1/4)"
-    return {
-        "prop1_as_stated": stated,
-        "prop1_disturbance": disturbance,
-        "cor1": cor1,
-        "cor2": cor2,
-    }
+    return {suite.name: suite for suite in (stated, disturbance, cor1, cor2)}
 
 
 def _random_qubit_state(rng: np.random.Generator) -> np.ndarray:
@@ -386,8 +380,7 @@ def qutrit_prop1_suite(seed: int) -> SuiteResult:
     for lo in range(0, instances, oracle.ORACLE_BLOCK):
         rows = range(lo, min(lo + oracle.ORACLE_BLOCK, instances))
         inst = oracle.random_instance(seed, rows, n_observed=2, n_unobserved=2, d_s=3)
-        ens = oracle.branch_ensemble(inst)
-        branches = ens.branches
+        branches, gamma_mags = oracle.branch_ensemble(inst)
         pairwise = helstrom_pair(branches[..., 0, :, :], branches[..., 1, :, :])
         # the pairwise and the coarse family, stacked in that order
         families = sbs_core.ProjectorFamily(np.stack([
@@ -395,8 +388,8 @@ def qutrit_prop1_suite(seed: int) -> SuiteResult:
             np.broadcast_to([eye, zero, zero], branches.shape),
         ]))
         reduced = oracle.reduced_state_exact(oracle.full_joint_state(inst), inst)
-        gamma = sbs_core.collective_gamma(inst.central, ens.gamma_mags)
-        sbs = sbs_core.build_sbs(inst.central, ens, families)
+        gamma = sbs_core.collective_gamma(inst.central, gamma_mags)
+        sbs = sbs_core.build_sbs(inst.central, branches, families)
         margins = sbs_core.disturbance_bound(gamma, inst.central.sigma, branches, families.families) - oracle.exact_epsilon(reduced, sbs)
         # instance by instance, each instance's families in order
         res.record(margins.T[~sbs.degenerate.T], tol=1e-9)
@@ -405,17 +398,8 @@ def qutrit_prop1_suite(seed: int) -> SuiteResult:
 
 def run_all(seed: int, instances: int) -> dict[str, SuiteResult]:
     """Every suite, keyed by name; the CLI verify scenario serializes this."""
-    suites: dict[str, SuiteResult] = {"convention_certification": convention_certification(seed)}
-    suites.update(oracle_inequalities(seed, instances))
-    suites["helstrom_identity"] = helstrom_suite(seed)
-    suites["barnum_knill"] = barnum_knill_suite(seed)
-    suites["local_success_probability"] = local_probability_suite(seed)
-    suites["chernoff_vs_exact"] = chernoff_suite()
-    suites["kolmogorov_fuchs"] = kolmogorov_fuchs_suite(seed)
-    suites["measure_moments"] = moments_suite(seed)
-    suites["short_time_exponents"] = short_time_suite(seed)
-    suites["time_scales"] = timescale_suite()
-    suites["qutrit_prop1_disturbance"] = qutrit_prop1_suite(seed)
-    suites["fig1_anchors"] = fig1_anchor_suite(seed)
-    suites["fig2_anchors"] = fig2_anchor_suite(seed)
-    return suites
+    suites = (convention_certification(seed), *oracle_inequalities(seed, instances).values(), helstrom_suite(seed),
+              barnum_knill_suite(seed), local_probability_suite(seed), chernoff_suite(), kolmogorov_fuchs_suite(seed),
+              moments_suite(seed), short_time_suite(seed), timescale_suite(), qutrit_prop1_suite(seed),
+              fig1_anchor_suite(seed), fig2_anchor_suite(seed))
+    return {suite.name: suite for suite in suites}

@@ -74,12 +74,12 @@ def tilted_witness(theta):
     v = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
     p0 = np.outer(v, v.conj())
     family = ProjectorFamily(((p0, np.eye(2) - p0),))
-    ensemble = oracle.branch_ensemble(inst)
-    gamma = sbs_core.collective_gamma(inst.central, ensemble.gamma_mags)
-    pe = sbs_core.discrimination_error(inst.central.sigma[0], ensemble.branches[0, 0], family.families[0])
+    branches, gamma_mags = oracle.branch_ensemble(inst)
+    gamma = sbs_core.collective_gamma(inst.central, gamma_mags)
+    pe = sbs_core.discrimination_error(inst.central.sigma[0], branches[0, 0], family.families[0])
     reduced = oracle.reduced_state_exact(oracle.full_joint_state(inst), inst)
-    eps = oracle.exact_epsilon(reduced, sbs_core.build_sbs(inst.central, ensemble, family))
-    disturbance = sbs_core.disturbance_bound(gamma, inst.central.sigma, ensemble.branches, family.families)
+    eps = oracle.exact_epsilon(reduced, sbs_core.build_sbs(inst.central, branches, family))
+    disturbance = sbs_core.disturbance_bound(gamma, inst.central.sigma, branches, family.families)
     return eps[0], sbs_core.prop1_bound(gamma[0], [pe]), disturbance[0]
 
 

@@ -82,9 +82,11 @@ class TestConfig:
 
     def test_main_leaves_defaults_untouched(self, tmp_path):
         before = copy.deepcopy(cli.DEFAULT_CONFIG)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"samples": 3, "threads": 2, "fig1": {"samples": 3}, "discrimination": {"draws": 3}}))
         for name in ("a", "b"):
             out = tmp_path / name
-            args = ["--scenario", "timescales", "--out-dir", str(out), "--samples", "3", "--threads", "2"]
+            args = ["--scenario", "timescales", "--config", str(cfg), "--out-dir", str(out)]
             assert run_cli(args) == 0
             config = read_json(out / "manifest.json")["config"]
             assert config["fig1"]["samples"] == config["discrimination"]["draws"] == 3
@@ -194,7 +196,9 @@ class TestTimescalesScenario:
         assert float(first[7]) == pytest.approx(0.01, abs=1e-12)  # 1 / N_m
 
     def test_manifest_round_trip(self, tmp_path):
-        run_cli(["--scenario", "timescales", "--out-dir", str(tmp_path), "--seed", "77"])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 77}))
+        run_cli(["--scenario", "timescales", "--config", str(cfg), "--out-dir", str(tmp_path)])
         manifest = read_json(tmp_path / "manifest.json")
         assert manifest["scenario"] == "timescales"
         assert manifest["seed"] == 77
@@ -243,9 +247,11 @@ class TestFig2Scenario:
 
     def test_seed_changes_output(self, tmp_path):
         cfg = self.small_config(tmp_path)
+        reseeded = tmp_path / "reseeded.json"
+        reseeded.write_text(json.dumps({**json.loads(cfg.read_text()), "seed": 1}))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run_cli(["--scenario", "fig2", "--config", str(cfg), "--out-dir", str(out_a)])
-        run_cli(["--scenario", "fig2", "--config", str(cfg), "--out-dir", str(out_b), "--seed", "1"])
+        run_cli(["--scenario", "fig2", "--config", str(reseeded), "--out-dir", str(out_b)])
         assert (out_a / "fig2_curve_n10.csv").read_bytes() != (out_b / "fig2_curve_n10.csv").read_bytes()
 
 
@@ -259,11 +265,6 @@ class TestDiscriminationScenario:
         assert status == cli.EXIT_CONFIG
         assert f"discrimination.{field}" in capsys.readouterr().out
         assert not (out / "discrimination.csv").exists()
-
-    def test_zero_samples_is_config_error(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert run_cli(["--scenario", "discrimination", "--samples", "0", "--out-dir", str(out)]) == cli.EXIT_CONFIG
-        assert "discrimination.draws" in capsys.readouterr().out
 
     def test_default_workload_matches_golden(self, tmp_path):
         # the batched closed forms must reproduce the benchmark's recorded table
@@ -563,71 +564,120 @@ class TestVerifyScenario:
 
 
 BAD_CONFIGS = [
-    ("fig2", {"fig2": {"t_points": 1}}, [], "fig2.t_points"),
-    ("fig1", {"fig1": {"tau_points": 1}}, [], "fig1.tau_points"),
-    ("fig1", {"fig1": {"tau_points": 1000}}, [], "fig1.tau_points"),
-    ("fig1", {"fig1": {"tau": 0.0, "tau_points": 11}}, [], "fig1.tau"),
-    ("discrimination", {"seed": "abc"}, [], "seed"),
-    ("timescales", {"seed": "abc"}, [], "seed"),
-    ("timescales", {"measure": {"lambda": "abc"}}, [], "measure.lambda"),
-    ("timescales", {"timescales": {"cases": [{"n_mac": 100, "n_total": 200, "f": "x"}]}}, [], "timescales.cases[0]"),
-    ("fig2", {}, ["--threads", "0"], "threads"),
+    ("fig2", {"fig2": {"t_points": 1}}, "fig2.t_points"),
+    ("fig1", {"fig1": {"tau_points": 1}}, "fig1.tau_points"),
+    ("fig1", {"fig1": {"tau_points": 1000}}, "fig1.tau_points"),
+    ("fig1", {"fig1": {"tau": 0.0, "tau_points": 11}}, "fig1.tau"),
+    ("discrimination", {"seed": "abc"}, "seed"),
+    ("timescales", {"seed": "abc"}, "seed"),
+    ("timescales", {"measure": {"lambda": "abc"}}, "measure.lambda"),
+    ("timescales", {"timescales": {"cases": [{"n_mac": 100, "n_total": 200, "f": "x"}]}}, "timescales.cases[0]"),
+    ("fig2", {"threads": 0}, "threads"),
     # one above the core count; rejected before any pool starts
-    ("fig2", {}, ["--threads", str((os.cpu_count() or 1) + 1)], "threads"),
+    ("fig2", {"threads": (os.cpu_count() or 1) + 1}, "threads"),
     # with no instances the oracle suites would check nothing and pass
-    ("verify", {"verify": {"instances": 0}}, [], "verify.instances"),
+    ("verify", {"verify": {"instances": 0}}, "verify.instances"),
     # a number where a list belongs
-    ("fig1", {"fig1": {"lambda_grid": 0.5}}, [], "fig1.lambda_grid"),
-    ("fig2", {"fig2": {"n_values": 5}}, [], "fig2.n_values"),
-    ("timescales", {"timescales": {"cases": 5}}, [], "timescales.cases"),
+    ("fig1", {"fig1": {"lambda_grid": 0.5}}, "fig1.lambda_grid"),
+    ("fig2", {"fig2": {"n_values": 5}}, "fig2.n_values"),
+    ("timescales", {"timescales": {"cases": 5}}, "timescales.cases"),
     # the closed forms reject negative times
-    ("discrimination", {"discrimination": {"t_min": -1.0}}, [], "discrimination.t_min"),
-    ("fig1", {"fig1": {"n_spins": 0}}, [], "fig1.n_spins"),
-    ("fig1", {"fig1": {"n_spins": -1}}, [], "fig1.n_spins"),
+    ("discrimination", {"discrimination": {"t_min": -1.0}}, "discrimination.t_min"),
+    ("fig1", {"fig1": {"n_spins": 0}}, "fig1.n_spins"),
+    ("fig1", {"fig1": {"n_spins": -1}}, "fig1.n_spins"),
     # a grid value outside the SpinParams range, before any node is computed;
     # rows whose scenario-field id is taken carry their own id
     pytest.param(
-        "fig1", {"fig1": {"lambda_grid": [1.5], "beta_grid": [0.0], "tau_points": 101}}, [], "fig1.lambda_grid",
+        "fig1", {"fig1": {"lambda_grid": [1.5], "beta_grid": [0.0], "tau_points": 101}}, "fig1.lambda_grid",
         id="fig1-fig1.lambda_grid-range",
     ),
-    ("fig1", {"fig1": {"beta_grid": [0.0, 7.0]}}, [], "fig1.beta_grid"),
-    ("fig2", {"fig2": {"t_min": -1.0}}, [], "fig2.t_min"),
-    pytest.param("discrimination", {}, ["--seed", "-1"], "seed", id="discrimination-seed-negative"),
-    ("fig2", {}, ["--seed", "-1"], "seed"),
-    ("fig1", {"measure": {"coupling": [2.0, 1.0]}}, [], "measure.coupling"),
-    ("discrimination", {"measure": {"lambda": 1.5}}, [], "measure.lambda"),
-    ("fig2", {"measure": {"angles": [0, 9, 0]}}, [], "measure.angles"),
+    ("fig1", {"fig1": {"beta_grid": [0.0, 7.0]}}, "fig1.beta_grid"),
+    ("fig2", {"fig2": {"t_min": -1.0}}, "fig2.t_min"),
+    pytest.param("discrimination", {"seed": -1}, "seed", id="discrimination-seed-negative"),
+    ("fig2", {"seed": -1}, "seed"),
+    ("fig1", {"measure": {"coupling": [2.0, 1.0]}}, "measure.coupling"),
+    ("discrimination", {"measure": {"lambda": 1.5}}, "measure.lambda"),
+    ("fig2", {"measure": {"angles": [0, 9, 0]}}, "measure.angles"),
     # the time scales divide by the coupling and by the bath size
-    ("timescales", {"measure": {"coupling": 0.0}}, [], "measure.coupling"),
+    ("timescales", {"measure": {"coupling": 0.0}}, "measure.coupling"),
     pytest.param(
-        "timescales", {"timescales": {"cases": [{"n_mac": 100, "n_total": 0, "f": 0.5}]}}, [], "timescales.cases[0]",
+        "timescales", {"timescales": {"cases": [{"n_mac": 100, "n_total": 0, "f": 0.5}]}}, "timescales.cases[0]",
         id="timescales-timescales.cases[0]-no-bath",
     ),
     # the convergence gate needs an odd tau_points and tau > 0
-    pytest.param("fig1", {"fig1": {"tau": -1.0, "tau_points": 11}}, [], "fig1.tau", id="fig1-fig1.tau-negative"),
-    ("fig1", {"fig1": {"tau_points": 2}}, [], "fig1.tau_points"),
+    pytest.param("fig1", {"fig1": {"tau": -1.0, "tau_points": 11}}, "fig1.tau", id="fig1-fig1.tau-negative"),
+    ("fig1", {"fig1": {"tau_points": 2}}, "fig1.tau_points"),
     # integer fields reject a fraction or a bool instead of truncating it
     pytest.param(
-        "timescales", {"timescales": {"cases": [{"n_mac": 100.9, "n_total": 200, "f": 0.5}]}}, [],
+        "timescales", {"timescales": {"cases": [{"n_mac": 100.9, "n_total": 200, "f": 0.5}]}},
         "timescales.cases[0]", id="timescales-timescales.cases[0]-fraction",
     ),
-    pytest.param("verify", {"verify": {"instances": 1.5}}, [], "verify.instances", id="verify-verify.instances-fraction"),
-    pytest.param("fig1", {"fig1": {"n_spins": 2.7}}, [], "fig1.n_spins", id="fig1-fig1.n_spins-fraction"),
-    pytest.param("timescales", {"seed": True}, [], "seed", id="timescales-seed-bool"),
+    pytest.param("verify", {"verify": {"instances": 1.5}}, "verify.instances", id="verify-verify.instances-fraction"),
+    pytest.param("fig1", {"fig1": {"n_spins": 2.7}}, "fig1.n_spins", id="fig1-fig1.n_spins-fraction"),
+    pytest.param("timescales", {"seed": True}, "seed", id="timescales-seed-bool"),
 ]
 
 
 @pytest.mark.parametrize(
-    "scenario,override,flags,field", BAD_CONFIGS, ids=[getattr(c, "id", None) or f"{c[0]}-{c[3]}" for c in BAD_CONFIGS]
+    "scenario,override,field", BAD_CONFIGS, ids=[getattr(c, "id", None) or f"{c[0]}-{c[2]}" for c in BAD_CONFIGS]
 )
-def test_bad_config_exits_1_naming_the_field(tmp_path, scenario, override, flags, field):
+def test_bad_config_exits_1_naming_the_field(tmp_path, scenario, override, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(override))
     out = tmp_path / "out"
-    args = ["--scenario", scenario, "--config", str(cfg), "--out-dir", str(out), *flags]
+    args = ["--scenario", scenario, "--config", str(cfg), "--out-dir", str(out)]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-m", "sbskit.cli", *args], capture_output=True, text=True, env=env)
     assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
     assert proc.stdout.startswith(f"config error: {field}: "), proc.stdout
     assert "Traceback" not in proc.stderr
     assert not out.exists()  # every check runs before any output is written
+
+
+# bad invocations other than a bad field: (arguments, files written under the
+# working directory first, text the message must hold)
+BAD_INVOCATIONS = [
+    # the parser: a malformed or missing option, and the override flags the config replaced
+    pytest.param("--scenario timescales --seed abc", {}, "unrecognized arguments: --seed", id="seed-not-a-number"),
+    pytest.param("--out-dir out", {}, "required: --scenario", id="scenario-missing"),
+    pytest.param("--scenario timescales --seed 5", {}, "unrecognized arguments: --seed", id="seed-flag"),
+    pytest.param("--scenario timescales --threads 1", {}, "unrecognized arguments: --threads", id="threads-flag"),
+    pytest.param("--scenario fig2 --samples 3", {}, "unrecognized arguments: --samples", id="samples-flag"),
+    # the config file
+    pytest.param("--scenario timescales --config cfg", {"cfg/x": b""}, "config file cfg cannot be read",
+                 id="config-is-a-directory"),
+    pytest.param("--scenario timescales --config cfg.json", {"cfg.json": b"\xff\xfe\x00"}, "not valid JSON",
+                 id="config-not-text"),
+    pytest.param("--scenario timescales --config cfg.json", {"cfg.json": b'{"config_version": true}'},
+                 "config_version: True", id="config-version-bool"),
+    pytest.param("--scenario timescales --config cfg.json", {"cfg.json": b'{"config_version": 1.0}'},
+                 "config_version: 1.0", id="config-version-float"),
+    pytest.param("--scenario timescales --config cfg.json", {"cfg.json": b'{"config_version": "1"}'},
+                 "config_version: '1'", id="config-version-string"),
+    # the output directory
+    pytest.param("--scenario timescales --out-dir taken", {"taken": b"x"}, "--out-dir taken", id="out-dir-is-a-file"),
+    pytest.param("--scenario timescales --out-dir taken/out", {"taken": b"x"}, "--out-dir taken/out",
+                 id="out-dir-beneath-a-file"),
+]
+
+
+@pytest.mark.parametrize("args,files,message", BAD_INVOCATIONS)
+def test_bad_invocation_exits_1_writing_nothing(tmp_path, args, files, message):
+    for name, data in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+    before = sorted(tmp_path.rglob("*"))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "sbskit.cli", *args.split()], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("config error: ") and message in proc.stdout, proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_help_exits_0():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "sbskit.cli", "--help"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "--scenario" in proc.stdout

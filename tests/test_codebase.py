@@ -18,6 +18,7 @@ SRC = ROOT / "src" / "sbskit"
 # public names that need no caller inside src/, each with the reason
 NO_CALLER_NEEDED = {
     "cli.main": "the entry point of the sbskit console script and of python -m sbskit.cli",
+    "cli._Parser.error": "argparse calls it on every usage error",
     "oracle.analytic_reduced_state": "reference route the tests compare the partial-trace oracle against",
 }
 
@@ -246,3 +247,12 @@ def test_every_config_field_is_checked(tmp_path):
             with pytest.raises(cli.ConfigError, match=f"^{re.escape(path)}: "):
                 cli.run_scenario(scenario, config, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_options_are_scenario_config_and_out_dir():
+    """Every run parameter has one route, the config file: the parser defines
+    no option that would set a config field a second way."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    options = [node.args[0].value for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"]
+    assert sorted(options) == ["--config", "--out-dir", "--scenario"]

@@ -294,7 +294,7 @@ class TestTimeAverage:
     def test_rectified_cosine(self):
         # one spin at g = 1, lam = 1/2: |gamma(t)| = |cos t|, and
         # (1/tau) int_0^{8 pi} |cos t| dt = 2 / pi
-        got = fig1_node(0.5, 0.0, 1, 8 * np.pi, 20001, samples=1, seed=1, coupling=1.0)[1]
+        got = fig1_node(0.5, 0.0, 1, 8 * np.pi, 20001, samples=1, seed=1, measure=MeasureSpec(coupling=1.0))[1]
         assert got == pytest.approx(2.0 / np.pi, abs=1e-5)
 
 

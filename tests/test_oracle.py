@@ -241,20 +241,20 @@ class TestExactEpsilon:
         # exact broadcast state and the Helstrom family reproduces it
         inst = orthogonal_branches_instance()
         reduced = reduced_state_exact(full_joint_state(inst), inst)
-        ens = oracle.branch_ensemble(inst)
-        fams = qubit_families(inst.central, ens.branches, np.random.default_rng(0).normal(size=(1, 2, 2, 2)))
+        branches, _ = oracle.branch_ensemble(inst)
+        fams = qubit_families(inst.central, branches, np.random.default_rng(0).normal(size=(1, 2, 2, 2)))
         helstrom = ProjectorFamily(fams.families[oracle.QUBIT_FAMILIES.index("helstrom")])
-        sbs = sbs_core.build_sbs(inst.central, ens, helstrom)
+        sbs = sbs_core.build_sbs(inst.central, branches, helstrom)
         assert exact_epsilon(reduced, sbs)[0] < 1e-10
 
     def test_positive_at_time_zero_with_coherence(self):
         spins = record(*(SpinParams(0.0, np.pi / 2, 0.0, 1.0, 1.0) for _ in range(2)))
         inst = OracleInstance(central(np.full((2, 2), 0.5)), spins, record(spin_of(spins, 0)), [0.0])
         reduced = reduced_state_exact(full_joint_state(inst), inst)
-        ens = oracle.branch_ensemble(inst)
-        fams = qubit_families(inst.central, ens.branches, np.random.default_rng(0).normal(size=(1, 2, 2, 2)))
+        branches, _ = oracle.branch_ensemble(inst)
+        fams = qubit_families(inst.central, branches, np.random.default_rng(0).normal(size=(1, 2, 2, 2)))
         helstrom = ProjectorFamily(fams.families[oracle.QUBIT_FAMILIES.index("helstrom")])
-        sbs = sbs_core.build_sbs(inst.central, ens, helstrom)
+        sbs = sbs_core.build_sbs(inst.central, branches, helstrom)
         assert exact_epsilon(reduced, sbs)[0] > 0.1
 
     def test_dimension_mismatch(self):
@@ -349,13 +349,13 @@ class TestEvaluateInstance:
         n = oracle.ORACLE_BLOCK
         assert oracle.QUBIT_FAMILIES == ("helstrom", "helstrom_weighted", "swapped", "coarse", "random")
         # the families and branches the report was built from
-        ens = oracle.branch_ensemble(inst)
-        families = qubit_families(inst.central, ens.branches, draws)
-        gamma = sbs_core.collective_gamma(inst.central, ens.gamma_mags)
+        branches, gamma_mags = oracle.branch_ensemble(inst)
+        families = qubit_families(inst.central, branches, draws)
+        gamma = sbs_core.collective_gamma(inst.central, gamma_mags)
         assert families.families.shape == (5, n, 3, 2, 2, 2)
         assert rep.epsilon.shape == rep.prop1.shape == rep.disturbance.shape == rep.degenerate.shape == (5, n)
         assert not rep.degenerate.any()
-        pe = sbs_core.discrimination_error(inst.central.sigma[:, None, :], ens.branches, families.families)
+        pe = sbs_core.discrimination_error(inst.central.sigma[:, None, :], branches, families.families)
         np.testing.assert_array_equal(rep.prop1, sbs_core.prop1_bound(gamma, pe))
         # the information gap and its bound at the witness distance
         reduced = reduced_state_exact(full_joint_state(inst), inst)
@@ -375,9 +375,9 @@ class TestEvaluateInstance:
         inst, draws = corpus_block(range(1, 4))
         rep = evaluate_instance(inst, draws)
         # the sound bound of families and branch states rebuilt from scratch, bit for bit
-        branches = oracle.branch_ensemble(inst).branches
+        branches, gamma_mags = oracle.branch_ensemble(inst)
         rebuilt = qubit_families(inst.central, branches, draws)
-        gamma = sbs_core.collective_gamma(inst.central, oracle.branch_ensemble(inst).gamma_mags)
+        gamma = sbs_core.collective_gamma(inst.central, gamma_mags)
         want = sbs_core.disturbance_bound(gamma, inst.central.sigma, branches, rebuilt.families)
         np.testing.assert_array_equal(rep.disturbance, want)
         assert rep.disturbance.tobytes() == want.tobytes()
@@ -448,10 +448,10 @@ class TestEvaluateInstance:
         assert rep.degenerate[:, 0].tolist() == [f == swapped for f in range(5)]
         assert math.isnan(rep.epsilon[swapped, 0])
         reduced = reduced_state_exact(full_joint_state(inst), inst)
-        ens = oracle.branch_ensemble(inst)
-        families = qubit_families(inst.central, ens.branches, draws)
+        branches, _ = oracle.branch_ensemble(inst)
+        families = qubit_families(inst.central, branches, draws)
         for f in range(5):
-            one = sbs_core.build_sbs(inst.central, ens, ProjectorFamily(families.families[f]))
+            one = sbs_core.build_sbs(inst.central, branches, ProjectorFamily(families.families[f]))
             assert one.degenerate[0] == (f == swapped)
             if f != swapped:
                 eps = exact_epsilon(reduced, one)

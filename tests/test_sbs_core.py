@@ -5,7 +5,6 @@ import pytest
 
 from sbskit import densmat
 from sbskit.sbs_core import (
-    BranchEnsemble,
     CentralState,
     ProjectorFamily,
     barnum_knill_bound,
@@ -94,7 +93,7 @@ class TestCollectiveGamma:
     def test_magnitude_outside_unit_interval_rejected(self):
         for bad in (1.5, np.nan):
             with pytest.raises(ValueError, match="outside"):
-                BranchEnsemble(((KET0, KET1),), pair(1.0, bad))
+                collective_gamma(pessimistic_qubit(), pair(1.0, bad))
 
 
 class TestDiscriminationError:
@@ -118,7 +117,7 @@ class TestDiscriminationError:
 class TestBuildSbs:
     def test_supports_already_contained(self):
         central = diagonal_central(0.4, 0.6)
-        branches = BranchEnsemble(((KET0, KET1),), pair(1.0, 1.0))
+        branches = ((KET0, KET1),)
         family = ProjectorFamily(((KET0, KET1),))
         sbs = build_sbs(central, branches, family)
         assert sbs.weights == pytest.approx((0.4, 0.6))
@@ -130,7 +129,7 @@ class TestBuildSbs:
         central = diagonal_central(0.5, 0.5)
         rho_0 = np.diag([0.9, 0.1]).astype(complex)
         rho_1 = np.diag([0.4, 0.6]).astype(complex)
-        branches = BranchEnsemble(((rho_0, rho_1),), pair(1.0, 1.0))
+        branches = ((rho_0, rho_1),)
         family = ProjectorFamily(((KET0, KET1),))
         sbs = build_sbs(central, branches, family)
         assert sbs.weights == pytest.approx((0.6, 0.4))
@@ -143,7 +142,7 @@ class TestBuildSbs:
         rho_0 /= np.trace(rho_0).real
         rho_1 = EYE / 2
         central = CentralState(pair(0.5, 0.25))
-        branches = BranchEnsemble(((rho_0, rho_1),), pair(1.0, 0.5))
+        branches = ((rho_0, rho_1),)
         family = ProjectorFamily(((KET0, KET1),))
         m = build_sbs(central, branches, family).to_matrix()
         densmat.check_density_matrix(m)
@@ -152,7 +151,7 @@ class TestBuildSbs:
 
     def test_degenerate_family_reported(self):
         central = diagonal_central(0.5, 0.5)
-        branches = BranchEnsemble(((KET0, KET1),), pair(1.0, 1.0))
+        branches = ((KET0, KET1),)
         family = ProjectorFamily(((KET1, KET0),))  # orthogonal to both branches
         sbs = build_sbs(central, branches, family)
         assert sbs.degenerate and sbs.eta_norm == 0.0

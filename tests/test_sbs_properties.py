@@ -9,7 +9,7 @@ import pytest
 
 from sbskit import densmat
 from sbskit.discrimination import majority_success, majority_success_heterogeneous
-from sbskit.sbs_core import BranchEnsemble, CentralState, ProjectorFamily, build_sbs
+from sbskit.sbs_core import CentralState, ProjectorFamily, build_sbs
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -55,7 +55,7 @@ def sbs_inputs(draw, contained: bool):
                 states.append(_random_state(rng, dim))
         branches.append(states)
         families.append(projectors)
-    return central, BranchEnsemble(branches, np.ones((d_s, d_s))), ProjectorFamily(families)
+    return central, branches, ProjectorFamily(families)
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
@@ -75,8 +75,8 @@ def test_build_sbs_keeps_contained_branches(case):
     sbs = build_sbs(central, branches, family)
     np.testing.assert_allclose(sbs.weights, central.sigma, atol=1e-12)
     assert sbs.eta_norm == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(sbs.states, branches.branches, atol=1e-12)
-    for k, i in itertools.product(range(len(branches.branches)), range(central.d_s)):
+    np.testing.assert_allclose(sbs.states, branches, atol=1e-12)
+    for k, i in itertools.product(range(len(branches)), range(central.d_s)):
         assert np.trace(sbs.states[k, i]).real == pytest.approx(1.0, abs=1e-12)
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from sbskit import cli, densmat, oracle, sbs_core
 from sbskit.discrimination import TIE_TOLERANCE, helstrom_pair, helstrom_spin_analytic
-from sbskit.sbs_core import BranchEnsemble, CentralState, ProjectorFamily, build_sbs
+from sbskit.sbs_core import CentralState, ProjectorFamily, build_sbs
 from sbskit.spin_model import SpinParams, delta, initial_spin_state
 
 SEED = cli.DEFAULT_CONFIG["seed"]
@@ -174,8 +174,8 @@ def qubit_cases():
     for lo in range(0, 200, oracle.ORACLE_BLOCK):
         indices = range(lo, lo + oracle.ORACLE_BLOCK)
         block = corpus_block(indices)
-        ens = oracle.branch_ensemble(block)
-        yield block, ens, oracle.qubit_families(block.central, ens.branches, family_draws(indices))
+        branches, mags = oracle.branch_ensemble(block)
+        yield block, branches, mags, oracle.qubit_families(block.central, branches, family_draws(indices))
 
 
 def qutrit_cases():
@@ -184,15 +184,15 @@ def qutrit_cases():
     zero, eye = np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex)
     for lo in range(0, 40, oracle.ORACLE_BLOCK):
         block = corpus_block(range(lo, lo + oracle.ORACLE_BLOCK), n_observed=2, n_unobserved=2, d_s=3)
-        ens = oracle.branch_ensemble(block)
-        pairwise = [[(*_loop_helstrom_pair(row[0], row[1]), zero) for row in rows] for rows in ens.branches]
-        coarse = [[(eye, zero, zero)] * ens.branches.shape[1]] * len(block.t)
-        yield block, ens, ProjectorFamily([pairwise, coarse])
+        branches, mags = oracle.branch_ensemble(block)
+        pairwise = [[(*_loop_helstrom_pair(row[0], row[1]), zero) for row in rows] for rows in branches]
+        coarse = [[(eye, zero, zero)] * branches.shape[1]] * len(block.t)
+        yield block, branches, mags, ProjectorFamily([pairwise, coarse])
 
 
-def one_instance(block, ens, b):
-    """Instance b of a block as its own central state and branch ensemble, with no block axis."""
-    return CentralState(block.central.rho[b]), BranchEnsemble(ens.branches[b], ens.gamma_mags[b])
+def one_instance(block, branches, b):
+    """Instance b of a block as its own central state and branch states, with no block axis."""
+    return CentralState(block.central.rho[b]), branches[b]
 
 
 def loop_to_matrix(sbs):
@@ -200,24 +200,24 @@ def loop_to_matrix(sbs):
     return _loop_to_matrix(tuple(float(w) for w in sbs.weights), sbs.states)
 
 
-def check_against_loops(block, ens, families):
+def check_against_loops(block, branches, mags, families):
     """families stacks the families along a leading axis, then the
     instances of the block; each family and instance is built on its own."""
     joint = oracle.full_joint_state(block)
-    gamma = sbs_core.collective_gamma(block.central, ens.gamma_mags)
+    gamma = sbs_core.collective_gamma(block.central, mags)
     sigma = block.central.sigma
-    stacked = sbs_core.disturbance_bound(gamma, sigma, ens.branches, families.families)
+    stacked = sbs_core.disturbance_bound(gamma, sigma, branches, families.families)
     for b in range(len(block.t)):
         assert_identical(joint[b], _loop_full_joint_state(block, b))
-        branches, mags = _loop_branch_ensemble(block, b)
-        assert_identical(ens.branches[b], branches)
-        assert_identical(ens.gamma_mags[b], mags)
-        central, ens_b = one_instance(block, ens, b)
+        loop_branches, loop_mags = _loop_branch_ensemble(block, b)
+        assert_identical(branches[b], loop_branches)
+        assert_identical(mags[b], loop_mags)
+        central, branches_b = one_instance(block, branches, b)
         for family, bound in zip(families.families[:, b], stacked[:, b]):
-            want = _loop_disturbance_sum(gamma[b], sigma[b], ens.branches[b], family)
-            assert sbs_core.disturbance_bound(gamma[b], sigma[b], ens.branches[b], family) == want
+            want = _loop_disturbance_sum(gamma[b], sigma[b], branches[b], family)
+            assert sbs_core.disturbance_bound(gamma[b], sigma[b], branches[b], family) == want
             assert bound == want
-            sbs = build_sbs(central, ens_b, ProjectorFamily(family))
+            sbs = build_sbs(central, branches_b, ProjectorFamily(family))
             if not sbs.degenerate:
                 assert_identical(sbs.to_matrix(), loop_to_matrix(sbs))
 
@@ -245,25 +245,25 @@ def blocks_of_one():
 
 class TestAgainstLoopVersions:
     def test_qubit_corpus(self):
-        for block, ens, families in qubit_cases():
-            check_against_loops(block, ens, families)
+        for block, branches, mags, families in qubit_cases():
+            check_against_loops(block, branches, mags, families)
             for b, sigma in enumerate(block.central.sigma):
                 for name, weights in (("helstrom", None), ("helstrom_weighted", (float(sigma[0]), float(sigma[1])))):
-                    want = [_loop_helstrom_pair(x[0], x[1], weights) for x in ens.branches[b]]
+                    want = [_loop_helstrom_pair(x[0], x[1], weights) for x in branches[b]]
                     assert_identical(families.families[oracle.QUBIT_FAMILIES.index(name), b], want)
             assert families.families.shape[0] == len(oracle.QUBIT_FAMILIES)
 
     def test_qubit_corpus_stacked_families(self):
         # one build_sbs over the family and instance axes gives every family's
         # loop matrix, signs of zero included
-        for block, ens, families in qubit_cases():
-            sbs = build_sbs(block.central, ens, families)
+        for block, branches, _, families in qubit_cases():
+            sbs = build_sbs(block.central, branches, families)
             matrices = sbs.to_matrix()
             assert matrices.shape == (len(oracle.QUBIT_FAMILIES), oracle.ORACLE_BLOCK, 16, 16)
             for b in range(oracle.ORACLE_BLOCK):
-                central, ens_b = one_instance(block, ens, b)
+                central, branches_b = one_instance(block, branches, b)
                 for f, family in enumerate(families.families[:, b]):
-                    one = build_sbs(central, ens_b, ProjectorFamily(family))
+                    one = build_sbs(central, branches_b, ProjectorFamily(family))
                     assert_identical(sbs.weights[f, b], one.weights)
                     assert_identical(sbs.states[f, b], one.states)
                     assert sbs.eta_norm[f, b] == one.eta_norm
@@ -280,37 +280,37 @@ class TestAgainstLoopVersions:
             assert_identical(np.concatenate([r[name] for r in rows]), want)
 
     def test_qutrit_suite_instances(self):
-        for block, ens, families in qutrit_cases():
-            check_against_loops(block, ens, families)
+        for block, branches, mags, families in qutrit_cases():
+            check_against_loops(block, branches, mags, families)
             # the suite's one stacked call gives the families of one call per environment
-            stacked = helstrom_pair(ens.branches[..., 0, :, :], ens.branches[..., 1, :, :])
+            stacked = helstrom_pair(branches[..., 0, :, :], branches[..., 1, :, :])
             assert_identical(stacked, families.families[0, ..., :2, :, :])
 
     def test_coarse_family_has_zero_weight_branches(self):
         # a rank-zero projector leaves its branch a zero matrix of weight 0,
         # in a family of its own and within the stack
-        block, ens, families = next(qubit_cases())
+        block, branches, _, families = next(qubit_cases())
         coarse = oracle.QUBIT_FAMILIES.index("coarse")
-        one = build_sbs(*one_instance(block, ens, 0), ProjectorFamily(families.families[coarse, 0]))
+        one = build_sbs(*one_instance(block, branches, 0), ProjectorFamily(families.families[coarse, 0]))
         assert one.weights[1] == 0.0
         assert not np.any(one.states[:, 1])
         assert_identical(one.to_matrix(), loop_to_matrix(one))
-        stacked = build_sbs(block.central, ens, families)
+        stacked = build_sbs(block.central, branches, families)
         assert stacked.weights[coarse, 0, 1] == 0.0
         assert_identical(stacked.to_matrix()[coarse, 0], loop_to_matrix(one))
 
     def test_degenerate_family(self):
-        block, ens, _ = next(qubit_cases())
-        _, ens = one_instance(block, ens, 0)
+        _, branches, mags, _ = next(qubit_cases())
+        branches, mags = branches[0], mags[0]
         eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
         # every projector of the family is zero on the branch that carries weight
         central = CentralState(np.diag([1.0, 0.0]))
-        family = ProjectorFamily([(zero, eye)] * len(ens.branches))
-        sbs = build_sbs(central, ens, family)
+        family = ProjectorFamily([(zero, eye)] * len(branches))
+        sbs = build_sbs(central, branches, family)
         assert sbs.degenerate and not np.any(sbs.weights)
-        gamma = sbs_core.collective_gamma(central, ens.gamma_mags)
-        got = sbs_core.disturbance_bound(gamma, central.sigma, ens.branches, family.families)
-        assert got == _loop_disturbance_sum(gamma, central.sigma, ens.branches, family.families)
+        gamma = sbs_core.collective_gamma(central, mags)
+        got = sbs_core.disturbance_bound(gamma, central.sigma, branches, family.families)
+        assert got == _loop_disturbance_sum(gamma, central.sigma, branches, family.families)
 
     def test_trace_norm_route_per_matrix(self):
         rng = np.random.default_rng(91)
@@ -420,17 +420,18 @@ class TestStackedKernels:
 
 class TestRecords:
     def test_records_are_read_only_arrays(self):
-        _, ens, families = next(qubit_cases())
-        assert ens.branches.shape == (oracle.ORACLE_BLOCK, 3, 2, 2, 2)
+        _, branches, _, families = next(qubit_cases())
+        assert branches.shape == (oracle.ORACLE_BLOCK, 3, 2, 2, 2)
         assert families.families.shape == (5, oracle.ORACLE_BLOCK, 3, 2, 2, 2)
-        for record in (ens.branches, families.families):
+        for record in (branches, families.families):
             with pytest.raises(ValueError, match="read-only"):
                 record[0, 0, 0, 0] = 1.0
 
     def test_ragged_branches_rejected(self):
         ket0 = np.diag([1.0 + 0.0j, 0.0j])
+        family = ProjectorFamily([(ket0, np.eye(2) - ket0)] * 2)
         with pytest.raises(ValueError, match="one branch state per pointer index"):
-            BranchEnsemble(((ket0, ket0), (ket0,)), np.ones((2, 2)))
+            build_sbs(CentralState(ket0), ((ket0, ket0), (ket0,)), family)
 
     @pytest.mark.parametrize(
         "bad,message",
@@ -446,7 +447,7 @@ class TestRecords:
             ProjectorFamily([(good, np.eye(2) - good), (bad, good)])
 
     def test_stack_with_one_bad_family_rejected(self):
-        _, _, families = next(qubit_cases())
+        *_, families = next(qubit_cases())
         # Hermitian and complete, but P^2 != P
         half = np.diag([0.5, 0.0])
         stack = np.array(families.families)
