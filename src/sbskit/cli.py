@@ -58,6 +58,8 @@ MAX_SAMPLES = 100_000
 # most spins of a bath or macrofraction: at the default sizes a run at the cap
 # holds about 0.75 GiB in fig1 and 2 GiB in discrimination (200 draws)
 MAX_SPINS = 100_000
+# most spins one discrimination run draws in all, draws x n_mac: the 2 GiB run above
+MAX_DRAWN_SPINS = 200 * MAX_SPINS
 # most time points: about 55 bytes each in fig1, 12 KiB each in fig2 (200 samples)
 MAX_TAU_POINTS = 10_000_001
 MAX_TIME_POINTS = 100_000
@@ -136,7 +138,10 @@ def _reject_constant(name: str):
 
 
 def _finite(value) -> float:
-    """value as a finite float: a JSON number too large for a float, like 1e999, loads as inf and raises here."""
+    """value as a finite float: a bool raises, and a JSON number too large for
+    a float, like 1e999, loads as inf and raises here."""
+    if isinstance(value, bool):
+        raise ValueError("not a number")
     value = float(value)
     if not math.isfinite(value):
         raise ValueError("not a finite number")
@@ -217,9 +222,11 @@ FIELDS = {
         _integer, lambda n: 3 <= n <= MAX_TAU_POINTS and n % 2 == 1, f"must be an odd integer from 3 to {MAX_TAU_POINTS}",
     ),
     "fig1.samples": _count(1, MAX_SAMPLES),
+    # one curve file per size
     "fig2.n_values": (
-        lambda ns: tuple(_integer(n) for n in ns), lambda ns: len(ns) > 0 and 1 <= min(ns) and max(ns) <= MAX_SPINS,
-        f"must be a nonempty list of integers from 1 to {MAX_SPINS}",
+        lambda ns: tuple(_integer(n) for n in ns),
+        lambda ns: len(ns) > 0 and 1 <= min(ns) and max(ns) <= MAX_SPINS and len(set(ns)) == len(ns),
+        f"must be a nonempty list of distinct integers from 1 to {MAX_SPINS}",
     ),
     "fig2.t_min": _TIME,
     "fig2.t_max": _TIME,
@@ -277,12 +284,9 @@ def run_fig2(values: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     t = np.linspace(values["fig2.t_min"], values["fig2.t_max"], values["fig2.t_points"])
     n_values = values["fig2.n_values"]
     mean, stderr = fig2_curves(n_values, t, values["samples"], values["seed"], values["measure"], values["threads"])
-    files = []
-    for n in sorted(set(n_values)):
-        j = n_values.index(n)
-        name = f"fig2_curve_n{n}.csv"
-        write_csv(out_dir / name, ["t", "mean_bound", "stderr"], np.stack([t, mean[j], stderr[j]], axis=-1).tolist())
-        files.append(name)
+    files = [f"fig2_curve_n{n}.csv" for n in n_values]
+    for name, curve, error in zip(files, mean, stderr):
+        write_csv(out_dir / name, ["t", "mean_bound", "stderr"], np.stack([t, curve, error], axis=-1).tolist())
     return EXIT_OK, files, {}
 
 
@@ -375,8 +379,16 @@ def run_scenario(scenario: str, config: dict, out_dir: Path) -> int:
         section, _, key = path.rpartition(".")
         values[path] = _check(path, config[section][key] if section else config[key], *FIELDS[path])
     values["measure"] = parse_measure(config["measure"])
-    if scenario == "timescales" and not values["measure"].g2bar() > 0.0:
-        raise ConfigError(f"measure.coupling: timescales need a nonzero coupling, got {config['measure']['coupling']!r}")
+    coupling = config["measure"]["coupling"]
+    # sin(g t) is NaN once g t overflows, at the longest time any scenario reaches
+    longest = max(values["fig1.tau"], values["fig2.t_max"], values["discrimination.t_max"])
+    if not math.isfinite(float(np.max(np.abs(values["measure.coupling"]))) * longest):
+        raise ConfigError(f"measure.coupling: |g| times the longest time, {longest!r}, must be finite, got {coupling!r}")
+    if scenario == "timescales" and not 0.0 < values["measure"].g2bar() < math.inf:
+        raise ConfigError(f"measure.coupling: timescales need a nonzero coupling of finite E[g^2], got {coupling!r}")
+    drawn = values["discrimination.draws"] * values["discrimination.n_mac"]
+    if drawn > MAX_DRAWN_SPINS:
+        raise ConfigError(f"discrimination.draws: times n_mac must be at most {MAX_DRAWN_SPINS}, got {drawn}")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -29,9 +29,15 @@ def hermiticity_defect(a: np.ndarray):
     """Largest entrywise deviation from Hermiticity, max |A - A†|, per matrix
     of a stack (a float for one matrix)."""
     a = np.asarray(a)
-    if not a.size:
-        return np.zeros(a.shape[:-2])[()]
-    return np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), axis=(-2, -1))
+    return np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), axis=(-2, -1), initial=0.0)
+
+
+def check_hermitian(a: np.ndarray, tol: float, what: str = "matrix") -> None:
+    """Raise ValueError naming what and the largest measured asymmetry if
+    any matrix of a stack deviates from Hermiticity by more than tol."""
+    defect = np.max(hermiticity_defect(a), initial=0.0)
+    if defect > tol:
+        raise ValueError(f"{what} is not Hermitian: max |A - A†| = {defect:.3e}")
 
 
 def check_square(a: np.ndarray) -> np.ndarray:
@@ -50,9 +56,7 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     array on success.
     """
     rho = check_square(rho)
-    defect = np.max(hermiticity_defect(rho), initial=0.0)
-    if defect > STATE_TOL:
-        raise ValueError(f"state is not Hermitian: max |A - A†| = {defect:.3e}")
+    check_hermitian(rho, STATE_TOL, "state")
     tr = np.trace(rho, axis1=-2, axis2=-1)
     off = tr[np.abs(tr - 1.0) > STATE_TOL]
     if off.size:
@@ -72,9 +76,7 @@ def psd_sqrt(rho: np.ndarray) -> np.ndarray:
     to zero; anything more negative is rejected.
     """
     rho = check_square(rho)
-    defect = np.max(hermiticity_defect(rho), initial=0.0)
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |A - A†| = {defect:.3e}")
+    check_hermitian(rho, HERMITICITY_TOL)
     w, v = np.linalg.eigh(rho)  # eigenvalues ascending
     lo = float(np.min(w[..., 0], initial=np.inf))
     if lo < PSD_REJECT:
@@ -93,9 +95,7 @@ def trace_norm(a: np.ndarray):
     non-Hermitian product, in ``fidelity``, takes its own SVD.
     """
     a = check_square(a)
-    defect = np.max(hermiticity_defect(a), initial=0.0)
-    if defect > STATE_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |A - A†| = {defect:.3e}")
+    check_hermitian(a, STATE_TOL)
     return np.sum(np.abs(np.linalg.eigvalsh(a)), axis=-1)[()]
 
 

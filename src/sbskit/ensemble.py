@@ -56,8 +56,9 @@ class MeasureSpec:
         SpinParams(float(alpha), float(beta), float(gamma), lam, 0.0)
         if not isinstance(self.coupling, (int, float)):
             a, b = self.coupling
-            if not a < b:
-                raise ValueError(f"uniform coupling bounds must satisfy a < b, got {self.coupling}")
+            # numpy's uniform sampler cannot span a width that overflows
+            if not (a < b and math.isfinite(b - a)):
+                raise ValueError(f"uniform coupling bounds must satisfy a < b with b - a finite, got {self.coupling}")
 
     def g2bar(self) -> float:
         """Mean squared coupling E[g^2] implied by the coupling law."""
@@ -153,9 +154,8 @@ def _product_curves(g, t_grid, coeffs, counts) -> np.ndarray:
     an earlier coefficient copies its curve.  Every elementwise step and the
     row-by-row sum over spins match the one-pass full-grid form bit for bit.
     """
-    ends = np.unique(np.asarray(counts, dtype=np.intp))
     n_spins, n_t = len(g), len(t_grid)
-    logs = np.zeros((len(coeffs), len(ends), n_t))
+    logs = np.zeros((len(coeffs), len(counts), n_t))
     live = [k for k, a in enumerate(coeffs) if np.max(np.abs(a)) > EXACT_ONE_COEFF]
     # equal coefficients give equal log sums: only the first of them is computed
     first = [next(j for j in live if np.array_equal(coeffs[j], coeffs[k])) for k in live]
@@ -183,10 +183,10 @@ def _product_curves(g, t_grid, coeffs, counts) -> np.ndarray:
                     # [0, 1] (rounding is monotone), so log needs no clip
                     np.add(1.0, f, out=f)
                     np.log(f, out=f)
-                    for j, n in enumerate(ends):
+                    for j, n in enumerate(counts):
                         logs[k, j, lo:hi] = f[:n].sum(axis=0)
         logs[live] = logs[first]
-    return np.exp(0.5 * logs)[:, np.searchsorted(ends, counts)]
+    return np.exp(0.5 * logs)
 
 
 def fig1_node(

@@ -44,7 +44,6 @@ import numpy as np
 
 from . import densmat
 
-CENTRAL_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
 COR2_VALIDITY = 0.25
 
@@ -65,10 +64,7 @@ class CentralState:
         rho = densmat.check_square(np.array(self.rho, dtype=complex))
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
-        sigma = self.sigma
-        if np.any(sigma < -CENTRAL_TOL):
-            raise ValueError("pointer weights must be nonnegative")
-        total = np.sum(sigma, axis=-1)
+        total = np.sum(self.sigma, axis=-1)
         off = total[np.abs(total - 1.0) > 1e-12]
         if off.size:
             raise ValueError(f"pointer weights sum to {off[0]}, not 1")
@@ -117,8 +113,7 @@ class ProjectorFamily:
     def __post_init__(self):
         fams = _environment_array(self.families, "projector")
         object.__setattr__(self, "families", fams)
-        if np.max(densmat.hermiticity_defect(fams), initial=0.0) > PROJECTOR_TOL:
-            raise ValueError("projector is not Hermitian")
+        densmat.check_hermitian(fams, PROJECTOR_TOL, "projector")
         if np.max(np.abs(fams @ fams - fams), initial=0.0) > PROJECTOR_TOL:
             raise ValueError("projector is not idempotent")
         _check_complete(fams)
@@ -252,9 +247,7 @@ def prop1_bound(gamma, pe):
     pe = np.asarray(pe, dtype=float)
     if np.any(np.asarray(gamma) < 0) or np.any(pe < 0):
         raise ValueError("bound ingredients must be nonnegative")
-    # a running sum from 0 over the environments, as Python's sum adds them
-    start = np.zeros(pe.shape[:-1] + (1,))
-    return (gamma + np.add.accumulate(np.concatenate([start, pe], axis=-1), axis=-1)[..., -1])[()]
+    return (gamma + np.sum(pe, axis=-1))[()]
 
 
 def disturbance_bound(gamma, sigma, branches, projectors):

@@ -70,11 +70,8 @@ class SpinParams:
         if len(shapes) > 1:
             raise ValueError(f"field shapes differ: {sorted(shapes)}")
         for name, upper, shown in _RANGES:
-            v = getattr(self, name)
-            # plain comparisons for a float field, without building an array
-            low, high = (v.min(initial=np.inf), v.max(initial=-np.inf)) if isinstance(v, np.ndarray) else (v, v)
-            if not (0.0 <= low and high <= upper):  # also false for NaN
-                v = np.asarray(v, dtype=float)
+            v = np.asarray(getattr(self, name), dtype=float)
+            if not (0.0 <= v.min(initial=np.inf) and v.max(initial=-np.inf) <= upper):  # also false for NaN
                 raise ValueError(f"{name} {v[~((v >= 0.0) & (v <= upper))].flat[0]} outside {shown}")
 
 

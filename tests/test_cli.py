@@ -238,6 +238,20 @@ class TestFig2Scenario:
             name = f"fig2_curve_n{n}.csv"
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_curves_written_in_config_order(self, tmp_path):
+        # one file per size, listed in config order; a size's curve does not
+        # depend on where it stands in the list
+        curves = []
+        for order in ([50, 30], [30, 50]):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"samples": 20, "fig2": {"n_values": order, "t_points": 21, "t_max": 1.0}}))
+            out = tmp_path / f"n{order[0]}-first"
+            assert run_cli(["--scenario", "fig2", "--config", str(cfg), "--out-dir", str(out)]) == 0
+            names = [f"fig2_curve_n{n}.csv" for n in order]
+            assert read_json(out / "manifest.json")["outputs"] == names
+            curves.append({name: (out / name).read_bytes() for name in names})
+        assert curves[0] == curves[1]
+
     def test_nonpositive_size_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"fig2": {"n_values": [0, 10]}}))
@@ -563,6 +577,9 @@ class TestVerifyScenario:
         assert math.copysign(1.0, res.worst_margin) == -1.0
 
 
+# a fig1 run of a few milliseconds, for rows that must fail fast where a check is missing
+SMALL_FIG1 = {"lambda_grid": [0.5], "beta_grid": [0.0], "tau_points": 11, "samples": 1}
+
 BAD_CONFIGS = [
     ("fig2", {"fig2": {"t_points": 1}}, "fig2.t_points"),
     ("fig1", {"fig1": {"tau_points": 1}}, "fig1.tau_points"),
@@ -615,6 +632,41 @@ BAD_CONFIGS = [
     pytest.param("verify", {"verify": {"instances": 1.5}}, "verify.instances", id="verify-verify.instances-fraction"),
     pytest.param("fig1", {"fig1": {"n_spins": 2.7}}, "fig1.n_spins", id="fig1-fig1.n_spins-fraction"),
     pytest.param("timescales", {"seed": True}, "seed", id="timescales-seed-bool"),
+    # one curve file per size
+    pytest.param("fig2", {"fig2": {"n_values": [30, 50, 30]}}, "fig2.n_values", id="fig2-fig2.n_values-repeated"),
+    # a bool is no number, for float fields as for integer ones
+    pytest.param("timescales", {"measure": {"coupling": True}}, "measure.coupling", id="timescales-coupling-bool"),
+    pytest.param("timescales", {"measure": {"lambda": False}}, "measure.lambda", id="timescales-lambda-bool"),
+    pytest.param("timescales", {"measure": {"angles": [True, 0, 0]}}, "measure.angles", id="timescales-angles-bool"),
+    pytest.param("fig1", {"fig1": {**SMALL_FIG1, "lambda_grid": [True]}}, "fig1.lambda_grid", id="fig1-lambda_grid-bool"),
+    pytest.param("fig1", {"fig1": {**SMALL_FIG1, "beta_grid": [False]}}, "fig1.beta_grid", id="fig1-beta_grid-bool"),
+    pytest.param("fig1", {"fig1": {**SMALL_FIG1, "tau": True}}, "fig1.tau", id="fig1-fig1.tau-bool"),
+    pytest.param(
+        "timescales", {"timescales": {"cases": [{"n_mac": 100, "n_total": 200, "f": False}]}}, "timescales.cases[0]",
+        id="timescales-timescales.cases[0]-bool",
+    ),
+    # g t must stay finite at the longest time of any scenario, or sin(g t) is NaN
+    pytest.param(
+        "discrimination", {"measure": {"coupling": [0.0, 1e308]}, "discrimination": {"draws": 3, "t_points": 3}},
+        "measure.coupling", id="discrimination-measure.coupling-overflow",
+    ),
+    pytest.param(
+        "fig1", {"measure": {"coupling": [0.0, 1e300]}, "fig1": {**SMALL_FIG1, "tau": 1e10}}, "measure.coupling",
+        id="fig1-measure.coupling-overflow",
+    ),
+    # the time scales divide by E[g^2], which must not overflow
+    pytest.param("timescales", {"measure": {"coupling": [1e160, 1e200]}}, "measure.coupling",
+                 id="timescales-measure.coupling-g2bar"),
+    # a uniform law whose width overflows cannot be sampled
+    pytest.param(
+        "fig2", {"measure": {"coupling": [-1e308, 1e308]}, "fig1": {"tau": 0.5}, "fig2": {"t_max": 0.5},
+                 "discrimination": {"t_max": 0.5}}, "measure.coupling", id="fig2-measure.coupling-width",
+    ),
+    # each field inside its cap, but draws x n_mac spins would take 372 GiB
+    pytest.param(
+        "discrimination", {"discrimination": {"n_mac": 100_000, "draws": 100_000}}, "discrimination.draws",
+        id="discrimination-discrimination.draws-spins",
+    ),
 ]
 
 

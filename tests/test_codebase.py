@@ -163,6 +163,41 @@ def test_per_index_streams_go_through_sample_rows():
     assert stream_calls_in_loops(SRC) == []
 
 
+def stream_labels(src: Path):
+    """(label, callee, module, line) of each integer literal passed as the
+    label argument of a function of src/ that has a parameter named label."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    position = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                names = [a.arg for a in node.args.posonlyargs + node.args.args]
+                if "label" in names:
+                    position[node.name] = names.index("label")
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if callee in position:
+                # the label passed by keyword or at its position
+                args = [k.value for k in node.keywords if k.arg == "label"] + node.args[position[callee]:][:1]
+                found += [(a.value, callee, module, node.lineno) for a in args
+                          if isinstance(a, ast.Constant) and type(a.value) is int]
+    return sorted(found)
+
+
+def test_stream_labels_are_unique():
+    """Every sampler draws from its own stream label: two that shared one
+    would draw correlated streams from the same seed."""
+    labels = stream_labels(SRC)
+    assert {"sample_rows", "sample_stream", "_timed_spin_rows", "_random_state_pairs"} <= {c for _, c, _, _ in labels}
+    values = [label for label, _, _, _ in labels]
+    repeated = [entry for entry in labels if values.count(entry[0]) > 1]
+    assert not repeated, f"stream labels passed more than once: {repeated}"
+
+
 def test_verify_suites_are_fixed_definitions():
     """A verify suite takes the seed (or nothing), the oracle corpus and
     run_all also the verify.instances count, and none has a default: every

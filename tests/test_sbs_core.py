@@ -45,6 +45,16 @@ class TestCentralState:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             CentralState(np.array([[0.9, 0.5], [0.5, 0.1]]))
 
+    @pytest.mark.parametrize("w", [0.5, 2e-10])
+    def test_negative_weight_rejected(self, w):
+        # a diagonal entry is never below the smallest eigenvalue, so the
+        # state check rejects a negative pointer weight at its own tolerance
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            diagonal_central(1.0 + w, -w)
+
+    def test_weight_within_tolerance_accepted(self):
+        assert diagonal_central(1.0 + 5e-11, -5e-11).sigma[1] == -5e-11
+
     def test_non_hermitian_matrix_rejected(self):
         # sigma_10 must be the conjugate of sigma_01
         with pytest.raises(ValueError, match="not Hermitian"):
