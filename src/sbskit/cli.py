@@ -56,13 +56,16 @@ CONVERGENCE_GATE = 1e-3
 # sample about 12 KiB, so a run at the cap stays near 1 GiB
 MAX_SAMPLES = 100_000
 # most spins of a bath or macrofraction: at the default sizes a run at the cap
-# holds about 0.75 GiB in fig1 and 2 GiB in discrimination (200 draws)
+# holds about 0.2 GiB in fig1 and 2 GiB in discrimination (200 draws)
 MAX_SPINS = 100_000
 # most spins one discrimination run draws in all, draws x n_mac: the 2 GiB run above
 MAX_DRAWN_SPINS = 200 * MAX_SPINS
-# most time points: about 55 bytes each in fig1, 12 KiB each in fig2 (200 samples)
+# most time points: about 41 bytes each in fig1, 12 KiB each in fig2 (200 samples)
 MAX_TAU_POINTS = 10_000_001
 MAX_TIME_POINTS = 100_000
+# most curve points one fig2 run holds, samples x len(n_values) x t_points:
+# about 16 bytes each, so a run at the cap holds about 1.5 GiB
+MAX_CURVE_POINTS = 100_000_000
 # oracle instances run in blocks of a fixed size, so this bounds time, not memory
 MAX_INSTANCES = 100_000
 
@@ -389,6 +392,9 @@ def run_scenario(scenario: str, config: dict, out_dir: Path) -> int:
     drawn = values["discrimination.draws"] * values["discrimination.n_mac"]
     if drawn > MAX_DRAWN_SPINS:
         raise ConfigError(f"discrimination.draws: times n_mac must be at most {MAX_DRAWN_SPINS}, got {drawn}")
+    points = values["samples"] * len(values["fig2.n_values"]) * values["fig2.t_points"]
+    if points > MAX_CURVE_POINTS:
+        raise ConfigError(f"fig2.n_values: samples x entries x t_points must be at most {MAX_CURVE_POINTS}, got {points}")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

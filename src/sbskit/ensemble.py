@@ -23,9 +23,9 @@ import numpy as np
 
 from .spin_model import TWO_PI, SpinParams, sin2_coefficients
 
-# time points per block of the B / |gamma| kernel; at 100 spins its two
-# (spins, block) buffers take 800 KiB and stay in L2, where 512 timed fastest
-CURVE_BLOCK = 512
+# cells (spins x time points) in each of the B / |gamma| kernel's two chunk
+# buffers: 512 KiB each stay in L2 cache, and fig2's 500 x 121 is one chunk
+CURVE_BLOCK = 2**16
 # |a| <= 2^-54 makes 1 + a sin^2(g t) round to exactly 1
 EXACT_ONE_COEFF = 2.0**-54
 
@@ -141,52 +141,60 @@ def _mean_stderr(values: np.ndarray):
     return mean, np.zeros_like(mean)
 
 
-def _product_curves(g, t_grid, coeffs, counts) -> np.ndarray:
-    """sqrt(prod_{k < n} (1 + a_k sin^2(g_k t))) over t_grid, log space.
+def _product_curves(g, t0, dt, n_t, coeffs, counts) -> np.ndarray:
+    """sqrt(prod_{k < n} (1 + a_k sin^2(g_k t))) on the uniform grid (as
+    np.linspace builds it) t = t0 + j dt, 0 <= j < n_t, with no log.
 
     One curve per coefficient a in coeffs (in [-1, 0], a float for every
     spin or one per spin) and spin count n in counts (1 <= n <= len(g)), the
     product running over the first n spins; returns shape (len(coeffs),
-    len(counts), len(t_grid)).  The time grid is cut into blocks of at most
-    CURVE_BLOCK points; sin^2(g t) is computed once per block and shared by
-    every coefficient.  A curve whose coefficients all have magnitude <=
-    2^-54 is exactly 1 (1 + a rounds to 1) and is not computed; one equal to
-    an earlier coefficient copies its curve.  Every elementwise step and the
-    row-by-row sum over spins match the one-pass full-grid form bit for bit.
+    len(counts), n_t).  With j = w b + m, w = min(64, isqrt(n_t)) and anchor
+    T = t0 + w b dt, sin(g t) = sin(g T) cos(g m dt) + cos(g T) sin(g m dt),
+    so sin and cos run once per spin and anchor or offset m, and t = 0 or
+    g = 0 still give a factor of exactly 1.  Each factor is clamped at 0, as
+    the identity can put |sin| an ulp above 1.  The sizes run in increasing
+    order, each multiplying the smaller size's product by factors <= 1, so a
+    larger n never gives a larger curve.  A curve below about 1e-154 (a
+    subnormal product) may read 0: it is accurate only to about 1e-154.
+    Coefficients all of magnitude <= 2^-54 give exactly 1 (1 + a rounds to
+    1) uncomputed, and a repeated coefficient copies its curve.
     """
-    n_spins, n_t = len(g), len(t_grid)
-    logs = np.zeros((len(coeffs), len(counts), n_t))
+    n_spins = len(g)
+    out = np.ones((len(coeffs), len(counts), n_t))
     live = [k for k, a in enumerate(coeffs) if np.max(np.abs(a)) > EXACT_ONE_COEFF]
-    # equal coefficients give equal log sums: only the first of them is computed
+    # equal coefficients give equal curves: only the first of them is computed
     first = [next(j for j in live if np.array_equal(coeffs[j], coeffs[k])) for k in live]
     if live:
-        # blocks of near-equal width: numpy sums a one-column block pairwise
-        # instead of row by row, which would change the last bits
-        n_blocks = -(-n_t // CURVE_BLOCK)
-        bounds = [n_t * b // n_blocks for b in range(n_blocks + 1)]
-        # flat buffers reshaped per block keep every block C-contiguous, so
-        # numpy takes the same vector loops as on one full-size array
-        s2_buf = np.empty(n_spins * -(-n_t // n_blocks))
-        f_buf = np.empty_like(s2_buf)
-        with np.errstate(divide="ignore"):
-            for lo, hi in zip(bounds, bounds[1:]):
-                s2 = s2_buf[: n_spins * (hi - lo)].reshape(n_spins, hi - lo)
-                f = f_buf[: s2.size].reshape(s2.shape)
-                # each g t is one rounded product; einsum's zero start can
-                # only turn -0.0 into +0.0, and sin then square gives +0.0
-                np.einsum("i,j->ij", g, t_grid[lo:hi], out=s2)
-                np.sin(s2, out=s2)
-                np.square(s2, out=s2)
-                for k in sorted(set(first)):
-                    np.multiply(np.reshape(coeffs[k], (-1, 1)), s2, out=f)
-                    # a in [-1, 0] and sin^2 in [0, 1] put 1 + a sin^2 in
-                    # [0, 1] (rounding is monotone), so log needs no clip
-                    np.add(1.0, f, out=f)
-                    np.log(f, out=f)
-                    for j, n in enumerate(counts):
-                        logs[k, j, lo:hi] = f[:n].sum(axis=0)
-        logs[live] = logs[first]
-    return np.exp(0.5 * logs)
+        sizes = sorted(set(counts))
+        rows = [sizes.index(n) for n in counts]
+        width = min(64, math.isqrt(n_t))
+        offsets = np.multiply.outer(g, dt * np.arange(width))
+        sin_m, cos_m = np.sin(offsets), np.cos(offsets, out=offsets)
+        # the anchors run in chunks of blocks, about CURVE_BLOCK cells each
+        n_blocks = -(-n_t // width)
+        step = min(n_blocks, max(1, CURVE_BLOCK // (n_spins * width)))
+        s_buf, f_buf = np.empty((2, n_spins * step * width))
+        for lo in range(0, n_blocks, step):
+            hi = min(lo + step, n_blocks)
+            anchors = np.multiply.outer(g, t0 + dt * np.arange(lo * width, hi * width, width))
+            s = s_buf[: n_spins * (hi - lo) * width].reshape(n_spins, hi - lo, width)
+            f = f_buf[: s.size].reshape(s.shape)
+            np.multiply(np.sin(anchors)[:, :, None], cos_m[:, None, :], out=s)
+            np.multiply(np.cos(anchors)[:, :, None], sin_m[:, None, :], out=f)
+            np.add(s, f, out=s)
+            s, f = s.reshape(n_spins, -1), f.reshape(n_spins, -1)
+            np.square(s, out=s)
+            cols = slice(lo * width, min(hi * width, n_t))
+            for k in sorted(set(first)):
+                np.multiply(np.reshape(coeffs[k], (-1, 1)), s, out=f)
+                np.add(1.0, f, out=f)
+                np.maximum(f, 0.0, out=f)
+                products = [np.multiply.reduce(f[: sizes[0]], axis=0)]
+                for below, n in zip(sizes, sizes[1:]):
+                    products.append(products[-1] * np.multiply.reduce(f[below:n], axis=0))
+                out[k, :, cols] = np.array(products)[rows, : cols.stop - cols.start]
+        out[live] = out[first]
+    return np.sqrt(out, out=out)
 
 
 def fig1_node(
@@ -212,7 +220,7 @@ def fig1_node(
     be odd.  With with_gamma=False the |gamma| curve is not computed and its
     three entries are NaN.
     """
-    t = np.linspace(0.0, tau, tau_points)
+    t, dt = np.linspace(0.0, tau, tau_points, retstep=True)
     coarse = slice(None, None, 2)
     coeffs = list(sin2_coefficients(SpinParams(0.0, beta, 0.0, lam_plus, 0.0)))
     coeffs = coeffs[: 2 if with_gamma else 1]
@@ -221,7 +229,7 @@ def fig1_node(
         rng = sample_stream(seed, i, 1)
         g = sample_coupling_array(measure, rng, n_spins)
         vals = []
-        for curve in _product_curves(g, t, coeffs, [n_spins])[:, 0]:
+        for curve in _product_curves(g, 0.0, dt, tau_points, coeffs, [n_spins])[:, 0]:
             fine = float(np.trapezoid(curve, t) / tau)
             cs = float(np.trapezoid(curve[coarse], t[coarse]) / tau)
             vals.append((fine, abs(fine - cs) / max(abs(fine), 1e-12)))
@@ -243,8 +251,8 @@ def fig2_curves(
     measure: MeasureSpec,
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean distance bound |gamma(t)| + B(t) over the time grid t and its
-    standard error, each of shape (len(n_values), len(t)): row j is the
+    """Mean distance bound |gamma(t)| + B(t) over the np.linspace grid t and
+    its standard error, each of shape (len(n_values), len(t)): row j is the
     curve of size n_values[j] (each >= 1).
 
     Each curve uses n observed and n unobserved freshly sampled spins per
@@ -253,6 +261,7 @@ def fig2_curves(
     ones pointwise for every draw, not just on average.
     """
     n_max = max(n_values)
+    dt = (t[-1] - t[0]) / max(len(t) - 1, 1)  # the step np.linspace takes
 
     def one(i: int):
         rng = sample_stream(seed, i, 2)
@@ -260,8 +269,8 @@ def fig2_curves(
         unobserved = SpinParams(*draw_spin_arrays(measure, rng, n_max))
         b_coeff, _ = sin2_coefficients(observed)
         _, gamma_coeff = sin2_coefficients(unobserved)
-        b = _product_curves(observed.g, t, [b_coeff], n_values)[0]
-        ag = _product_curves(unobserved.g, t, [gamma_coeff], n_values)[0]
+        b = _product_curves(observed.g, t[0], dt, len(t), [b_coeff], n_values)[0]
+        ag = _product_curves(unobserved.g, t[0], dt, len(t), [gamma_coeff], n_values)[0]
         return ag + b
 
     return _mean_stderr(np.stack(map_indexed(one, samples, threads)))

