@@ -311,7 +311,7 @@ def run_timescales(values: dict, out_dir: Path) -> tuple[int, list[str], dict]:
 def run_discrimination(values: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     # imported here, as verify in run_verify, so other scenarios never load them
     from .discrimination import (
-        chernoff_bound, kolmogorov_fuchs, local_success_probability, majority_success, majority_success_heterogeneous,
+        chernoff_bound, kolmogorov_fuchs, local_success_probability, majority_success_heterogeneous,
     )
 
     n_mac, draws, seed = values["discrimination.n_mac"], values["discrimination.draws"], values["seed"]
@@ -330,13 +330,13 @@ def run_discrimination(values: dict, out_dir: Path) -> tuple[int, list[str], dic
         t = float(t)
         s = sin_gt(spins, t)
         probs = local_success_probability(abs_delta, s)
-        p_het = majority_success_heterogeneous(probs)
+        p_bar = float(np.mean(probs))
+        # one more row: the exact majority tail at the mean success, checked against its Chernoff lower bound
+        tails = majority_success_heterogeneous(np.vstack([probs, np.full(n_mac, p_bar)]))
+        p_het, exact = tails[:-1], float(tails[-1])
         b_vals = macrofraction_fidelity(b2_coeff, s)
         ok_count = int(np.count_nonzero(kolmogorov_fuchs(p_het, b_vals)[2]))
-        # the exact majority tail at the mean success, checked against its Chernoff lower bound
-        p_bar = float(np.mean(probs))
         s_bar = p_bar - 0.5
-        exact = majority_success(n_mac, p_bar)
         lower = chernoff_bound(n_mac, min(max(s_bar, 0.0), 0.5))
         if s_bar >= 0.0 and exact < lower - 1e-12:
             raise AssertionError(f"exact majority tail {exact} fell below its Chernoff bound {lower}")

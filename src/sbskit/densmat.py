@@ -81,9 +81,7 @@ def psd_sqrt(rho: np.ndarray) -> np.ndarray:
     lo = float(np.min(w[..., 0], initial=np.inf))
     if lo < PSD_REJECT:
         raise ValueError(f"matrix is not PSD: eigenvalue {lo:.3e} < {PSD_REJECT:g}")
-    # descending order fixes the order of the sums in the product, and so the root's last bits
-    w, v = np.clip(w[..., ::-1], 0.0, None), v[..., ::-1]
-    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def trace_norm(a: np.ndarray):

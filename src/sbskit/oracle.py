@@ -148,9 +148,7 @@ def gamma_products(inst: OracleInstance) -> np.ndarray:
     crossed = branch_state(_rows(inst.unobserved), i[:, None], j[:, None], inst.t[:, None, None], d_s)
     traces = np.trace(crossed, axis1=-2, axis2=-1)
     out = np.ones((len(inst.t), d_s, d_s), dtype=complex)
-    # a running product from 1 along each contiguous row of spins rounds as a
-    # loop over the spins does; an elementwise product of rows may not
-    out[:, i, j] = np.multiply.reduce(traces, axis=-1, initial=1.0 + 0.0j)
+    out[:, i, j] = np.prod(traces, axis=-1)
     return out
 
 
@@ -182,9 +180,7 @@ def branch_ensemble(inst: OracleInstance) -> tuple[np.ndarray, np.ndarray]:
     spins = SpinParams(*(v[..., None] for v in vars(inst.observed).values()))
     branches = branch_state(spins, i, i, inst.t[:, None, None], inst.central.d_s)
     branches.setflags(write=False)
-    # hypot per entry, as Python's abs of a complex number: np.abs of a
-    # complex array can differ from it in the last bit
-    return branches, np.hypot(gammas.real, gammas.imag)
+    return branches, np.abs(gammas)
 
 
 def exact_epsilon(reduced: np.ndarray, sbs: SBSState):
@@ -225,8 +221,7 @@ def qubit_families(central: CentralState, branches: np.ndarray, draws: np.ndarra
     eye = np.eye(2, dtype=complex)
     coarse = np.broadcast_to([eye, np.zeros_like(eye)], plain.shape)
     v = draws[..., 0, :] + 1j * draws[..., 1, :]
-    # the dot products np.linalg.norm takes for one complex vector
-    v = v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
     p = v[..., :, None] * v.conj()[..., None, :]
     return ProjectorFamily(np.stack([plain, weighted, plain[..., ::-1, :, :], coarse, np.stack([p, eye - p], axis=-3)]))
 

@@ -152,18 +152,11 @@ class SBSState:
         """sum_i w_i |i><i| (x) states[0, i] (x) ... (x) states[n_env - 1, i],
         one matrix per family; a zero matrix for a degenerate family."""
         d_s = self.weights.shape[-1]
-        # the products and sums of the kron route, down to the sign of zero:
-        # environments tensored onto a unit, each pointer block placed by a
-        # unit projector, zero-weight branches turned into -0.0 (which adds
-        # nothing, not even to a signed zero) and a running sum (np.sum would
-        # start from +0)
-        env = densmat.tensor(np.ones((d_s, 1, 1)), *np.moveaxis(self.states, -4, 0))
+        env = densmat.tensor(self.weights[..., None, None], *np.moveaxis(self.states, -4, 0))
         i = np.arange(d_s)
         units = np.zeros((d_s, d_s, d_s), dtype=complex)
         units[i, i, i] = 1.0
-        w = self.weights[..., None, None]
-        terms = np.where(w > 0.0, w * densmat.tensor(units, env), -0.0)
-        return np.add.accumulate(terms, axis=-3)[..., -1, :, :]
+        return np.sum(densmat.tensor(units, env), axis=-3)
 
 
 def _off_diagonal(a: np.ndarray) -> np.ndarray:
@@ -259,10 +252,7 @@ def disturbance_bound(gamma, sigma, branches, projectors):
     families in front (one bound per family and instance).
     """
     pieces = sigma[..., None, :] * densmat.trace_norm(branches - projectors @ branches @ projectors)
-    pieces = pieces.reshape(pieces.shape[:-2] + (-1,))
-    # a running sum from Gamma adds the pieces one by one, k major
-    start = np.broadcast_to(np.asarray(gamma)[..., None], pieces.shape[:-1] + (1,))
-    return np.add.accumulate(np.concatenate([start, pieces], axis=-1), axis=-1)[..., -1][()]
+    return (gamma + np.sum(pieces, axis=(-2, -1)))[()]
 
 
 def barnum_knill_bound(weights: Sequence[float], pairwise_fidelities: np.ndarray):

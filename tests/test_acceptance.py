@@ -181,13 +181,13 @@ def test_acceptance_08_discrimination():
     report(8, "Helstrom error identity on 1000 random pairs", helstrom, elapsed, 60)
     report(8, "  success-probability formula vs Tr[P rho] (1e-12)", local)
     report(8, "  exact majority tail >= Chernoff bound on the grid", chernoff)
-    from sbskit.discrimination import majority_success
+    from sbskit.discrimination import majority_success_heterogeneous
 
     assert helstrom.failures == 0
     assert local.failures == 0
     assert chernoff.failures == 0
-    assert majority_success(3, 0.5) == 0.5
-    print("              majority_success(3, 0.5) = 0.5 exactly", file=sys.__stdout__)
+    assert majority_success_heterogeneous([0.5] * 3) == 0.5
+    print("              majority_success_heterogeneous([0.5] * 3) = 0.5 exactly", file=sys.__stdout__)
 
 
 def test_acceptance_09_kolmogorov_fuchs():

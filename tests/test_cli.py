@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import math
 import os
@@ -319,7 +320,7 @@ class TestDiscriminationScenario:
         # the reference recomputes |delta|, the B coefficient and sin(g t) at
         # every time point and validates every drawn row, as the scenario did
         # before it computed the time-invariant factors once
-        from sbskit.discrimination import chernoff_bound, kolmogorov_fuchs, majority_success, majority_success_heterogeneous
+        from sbskit.discrimination import chernoff_bound, kolmogorov_fuchs, majority_success_heterogeneous
         from sbskit.ensemble import draw_spin_arrays, sample_rows
         from sbskit.spin_model import SpinParams, delta, sin2_coefficients
 
@@ -343,7 +344,7 @@ class TestDiscriminationScenario:
                 b_vals = np.exp(0.5 * np.sum(np.log(1.0 + a * np.square(np.sin(spins.g * t))), axis=-1))
             p_het = majority_success_heterogeneous(probs)
             p_bar = float(np.mean(probs))
-            exact = majority_success(n_mac, p_bar)
+            exact = float(majority_success_heterogeneous(np.full(n_mac, p_bar)))
             lower = chernoff_bound(n_mac, min(max(p_bar - 0.5, 0.0), 0.5))
             k, limit, _ = kolmogorov_fuchs(exact, float(np.mean(b_vals)))
             ok = np.count_nonzero(kolmogorov_fuchs(p_het, b_vals)[2]) / draws
@@ -354,9 +355,10 @@ class TestDiscriminationScenario:
         # an exact majority tail below its Chernoff lower bound is a bug, not a result
         from sbskit import discrimination
 
-        exact = discrimination.majority_success(51, 0.7)
+        exact = discrimination.majority_success_heterogeneous(np.full(51, 0.7))
         assert exact >= discrimination.chernoff_bound(51, 0.2)
-        monkeypatch.setattr(discrimination, "majority_success", lambda n_mac, p_bar: 0.0)
+        # every row of the scenario's one call, the mean-success row included, reads 0
+        monkeypatch.setattr(discrimination, "majority_success_heterogeneous", lambda probs: np.zeros(np.shape(probs)[:-1]))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"discrimination": {"t_points": 3, "draws": 4}}))
         with pytest.raises(AssertionError, match="fell below its Chernoff bound"):
@@ -510,13 +512,24 @@ class TestVerifyScenario:
         assert status == (cli.EXIT_OK if report["all_passed"] else cli.EXIT_VERIFY)
         assert set(report["failed_suites"]) <= {"prop1_as_stated"}
 
-    def test_certify_workload_matches_golden(self, tmp_path):
-        # the oracle corpus must reproduce the benchmark's recorded report byte for byte
+    def test_certify_workload_matches_golden(self, tmp_path, monkeypatch):
+        # the oracle corpus must reproduce the benchmark's recorded report under
+        # the benchmark's own rule, with every count exact
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"config_version": 1, "seed": 20260808, "threads": 1, "verify": {"instances": 600}}))
         out = tmp_path / "out"
         assert run_cli(["--scenario", "verify", "--config", str(cfg), "--out-dir", str(out)]) == cli.EXIT_VERIFY
-        assert (out / "verify.json").read_bytes() == GOLDEN_CERTIFY.read_bytes()
+        spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look the module up
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+        spec.loader.exec_module(run)
+        assert run.compare_golden(out / "verify.json", GOLDEN_CERTIFY)[0]
+        got, want = json.loads((out / "verify.json").read_text()), json.loads(GOLDEN_CERTIFY.read_text())
+        assert got["failed_suites"] == want["failed_suites"] == ["prop1_as_stated"]
+        assert {k: (v["checks"], v["failures"]) for k, v in got["suites"].items()} == {
+            k: (v["checks"], v["failures"]) for k, v in want["suites"].items()
+        }
 
     def test_suite_without_checks_does_not_pass(self):
         from sbskit.verify import SuiteResult

@@ -198,6 +198,28 @@ def test_stream_labels_are_unique():
     assert not repeated, f"stream labels passed more than once: {repeated}"
 
 
+def rounding_scaffolding(src: Path):
+    """(module, line, pattern) of each np.add.accumulate and each complex
+    magnitude taken as np.hypot(x.real, x.imag) in src/."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "accumulate" and getattr(node.value, "attr", None) == "add":
+                found.append((path.stem, node.lineno, "np.add.accumulate"))
+            elif (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "hypot"
+                  and [getattr(a, "attr", None) for a in node.args] == ["real", "imag"]):
+                found.append((path.stem, node.lineno, "np.hypot(x.real, x.imag)"))
+    return found
+
+
+def test_no_rounding_scaffolding():
+    """Sums and magnitudes take numpy's own route: a running sum or a hypot
+    of the parts only reproduces a loop's rounding.  np.sum and np.abs hold
+    to a stated tolerance against the loop references; the hypot of two real
+    standard errors stays allowed."""
+    assert rounding_scaffolding(SRC) == []
+
+
 def test_verify_suites_are_fixed_definitions():
     """A verify suite takes the seed (or nothing), the oracle corpus and
     run_all also the verify.instances count, and none has a default: every

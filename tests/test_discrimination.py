@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from sbskit.discrimination import (
     helstrom_spin_analytic,
     kolmogorov_fuchs,
     local_success_probability,
-    majority_success,
     majority_success_heterogeneous,
 )
 from sbskit.ensemble import MeasureSpec, draw_spin_arrays, sample_stream
@@ -45,6 +45,26 @@ def random_qubit_state(rng):
 def achieved_error(family, rho_plus, rho_minus):
     p_plus, p_minus = family
     return 0.5 * float(np.real(np.trace(rho_minus @ p_plus) + np.trace(rho_plus @ p_minus)))
+
+
+def binomial_tail(n, p):
+    """The strict-majority tail of n trials of equal probability p, from the DP."""
+    return float(majority_success_heterogeneous(np.full(n, p)))
+
+
+def exact_tail(n, p):
+    """P[X > n / 2] for X ~ Binomial(n, p) as an exact Fraction, p a Fraction
+    or a float (every float is a dyadic rational), in big-integer arithmetic."""
+    p = Fraction(p)
+    a, b = p.numerator, p.denominator - p.numerator
+    if a == 0:
+        return Fraction(0)
+    # C(n, k) a^k b^(n - k) from k = n down to the majority; every step divides exactly
+    term = total = a**n
+    for k in range(n, n // 2 + 1, -1):
+        term = term * k * b // ((n - k + 1) * a)
+        total += term
+    return Fraction(total, p.denominator**n)
 
 
 def enumerate_majority(probs):
@@ -208,48 +228,43 @@ class TestMeanSuccess:
 
 
 class TestMajoritySuccess:
+    """The binomial tail: the DP with every probability equal."""
+
     def test_certain_success(self):
-        assert majority_success(3, 1.0) == 1.0
+        assert binomial_tail(3, 1.0) == 1.0
 
     def test_three_coin_flips(self):
         # enumeration over the 8 outcomes gives 3/8 + 1/8 = 1/2
         assert enumerate_majority([0.5] * 3) == pytest.approx(0.5, abs=1e-15)
-        assert majority_success(3, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert binomial_tail(3, 0.5) == 0.5
 
     def test_against_enumeration(self):
         rng = np.random.default_rng(106)
         for n in (1, 2, 4, 5, 9):
             p = float(rng.uniform(0, 1))
-            assert majority_success(n, p) == pytest.approx(
-                enumerate_majority([p] * n), abs=1e-12
-            )
+            assert binomial_tail(n, p) == pytest.approx(enumerate_majority([p] * n), abs=1e-12)
 
     def test_ties_count_as_failure(self):
         # n = 2 requires both successes
-        assert majority_success(2, 0.7) == pytest.approx(0.49, abs=1e-12)
+        assert binomial_tail(2, 0.7) == pytest.approx(0.49, abs=1e-12)
 
     def test_monotone_in_p(self):
-        vals = [majority_success(101, p) for p in np.linspace(0.0, 1.0, 21)]
+        vals = majority_success_heterogeneous(np.repeat(np.linspace(0.0, 1.0, 21)[:, None], 101, axis=-1))
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_monotone_in_n_odd(self):
-        vals = [majority_success(n, 0.7) for n in (3, 5, 11, 101, 1001)]
+        vals = [binomial_tail(n, 0.7) for n in (3, 5, 11, 101, 1001)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_large_n_against_exact_integer_arithmetic(self):
-        from fractions import Fraction
-
-        # p = 1/2, even n: by symmetry the strict tail is (2^n - C(n, n/2)) / 2,
-        # exact with big ints
+        # p = 1/2, even n: by symmetry the strict tail is (2^n - C(n, n/2)) / 2
         for n in (1000, 10_000):
             exact = Fraction(2**n - math.comb(n, n // 2), 2 ** (n + 1))
-            assert majority_success(n, 0.5) == pytest.approx(float(exact), rel=1e-10)
-        # p = 4/5: per-outcome probability (4/5)^k (1/5)^(n-k) = 4^k / 5^n
-        n = 1001
-        exact = Fraction(
-            sum(math.comb(n, k) * 4**k for k in range(n // 2 + 1, n + 1)), 5**n
-        )
-        assert majority_success(n, 0.8) == pytest.approx(float(exact), rel=1e-10)
+            assert exact_tail(n, 0.5) == exact
+            assert binomial_tail(n, 0.5) == pytest.approx(float(exact), rel=1e-13)
+        # 1.8e-15, 1.8e-14 and 1.9e-15 relative were seen
+        for n, p in ((1001, Fraction(4, 5)), (10_000, Fraction(4, 5)), (10_000, Fraction(99, 100))):
+            assert binomial_tail(n, float(p)) == pytest.approx(float(exact_tail(n, p)), rel=1e-13)
 
 
 class TestMajorityHeterogeneous:
@@ -259,9 +274,7 @@ class TestMajorityHeterogeneous:
     def test_equal_probabilities_reduce_to_binomial(self):
         assert majority_success_heterogeneous([0.5] * 3) == pytest.approx(0.5, abs=1e-14)
         for n, p in ((7, 0.62), (101, 0.55)):
-            assert majority_success_heterogeneous([p] * n) == pytest.approx(
-                majority_success(n, p), abs=1e-12
-            )
+            assert majority_success_heterogeneous([p] * n) == pytest.approx(float(exact_tail(n, p)), rel=1e-13)
 
     def test_against_enumeration(self):
         rng = np.random.default_rng(107)
@@ -295,7 +308,7 @@ class TestChernoffBound:
     def test_reference_value(self):
         assert chernoff_bound(100, 0.3) == pytest.approx(1.0 - math.exp(-4.5), abs=1e-15)
         assert chernoff_bound(100, 0.3) == pytest.approx(0.9888910034617577, abs=1e-12)
-        assert chernoff_bound(100, 0.3) <= majority_success(100, 0.8)
+        assert chernoff_bound(100, 0.3) <= binomial_tail(100, 0.8)
 
     def test_monotone_in_n(self):
         vals = [chernoff_bound(n, 0.2) for n in (10, 100, 1000, 10000)]
@@ -306,7 +319,7 @@ class TestChernoffBound:
         for n in (11, 101, 1001):
             for s_bar in np.arange(0.05, 0.46, 0.05):
                 s_bar = float(s_bar)
-                assert chernoff_bound(n, s_bar) <= majority_success(n, 0.5 + s_bar) + 1e-12
+                assert chernoff_bound(n, s_bar) <= binomial_tail(n, 0.5 + s_bar) + 1e-12
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

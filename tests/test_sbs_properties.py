@@ -3,13 +3,15 @@ majority-vote success probability."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sbskit import densmat
-from sbskit.discrimination import majority_success, majority_success_heterogeneous
+from sbskit.discrimination import majority_success_heterogeneous
 from sbskit.sbs_core import CentralState, ProjectorFamily, build_sbs
+from test_discrimination import exact_tail
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -81,12 +83,9 @@ def test_build_sbs_keeps_contained_branches(case):
 
 
 @hypothesis.settings(max_examples=80, deadline=None)
-@hypothesis.given(
-    # both sides of majority_success's switch from exact sums (n <= 64) to the recurrence
-    st.one_of(st.integers(1, 64), st.integers(65, 400)),
-    st.floats(0.0, 1.0),
-)
-def test_majority_success_matches_unequal_trial_dp(n, p):
-    # 2.1e-13 was the largest difference seen over n <= 401
-    exact = float(majority_success_heterogeneous(np.full(n, p)))
-    assert abs(majority_success(n, p) - exact) <= 1e-11
+@hypothesis.given(st.integers(1, 400), st.floats(0.0, 1.0))
+def test_majority_tail_matches_exact_fraction(n, p):
+    # each float p is a dyadic rational, so the tail at p itself is exact
+    exact = exact_tail(n, p)
+    got = float(majority_success_heterogeneous(np.full(n, p)))
+    assert abs(Fraction(got) - exact) <= 1e-13 * exact + 1e-300

@@ -6,7 +6,9 @@ per-branch and per-matrix loops of the earlier tuple records and one-item
 kernels, kept verbatim apart from taking their record fields as arguments,
 reading one spin of a record through _spins, reading instance b of a block
 and spelling densmat.tensor as the np.kron chain it was.  The array code,
-run on blocks of instances, is held to exact equality with them.
+run on blocks of instances, is held within LOOP_ATOL of them: it sums and
+multiplies in numpy's order, not the loops'.  A stacked call is held to
+exact equality, signs of zero included, with one call per item.
 """
 
 import itertools
@@ -21,6 +23,8 @@ from sbskit.sbs_core import CentralState, ProjectorFamily, build_sbs
 from sbskit.spin_model import SpinParams, delta, initial_spin_state
 
 SEED = cli.DEFAULT_CONFIG["seed"]
+# the array code against the loop references: a few ulps of the order-one entries
+LOOP_ATOL = 1e-14
 
 
 def _spins(record, *row):
@@ -158,6 +162,13 @@ def assert_identical(got, want):
         np.testing.assert_array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
 
+def assert_close(got, want):
+    """Equal shapes and values within LOOP_ATOL, entry by entry."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=LOOP_ATOL)
+
+
 def family_draws(indices, n_env=3):
     """The random-family draws of the default corpus instances, each from its own stream."""
     streams = [np.random.default_rng(np.random.SeedSequence(entropy=SEED, spawn_key=(11, i))) for i in indices]
@@ -211,15 +222,15 @@ def check_against_loops(block, branches, mags, families):
         assert_identical(joint[b], _loop_full_joint_state(block, b))
         loop_branches, loop_mags = _loop_branch_ensemble(block, b)
         assert_identical(branches[b], loop_branches)
-        assert_identical(mags[b], loop_mags)
+        assert_close(mags[b], loop_mags)
         central, branches_b = one_instance(block, branches, b)
         for family, bound in zip(families.families[:, b], stacked[:, b]):
-            want = _loop_disturbance_sum(gamma[b], sigma[b], branches[b], family)
-            assert sbs_core.disturbance_bound(gamma[b], sigma[b], branches[b], family) == want
-            assert bound == want
+            one = sbs_core.disturbance_bound(gamma[b], sigma[b], branches[b], family)
+            assert bound == one
+            assert_close(one, _loop_disturbance_sum(gamma[b], sigma[b], branches[b], family))
             sbs = build_sbs(central, branches_b, ProjectorFamily(family))
             if not sbs.degenerate:
-                assert_identical(sbs.to_matrix(), loop_to_matrix(sbs))
+                assert_close(sbs.to_matrix(), loop_to_matrix(sbs))
 
 
 def report_rows(rep):
@@ -250,7 +261,7 @@ class TestAgainstLoopVersions:
             for b, sigma in enumerate(block.central.sigma):
                 for name, weights in (("helstrom", None), ("helstrom_weighted", (float(sigma[0]), float(sigma[1])))):
                     want = [_loop_helstrom_pair(x[0], x[1], weights) for x in branches[b]]
-                    assert_identical(families.families[oracle.QUBIT_FAMILIES.index(name), b], want)
+                    assert_close(families.families[oracle.QUBIT_FAMILIES.index(name), b], want)
             assert families.families.shape[0] == len(oracle.QUBIT_FAMILIES)
 
     def test_qubit_corpus_stacked_families(self):
@@ -267,7 +278,8 @@ class TestAgainstLoopVersions:
                     assert_identical(sbs.weights[f, b], one.weights)
                     assert_identical(sbs.states[f, b], one.states)
                     assert sbs.eta_norm[f, b] == one.eta_norm
-                    assert_identical(matrices[f, b], loop_to_matrix(one))
+                    assert_identical(matrices[f, b], one.to_matrix())
+                    assert_close(matrices[f, b], loop_to_matrix(one))
 
     @pytest.mark.parametrize("size", (1, 3, 8))
     def test_blocks_match_blocks_of_one(self, size, blocks_of_one):
@@ -284,7 +296,8 @@ class TestAgainstLoopVersions:
             check_against_loops(block, branches, mags, families)
             # the suite's one stacked call gives the families of one call per environment
             stacked = helstrom_pair(branches[..., 0, :, :], branches[..., 1, :, :])
-            assert_identical(stacked, families.families[0, ..., :2, :, :])
+            assert_identical(stacked, [[helstrom_pair(x[0], x[1]) for x in rows] for rows in branches])
+            assert_close(stacked, families.families[0, ..., :2, :, :])
 
     def test_coarse_family_has_zero_weight_branches(self):
         # a rank-zero projector leaves its branch a zero matrix of weight 0,
@@ -294,10 +307,10 @@ class TestAgainstLoopVersions:
         one = build_sbs(*one_instance(block, branches, 0), ProjectorFamily(families.families[coarse, 0]))
         assert one.weights[1] == 0.0
         assert not np.any(one.states[:, 1])
-        assert_identical(one.to_matrix(), loop_to_matrix(one))
+        assert_close(one.to_matrix(), loop_to_matrix(one))
         stacked = build_sbs(block.central, branches, families)
         assert stacked.weights[coarse, 0, 1] == 0.0
-        assert_identical(stacked.to_matrix()[coarse, 0], loop_to_matrix(one))
+        assert_identical(stacked.to_matrix()[coarse, 0], one.to_matrix())
 
     def test_degenerate_family(self):
         _, branches, mags, _ = next(qubit_cases())
@@ -310,7 +323,7 @@ class TestAgainstLoopVersions:
         assert sbs.degenerate and not np.any(sbs.weights)
         gamma = sbs_core.collective_gamma(central, mags)
         got = sbs_core.disturbance_bound(gamma, central.sigma, branches, family.families)
-        assert got == _loop_disturbance_sum(gamma, central.sigma, branches, family.families)
+        assert_close(got, _loop_disturbance_sum(gamma, central.sigma, branches, family.families))
 
     def test_trace_norm_route_per_matrix(self):
         rng = np.random.default_rng(91)
@@ -375,12 +388,24 @@ class TestStackedKernels:
             assert len(set(rank.tolist())) >= 2  # every stack mixes ranks
             ranks.update(rank.tolist())
             got = helstrom_pair(rho_p, rho_m, weights)
-            assert_identical(got, [_loop_helstrom_pair(p, m, weights) for p, m in zip(rho_p, rho_m)])
+            assert_identical(got, [helstrom_pair(p, m, weights) for p, m in zip(rho_p, rho_m)])
+            assert_close(got, [_loop_helstrom_pair(p, m, weights) for p, m in zip(rho_p, rho_m)])
             # no positive eigenvalue: P_plus is 0 and P_minus the identity
             assert not np.any(got[rank == 0, 0])
         assert {0, 1, 2} <= ranks
         # one pair gives the one-pair result
-        assert_identical(helstrom_pair(rho_p[12], rho_m[12]), _loop_helstrom_pair(rho_p[12], rho_m[12]))
+        assert_close(helstrom_pair(rho_p[12], rho_m[12]), _loop_helstrom_pair(rho_p[12], rho_m[12]))
+
+    def test_psd_sqrt_per_matrix(self):
+        rng = np.random.default_rng(97)
+        # 2 x 2 and 4 x 4 states of every rank, rank-deficient ones with eigenvalues clamped at 0
+        for dim in (2, 4):
+            states = np.concatenate([random_states(rng, 8, dim, rank) for rank in range(1, dim + 1)])
+            rng.shuffle(states)
+            roots = densmat.psd_sqrt(states)
+            assert_identical(roots, [densmat.psd_sqrt(rho) for rho in states])
+            assert_identical(densmat.psd_sqrt(states.reshape(dim, 8, dim, dim)), roots.reshape(dim, 8, dim, dim))
+            np.testing.assert_allclose(roots @ roots, states, rtol=0.0, atol=1e-12)
 
     def test_partial_trace_and_entropies_per_matrix(self):
         rng = np.random.default_rng(96)
@@ -404,12 +429,12 @@ class TestStackedKernels:
         t[::5] = 0.0
         for times in (t, 0.0, 1.3):
             got, degenerate = helstrom_spin_analytic(record, times)
-            want = [
-                _loop_helstrom_spin_analytic(spin, t_j)
-                for spin, t_j in zip(_spins(record), np.broadcast_to(times, (600,)).tolist())
-            ]
-            assert_identical(got, [family for family, _ in want])
+            pairs = list(zip(_spins(record), np.broadcast_to(times, (600,)).tolist()))
+            want = [_loop_helstrom_spin_analytic(spin, t_j) for spin, t_j in pairs]
+            assert_close(got, [family for family, _ in want])
             np.testing.assert_array_equal(degenerate, [flag for _, flag in want])
+            # a stacked call gives the families of one call per spin
+            assert_identical(got, [helstrom_spin_analytic(spin, t_j)[0] for spin, t_j in pairs])
         # both kinds of degeneracy occur: delta = 0 at lam = 1/2 or beta in {0, pi},
         # and sin(gt) = 0 at g = 0 or t = 0
         flags = helstrom_spin_analytic(record, t)[1]
