@@ -12,9 +12,10 @@ and tests every field against FIELDS, read by its scenario or not (the
 measure section also through parse_measure), so a bad value exits 1
 naming its field; the runners read the converted values.  Every run emits
 its CSV/JSON artifacts plus a manifest.json embedding the resolved config,
-seed, package version and wall time, enough to rerun the experiment.  CSV
-floats have 17 significant digits so reruns are byte-identical.  Every run
-parameter comes from the config: no option overrides a field.
+seed, package version, wall time and environment (Python, numpy, BLAS,
+thread settings), enough to rerun the experiment.  CSV floats have 17
+significant digits so reruns are byte-identical.  Every run parameter
+comes from the config: no option overrides a field.
 
 Exit codes: 0 success, 1 bad invocation (a bad option, config file, field
 or output directory), 2 verification failure, 3 convergence gate not met.
@@ -28,6 +29,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -56,7 +58,7 @@ CONVERGENCE_GATE = 1e-3
 # sample about 12 KiB, so a run at the cap stays near 1 GiB
 MAX_SAMPLES = 100_000
 # most spins of a bath or macrofraction: at the default sizes a run at the cap
-# holds about 0.2 GiB in fig1 and 2 GiB in discrimination (200 draws)
+# holds about 0.3 GiB in fig1 and 2 GiB in discrimination (200 draws)
 MAX_SPINS = 100_000
 # most spins one discrimination run draws in all, draws x n_mac: the 2 GiB run above
 MAX_DRAWN_SPINS = 200 * MAX_SPINS
@@ -326,13 +328,17 @@ def run_discrimination(values: dict, out_dir: Path) -> tuple[int, list[str], dic
     # the per-spin factors that do not depend on t
     abs_delta = np.abs(delta(spins))
     b2_coeff, _ = sin2_coefficients(spins)
+    # n_mac x (draws + 1), count-major as the majority tails read it: one
+    # column per draw, and last the mean success, whose exact tail is
+    # checked against its Chernoff lower bound
+    trials = np.empty((n_mac, draws + 1))
     for t in t_grid:
         t = float(t)
         s = sin_gt(spins, t)
         probs = local_success_probability(abs_delta, s)
         p_bar = float(np.mean(probs))
-        # one more row: the exact majority tail at the mean success, checked against its Chernoff lower bound
-        tails = majority_success_heterogeneous(np.vstack([probs, np.full(n_mac, p_bar)]))
+        trials[:, :-1], trials[:, -1] = probs.T, p_bar
+        tails = majority_success_heterogeneous(trials.T)
         p_het, exact = tails[:-1], float(tails[-1])
         b_vals = macrofraction_fidelity(b2_coeff, s)
         ok_count = int(np.count_nonzero(kolmogorov_fuchs(p_het, b_vals)[2]))
@@ -360,6 +366,22 @@ def run_verify(values: dict, out_dir: Path) -> tuple[int, list[str], dict]:
     (out_dir / "verify.json").write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     status = EXIT_OK if report["all_passed"] else EXIT_VERIFY
     return status, ["verify.json"], {"all_passed": report["all_passed"]}
+
+
+def _environment() -> dict:
+    """The interpreter, numpy, BLAS build and thread settings a result's
+    last bits can depend on: the curve kernel's sums run in BLAS dgemm."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (AttributeError, KeyError, TypeError):
+        blas = {"name": None, "version": None}
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "blas": blas,
+        "num_threads": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
+    }
 
 
 RUNNERS = {
@@ -411,6 +433,7 @@ def run_scenario(scenario: str, config: dict, out_dir: Path) -> int:
         "gates": gates,
         "exit_status": status,
         "wall_time_s": round(time.time() - started, 3),
+        "environment": _environment(),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return status

@@ -94,8 +94,10 @@ def majority_success_heterogeneous(probs):
     reduced exactly as a row of its own.  The count distribution keeps the
     success count as its leading axis, so each step updates one contiguous
     block of (count, batch) entries in place; the tail is summed in the
-    (batch, count) layout, which fixes the summation order.  Equal
-    probabilities give the binomial tail P[X > n / 2], within 1.9e-14
+    (batch, count) layout, which fixes the summation order.  Probabilities
+    already stored trial-major (as the transpose of a C-contiguous (n,
+    batch) array) are read in place, others copied into that layout once.
+    Equal probabilities give the binomial tail P[X > n / 2], within 1.9e-14
     relative of the exact tail up to n = 1e4.  A probability outside
     [0, 1], or NaN, raises.
     """
@@ -106,7 +108,7 @@ def majority_success_heterogeneous(probs):
         raise ValueError("probabilities must lie in [0, 1]")
     n = probs.shape[-1]
     majority = n // 2 + 1
-    p = np.moveaxis(probs, -1, 0).copy()
+    p = np.ascontiguousarray(np.moveaxis(probs, -1, 0))
     q = 1.0 - p
     dist = np.zeros((n + 1,) + probs.shape[:-1])
     dist[0] = 1.0

@@ -24,7 +24,8 @@ import numpy as np
 from .spin_model import TWO_PI, SpinParams, sin2_coefficients
 
 # cells (spins x time points) in each of the B / |gamma| kernel's two chunk
-# buffers: 512 KiB each stay in L2 cache, and fig2's 500 x 121 is one chunk
+# buffers, but at least two blocks of time points: 512 KiB each stay in L2
+# cache, and fig2's 500 x 121 is one chunk
 CURVE_BLOCK = 2**16
 # |a| <= 2^-54 makes 1 + a sin^2(g t) round to exactly 1
 EXACT_ONE_COEFF = 2.0**-54
@@ -151,13 +152,20 @@ def _product_curves(g, t0, dt, n_t, coeffs, counts) -> np.ndarray:
     len(counts), n_t).  With j = w b + m, w = min(64, isqrt(n_t)) and anchor
     T = t0 + w b dt, sin(g t) = sin(g T) cos(g m dt) + cos(g T) sin(g m dt),
     so sin and cos run once per spin and anchor or offset m, and t = 0 or
-    g = 0 still give a factor of exactly 1.  Each factor is clamped at 0, as
-    the identity can put |sin| an ulp above 1.  The sizes run in increasing
-    order, each multiplying the smaller size's product by factors <= 1, so a
-    larger n never gives a larger curve.  A curve below about 1e-154 (a
-    subnormal product) may read 0: it is accurate only to about 1e-154.
-    Coefficients all of magnitude <= 2^-54 give exactly 1 (1 + a rounds to
-    1) uncomputed, and a repeated coefficient copies its curve.
+    g = 0 still give a factor of exactly 1.  Each chunk of anchors takes
+    that sum as one batched matmul, [sin(g T), cos(g T)] times a (2, w)
+    table of the offsets' cos and sin, so its last bits are BLAS dgemm's.
+    Every matmul of a call has one shape, of at least two blocks for
+    n_t >= 2: the last chunk moves back to full length, since a one-row
+    matmul goes to gemv, which rounds differently.  The identity can put
+    sin^2 an ulp above 1, so sin^2 is clamped at 1 once per chunk, and with
+    a in [-1, 0] every factor 1 + a sin^2 is >= 0.  The sizes run in
+    increasing order, each multiplying the smaller size's product by
+    factors <= 1, so a larger n never gives a larger curve.  A curve below
+    about 1e-154 (a subnormal product) may read 0: it is accurate only to
+    about 1e-154.  Coefficients all of magnitude <= 2^-54 give exactly 1
+    (1 + a rounds to 1) uncomputed, and a repeated coefficient copies its
+    curve.
     """
     n_spins = len(g)
     out = np.ones((len(coeffs), len(counts), n_t))
@@ -168,27 +176,25 @@ def _product_curves(g, t0, dt, n_t, coeffs, counts) -> np.ndarray:
         sizes = sorted(set(counts))
         rows = [sizes.index(n) for n in counts]
         width = min(64, math.isqrt(n_t))
-        offsets = np.multiply.outer(g, dt * np.arange(width))
-        sin_m, cos_m = np.sin(offsets), np.cos(offsets, out=offsets)
-        # the anchors run in chunks of blocks, about CURVE_BLOCK cells each
+        # per spin, the (2, width) rows cos(g m dt) and sin(g m dt)
+        table = np.repeat(np.multiply.outer(g, dt * np.arange(width))[:, None], 2, axis=1)
+        np.cos(table[:, 0], out=table[:, 0])
+        np.sin(table[:, 1], out=table[:, 1])
+        # the anchors run in chunks of step >= 2 blocks, about CURVE_BLOCK cells each
         n_blocks = -(-n_t // width)
-        step = min(n_blocks, max(1, CURVE_BLOCK // (n_spins * width)))
-        s_buf, f_buf = np.empty((2, n_spins * step * width))
+        step = min(n_blocks, max(2, CURVE_BLOCK // (n_spins * width)))
+        s, f = np.empty((2, n_spins, step * width))
         for lo in range(0, n_blocks, step):
-            hi = min(lo + step, n_blocks)
-            anchors = np.multiply.outer(g, t0 + dt * np.arange(lo * width, hi * width, width))
-            s = s_buf[: n_spins * (hi - lo) * width].reshape(n_spins, hi - lo, width)
-            f = f_buf[: s.size].reshape(s.shape)
-            np.multiply(np.sin(anchors)[:, :, None], cos_m[:, None, :], out=s)
-            np.multiply(np.cos(anchors)[:, :, None], sin_m[:, None, :], out=f)
-            np.add(s, f, out=s)
-            s, f = s.reshape(n_spins, -1), f.reshape(n_spins, -1)
+            lo = min(lo, n_blocks - step)
+            anchors = np.multiply.outer(g, t0 + dt * np.arange(lo * width, (lo + step) * width, width))
+            np.matmul(np.stack([np.sin(anchors), np.cos(anchors)], axis=-1), table,
+                      out=s.reshape(n_spins, step, width))
             np.square(s, out=s)
-            cols = slice(lo * width, min(hi * width, n_t))
+            np.minimum(s, 1.0, out=s)
+            cols = slice(lo * width, min((lo + step) * width, n_t))
             for k in sorted(set(first)):
                 np.multiply(np.reshape(coeffs[k], (-1, 1)), s, out=f)
                 np.add(1.0, f, out=f)
-                np.maximum(f, 0.0, out=f)
                 products = [np.multiply.reduce(f[: sizes[0]], axis=0)]
                 for below, n in zip(sizes, sizes[1:]):
                     products.append(products[-1] * np.multiply.reduce(f[below:n], axis=0))

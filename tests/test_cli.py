@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -221,6 +222,18 @@ class TestTimescalesScenario:
         assert manifest["outputs"] == ["timescales.csv"]
         assert manifest["config"]["seed"] == 77
         assert manifest["exit_status"] == 0
+
+    def test_manifest_records_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert run_cli(["--scenario", "timescales", "--out-dir", str(tmp_path)]) == 0
+        env = read_json(tmp_path / "manifest.json")["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert env["num_threads"] == {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")}
+        assert env["num_threads"]["OPENBLAS_NUM_THREADS"] == "1" and env["num_threads"]["OMP_NUM_THREADS"] == "2"
 
 
 class TestFig2Scenario:
@@ -442,7 +455,8 @@ class TestFig1Scenario:
     def test_default_surface_matches_golden(self, tmp_path):
         # the fig1 hot path must reproduce the benchmark's recorded surface:
         # the same header and row count, and every value within 1e-14
-        # (the angle-addition kernel moved the largest by 5.6e-17)
+        # (the angle-addition kernel moved the largest by 5.6e-17; its matmul
+        # form moved values by at most 8.7e-19 more, the largest staying 5.6e-17)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             json.dumps({"config_version": 1, "seed": 20260808, "threads": 1, "fig1": {"samples": 1}})

@@ -387,6 +387,10 @@ class TestBatchedForms:
         np.testing.assert_array_equal(batched, [majority_success_heterogeneous(row) for row in probs])
         stacked = majority_success_heterogeneous(probs.reshape(5, 1, n))
         np.testing.assert_array_equal(stacked[:, 0], batched)
+        # a trial-major buffer, read in place, gives the same bits and is left as it was
+        trial_major = np.ascontiguousarray(probs.T)
+        np.testing.assert_array_equal(majority_success_heterogeneous(trial_major.T), batched)
+        np.testing.assert_array_equal(trial_major, probs.T)
 
     def test_majority_rejects_bad_input(self):
         with pytest.raises(ValueError, match="at least one"):

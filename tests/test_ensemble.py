@@ -42,8 +42,9 @@ def _abs_gamma_curve(lam, beta, g, t_grid) -> np.ndarray:
         return np.exp(0.5 * np.sum(np.log(g2), axis=0))
 
 
-# the kernel's sin(g t) comes from the angle-addition identity, so it and
-# the reference round differently; the largest difference seen is 2.7e-15
+# the kernel's sin(g t) comes from the angle-addition identity, summed by a
+# BLAS matmul, so it and the reference round differently; the largest
+# difference seen is 2.7e-15 (2.66e-15, with and without the matmul)
 KERNEL_ATOL = 1e-14
 
 
@@ -211,18 +212,24 @@ class TestProductCurves:
         tiny = np.full(100, 2.0**-53)
         np.testing.assert_array_equal(product_curves(g, t, [tiny], [100])[0, 0], np.ones(5001))
 
-    @pytest.mark.parametrize("n_t", [5, 121, 4097])
+    # offset widths 1 (n_t = 2, 3), 2, 11, 22 and 64; an odd block count (3,
+    # 5, 121 and 4097 points) leaves a one-block tail at two blocks a chunk,
+    # and 121 points leave one at five
+    @pytest.mark.parametrize("n_t", [2, 3, 5, 121, 513, 4097])
     def test_chunk_size_changes_no_bit(self, monkeypatch, n_t):
-        # the anchor/offset split depends only on n_t, and each column's
-        # product runs over the spins in one order whatever the chunk
-        rng = np.random.default_rng(11)
-        s = SpinParams(*draw_spin_arrays(MeasureSpec(), rng, 300))
+        # the anchor/offset split depends only on n_t, every chunk's matmul
+        # has one shape, and each column's product runs over the spins in
+        # one order whatever the chunk
         t = np.linspace(0.0, 30.0, n_t)
-        coeffs = list(sin2_coefficients(s))
-        want = product_curves(s.g, t, coeffs, [7, 300, 40])
-        for cells in (1, 300 * 64, 3 * 300 * 64 + 1, 2**40):
-            monkeypatch.setattr(ensemble, "CURVE_BLOCK", cells)
-            np.testing.assert_array_equal(product_curves(s.g, t, coeffs, [7, 300, 40]), want)
+        for counts in ([1], [2, 1], [7, 300, 40]):
+            n_spins = max(counts)
+            s = SpinParams(*draw_spin_arrays(MeasureSpec(), np.random.default_rng(11), n_spins))
+            coeffs = list(sin2_coefficients(s))
+            monkeypatch.undo()  # the default CURVE_BLOCK
+            want = product_curves(s.g, t, coeffs, counts)
+            for cells in (1, n_spins * 64, 3 * n_spins * 64 + 1, 2**40):
+                monkeypatch.setattr(ensemble, "CURVE_BLOCK", cells)
+                np.testing.assert_array_equal(product_curves(s.g, t, coeffs, counts), want)
 
     def test_bath_of_ten_thousand_spins(self):
         t = np.linspace(0.0, 20.0, 401)
